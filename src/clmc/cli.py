@@ -17,25 +17,11 @@ import sys
 import numpy as np
 
 from .data import ClusteredDataset, Cluster, ContrastFamily, build_contrasts, validate_dataset
-from .harness import PRESETS, preset_config, run_experiment, ExperimentConfig, _SIM_QMC
+from .harness import DEFAULT_PROCEDURES, PRESETS, preset_config, run_experiment, ExperimentConfig
 from .inference import METHODS, evaluate_tests
-from .models import (
-    FitError,
-    FitOptions,
-    gamma_cl_fit,
-    mvn_cl_fit,
-    probit_cl_fit,
-    quadexp_cl_fit,
-)
+from .models import FITTERS, FitOptions
 from .mvnprob import QmcConfig, std_normal_cdf
 from .simgen import Exchangeable, ScenarioSpec, Unstructured, generate
-
-FITTERS = {
-    "mvn": mvn_cl_fit,
-    "probit": probit_cl_fit,
-    "quadexp": quadexp_cl_fit,
-    "gamma": gamma_cl_fit,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +140,10 @@ def cmd_fit(args) -> int:
             print(f"error: {msg}", file=sys.stderr)
         return 1
     opts = FitOptions(naive=args.naive)
-    try:
-        if args.model == "quadexp":
-            fit = FITTERS[args.model](data, opts, cluster_mean_covariates=args.cluster_means)
-        else:
-            fit = FITTERS[args.model](data, opts)
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.model == "quadexp":
+        fit = FITTERS[args.model](data, opts, cluster_mean_covariates=args.cluster_means)
+    else:
+        fit = FITTERS[args.model](data, opts)
     se = np.sqrt(np.diag(fit.gamma_hat) / data.n)
     rows = []
     for name, est, s in zip(_coef_labels(args.model, data.p), fit.theta_hat, se):
@@ -229,18 +211,15 @@ def cmd_test(args) -> int:
     if unknown:
         print(f"error: unknown methods {unknown}; choose from {METHODS}", file=sys.stderr)
         return 1
-    try:
-        cf = _parse_contrasts(args.contrasts, data.p)
-        fit = FITTERS[args.model](data, FitOptions(naive=args.naive))
-        qmc = QmcConfig(
-            points_per_shift=args.qmc_points, shifts=args.qmc_shifts, seed=args.seed
-        )
-        result = evaluate_tests(
-            fit, cf, data.n, args.alpha, methods, qmc, mnq_adjusted_p="mnq" in methods
-        )
-    except (FitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    cf = _parse_contrasts(args.contrasts, data.p)
+    fit = FITTERS[args.model](data, FitOptions(naive=args.naive))
+    if not fit.converged:
+        print("error: fit did not converge", file=sys.stderr)
         return 1
+    qmc = QmcConfig(points_per_shift=args.qmc_points, shifts=args.qmc_shifts, seed=args.seed)
+    result = evaluate_tests(
+        fit, cf, data.n, args.alpha, methods, qmc, mnq_adjusted_p="mnq" in methods
+    )
     rows = []
     for i, label in enumerate(result.labels):
         row = {"hypothesis": label, "t": _fmt(result.t_stats[i])}
@@ -312,8 +291,7 @@ def _config_from_json(path: str, args) -> ExperimentConfig:
         truth_kind=raw.get("truth_kind", "null"),
         replicates=int(raw.get("replicates", args.replicates)),
         alpha=float(raw.get("alpha", 0.05)),
-        procedures=tuple(raw.get("procedures", ("mnq", "naive", "bonferroni", "sidak", "holm", "scheffe"))),
-        qmc=_SIM_QMC,
+        procedures=tuple(raw.get("procedures", DEFAULT_PROCEDURES)),
         workers=args.workers,
         compute_efficiency=bool(raw.get("compute_efficiency", model == "mvn")),
     )
@@ -327,20 +305,16 @@ def cmd_simulate(args) -> int:
     if bool(args.preset) == bool(args.config):
         print("error: give exactly one of --preset or --config", file=sys.stderr)
         return 1
-    try:
-        if args.preset:
-            cfg = preset_config(
-                args.preset,
-                replicates=args.replicates,
-                seed=args.seed,
-                workers=args.workers,
-                contrast_kind=args.contrast_kind,
-            )
-        else:
-            cfg = _config_from_json(args.config, args)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.preset:
+        cfg = preset_config(
+            args.preset,
+            replicates=args.replicates,
+            seed=args.seed,
+            workers=args.workers,
+            contrast_kind=args.contrast_kind,
+        )
+    else:
+        cfg = _config_from_json(args.config, args)
     summary = run_experiment(cfg)
     scenario_name = args.preset or args.config
     rows = []
@@ -466,9 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # FitError, SeparationError and QuantileConvergenceError are RuntimeErrors
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,16 +23,7 @@ import numpy as np
 
 from .data import ContrastFamily, build_contrasts
 from .inference import evaluate_tests
-from .models import (
-    FitError,
-    FitOptions,
-    gamma_cl_fit,
-    mvn_cl_fit,
-    mvn_mle_fit,
-    probit_cl_fit,
-    quadexp_cl_fit,
-    sandwich,
-)
+from .models import FITTERS, FitError, mvn_mle_fit, sandwich
 from .mvnprob import QmcConfig
 from .simgen import Exchangeable, ScenarioSpec, Unstructured, UNSTRUCTURED_SIGMA_M4, generate
 
@@ -46,13 +37,6 @@ __all__ = [
     "PRESETS",
     "preset_config",
 ]
-
-_FITTERS = {
-    "mvn": mvn_cl_fit,
-    "probit": probit_cl_fit,
-    "quadexp": quadexp_cl_fit,
-    "gamma": gamma_cl_fit,
-}
 
 # quantile error well under the Monte Carlo resolution of the summaries
 _SIM_QMC = QmcConfig(points_per_shift=512, shifts=6, target_abs_error=1e-3, seed=90210)
@@ -117,7 +101,7 @@ def _replicate_counts(cfg: ExperimentConfig, rep: int) -> dict:
     out = {"completed": 0, "failed": 1, "globals": None, "rows": None,
            "violations": np.zeros(3, dtype=int), "efficiency": None}
     try:
-        fit = _FITTERS[cfg.scenario.model](data)
+        fit = FITTERS[cfg.scenario.model](data)
     except FitError:
         return out
     if not fit.converged:

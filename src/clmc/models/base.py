@@ -1,5 +1,6 @@
 """Shared fitting machinery: result/option types, the sandwich covariance,
-and a step-halving Fisher-scoring driver used by the likelihood-based fitters.
+and `fit_rows`, the step-halving Fisher-scoring driver for composite
+likelihoods whose terms depend on theta only through eta = u' theta.
 """
 
 from __future__ import annotations
@@ -76,48 +77,98 @@ def sandwich(h_hat: np.ndarray, j_hat: np.ndarray, naive: bool = False) -> np.nd
     return 0.5 * (out + out.T)
 
 
+@dataclass(frozen=True)
+class RowModel:
+    """Per-row terms of a composite likelihood in eta = u' theta.
+
+    `loglik`, `score` and `weight` map (eta, y) to the row's log-likelihood,
+    its derivative in eta and its Fisher weight -E[d2 loglik / d eta2], so
+    H = U'WU/n.  `step_weight` replaces `weight` in the scoring steps, and
+    `mean` maps eta to a binary response's fitted mean for the separation check.
+    """
+
+    loglik: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    weight: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    step_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    mean: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def objective(self, u: np.ndarray, y: np.ndarray, theta) -> float:
+        return float(np.sum(self.loglik(u @ np.asarray(theta, dtype=float), y)))
+
+    def gradient(self, u: np.ndarray, y: np.ndarray, theta) -> np.ndarray:
+        return u.T @ self.score(u @ np.asarray(theta, dtype=float), y)
+
+
+def binary_targets(y: np.ndarray, model: str) -> np.ndarray:
+    """0/1 targets from responses coded {0,1} or {-1,+1}."""
+    vals = np.unique(y)
+    if np.isin(vals, (0.0, 1.0)).all():
+        return y
+    if np.isin(vals, (-1.0, 1.0)).all():
+        return (y + 1.0) / 2.0
+    raise FitError(f"{model} fitter needs binary responses in {{0,1}} or {{-1,+1}}")
+
+
+def _gram(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return (u * w[:, None]).T @ u
+
+
 def fisher_scoring(
-    theta0: np.ndarray,
-    loglik: Callable[[np.ndarray], float],
-    score: Callable[[np.ndarray], np.ndarray],
-    information: Callable[[np.ndarray], np.ndarray],
-    opts: FitOptions,
-    score_tol: float | None = None,
+    model: RowModel, u: np.ndarray, y: np.ndarray, theta0: np.ndarray, opts: FitOptions, tol: float
 ) -> tuple[np.ndarray, int, bool]:
-    """Maximize a concave objective by Fisher scoring with step halving.
+    """Maximize a row model's concave objective by step-halving Fisher scoring.
 
     Returns (theta, iterations, converged); converged means the score's sup
-    norm fell below the tolerance.  Divergence past a fixed bound raises
+    norm fell below `tol`.  A tiny step alone never ends the loop: linearly
+    converging iterations take steps far below param_tol while the score is
+    still above its tolerance.  Divergence past a fixed bound raises
     SeparationError, a singular information matrix raises FitError.
     """
-    tol = opts.score_tol if score_tol is None else score_tol
+    step_weight = model.step_weight or model.weight
     theta = np.array(theta0, dtype=float)
-    ll = loglik(theta)
+    ll = model.objective(u, y, theta)
     if not np.isfinite(ll):
         raise FitError("objective not finite at the starting point")
     steps = 0
     while steps < opts.max_iter:
-        s = score(theta)
+        s = model.gradient(u, y, theta)
         if np.max(np.abs(s)) <= tol:
             return theta, steps, True
         try:
-            step = np.linalg.solve(information(theta), s)
+            step = np.linalg.solve(_gram(u, step_weight(u @ theta, y)), s)
         except np.linalg.LinAlgError as exc:
             raise FitError("singular information matrix") from exc
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = theta + scale * step
-            ll_new = loglik(cand)
+            ll_new = model.objective(u, y, cand)
             if np.isfinite(ll_new) and ll_new >= ll - 1e-12:
                 break
             scale *= 0.5
         else:
             break
         steps += 1
-        moved = np.max(np.abs(cand - theta))
         theta, ll = cand, ll_new
         if np.max(np.abs(theta)) > _DIVERGENCE_BOUND:
             raise SeparationError("estimates diverged; responses may be separable")
-        if moved < opts.param_tol:
-            break
-    return theta, steps, bool(np.max(np.abs(score(theta))) <= tol)
+    return theta, steps, bool(np.max(np.abs(model.gradient(u, y, theta))) <= tol)
+
+
+def fit_rows(model: RowModel, u: np.ndarray, y: np.ndarray, starts: np.ndarray,
+             theta0: np.ndarray, opts: FitOptions, score_tol: float | None = None) -> FitResult:
+    """Fit a row model to design rows u and responses y stacked by cluster,
+    `starts` holding each cluster's first row; J is the empirical covariance
+    of the per-cluster score sums.  n_beta counts every entry of theta."""
+    tol = opts.score_tol if score_tol is None else score_tol
+    theta, iterations, converged = fisher_scoring(model, u, y, theta0, opts, tol)
+    eta = u @ theta
+    if model.mean is not None and np.max(np.abs(y - model.mean(eta))) < 1e-6:
+        raise SeparationError("fitted probabilities reproduce every response exactly")
+    n = len(starts)
+    h_hat = _gram(u, model.weight(eta, y)) / n
+    h_hat = 0.5 * (h_hat + h_hat.T)
+    cluster_scores = np.add.reduceat(u * model.score(eta, y)[:, None], starts, axis=0)
+    j_hat = cluster_scores.T @ cluster_scores / n
+    return FitResult(theta, h_hat, 0.5 * (j_hat + j_hat.T), sandwich(h_hat, j_hat, opts.naive),
+                     float(np.sum(model.loglik(eta, y))), iterations, converged, u.shape[1])

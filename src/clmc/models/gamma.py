@@ -6,9 +6,11 @@ per-observation log-density is
     -nu y/mu - nu log mu + nu log nu + (nu - 1) log y - log Gamma(nu).
 
 The score in beta is nu * sum_ij x_ij (y_ij/mu_ij - 1): nu only scales it,
-so beta_hat does not depend on nu and the Newton iteration can run on the
-nu-free quasi-objective sum(-y/mu - log mu).  The shape is then recovered
-from the mean scaled deviance
+so beta_hat does not depend on nu and `fit_rows` runs Newton steps (observed
+weight y/mu) on the nu-free quasi-objective sum(-y/mu - log mu), whose Fisher
+weight is 1.  H and J of the full likelihood are nu and nu^2 times those of
+the quasi-objective, so the sandwich is nu-free and H^-1 scales by 1/nu.  The
+shape is then recovered from the mean scaled deviance
 
     D = 2/(N - p) * sum_ij ((y-mu)/mu + log(mu/y)),      N = total rows,
 
@@ -19,11 +21,13 @@ reported matrices stay finite.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from scipy.special import gammaln
 
 from ..data import ClusteredDataset
-from .base import FitError, FitOptions, FitResult, fisher_scoring, sandwich
+from .base import FitError, FitOptions, FitResult, RowModel, fit_rows
 
 __all__ = ["gamma_cl_fit", "gamma_cl_loglik", "gamma_cl_score"]
 
@@ -37,24 +41,33 @@ def _positive_rows(d: ClusteredDataset) -> tuple[np.ndarray, np.ndarray, np.ndar
     return x, y, starts
 
 
+def _quasi_loglik(eta, y):
+    with np.errstate(over="ignore"):
+        mu = np.exp(eta)
+    return np.where(np.isfinite(mu), -y / mu - eta, -np.inf)
+
+
+_QUASI = RowModel(
+    loglik=_quasi_loglik,
+    score=lambda eta, y: y / np.exp(eta) - 1.0,
+    weight=lambda eta, y: np.ones_like(eta),
+    step_weight=lambda eta, y: y / np.exp(eta),
+)
+
+
+def _loglik(eta: np.ndarray, y: np.ndarray, nu: float) -> float:
+    terms = nu * _quasi_loglik(eta, y) + nu * np.log(nu) + (nu - 1.0) * np.log(y) - gammaln(nu)
+    return float(np.sum(terms))
+
+
 def gamma_cl_loglik(d: ClusteredDataset, beta, nu: float) -> float:
     x, y, _ = _positive_rows(d)
-    mu = np.exp(x @ np.asarray(beta, dtype=float))
-    return float(
-        np.sum(
-            -nu * y / mu
-            - nu * np.log(mu)
-            + nu * np.log(nu)
-            + (nu - 1.0) * np.log(y)
-            - gammaln(nu)
-        )
-    )
+    return _loglik(x @ np.asarray(beta, dtype=float), y, nu)
 
 
 def gamma_cl_score(d: ClusteredDataset, beta, nu: float) -> np.ndarray:
     x, y, _ = _positive_rows(d)
-    mu = np.exp(x @ np.asarray(beta, dtype=float))
-    return nu * (x.T @ (y / mu - 1.0))
+    return nu * _QUASI.gradient(x, y, beta)
 
 
 def _dispersion(dev_sum: float, n_obs: int, n_clusters: int, p: int) -> float:
@@ -72,53 +85,18 @@ def _dispersion(dev_sum: float, n_obs: int, n_clusters: int, p: int) -> float:
 
 def gamma_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
     x, y, starts = _positive_rows(d)
-    n = d.n
-    p = x.shape[1]
-    xtx = x.T @ x
-
-    def quasi_loglik(beta):
-        eta = x @ beta
-        with np.errstate(over="ignore"):
-            mu = np.exp(eta)
-        return float(np.sum(-y / mu - eta)) if np.all(np.isfinite(mu)) else -np.inf
-
-    def quasi_score(beta):
-        return x.T @ (y / np.exp(x @ beta) - 1.0)
-
-    def observed_info(beta):
-        # -d2/dbeta2 of the quasi-objective; PD whenever X has full rank
-        return (x * (y / np.exp(x @ beta))[:, None]).T @ x
-
     beta0, *_ = np.linalg.lstsq(x, np.log(y), rcond=None)
-    beta, iterations, converged = fisher_scoring(
-        beta0, quasi_loglik, quasi_score, observed_info, opts,
-        score_tol=0.01 * opts.score_tol,
-    )
-
-    mu = np.exp(x @ beta)
+    fit = fit_rows(_QUASI, x, y, starts, beta0, opts, score_tol=0.01 * opts.score_tol)
+    eta = x @ fit.theta_hat
+    mu = np.exp(eta)
     dev_sum = float(np.sum((y - mu) / mu + np.log(mu / y)))
-    dispersion = _dispersion(dev_sum, len(y), n, p)
-    inv_nu = max(dispersion, _MIN_DISPERSION)
-    nu = 1.0 / inv_nu
-
-    resid_rows = x * (y / mu - 1.0)[:, None]
-    cluster_t = np.add.reduceat(resid_rows, starts, axis=0)
-    if converged and dispersion > _MIN_DISPERSION:
-        # the convergence contract is on the full score nu * t
-        converged = bool(np.max(np.abs(nu * cluster_t.sum(axis=0))) <= opts.score_tol)
-    m_sens = xtx / n
-    t_var = cluster_t.T @ cluster_t / n
-    h_hat = nu * m_sens
-    j_hat = nu * nu * t_var
-    gamma_hat = sandwich(m_sens, t_var, naive=False) if not opts.naive else sandwich(h_hat, j_hat, naive=True)
-    return FitResult(
-        theta_hat=beta,
-        h_hat=h_hat,
-        j_hat=0.5 * (j_hat + j_hat.T),
-        gamma_hat=gamma_hat,
-        loglik=gamma_cl_loglik(d, beta, nu),
-        iterations=iterations,
-        converged=converged,
-        n_beta=p,
-        nuisance={"nu": nu},
+    dispersion = _dispersion(dev_sum, len(y), d.n, x.shape[1])
+    nu = 1.0 / max(dispersion, _MIN_DISPERSION)
+    # the convergence contract is on the full score nu * t
+    score = nu * np.max(np.abs(_QUASI.gradient(x, y, fit.theta_hat)))
+    converged = bool(fit.converged and (dispersion <= _MIN_DISPERSION or score <= opts.score_tol))
+    return dataclasses.replace(
+        fit, h_hat=nu * fit.h_hat, j_hat=nu * nu * fit.j_hat, loglik=_loglik(eta, y, nu),
+        gamma_hat=fit.gamma_hat / nu if opts.naive else fit.gamma_hat,
+        converged=converged, nuisance={"nu": nu},
     )

@@ -9,7 +9,9 @@ equation: with W = diag(Sigma)^-1,
 
 and Sigma is re-estimated from the residual vectors between steps.  The
 full-likelihood (GLS) fitter replaces W by Sigma^-1 and is used for
-efficiency comparisons only.
+efficiency comparisons only; both run one alternating loop that takes the
+weight as a function of Sigma.  H = sum_i X_i' W X_i / n and J =
+sum_i X_i' W Sigma W X_i / n, so J = H for the GLS weight.
 """
 
 from __future__ import annotations
@@ -30,116 +32,71 @@ def _gaussian_arrays(d: ClusteredDataset) -> tuple[np.ndarray, np.ndarray]:
             "residual-covariance estimation needs a constant cluster size; "
             f"got sizes {sorted(set(d.cluster_sizes.tolist()))}"
         )
-    xs = np.stack([c.x for c in d.clusters])
-    ys = np.stack([c.y for c in d.clusters])
-    return xs, ys
+    return np.stack([c.x for c in d.clusters]), np.stack([c.y for c in d.clusters])
 
 
-def _weighted_beta_step(xs, ys, w_diag):
-    a = np.einsum("imp,m,imq->pq", xs, w_diag, xs)
-    b = np.einsum("imp,m,im->p", xs, w_diag, ys)
-    try:
-        return np.linalg.solve(a, b), a
-    except np.linalg.LinAlgError as exc:
-        raise FitError("singular design matrix") from exc
+def _marginal_loglik(resid: np.ndarray, sigma_diag) -> float:
+    v = np.asarray(sigma_diag, dtype=float)
+    return float(np.sum(-0.5 * np.log(2.0 * np.pi * v) - resid * resid / (2.0 * v)))
+
+
+def _full_loglik(resid: np.ndarray, sigma: np.ndarray) -> float:
+    n, m = resid.shape
+    sign, logdet = np.linalg.slogdet(sigma)
+    if sign <= 0:
+        raise FitError("residual covariance is not positive definite")
+    quad = float(np.einsum("im,mk,ik->", resid, np.linalg.inv(sigma), resid, optimize=True))
+    return -0.5 * n * (m * np.log(2.0 * np.pi) + logdet) - 0.5 * quad
 
 
 def mvn_cl_loglik(d: ClusteredDataset, beta, sigma_diag) -> float:
     """Univariate composite log-likelihood at (beta, diag(Sigma))."""
     xs, ys = _gaussian_arrays(d)
-    r = ys - xs @ np.asarray(beta, dtype=float)
-    v = np.asarray(sigma_diag, dtype=float)
-    return float(np.sum(-0.5 * np.log(2.0 * np.pi * v) - r * r / (2.0 * v)))
+    return _marginal_loglik(ys - xs @ np.asarray(beta, dtype=float), sigma_diag)
 
 
 def mvn_cl_score(d: ClusteredDataset, beta, sigma_diag) -> np.ndarray:
     xs, ys = _gaussian_arrays(d)
-    r = ys - xs @ np.asarray(beta, dtype=float)
-    w = 1.0 / np.asarray(sigma_diag, dtype=float)
-    return np.einsum("imp,m,im->p", xs, w, r)
+    return np.einsum("imp,im->p", xs, (ys - xs @ np.asarray(beta, dtype=float)) / sigma_diag)
+
+
+def _alternating_fit(d: ClusteredDataset, opts: FitOptions, weight, loglik) -> FitResult:
+    """Alternate beta = (sum X_i' W X_i)^-1 sum X_i' W y_i, W = weight(Sigma),
+    with Sigma = residual covariance until beta moves less than param_tol."""
+    xs, ys = _gaussian_arrays(d)
+    n, m, p = xs.shape
+    x_rows = xs.reshape(n * m, p)
+    sigma = np.eye(m)
+    beta = None
+    try:
+        for iterations in range(1, opts.max_iter + 1):
+            wx_rows = (weight(sigma) @ xs).reshape(n * m, p)
+            beta_new = np.linalg.solve(x_rows.T @ wx_rows, wx_rows.T @ ys.reshape(n * m))
+            converged = beta is not None and np.max(np.abs(beta_new - beta)) < opts.param_tol
+            beta = beta_new
+            if converged:
+                break
+            resid = ys - xs @ beta
+            sigma = resid.T @ resid / n
+        wx_rows = (weight(sigma) @ xs).reshape(n * m, p)
+    except np.linalg.LinAlgError as exc:
+        raise FitError("singular design matrix or residual covariance") from exc
+    h_hat = x_rows.T @ wx_rows / n
+    h_hat = 0.5 * (h_hat + h_hat.T)
+    j_hat = wx_rows.T @ (sigma @ wx_rows.reshape(n, m, p)).reshape(n * m, p) / n
+    j_hat = 0.5 * (j_hat + j_hat.T)
+    return FitResult(
+        beta, h_hat, j_hat, sandwich(h_hat, j_hat, opts.naive), loglik(ys - xs @ beta, sigma),
+        iterations, bool(converged), p, {"sigma": sigma},
+    )
 
 
 def mvn_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
     """Alternating weighted-least-squares / residual-covariance fit."""
-    xs, ys = _gaussian_arrays(d)
-    n, m, p = xs.shape
-    sigma = np.eye(m)
-    beta = None
-    converged = False
-    iterations = 0
-    for it in range(1, opts.max_iter + 1):
-        iterations = it
-        w = 1.0 / np.diag(sigma)
-        beta_new, a = _weighted_beta_step(xs, ys, w)
-        if beta is not None and np.max(np.abs(beta_new - beta)) < opts.param_tol:
-            beta = beta_new
-            converged = True
-            break
-        beta = beta_new
-        resid = ys - xs @ beta
-        sigma = resid.T @ resid / n
-
-    w = 1.0 / np.diag(sigma)
-    h_hat = np.einsum("imp,m,imq->pq", xs, w, xs) / n
-    j_hat = np.einsum("imp,m,mk,k,ikq->pq", xs, w, sigma, w, xs) / n
-    j_hat = 0.5 * (j_hat + j_hat.T)
-    return FitResult(
-        theta_hat=beta,
-        h_hat=0.5 * (h_hat + h_hat.T),
-        j_hat=j_hat,
-        gamma_hat=sandwich(h_hat, j_hat, opts.naive),
-        loglik=mvn_cl_loglik(d, beta, np.diag(sigma)),
-        iterations=iterations,
-        converged=converged,
-        n_beta=p,
-        nuisance={"sigma": sigma},
-    )
+    return _alternating_fit(d, opts, lambda s: np.diag(1.0 / np.diag(s)),
+                            lambda r, s: _marginal_loglik(r, np.diag(s)))
 
 
 def mvn_mle_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
     """Iterated GLS (full Gaussian likelihood); used for efficiency ratios."""
-    xs, ys = _gaussian_arrays(d)
-    n, m, p = xs.shape
-    sigma = np.eye(m)
-    beta = None
-    converged = False
-    iterations = 0
-    for it in range(1, opts.max_iter + 1):
-        iterations = it
-        try:
-            sigma_inv = np.linalg.inv(sigma)
-        except np.linalg.LinAlgError as exc:
-            raise FitError("singular residual covariance") from exc
-        a = np.einsum("imp,mk,ikq->pq", xs, sigma_inv, xs)
-        b = np.einsum("imp,mk,ik->p", xs, sigma_inv, ys)
-        try:
-            beta_new = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise FitError("singular design matrix") from exc
-        if beta is not None and np.max(np.abs(beta_new - beta)) < opts.param_tol:
-            beta = beta_new
-            converged = True
-            break
-        beta = beta_new
-        resid = ys - xs @ beta
-        sigma = resid.T @ resid / n
-
-    h_hat = np.einsum("imp,mk,ikq->pq", xs, np.linalg.inv(sigma), xs) / n
-    h_hat = 0.5 * (h_hat + h_hat.T)
-    resid = ys - xs @ beta
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
-        raise FitError("residual covariance is not positive definite")
-    quad = float(np.einsum("im,mk,ik->", resid, np.linalg.inv(sigma), resid))
-    loglik = -0.5 * n * (m * np.log(2.0 * np.pi) + logdet) - 0.5 * quad
-    return FitResult(
-        theta_hat=beta,
-        h_hat=h_hat,
-        j_hat=h_hat.copy(),
-        gamma_hat=sandwich(h_hat, h_hat, naive=True),
-        loglik=loglik,
-        iterations=iterations,
-        converged=converged,
-        n_beta=p,
-        nuisance={"sigma": sigma},
-    )
+    return _alternating_fit(d, opts, np.linalg.inv, _full_loglik)

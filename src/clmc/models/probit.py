@@ -7,7 +7,7 @@ in log space so that extreme linear predictors do not underflow; note
 r1 * r0 = phi^2 / (Phi (1 - Phi)), the Fisher weight.  The variability matrix
 plugs the empirical outer product of the cluster residuals into the usual
 middle term, which is exactly the empirical covariance of the per-cluster
-score vectors.
+score vectors.  The fit is `fit_rows` on the probit row functions below.
 """
 
 from __future__ import annotations
@@ -16,89 +16,46 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from ..data import ClusteredDataset
-from .base import (
-    FitError,
-    FitOptions,
-    FitResult,
-    SeparationError,
-    fisher_scoring,
-    sandwich,
-)
+from .base import FitOptions, FitResult, RowModel, binary_targets, fit_rows
 
 __all__ = ["probit_cl_fit", "probit_cl_loglik", "probit_cl_score"]
 
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
-
-def _binary_rows(d: ClusteredDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x, y, starts = d.stacked()
-    vals = np.unique(y)
-    if np.isin(vals, (0.0, 1.0)).all():
-        pass
-    elif np.isin(vals, (-1.0, 1.0)).all():
-        y = (y + 1.0) / 2.0
-    else:
-        raise FitError("probit fitter needs binary responses in {0,1} or {-1,+1}")
-    return x, y, starts
-
 
 def _mills(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    log_phi = -0.5 * eta * eta - _LOG_SQRT_2PI
+    log_phi = -0.5 * eta * eta - 0.5 * np.log(2.0 * np.pi)
     r1 = np.exp(log_phi - log_ndtr(eta))
     r0 = np.exp(log_phi - log_ndtr(-eta))
     return r1, r0
 
 
+def _score(eta, y):
+    r1, r0 = _mills(eta)
+    return y * r1 - (1.0 - y) * r0
+
+
+_PROBIT = RowModel(
+    loglik=lambda eta, y: y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta),
+    score=_score,
+    weight=lambda eta, y: np.multiply(*_mills(eta)),
+    mean=ndtr,
+)
+
+
+def _binary_rows(d: ClusteredDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x, y, starts = d.stacked()
+    return x, binary_targets(y, "probit"), starts
+
+
 def probit_cl_loglik(d: ClusteredDataset, beta) -> float:
     x, y, _ = _binary_rows(d)
-    eta = x @ np.asarray(beta, dtype=float)
-    return float(np.sum(y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta)))
+    return _PROBIT.objective(x, y, beta)
 
 
 def probit_cl_score(d: ClusteredDataset, beta) -> np.ndarray:
     x, y, _ = _binary_rows(d)
-    eta = x @ np.asarray(beta, dtype=float)
-    r1, r0 = _mills(eta)
-    return x.T @ (y * r1 - (1.0 - y) * r0)
+    return _PROBIT.gradient(x, y, beta)
 
 
 def probit_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
     x, y, starts = _binary_rows(d)
-    n = d.n
-    p = x.shape[1]
-
-    def loglik(beta):
-        eta = x @ beta
-        return float(np.sum(y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta)))
-
-    def score(beta):
-        eta = x @ beta
-        r1, r0 = _mills(eta)
-        return x.T @ (y * r1 - (1.0 - y) * r0)
-
-    def information(beta):
-        eta = x @ beta
-        r1, r0 = _mills(eta)
-        return (x * (r1 * r0)[:, None]).T @ x
-
-    beta, iterations, converged = fisher_scoring(np.zeros(p), loglik, score, information, opts)
-
-    eta = x @ beta
-    if np.max(np.abs(y - ndtr(eta))) < 1e-6:
-        raise SeparationError("fitted probabilities reproduce every response exactly")
-    r1, r0 = _mills(eta)
-    h_hat = (x * (r1 * r0)[:, None]).T @ x / n
-    h_hat = 0.5 * (h_hat + h_hat.T)
-    score_rows = x * (y * r1 - (1.0 - y) * r0)[:, None]
-    cluster_scores = np.add.reduceat(score_rows, starts, axis=0)
-    j_hat = cluster_scores.T @ cluster_scores / n
-    return FitResult(
-        theta_hat=beta,
-        h_hat=h_hat,
-        j_hat=0.5 * (j_hat + j_hat.T),
-        gamma_hat=sandwich(h_hat, j_hat, opts.naive),
-        loglik=loglik(beta),
-        iterations=iterations,
-        converged=converged,
-        n_beta=p,
-    )
+    return fit_rows(_PROBIT, x, y, starts, np.zeros(x.shape[1]), opts)

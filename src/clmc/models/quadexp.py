@@ -13,72 +13,63 @@ the other responses in the cluster: s_ij = 2 z_i - m_i - y_ij with z_i the
 cluster's count of +1s.  Summing the conditional Bernoulli log-likelihoods
 over all observations therefore reduces to an ordinary logistic regression
 of t_ij = 1{y_ij = +1} on the augmented covariate row (x_ij, s_ij), whose
-coefficient vector is (beta, w).  The fit is by iteratively reweighted least
-squares; the sensitivity matrix is the weighted logistic information and the
-variability matrix is the empirical covariance of the per-cluster scores.
+coefficient vector is (beta, w).  The fit is `fit_rows` on the logistic row
+functions, i.e. iteratively reweighted least squares; the sensitivity matrix
+is the weighted logistic information and the variability matrix is the
+empirical covariance of the per-cluster scores.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 from scipy.special import expit
 
 from ..data import ClusteredDataset
-from .base import (
-    FitError,
-    FitOptions,
-    FitResult,
-    SeparationError,
-    fisher_scoring,
-    sandwich,
-)
+from .base import FitOptions, FitResult, RowModel, binary_targets, fit_rows
 
 __all__ = ["quadexp_cl_fit", "quadexp_cl_loglik", "quadexp_cl_score"]
 
 
-def _augmented_design(
-    d: ClusteredDataset, cluster_mean_covariates: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _augmented_design(d: ClusteredDataset, cluster_means: bool = False) -> tuple[np.ndarray, ...]:
     """(U, t, starts): logistic design [x | association column], 0/1 target."""
     x, y, starts = d.stacked()
-    vals = np.unique(y)
-    if np.isin(vals, (0.0, 1.0)).all():
-        y = 2.0 * y - 1.0
-    elif not np.isin(vals, (-1.0, 1.0)).all():
-        raise FitError("association-model fitter needs binary responses")
+    t = binary_targets(y, "association-model")
     sizes = d.cluster_sizes
-    m_rows = np.repeat(sizes, sizes).astype(float)
-    z_rows = np.repeat(np.add.reduceat((y + 1.0) / 2.0, starts), sizes)
-    s = 2.0 * z_rows - m_rows - y
-    if cluster_mean_covariates:
-        means = np.add.reduceat(x, starts, axis=0) / sizes[:, None]
-        x = np.repeat(means, sizes, axis=0)
-    u = np.column_stack([x, s])
-    t = (y + 1.0) / 2.0
-    return u, t, starts
+    # s_ij = 2 z_i - m_i - y_ij on the +-1 scale
+    s = np.repeat(2.0 * np.add.reduceat(t, starts) - sizes, sizes) - (2.0 * t - 1.0)
+    if cluster_means:
+        x = np.repeat(np.add.reduceat(x, starts, axis=0) / sizes[:, None], sizes, axis=0)
+    return np.column_stack([x, s]), t, starts
 
 
-def _bernoulli_loglik(u, t, theta) -> float:
-    eta = u @ theta
-    return float(np.sum(t * eta - np.logaddexp(0.0, eta)))
+def _weight(eta, t):
+    pi = expit(eta)
+    return pi * (1.0 - pi)
+
+
+_LOGISTIC = RowModel(
+    loglik=lambda eta, t: t * eta - np.logaddexp(0.0, eta),
+    score=lambda eta, t: t - expit(eta),
+    weight=_weight,
+    mean=expit,
+)
 
 
 def quadexp_cl_loglik(d: ClusteredDataset, beta, w, cluster_mean_covariates=False) -> float:
     """Conditional composite log-likelihood at (beta, w)."""
     u, t, _ = _augmented_design(d, cluster_mean_covariates)
-    return _bernoulli_loglik(u, t, np.append(np.asarray(beta, dtype=float), w))
+    return _LOGISTIC.objective(u, t, np.append(np.asarray(beta, dtype=float), w))
 
 
 def quadexp_cl_score(d: ClusteredDataset, beta, w, cluster_mean_covariates=False) -> np.ndarray:
     u, t, _ = _augmented_design(d, cluster_mean_covariates)
-    eta = u @ np.append(np.asarray(beta, dtype=float), w)
-    return u.T @ (t - expit(eta))
+    return _LOGISTIC.gradient(u, t, np.append(np.asarray(beta, dtype=float), w))
 
 
 def quadexp_cl_fit(
-    d: ClusteredDataset,
-    opts: FitOptions = FitOptions(),
-    cluster_mean_covariates: bool = False,
+    d: ClusteredDataset, opts: FitOptions = FitOptions(), cluster_mean_covariates: bool = False
 ) -> FitResult:
     """Estimate (beta, w) jointly; theta_hat is (beta_1..beta_p, w).
 
@@ -86,39 +77,5 @@ def quadexp_cl_fit(
     for designs where the main effect is a single cluster-level quantity.
     """
     u, t, starts = _augmented_design(d, cluster_mean_covariates)
-    n = d.n
-    p = d.p
-
-    def loglik(theta):
-        return _bernoulli_loglik(u, t, theta)
-
-    def score(theta):
-        return u.T @ (t - expit(u @ theta))
-
-    def information(theta):
-        pi = expit(u @ theta)
-        return (u * (pi * (1.0 - pi))[:, None]).T @ u
-
-    theta, iterations, converged = fisher_scoring(
-        np.zeros(p + 1), loglik, score, information, opts
-    )
-
-    pi = expit(u @ theta)
-    if np.max(np.abs(t - pi)) < 1e-6:
-        raise SeparationError("fitted probabilities reproduce every response exactly")
-    h_hat = (u * (pi * (1.0 - pi))[:, None]).T @ u / n
-    h_hat = 0.5 * (h_hat + h_hat.T)
-    score_rows = u * (t - pi)[:, None]
-    cluster_scores = np.add.reduceat(score_rows, starts, axis=0)
-    j_hat = cluster_scores.T @ cluster_scores / n
-    return FitResult(
-        theta_hat=theta,
-        h_hat=h_hat,
-        j_hat=0.5 * (j_hat + j_hat.T),
-        gamma_hat=sandwich(h_hat, j_hat, opts.naive),
-        loglik=loglik(theta),
-        iterations=iterations,
-        converged=converged,
-        n_beta=p,
-        nuisance={"w": float(theta[-1])},
-    )
+    fit = fit_rows(_LOGISTIC, u, t, starts, np.zeros(d.p + 1), opts)
+    return dataclasses.replace(fit, n_beta=d.p, nuisance={"w": float(fit.theta_hat[-1])})

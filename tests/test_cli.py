@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from clmc.cli import main, read_clustered_csv, write_clustered_csv
+import clmc.inference
+from clmc.cli import FITTERS, main, read_clustered_csv, write_clustered_csv
+from clmc.models import FitError
+from clmc.mvnprob import QuantileConvergenceError
 from clmc.simgen import Exchangeable, ScenarioSpec, gen_mvn, gen_quadexp
 
 
@@ -176,6 +180,40 @@ class TestTestCommand:
         rc = main(["test", "--model", "mvn", "--data", mvn_csv,
                    "--contrasts", "many-to-one:1", "--methods", "tukey"])
         assert rc == 1
+
+
+class TestErrorPath:
+    """Every failure ends in exit status 1 and one `error:` line on stderr."""
+
+    def test_test_command_rejects_nonconverged_fit(self, mvn_csv, capsys, monkeypatch):
+        real = FITTERS["mvn"]
+        monkeypatch.setitem(
+            FITTERS, "mvn", lambda d, opts: dataclasses.replace(real(d, opts), converged=False)
+        )
+        rc = main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", "many-to-one:1"])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.err == "error: fit did not converge\n"
+        assert out.out == ""
+
+    def test_quantile_failure(self, mvn_csv, capsys, monkeypatch):
+        def stall(*args, **kwargs):
+            raise QuantileConvergenceError("quantile search stalled")
+
+        monkeypatch.setattr(clmc.inference, "equicoordinate_quantile", stall)
+        rc = main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", "many-to-one:1",
+                   "--methods", "mnq"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: quantile search stalled\n"
+
+    def test_every_replicate_failed(self, capsys, monkeypatch):
+        def broken(d, opts=None):
+            raise FitError("synthetic failure")
+
+        monkeypatch.setitem(FITTERS, "mvn", broken)
+        rc = main(["simulate", "--preset", "mvn-null-rho0-m4-p10", "--replicates", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: every replicate failed to produce a converged fit\n"
 
 
 class TestSimulateCommand:

@@ -1,0 +1,105 @@
+"""Properties shared by every fitter in the registry: the shared Fisher-scoring
+stop rule, invariance under cluster and row order, equivariance under
+covariate scaling, and the separation check of the binary models."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import clmc.cli
+import clmc.harness
+from clmc.data import Cluster, ClusteredDataset
+from clmc.harness import preset_config
+from clmc.models import (
+    FITTERS,
+    FitOptions,
+    SeparationError,
+    probit_cl_fit,
+    probit_cl_score,
+    quadexp_cl_fit,
+)
+from clmc.simgen import Exchangeable, ScenarioSpec, generate
+
+_BETA = np.array([0.5, -0.4, 0.3])
+_SPECS = {
+    "mvn": ScenarioSpec("mvn", 40, 3, 3, _BETA, Exchangeable(1.0, 0.4)),
+    "probit": ScenarioSpec("probit", 60, 3, 3, _BETA, Exchangeable(1.0, 0.4)),
+    "quadexp": ScenarioSpec("quadexp", 60, (2, 3, 4), 3, _BETA, w=0.3),
+    "gamma": ScenarioSpec("gamma", 40, 3, 3, _BETA, Exchangeable(1.0, 0.5), nu=2.0),
+}
+# tight enough that the compared estimates are exact to far below the test tolerances
+_TIGHT = FitOptions(score_tol=1e-9, param_tol=1e-11)
+_PROPERTY = settings(max_examples=15, deadline=None)
+
+
+def _fit(model, d):
+    fit = FITTERS[model](d, _TIGHT)
+    assert fit.converged
+    return fit.theta_hat
+
+
+def _with_clusters(d, clusters):
+    return ClusteredDataset(tuple(clusters), d.response_kind, d.p)
+
+
+def test_one_registry():
+    assert clmc.cli.FITTERS is FITTERS
+    assert clmc.harness.FITTERS is FITTERS
+    assert set(FITTERS) == set(_SPECS)
+
+
+@pytest.mark.parametrize("rep", [11, 17, 30, 35])
+def test_small_final_step_does_not_stop_scoring(rep):
+    # these replicates take a last step of about 7e-9 while |score| is still
+    # about 2e-6; a stop on the step size reported them as not converged
+    sc = preset_config("probit-null-rho05-m4-p10", replicates=1, seed=1).scenario
+    d = generate(sc, np.random.SeedSequence(sc.seed, spawn_key=(rep,)))
+    fit = probit_cl_fit(d)
+    assert fit.converged
+    assert np.max(np.abs(probit_cl_score(d, fit.beta))) <= FitOptions().score_tol
+
+
+@pytest.mark.parametrize("model", sorted(_SPECS))
+@_PROPERTY
+@given(seed=st.integers(0, 2**16))
+def test_cluster_order_leaves_estimate_unchanged(model, seed):
+    d = generate(_SPECS[model], seed)
+    perm = np.random.default_rng(seed).permutation(d.n)
+    shuffled = _with_clusters(d, (d.clusters[i] for i in perm))
+    np.testing.assert_allclose(_fit(model, shuffled), _fit(model, d), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("model", sorted(_SPECS))
+@_PROPERTY
+@given(seed=st.integers(0, 2**16))
+def test_row_order_within_clusters_leaves_estimate_unchanged(model, seed):
+    d = generate(_SPECS[model], seed)
+    rng = np.random.default_rng(seed)
+    # the gaussian working covariance is indexed by row position, so its rows
+    # are permuted the same way in every cluster
+    shared = rng.permutation(d.clusters[0].m)
+    perms = [shared if model == "mvn" else rng.permutation(c.m) for c in d.clusters]
+    shuffled = _with_clusters(d, (Cluster(c.id, c.y[q], c.x[q]) for c, q in zip(d.clusters, perms)))
+    np.testing.assert_allclose(_fit(model, shuffled), _fit(model, d), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("model", sorted(_SPECS))
+@_PROPERTY
+@given(seed=st.integers(0, 2**16), k=st.integers(0, len(_BETA) - 1))
+def test_covariate_scaling_rescales_its_coefficient(model, seed, k):
+    d = generate(_SPECS[model], seed)
+    scale = np.ones(d.p)
+    scale[k] = 4.0
+    scaled = _with_clusters(d, (Cluster(c.id, c.y, c.x * scale) for c in d.clusters))
+    expected = _fit(model, d)
+    expected[k] /= 4.0
+    np.testing.assert_allclose(_fit(model, scaled), expected, rtol=1e-6)
+
+
+@pytest.mark.parametrize("fitter", [probit_cl_fit, quadexp_cl_fit])
+def test_separable_binary_data_raise_separation_error(fitter):
+    x = np.linspace(-2, 2, 30).reshape(-1, 1)
+    y = (x.ravel() > 0).astype(float)
+    clusters = tuple(Cluster(str(i), y[2 * i : 2 * i + 2], x[2 * i : 2 * i + 2]) for i in range(15))
+    with pytest.raises(SeparationError):
+        fitter(ClusteredDataset(clusters, "binary01", 1), FitOptions(max_iter=500))

@@ -82,7 +82,7 @@ class TestRunExperiment:
     def test_failures_counted_and_excluded(self, monkeypatch):
         import clmc.harness as mod
 
-        real = mod._FITTERS["mvn"]
+        real = mod.FITTERS["mvn"]
         calls = {"k": 0}
 
         def flaky(d, opts=None):
@@ -91,7 +91,7 @@ class TestRunExperiment:
                 raise FitError("synthetic failure")
             return real(d)
 
-        monkeypatch.setitem(mod._FITTERS, "mvn", flaky)
+        monkeypatch.setitem(mod.FITTERS, "mvn", flaky)
         s = run_experiment(small_config(replicates=9, compute_efficiency=False))
         assert s.failures == 3
         assert s.replicates_completed == 6
@@ -102,7 +102,7 @@ class TestRunExperiment:
         def broken(d, opts=None):
             raise FitError("nope")
 
-        monkeypatch.setitem(mod._FITTERS, "mvn", broken)
+        monkeypatch.setitem(mod.FITTERS, "mvn", broken)
         with pytest.raises(RuntimeError):
             run_experiment(small_config(replicates=3, compute_efficiency=False))
 
