@@ -4,6 +4,13 @@ The rectangle probability P(l < Z < u) for Z ~ N(0, R) is computed with the
 sequential-conditioning reformulation: after a Cholesky factorization
 R = L L', the integral over the rectangle becomes an integral over the unit
 cube in which coordinate i is sampled conditionally on coordinates < i.
+R may be singular (all-pairwise contrasts of p coefficients give c =
+p(p-1)/2 statistics of rank p-1): L is then the c x r lower-trapezoidal
+factor of an unpivoted semidefinite Cholesky, r = rank R, and the integral
+runs over r-1 cube dimensions instead of c-1.  A dependent row, one that
+opens no new column, is folded into the stage of its last nonzero column,
+where its limits are intersected with those of the other rows of that stage
+(Genz & Bretz 2009, Sec. 4.1.3).  For a full-rank R every stage has one row.
 The cube integral is evaluated with randomized quasi-Monte Carlo (scrambled
 Sobol points); independent scrambles ("shifts") give an empirical standard
 error, and the point count per shift is doubled until the requested absolute
@@ -22,7 +29,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, linalg, optimize
 from scipy.special import chdtri, ndtr, ndtri
 from scipy.stats import qmc
 
@@ -127,16 +134,49 @@ def _prepare_correlation(corr: np.ndarray) -> np.ndarray:
     return r
 
 
-def _corr_cholesky(r: np.ndarray) -> np.ndarray:
+# A row whose remaining variance in the Cholesky recursion is at or below
+# _RANK_TOL is a linear combination of the rows before it; a loading at or
+# below _LOAD_TOL = sqrt(_RANK_TOL) counts as zero when a dependent row's
+# stage is chosen (the singular-covariance handling of Genz & Bretz 2009,
+# Computation of Multivariate Normal and t Probabilities, Sec. 4.1.3).
+_RANK_TOL = 1e-10
+_LOAD_TOL = 1e-5
+
+
+def _trapezoidal_cholesky(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor a correlation matrix as L L' with L lower-trapezoidal, c x rank.
+
+    Unpivoted semidefinite Cholesky: row k opens a new column when its
+    remaining variance exceeds _RANK_TOL, and is otherwise a dependent row
+    with loadings on the columns opened before it.  Each row's stage is the
+    last column in which its loading is nonzero.  Returns L with its rows
+    sorted by stage, the stages, and the row order: L L' = r[order][:, order].
+    A full-rank matrix gives LAPACK's Cholesky factor and stages 0..c-1.
+    """
+    c = len(r)
     try:
-        return np.linalg.cholesky(r)
+        chol = np.linalg.cholesky(r)
+        if np.all(np.diag(chol) > _LOAD_TOL):
+            return chol, np.arange(c), np.arange(c)
     except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(r)
-        r2 = (v * np.clip(w, 1e-12, None)) @ v.T
-        d = np.sqrt(np.diag(r2))
-        r2 = r2 / np.outer(d, d)
-        np.fill_diagonal(r2, 1.0)
-        return np.linalg.cholesky(r2 + 1e-12 * np.eye(len(r2)))
+        pass
+    low = np.zeros((c, c))
+    stage = np.empty(c, dtype=int)
+    pivots: list[int] = []
+    for k in range(c):
+        m = len(pivots)
+        if m:
+            low[k, :m] = linalg.solve_triangular(low[pivots, :m], r[pivots, k], lower=True)
+        rem = r[k, k] - low[k, :m] @ low[k, :m]
+        if rem > _RANK_TOL:
+            low[k, m] = np.sqrt(rem)
+            stage[k] = m
+            pivots.append(k)
+        else:
+            stage[k] = np.flatnonzero(np.abs(low[k, :m]) > _LOAD_TOL)[-1]
+            low[k, stage[k] + 1 :] = 0.0
+    order = np.argsort(stage, kind="stable")
+    return low[order, : len(pivots)], stage[order], order
 
 
 def _reorder(lower, upper, r):
@@ -162,37 +202,50 @@ def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
-def _conditioned_means(a, b, chol, points):
+def _conditioned_means(a, b, chol, stage, points):
     """Sequential-conditioning estimate of the rectangle probability.
 
-    `points` has shape (shifts, n, c-1); returns the per-shift means.  The
-    shift axis is flattened so each conditioning stage runs one vectorized
-    pass over every point of every shift.
+    `chol` is the c x rank factor and `stage` the rows' stages from
+    `_trapezoidal_cholesky`, with `a` and `b` in its row order; `points` has
+    shape (shifts, n, rank-1) and the per-shift means are returned.  Stage j
+    draws the j-th standard normal within the intersection of the limits of
+    every row whose last nonzero loading is in column j.  The shift axis is
+    flattened so each stage runs one vectorized pass over every point of
+    every shift.
     """
-    c = len(a)
+    c, rank = chol.shape
     shifts, n, _ = points.shape
-    pts = points.reshape(shifts * n, -1)
     total = shifts * n
-    lii = max(chol[0, 0], 1e-32)
-    d = np.full(total, float(ndtr(a[0] / lii)))
-    e = np.full(total, float(ndtr(b[0] / lii)))
-    f = e - d
-    y = np.empty((total, c - 1))
-    for i in range(1, c):
-        t = d + pts[:, i - 1] * (e - d)
-        y[:, i - 1] = ndtri(np.clip(t, _PROB_FLOOR, _PROB_CEIL))
-        mu = y[:, :i] @ chol[i, :i]
-        lii = max(chol[i, i], 1e-32)
-        with np.errstate(invalid="ignore"):
-            d = ndtr((a[i] - mu) / lii)
-            e = ndtr((b[i] - mu) / lii)
-        f *= np.maximum(e - d, 0.0)
+    pts = points.reshape(total, -1)
+    starts = np.searchsorted(stage, np.arange(rank + 1))
+    load = chol[np.arange(c), stage, None]
+    lower = np.where(load > 0.0, a[:, None], b[:, None])
+    upper = np.where(load > 0.0, b[:, None], a[:, None])
+    y = np.empty((total, rank - 1))
+    with np.errstate(invalid="ignore"):
+        for j in range(rank):
+            rows = slice(starts[j], starts[j + 1])
+            if j:
+                t = d + pts[:, j - 1] * (e - d)
+                np.maximum(t, _PROB_FLOOR, out=t)
+                y[:, j - 1] = ndtri(np.minimum(t, _PROB_CEIL, out=t))
+                # conditional means stored (rows, points) so the max/min over
+                # a stage's rows runs over contiguous arrays
+                mu = np.empty((rows.stop - rows.start, total))
+                np.matmul(y[:, :j], chol[rows, :j].T, out=mu.T)
+            else:
+                # stage 0 has the same limits at every point
+                mu = np.zeros((rows.stop - rows.start, 1))
+            d = ndtr(((lower[rows] - mu) / load[rows]).max(axis=0))
+            e = ndtr(((upper[rows] - mu) / load[rows]).min(axis=0))
+            step = np.maximum(e - d, 0.0)
+            f = step if j == 0 else f * step
     return f.reshape(shifts, n).mean(axis=1)
 
 
-def _estimate(a, b, chol, dim, n_points, shifts, seed):
-    pts = _sobol_stack(max(dim, 1), n_points, shifts, seed)
-    means = _conditioned_means(a, b, chol, pts)
+def _estimate(a, b, chol, stage, n_points, shifts, seed):
+    pts = _sobol_stack(chol.shape[1] - 1, n_points, shifts, seed)
+    means = _conditioned_means(a, b, chol, stage, pts)
     value = float(means.mean())
     se = float(means.std(ddof=1) / np.sqrt(shifts))
     return value, se
@@ -214,17 +267,20 @@ def mvn_rectangle_prob(lower, upper, corr, cfg: QmcConfig = QmcConfig()) -> Prob
         raise ValueError("need lower < upper elementwise")
 
     a, b, r = _reorder(a, b, r)
-    if c == 1:
-        return ProbEstimate(float(np.clip(ndtr(b[0]) - ndtr(a[0]), 0.0, 1.0)), 0.0)
-    chol = _corr_cholesky(r)
+    chol, stage, order = _trapezoidal_cholesky(r)
+    a, b = a[order], b[order]
+    if chol.shape[1] == 1:
+        # one variable: the rows' intervals intersect exactly, no QMC needed
+        value = _conditioned_means(a, b, chol, stage, np.empty((1, 1, 0)))[0]
+        return ProbEstimate(float(np.clip(value, 0.0, 1.0)), 0.0)
 
     n = _next_pow2(cfg.points_per_shift)
-    value, se = _estimate(a, b, chol, c - 1, n, cfg.shifts, cfg.seed)
+    value, se = _estimate(a, b, chol, stage, n, cfg.shifts, cfg.seed)
     for _ in range(cfg.max_doublings):
         if se <= cfg.target_abs_error:
             break
         n *= 2
-        value, se = _estimate(a, b, chol, c - 1, n, cfg.shifts, cfg.seed)
+        value, se = _estimate(a, b, chol, stage, n, cfg.shifts, cfg.seed)
     return ProbEstimate(float(np.clip(value, 0.0, 1.0)), se)
 
 
@@ -241,22 +297,24 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) ->
     c = len(r)
     lo = float(ndtri(1.0 - alpha / 2.0))
     hi = float(ndtri(1.0 - alpha / (2.0 * c)))
-    if c == 1:
+    # the bounds are the same for every row, so the factor's row order does not matter
+    chol, stage, _ = _trapezoidal_cholesky(r)
+    if chol.shape[1] == 1:
+        # rank one: every |Z_i| equals |Z_1|
         return lo
-    chol = _corr_cholesky(r)
     target = 1.0 - alpha
 
     n = _next_pow2(cfg.points_per_shift)
     level = 0
     while True:
-        pts = _sobol_stack(c - 1, n, cfg.shifts, cfg.seed)
+        pts = _sobol_stack(chol.shape[1] - 1, n, cfg.shifts, cfg.seed)
         memo: dict[float, tuple[float, float]] = {}
 
         def prob(q: float) -> tuple[float, float]:
             got = memo.get(q)
             if got is None:
                 bound = np.full(c, q)
-                means = _conditioned_means(-bound, bound, chol, pts)
+                means = _conditioned_means(-bound, bound, chol, stage, pts)
                 got = (float(means.mean()), float(means.std(ddof=1) / np.sqrt(cfg.shifts)))
                 memo[q] = got
             return got

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate
+from scipy.special import ndtr, ndtri
 
+from clmc.data import build_contrasts
+from clmc.harness import preset_config
 from clmc.mvnprob import (
     ProbEstimate,
     QmcConfig,
+    _range_cdf,
+    _trapezoidal_cholesky,
     chi_square_quantile,
     equicoordinate_quantile,
     mvn_rectangle_prob,
@@ -282,3 +289,148 @@ def test_prob_estimate_validation():
         ProbEstimate(1.5, 0.0)
     with pytest.raises(ValueError):
         ProbEstimate(0.5, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# rank-deficient V: exact oracles, edge cases, and the full-rank golden values
+
+HARNESS = preset_config("mvn-null-rho0-m4-p10").qmc
+QMC_CONFIGS = {"cli": QmcConfig(), "harness": HARNESS}
+
+
+def family_corr(kind, p):
+    """Exact V = C C' / 2 of a contrast family over p iid unit-variance coefficients."""
+    m = build_contrasts(kind, p, baseline=1 if kind == "many_to_one" else None).matrix
+    return m @ m.T / 2.0
+
+
+def dunnett_coverage(q, c, rho):
+    """P(max_j |T_j| <= q) for c standard normals with common correlation rho >= 0."""
+    s, t = math.sqrt(rho), math.sqrt(1.0 - rho)
+
+    def integrand(z):
+        inner = ndtr((q + s * z) / t) - ndtr((-q + s * z) / t)
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * inner**c
+
+    return integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12)[0]
+
+
+class TestTrapezoidalCholesky:
+    def test_all_pairwise_factor_has_rank_p_minus_1(self):
+        v = family_corr("all_pairwise", 6)
+        chol, stage, order = _trapezoidal_cholesky(v)
+        assert chol.shape == (15, 5)
+        assert np.max(np.abs(chol @ chol.T - v[np.ix_(order, order)])) < 1e-12
+        # rows come grouped by stage, and each loads last on its stage's column
+        assert np.all(np.diff(stage) >= 0)
+        assert np.all(np.abs(chol[np.arange(15), stage]) > 1e-5)
+        assert all(np.all(chol[k, stage[k] + 1 :] == 0.0) for k in range(15))
+
+    def test_full_rank_is_the_plain_cholesky(self):
+        v = family_corr("many_to_one", 6)
+        chol, stage, order = _trapezoidal_cholesky(v)
+        assert np.array_equal(chol, np.linalg.cholesky(v))
+        assert np.array_equal(stage, np.arange(5))
+        assert np.array_equal(order, np.arange(5))
+
+
+class TestRankDeficient:
+    @pytest.mark.parametrize("qmc", QMC_CONFIGS.values(), ids=QMC_CONFIGS.keys())
+    def test_all_pairwise_cutoff_has_exact_coverage(self, qmc):
+        # max |b_i - b_j| / sqrt(2) over 10 iid coefficients is a scaled normal range
+        q = equicoordinate_quantile(family_corr("all_pairwise", 10), 0.05, qmc)
+        assert _range_cdf(q * math.sqrt(2.0), 10) == pytest.approx(0.95, abs=1e-3)
+
+    def test_large_all_pairwise_family(self):
+        # c = 190 contrasts of rank 19 at the CLI's QMC settings
+        q = equicoordinate_quantile(family_corr("all_pairwise", 20), 0.05, QmcConfig())
+        assert _range_cdf(q * math.sqrt(2.0), 20) == pytest.approx(0.95, abs=1e-3)
+
+    @pytest.mark.parametrize("qmc", QMC_CONFIGS.values(), ids=QMC_CONFIGS.keys())
+    def test_rectangle_at_tukey_cutoff(self, qmc):
+        q = studentized_range_quantile(10, 0.05) / math.sqrt(2.0)
+        est = mvn_rectangle_prob(np.full(45, -q), np.full(45, q), family_corr("all_pairwise", 10), qmc)
+        assert est.value == pytest.approx(0.95, abs=1e-3)
+
+    @pytest.mark.parametrize("qmc", QMC_CONFIGS.values(), ids=QMC_CONFIGS.keys())
+    def test_many_to_one_matches_dunnett(self, qmc):
+        q = equicoordinate_quantile(family_corr("many_to_one", 10), 0.05, qmc)
+        assert dunnett_coverage(q, 9, 0.5) == pytest.approx(0.95, abs=1e-3)
+
+    def test_rank_one_is_the_univariate_cutoff(self):
+        assert equicoordinate_quantile(np.ones((3, 3)), 0.05, FAST) == ndtri(0.975)
+
+    def test_rank_one_rectangle_is_the_interval_intersection(self):
+        corr = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+        est = mvn_rectangle_prob([-1.0, -0.5, -2.0], [2.0, 3.0, 0.8], corr, FAST)
+        # Z_2 = -Z_1, so Z_1 must lie in (-1, 2) & (-3, 0.5) & (-2, 0.8)
+        assert est.value == pytest.approx(ndtr(0.5) - ndtr(-1.0), abs=1e-15)
+        assert est.std_error == 0.0
+
+    def test_duplicated_row_gives_two_dimensional_sidak(self):
+        corr = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        sidak = ndtri(1.0 - (1.0 - 0.95**0.5) / 2.0)
+        assert equicoordinate_quantile(corr, 0.05, FAST) == pytest.approx(sidak, abs=1e-3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(c=st.integers(3, 6), rank=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @example(c=6, rank=5, seed=66700)  # q and q_perm differ by 2.1e-3, coverages by 2.8e-4
+    def test_low_rank_cutoff_is_bracketed_and_order_free(self, c, rank, seed):
+        rank = min(rank, c - 1)
+        rng = np.random.default_rng(seed)
+        load = rng.standard_normal((c, rank))
+        cov = load @ load.T
+        d = np.sqrt(np.diag(cov))
+        corr = cov / np.outer(d, d)
+        np.fill_diagonal(corr, 1.0)
+        q = equicoordinate_quantile(corr, 0.05, QmcConfig())
+        assert ndtri(0.975) <= q <= ndtri(1.0 - 0.05 / (2 * c))
+        perm = rng.permutation(c)
+        q_perm = equicoordinate_quantile(corr[np.ix_(perm, perm)], 0.05, QmcConfig())
+        # compared in coverage, the unit of the 1e-3 band: for small c the root
+        # tolerance in q is itself 1e-3, so q and q_perm may differ by more
+        fine = QmcConfig(points_per_shift=2**14, shifts=8, seed=11)
+        for x in (q, q_perm):
+            cover = mvn_rectangle_prob(np.full(c, -x), np.full(c, x), corr, fine)
+            assert cover.value == pytest.approx(0.95, abs=1e-3)
+
+
+def _gamma_null_corr():
+    """An estimated V of the gamma-null-correlated preset (seed 1234, replicate 0)."""
+    upper = [
+        0.44170696198884235, 0.40788625250408156, 0.49144300596086404, 0.5068393032473617,
+        0.4770728499830704, 0.5121066132049721, 0.4755397108499631, 0.558309098746441,
+        0.4321885024681565, 0.48250752910259, 0.5346689559270192, 0.4987771354117121,
+        0.5018067400121028, 0.524551197370818, 0.4994736098370494, 0.520814326103707,
+        0.5193969987548137, 0.5079817945650655, 0.4458445873346581, 0.48117204681068093,
+        0.44480520706455134, 0.5527155541309404, 0.5284935808266116, 0.5245342199124814,
+        0.4681037005527866, 0.5195519101760315, 0.5008991379707106, 0.4664708006767998,
+        0.5022478521853636, 0.502846589170755, 0.4866058414089801, 0.4848298893374101,
+        0.5298863758311345, 0.452307424830784, 0.5205875044488419, 0.5102738714745328,
+    ]
+    v = np.eye(9)
+    v[np.triu_indices(9, 1)] = upper
+    return np.triu(v, 1).T + v
+
+
+def _exchangeable(c, rho):
+    v = np.full((c, c), rho)
+    np.fill_diagonal(v, 1.0)
+    return v
+
+
+# cutoffs of the engine before rank reduction; a full-rank V must keep them
+GOLDEN = [
+    ("many-to-one p10", lambda: family_corr("many_to_one", 10), 2.6864415948147053, 2.686354452904904),
+    ("many-to-one p20", lambda: family_corr("many_to_one", 20), 2.891584843833085, 2.8898092537754234),
+    ("exchangeable 0.3 c8", lambda: _exchangeable(8, 0.3), 2.702955728717034, 2.7029036249843506),
+    ("gamma-null-correlated", _gamma_null_corr, 2.6872782863186178, 2.6874421161875257),
+]
+
+
+@pytest.mark.parametrize("make, cli_cut, harness_cut", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_full_rank_cutoffs_unchanged(make, cli_cut, harness_cut):
+    v = make()
+    assert equicoordinate_quantile(v, 0.05, QmcConfig()) == pytest.approx(cli_cut, abs=1e-12)
+    assert equicoordinate_quantile(v, 0.05, HARNESS) == pytest.approx(harness_cut, abs=1e-12)
