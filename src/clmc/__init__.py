@@ -11,7 +11,6 @@ harness estimates familywise error rates and power for whole scenarios.
 """
 
 from .data import (
-    Cluster,
     ClusteredDataset,
     ContrastFamily,
     ValidationReport,

@@ -1,22 +1,24 @@
 """Command-line interface: fit models, test contrast families, run experiments.
 
 Data files are long-format CSV with header ``cluster_id,y,x1,...,xp``: one row
-per observation, rows of one cluster grouped by the shared cluster_id (file
-order within a cluster is preserved).  Reports are emitted as aligned text,
-CSV, or JSON, and are byte-stable for a fixed seed.
+per observation, rows of one cluster grouped by the shared cluster_id (in
+order of first appearance; file order within a cluster is preserved).
+Reports are emitted as aligned text, CSV, or JSON, and are byte-stable for a
+fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+from array import array
 import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .data import ClusteredDataset, Cluster, ContrastFamily, build_contrasts, validate_dataset
+from .data import ClusteredDataset, ContrastFamily, build_contrasts, validate_dataset
 from .harness import DEFAULT_PROCEDURES, PRESETS, preset_config, run_experiment, ExperimentConfig
 from .inference import METHODS, evaluate_tests
 from .models import FITTERS, FitOptions
@@ -38,58 +40,66 @@ def _infer_kind(values: np.ndarray) -> str:
     return "continuous"
 
 
-def read_clustered_csv(path: str) -> ClusteredDataset:
-    """Parse a long-format clustered CSV; malformed rows fail with their
-    line number so problems can be fixed in place."""
-    groups: dict[str, list[tuple[np.ndarray, float]]] = {}
-    with open(path, newline="") as fh:
+def _csv_rows(path: str):
+    """(line number, fields) of each CSV row; text the csv module cannot
+    parse or bytes that are not UTF-8 raise ValueError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[0] != "cluster_id" or header[1] != "y":
-            raise ValueError(
-                f"{path}: header must be cluster_id,y,x1,...,xp; got {','.join(header)}"
-            )
-        p = len(header) - 2
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            cid = row[0].strip()
-            fields = [f.strip() for f in row[1:]]
-            if any(f == "" for f in fields) or cid == "":
-                raise ValueError(f"{path}:{lineno}: missing field")
-            try:
-                nums = [float(f) for f in fields]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed numeric field") from None
-            groups.setdefault(cid, []).append((np.array(nums[1:]), nums[0]))
-    if not groups:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_clustered_csv(path: str) -> ClusteredDataset:
+    """Parse a long-format clustered CSV; malformed rows fail with their
+    line number so problems can be fixed in place.  Clusters are ordered by
+    the first appearance of their id and keep their rows in file order, so
+    the rows of one cluster need not be contiguous."""
+    rows = _csv_rows(path)
+    _, header = next(rows, (None, None))
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    if len(header) < 3 or header[0] != "cluster_id" or header[1] != "y":
+        raise ValueError(
+            f"{path}: header must be cluster_id,y,x1,...,xp; got {','.join(header)}"
+        )
+    rank: dict[str, int] = {}
+    cluster, values = [], array("d")  # y and x of each row, flat
+    for lineno, row in rows:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        cid = row[0].strip()
+        try:
+            nums = [float(f) for f in row[1:]]
+        except ValueError:
+            nums = None
+        if nums is None or not cid:
+            problem = "missing field" if any(not f.strip() for f in row) else "malformed numeric field"
+            raise ValueError(f"{path}:{lineno}: {problem}")
+        values.extend(nums)
+        cluster.append(rank.setdefault(cid, len(rank)))
+    if not values:
         raise ValueError(f"{path}: no data rows")
-    clusters = []
-    all_y = []
-    for cid, rows in groups.items():
-        x = np.vstack([r[0] for r in rows])
-        y = np.array([r[1] for r in rows])
-        all_y.append(y)
-        clusters.append(Cluster(id=cid, y=y, x=x))
-    kind = _infer_kind(np.concatenate(all_y))
-    return ClusteredDataset(tuple(clusters), kind, p)
+    cluster = np.array(cluster)
+    table = np.frombuffer(values).reshape(len(cluster), -1)[np.argsort(cluster, kind="stable")]
+    return ClusteredDataset(table[:, 1:], table[:, 0], np.bincount(cluster), list(rank),
+                            _infer_kind(table[:, 0]))
 
 
 def write_clustered_csv(d: ClusteredDataset, path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster_id", "y"] + [f"x{j + 1}" for j in range(d.p)])
-        for c in d.clusters:
-            for yi, xi in zip(c.y, c.x):
-                writer.writerow([c.id, repr(float(yi))] + [repr(float(v)) for v in xi])
+        ids = np.repeat(d.ids, d.cluster_sizes).tolist()
+        writer.writerows([cid, repr(yi)] + [repr(v) for v in xi]
+                         for cid, yi, xi in zip(ids, d.y.tolist(), d.x.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +193,19 @@ def _parse_contrasts(spec: str, p: int) -> ContrastFamily:
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         labels, rows = [], []
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                labels.append(row[0].strip())
-                try:
-                    rows.append([float(v) for v in row[1:]])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: malformed contrast weight") from None
-        m = np.array(rows)
-        if m.ndim != 2 or m.shape[1] != p:
+        for lineno, row in _csv_rows(path):
+            if not row:
+                continue
+            if len(row) != p + 1:
+                raise ValueError(f"{path}:{lineno}: contrast rows must have {p} weights")
+            labels.append(row[0].strip())
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed contrast weight") from None
+        if not rows:
             raise ValueError(f"{path}: contrast rows must have {p} weights")
-        return ContrastFamily(m, tuple(labels), "custom")
+        return ContrastFamily(np.array(rows), tuple(labels), "custom")
     raise ValueError(f"unknown contrast spec {spec!r}")
 
 

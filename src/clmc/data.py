@@ -3,8 +3,12 @@
 A clustered dataset holds n independent clusters; cluster i contributes a
 response vector y_i of length m_i and an m_i x p covariate matrix X_i.
 Observations within a cluster may be dependent, observations from different
-clusters are independent.  A contrast family is a c x p matrix C whose rows
-define the linear hypotheses C_i' beta = 0 tested jointly.
+clusters are independent.  The dataset stores every row once, as columns:
+the rows of all clusters stacked in cluster order (x is N x p and y has N
+entries, N = sum m_i), the cluster sizes m_i and one id per cluster.
+Per-cluster sums are `reduceat` sums over `starts`, the first row of each
+cluster.  A contrast family is a c x p matrix C whose rows define the linear
+hypotheses C_i' beta = 0 tested jointly.
 """
 
 from __future__ import annotations
@@ -19,56 +23,52 @@ CONTRAST_KINDS = ("many_to_one", "all_pairwise", "custom")
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """One cluster: opaque id, responses y (m,) and covariates x (m, p)."""
-
-    id: str
-    y: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        object.__setattr__(self, "x", x)
-
-    @property
-    def m(self) -> int:
-        return len(self.y)
-
-
-@dataclass(frozen=True)
 class ClusteredDataset:
-    """Immutable collection of clusters sharing a covariate dimension p."""
+    """Rows of n clusters stacked in cluster order: covariates x (N, p) and
+    responses y (N,), with the size and the opaque id of each cluster.
 
-    clusters: tuple[Cluster, ...]
+    Arrays that do not fit together (x not N x p, sizes that do not sum to N,
+    not one id per cluster) raise ValueError; everything else is reported by
+    `validate_dataset`.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    cluster_sizes: np.ndarray
+    ids: np.ndarray
     response_kind: str
-    p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "clusters", tuple(self.clusters))
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        sizes = np.asarray(self.cluster_sizes, dtype=int)
+        ids = np.asarray(self.ids, dtype=object)  # ids kept verbatim, as Python strings
+        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+            raise ValueError(f"need covariates (N, p) and responses (N,), got {x.shape} and {y.shape}")
+        if sizes.ndim != 1 or np.any(sizes < 0) or sizes.sum() != len(y):
+            raise ValueError(f"cluster sizes must be nonnegative and sum to the {len(y)} rows")
+        if ids.shape != sizes.shape:
+            raise ValueError(f"need one id per cluster, got {ids.size} ids for {sizes.size} clusters")
+        for name, value in (("x", x), ("y", y), ("cluster_sizes", sizes), ("ids", ids)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.clusters)
+        return len(self.cluster_sizes)
 
     @property
-    def cluster_sizes(self) -> np.ndarray:
-        return np.array([c.m for c in self.clusters], dtype=int)
+    def p(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def starts(self) -> np.ndarray:
+        """First row of each cluster."""
+        return np.cumsum(self.cluster_sizes) - self.cluster_sizes
 
     @property
     def constant_m(self) -> bool:
         sizes = self.cluster_sizes
         return bool(len(sizes) > 0 and (sizes == sizes[0]).all())
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row-stacked (X, y, starts) where starts[i] is the first row of
-        cluster i; handy for reduceat-style per-cluster sums."""
-        x = np.concatenate([c.x for c in self.clusters], axis=0)
-        y = np.concatenate([c.y for c in self.clusters])
-        starts = np.concatenate([[0], np.cumsum(self.cluster_sizes)[:-1]])
-        return x, y, starts.astype(int)
 
 
 @dataclass(frozen=True)
@@ -92,40 +92,36 @@ class ValidationReport:
         ]
 
 
+# rows inside each response kind's domain, and the message for a cluster with
+# a row outside; other kinds have no domain (non-finite rows are flagged apart)
+_DOMAINS = {
+    "binary01": (lambda y: np.isin(y, (0.0, 1.0)), "binary01 response outside {0,1}"),
+    "binary_pm1": (lambda y: np.isin(y, (-1.0, 1.0)), "binary_pm1 response outside {-1,+1}"),
+    "positive": (lambda y: y > 0, "non-positive response"),
+}
+
+
 def validate_dataset(d: ClusteredDataset) -> ValidationReport:
     """Check every dataset invariant and report all violations found.
 
-    Never raises: shape problems, domain problems and global problems are
-    collected into the report so callers can show them all at once.
+    Never raises: domain problems and global problems are collected into the
+    report so callers can show them all at once.  Global problems come
+    first, then each cluster's in the order empty, non-finite, outside the
+    response domain; a cluster with a non-finite value gets no domain check.
     """
     issues: list[ValidationIssue] = []
     if d.response_kind not in RESPONSE_KINDS:
         issues.append(ValidationIssue(None, f"unknown response_kind {d.response_kind!r}"))
     if d.n < 2:
         issues.append(ValidationIssue(None, f"need at least 2 clusters, got {d.n}"))
-    for c in d.clusters:
-        if c.m < 1:
-            issues.append(ValidationIssue(c.id, "empty cluster"))
-        if c.x.ndim != 2 or c.x.shape[0] != c.m:
-            issues.append(
-                ValidationIssue(
-                    c.id,
-                    f"covariate rows ({c.x.shape[0]}) do not match response length ({c.m})",
-                )
-            )
-        if c.x.ndim == 2 and c.x.shape[1] != d.p:
-            issues.append(
-                ValidationIssue(c.id, f"expected {d.p} covariates, got {c.x.shape[1]}")
-            )
-        if not np.all(np.isfinite(c.y)) or not np.all(np.isfinite(c.x)):
-            issues.append(ValidationIssue(c.id, "non-finite value in y or x"))
-            continue
-        if d.response_kind == "binary01" and not np.isin(c.y, (0.0, 1.0)).all():
-            issues.append(ValidationIssue(c.id, "binary01 response outside {0,1}"))
-        elif d.response_kind == "binary_pm1" and not np.isin(c.y, (-1.0, 1.0)).all():
-            issues.append(ValidationIssue(c.id, "binary_pm1 response outside {-1,+1}"))
-        elif d.response_kind == "positive" and not (c.y > 0).all():
-            issues.append(ValidationIssue(c.id, "non-positive response"))
+    # per-cluster counts of flagged rows; unlike reduceat, bincount gives an empty cluster 0
+    row_cluster = np.repeat(np.arange(d.n), d.cluster_sizes)
+    nonfinite = np.bincount(row_cluster, ~(np.isfinite(d.y) & np.isfinite(d.x).all(axis=1)), d.n) > 0
+    in_domain, domain_message = _DOMAINS.get(d.response_kind, (np.isfinite, ""))
+    outside = (np.bincount(row_cluster, ~in_domain(d.y), d.n) > 0) & ~nonfinite
+    messages = ("empty cluster", "non-finite value in y or x", domain_message)
+    flagged = np.nonzero(np.column_stack([d.cluster_sizes == 0, nonfinite, outside]))
+    issues += [ValidationIssue(str(d.ids[i]), messages[k]) for i, k in zip(*flagged)]
     return ValidationReport(tuple(issues))
 
 

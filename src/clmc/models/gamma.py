@@ -34,11 +34,10 @@ __all__ = ["gamma_cl_fit", "gamma_cl_loglik", "gamma_cl_score"]
 _MIN_DISPERSION = 1e-12
 
 
-def _positive_rows(d: ClusteredDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x, y, starts = d.stacked()
+def _positive(y: np.ndarray) -> np.ndarray:
     if not (y > 0).all():
         raise FitError("gamma fitter needs strictly positive responses")
-    return x, y, starts
+    return y
 
 
 def _quasi_loglik(eta, y):
@@ -61,13 +60,11 @@ def _loglik(eta: np.ndarray, y: np.ndarray, nu: float) -> float:
 
 
 def gamma_cl_loglik(d: ClusteredDataset, beta, nu: float) -> float:
-    x, y, _ = _positive_rows(d)
-    return _loglik(x @ np.asarray(beta, dtype=float), y, nu)
+    return _loglik(d.x @ np.asarray(beta, dtype=float), _positive(d.y), nu)
 
 
 def gamma_cl_score(d: ClusteredDataset, beta, nu: float) -> np.ndarray:
-    x, y, _ = _positive_rows(d)
-    return nu * _QUASI.gradient(x, y, beta)
+    return nu * _QUASI.gradient(d.x, _positive(d.y), beta)
 
 
 def _dispersion(dev_sum: float, n_obs: int, n_clusters: int, p: int) -> float:
@@ -84,13 +81,13 @@ def _dispersion(dev_sum: float, n_obs: int, n_clusters: int, p: int) -> float:
 
 
 def gamma_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
-    x, y, starts = _positive_rows(d)
+    x, y = d.x, _positive(d.y)
     beta0, *_ = np.linalg.lstsq(x, np.log(y), rcond=None)
-    fit = fit_rows(_QUASI, x, y, starts, beta0, opts, score_tol=0.01 * opts.score_tol)
+    fit = fit_rows(_QUASI, x, y, d.starts, beta0, opts, score_tol=0.01 * opts.score_tol)
     eta = x @ fit.theta_hat
     mu = np.exp(eta)
     dev_sum = float(np.sum((y - mu) / mu + np.log(mu / y)))
-    dispersion = _dispersion(dev_sum, len(y), d.n, x.shape[1])
+    dispersion = _dispersion(dev_sum, len(y), d.n, d.p)
     nu = 1.0 / max(dispersion, _MIN_DISPERSION)
     # the convergence contract is on the full score nu * t
     score = nu * np.max(np.abs(_QUASI.gradient(x, y, fit.theta_hat)))

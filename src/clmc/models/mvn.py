@@ -32,7 +32,7 @@ def _gaussian_arrays(d: ClusteredDataset) -> tuple[np.ndarray, np.ndarray]:
             "residual-covariance estimation needs a constant cluster size; "
             f"got sizes {sorted(set(d.cluster_sizes.tolist()))}"
         )
-    return np.stack([c.x for c in d.clusters]), np.stack([c.y for c in d.clusters])
+    return d.x.reshape(d.n, -1, d.p), d.y.reshape(d.n, -1)
 
 
 def _marginal_loglik(resid: np.ndarray, sigma_diag) -> float:

@@ -41,21 +41,13 @@ _PROBIT = RowModel(
 )
 
 
-def _binary_rows(d: ClusteredDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x, y, starts = d.stacked()
-    return x, binary_targets(y, "probit"), starts
-
-
 def probit_cl_loglik(d: ClusteredDataset, beta) -> float:
-    x, y, _ = _binary_rows(d)
-    return _PROBIT.objective(x, y, beta)
+    return _PROBIT.objective(d.x, binary_targets(d.y, "probit"), beta)
 
 
 def probit_cl_score(d: ClusteredDataset, beta) -> np.ndarray:
-    x, y, _ = _binary_rows(d)
-    return _PROBIT.gradient(x, y, beta)
+    return _PROBIT.gradient(d.x, binary_targets(d.y, "probit"), beta)
 
 
 def probit_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
-    x, y, starts = _binary_rows(d)
-    return fit_rows(_PROBIT, x, y, starts, np.zeros(x.shape[1]), opts)
+    return fit_rows(_PROBIT, d.x, binary_targets(d.y, "probit"), d.starts, np.zeros(d.p), opts)

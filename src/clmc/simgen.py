@@ -4,7 +4,9 @@ exact enumeration oracle for the pairwise-association binary model.
 Every generator is a pure function of (spec, seed): repeated calls with the
 same seed return bit-identical datasets.  Covariate matrices are freshly
 sampled standard normals per cluster unless `fixed_x` pins one design matrix
-for every cluster (useful for distributional tests).
+for every cluster (useful for distributional tests).  Rows are built stacked:
+each random quantity is one batched draw in the order of a loop over
+clusters, and the within-cluster algebra runs once per distinct size.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Cluster, ClusteredDataset
+from .data import ClusteredDataset
 
 __all__ = [
     "Exchangeable",
@@ -158,45 +160,52 @@ def _rng(spec: ScenarioSpec, seed) -> np.random.Generator:
     return np.random.default_rng(spec.seed if seed is None else seed)
 
 
-def _covariates(spec: ScenarioSpec, sizes: np.ndarray, rng) -> list[np.ndarray]:
+def _covariates(spec: ScenarioSpec, sizes: np.ndarray, rng) -> np.ndarray:
+    """Stacked (N, p) covariates; for x_row_corr > 0 one draw holds each
+    cluster's shared-factor row followed by its m rows."""
     if spec.fixed_x is not None:
         fx = spec.fixed_x
-        if any(m != fx.shape[0] for m in sizes):
+        if np.any(sizes != fx.shape[0]):
             raise ValueError("fixed_x rows must equal every cluster size")
-        return [fx] * len(sizes)
+        return np.tile(fx, (len(sizes), 1))
     r = spec.x_row_corr
     if r == 0.0:
-        return [spec.x_scale * rng.standard_normal((m, spec.p)) for m in sizes]
-    shared, fresh = np.sqrt(r), np.sqrt(1.0 - r)
-    out = []
-    for m in sizes:
-        z = rng.standard_normal(spec.p)
-        out.append(spec.x_scale * (shared * z + fresh * rng.standard_normal((m, spec.p))))
-    return out
+        return spec.x_scale * rng.standard_normal((sizes.sum(), spec.p))
+    draws = rng.standard_normal((len(sizes) + sizes.sum(), spec.p))
+    shared = np.zeros(len(draws), dtype=bool)
+    shared[np.cumsum(sizes + 1) - (sizes + 1)] = True
+    z = np.repeat(draws[shared], sizes, axis=0)
+    return spec.x_scale * (np.sqrt(r) * z + np.sqrt(1.0 - r) * draws[~shared])
 
 
-def _pack(xs, ys, kind, p) -> ClusteredDataset:
-    clusters = tuple(
-        Cluster(id=str(i), y=np.asarray(y, dtype=float), x=x)
-        for i, (x, y) in enumerate(zip(xs, ys))
-    )
-    return ClusteredDataset(clusters, kind, p)
+def _size_groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(m, row mask, cluster mask) per distinct cluster size m; the masked
+    rows reshape to (clusters of size m, m)."""
+    row_sizes = np.repeat(sizes, sizes)
+    return [(int(m), row_sizes == m, sizes == m) for m in np.unique(sizes)]
+
+
+def _dataset(x: np.ndarray, y: np.ndarray, sizes: np.ndarray, kind: str) -> ClusteredDataset:
+    return ClusteredDataset(x, y, sizes, np.arange(len(sizes)).astype(str), kind)
+
+
+def _gaussian_latent(spec: ScenarioSpec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
+    """x_i beta + L_m z_i with z drawn for every row at once and L_m the
+    Cholesky factor of the size-m correlation matrix."""
+    corr = spec.correlation or Exchangeable(1.0, 0.0)
+    z = rng.standard_normal(len(x))
+    eps = np.empty(len(x))
+    for m, rows, _ in _size_groups(sizes):
+        eps[rows] = (z[rows].reshape(-1, m) @ np.linalg.cholesky(corr.matrix(m)).T).ravel()
+    return x @ spec.beta + eps
 
 
 def gen_mvn(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     """y_i = X_i beta + eps_i with eps_i ~ N(0, Sigma) via Cholesky."""
     rng = _rng(spec, seed)
     sizes = spec.sizes(rng)
-    corr = spec.correlation or Exchangeable(1.0, 0.0)
-    xs = _covariates(spec, sizes, rng)
-    ys = []
-    chol_cache: dict[int, np.ndarray] = {}
-    for x, m in zip(xs, sizes):
-        if m not in chol_cache:
-            chol_cache[m] = np.linalg.cholesky(corr.matrix(m))
-        eps = chol_cache[m] @ rng.standard_normal(m)
-        ys.append(x @ spec.beta + eps)
-    return _pack(xs, ys, "continuous", spec.p)
+    x = _covariates(spec, sizes, rng)
+    return _dataset(x, _gaussian_latent(spec, x, sizes, rng), sizes, "continuous")
 
 
 def gen_probit(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
@@ -206,15 +215,9 @@ def gen_probit(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     if isinstance(corr, Exchangeable) and corr.sigma2 != 1.0:
         raise ValueError("probit latent scale is fixed at 1; use sigma2=1")
     sizes = spec.sizes(rng)
-    xs = _covariates(spec, sizes, rng)
-    ys = []
-    chol_cache: dict[int, np.ndarray] = {}
-    for x, m in zip(xs, sizes):
-        if m not in chol_cache:
-            chol_cache[m] = np.linalg.cholesky(corr.matrix(m))
-        latent = x @ spec.beta + chol_cache[m] @ rng.standard_normal(m)
-        ys.append((latent > 0.0).astype(float))
-    return _pack(xs, ys, "binary01", spec.p)
+    x = _covariates(spec, sizes, rng)
+    latent = _gaussian_latent(spec, x, sizes, rng)
+    return _dataset(x, (latent > 0.0).astype(float), sizes, "binary01")
 
 
 @functools.lru_cache(maxsize=32)
@@ -255,21 +258,19 @@ def gen_quadexp(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     sizes = spec.sizes(rng)
     if np.any(sizes > 20):
         raise ValueError("enumeration sampler limited to cluster sizes <= 20")
-    xs = _covariates(spec, sizes, rng)
+    x = _covariates(spec, sizes, rng)
     uniforms = rng.random(spec.n)
-    ys: list[np.ndarray] = [None] * spec.n
-    for m in np.unique(sizes):
-        idx = np.flatnonzero(sizes == m)
-        configs, inter = _configs_pm1(int(m))
-        mu_stars = np.stack([xs[i] @ spec.beta for i in idx], axis=1) / 2.0
-        expo = configs @ mu_stars + (spec.w / 2.0) * inter[:, None]
+    mu_star = x @ spec.beta / 2.0
+    y = np.empty(len(x))
+    for m, rows, clusters in _size_groups(sizes):
+        configs, inter = _configs_pm1(m)
+        expo = configs @ mu_star[rows].reshape(-1, m).T + (spec.w / 2.0) * inter[:, None]
         expo -= expo.max(axis=0, keepdims=True)
         weights = np.exp(expo)
         cum = np.cumsum(weights / weights.sum(axis=0, keepdims=True), axis=0)
-        picks = (cum < uniforms[idx][None, :]).sum(axis=0)
-        for i, k in zip(idx, picks):
-            ys[i] = configs[k].copy()
-    return _pack(xs, ys, "binary_pm1", spec.p)
+        picks = (cum < uniforms[clusters][None, :]).sum(axis=0)
+        y[rows] = configs[picks].ravel()
+    return _dataset(x, y, sizes, "binary_pm1")
 
 
 def _gamma_components(spec: ScenarioSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,21 +309,24 @@ def gen_gamma(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     rescaled so each margin has mean exp(x_ij' beta)."""
     rng = _rng(spec, seed)
     sizes = spec.sizes(rng)
-    xs = _covariates(spec, sizes, rng)
-    ys = []
-    comp_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for x, m in zip(xs, sizes):
-        if m not in comp_cache:
-            k, shapes = _gamma_components(spec, int(m))
-            alpha = k @ shapes
-            if np.any(alpha <= 0):
-                raise ValueError("every margin needs a positive total shape")
-            comp_cache[m] = (k, shapes, alpha)
-        k, shapes, alpha = comp_cache[m]
-        g = rng.gamma(shape=shapes, scale=1.0)
-        mu = np.exp(x @ spec.beta)
-        ys.append(mu * (k @ g) / alpha)
-    return _pack(xs, ys, "positive", spec.p)
+    x = _covariates(spec, sizes, rng)
+    groups = _size_groups(sizes)
+    comps = [_gamma_components(spec, m) for m, _, _ in groups]
+    if any(np.any(k @ shapes <= 0) for k, shapes in comps):
+        raise ValueError("every margin needs a positive total shape")
+    # every cluster's components in cluster order, drawn in one call; the
+    # size of a component's cluster selects the components of one group
+    owner_size = np.repeat(sizes, sum(c * len(s) for (_, _, c), (_, s) in zip(groups, comps)))
+    all_shapes = np.empty(len(owner_size))
+    for (m, _, clusters), (_, shapes) in zip(groups, comps):
+        all_shapes[owner_size == m] = np.tile(shapes, clusters.sum())
+    g = rng.gamma(shape=all_shapes, scale=1.0)
+    mu = np.exp(x @ spec.beta)
+    y = np.empty(len(x))
+    for (m, rows, _), (k, shapes) in zip(groups, comps):
+        g_m = g[owner_size == m].reshape(-1, len(shapes))
+        y[rows] = (mu[rows].reshape(-1, m) * (g_m @ k.T) / (k @ shapes)).ravel()
+    return _dataset(x, y, sizes, "positive")
 
 
 _GENERATORS = {

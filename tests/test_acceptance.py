@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate
 
 from clmc.cli import main as cli_main, write_clustered_csv
-from clmc.data import Cluster, ClusteredDataset, build_contrasts
+from clmc.data import ClusteredDataset, build_contrasts
 from clmc.harness import preset_config, run_experiment
 from clmc.models import (
     gamma_cl_fit,
@@ -133,7 +133,7 @@ def test_criterion_01_conditional_loglik_matches_enumeration():
                     probs[rest & (configs[:, j] == y[j])].sum() / probs[rest].sum()
                 )
             got = quadexp_cl_loglik(
-                ClusteredDataset((Cluster("0", y, x),), "binary_pm1", p), beta, w
+                ClusteredDataset(x, y, [m], ["0"], "binary_pm1"), beta, w
             )
             worst = max(worst, abs(got - exact))
         elapsed = time.time() - t0

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import clmc.inference
 from clmc.cli import FITTERS, main, read_clustered_csv, write_clustered_csv
@@ -40,17 +42,17 @@ class TestReadClusteredCsv:
         back = read_clustered_csv(str(path))
         assert back.n == d.n and back.p == d.p
         assert back.response_kind == d.response_kind
-        for a, b in zip(d.clusters, back.clusters):
-            assert a.id == b.id
-            np.testing.assert_array_equal(a.y, b.y)
-            np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(back.ids, d.ids)
+        np.testing.assert_array_equal(back.cluster_sizes, d.cluster_sizes)
+        np.testing.assert_array_equal(back.y, d.y)
+        np.testing.assert_array_equal(back.x, d.x)
 
     def test_basic_two_clusters(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("cluster_id,y,x1\na,1.0,0.5\na,2.0,0.25\nb,0.5,1.0\nb,1.5,2.0\n")
         d = read_clustered_csv(str(path))
         assert d.n == 2 and d.p == 1
-        assert [c.m for c in d.clusters] == [2, 2]
+        assert d.cluster_sizes.tolist() == [2, 2]
         assert d.response_kind == "positive"
 
     def test_blank_field_names_line(self, tmp_path):
@@ -82,6 +84,59 @@ class TestReadClusteredCsv:
         bad.write_text("id,resp,x1\na,1.0,0.5\n")
         with pytest.raises(ValueError, match="header"):
             read_clustered_csv(str(bad))
+
+    def test_interleaved_cluster_rows(self, tmp_path):
+        # clusters in order of first appearance, rows in file order within each
+        path = tmp_path / "t.csv"
+        path.write_text("cluster_id,y,x1\nb,1.0,0.1\na,2.0,0.2\nb,3.0,0.3\n"
+                        "c,4.0,0.4\na,5.0,0.5\nb,6.0,0.6\n")
+        d = read_clustered_csv(str(path))
+        assert d.ids.tolist() == ["b", "a", "c"]
+        assert d.cluster_sizes.tolist() == [3, 2, 1]
+        assert d.y.tolist() == [1.0, 3.0, 6.0, 2.0, 5.0, 4.0]
+        assert d.x[:, 0].tolist() == [0.1, 0.3, 0.6, 0.2, 0.5, 0.4]
+        again = tmp_path / "again.csv"
+        write_clustered_csv(d, str(again))
+        back = read_clustered_csv(str(again))
+        for name in ("ids", "cluster_sizes", "y", "x"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(d, name))
+        assert back.response_kind == d.response_kind
+
+    def test_oversized_field_is_a_value_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("cluster_id,y,x1\na,1.0,0.5\nb,1.0," + "1" * 200_000 + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: field larger than field limit"):
+            read_clustered_csv(str(path))
+        assert main(["fit", "--model", "probit", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3:") and len(err.strip().splitlines()) == 1
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"cluster_id,y,x1\na,1.0,0.5\n\xe9,1.0,0.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8"):
+            read_clustered_csv(str(path))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=st.one_of(
+        st.binary(max_size=300),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=300),
+        st.lists(st.lists(st.sampled_from(["a", "b", " 1.5", "-2", "", "nan", "1e999", "x", '"', "\n"]),
+                          min_size=1, max_size=5), max_size=6)
+        .map(lambda rows: "cluster_id,y,x1\n" + "\n".join(",".join(r) for r in rows)),
+    ))
+    def test_fuzzed_files_read_or_raise_value_error(self, tmp_path, content):
+        path = tmp_path / "fuzz.csv"
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8", newline="")
+        else:
+            path.write_bytes(content)
+        try:
+            d = read_clustered_csv(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+        else:
+            assert d.n == len(d.ids) and d.cluster_sizes.sum() == len(d.y) == len(d.x)
 
     def test_kind_inference(self, tmp_path):
         cases = {
@@ -169,6 +224,20 @@ class TestTestCommand:
         assert [h["hypothesis"] for h in report["hypotheses"]] == [
             "first_vs_second", "first_vs_third",
         ]
+
+    @pytest.mark.parametrize("text,where", [
+        (b"a,1,-1,0\nb,1,0," + b"1" * 200_000 + b"\n", ":2: field larger than field limit"),
+        (b"a,1,-1,0\n\xff,1,0,-1\n", ": not UTF-8"),
+        (b"a,1,-1,0\nb,1,0\n", ":2: contrast rows must have 3 weights"),
+    ], ids=["oversized-field", "non-utf8", "ragged-row"])
+    def test_bad_contrast_file_is_one_line_naming_it(self, mvn_csv, tmp_path, capsys, text, where):
+        cpath = tmp_path / "contrasts.csv"
+        cpath.write_bytes(text)
+        rc = main(["test", "--model", "mvn", "--data", mvn_csv,
+                   "--contrasts", f"file:{cpath}", "--methods", "bonferroni"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cpath}{where}") and err.count("\n") == 1
 
     def test_unknown_method_rejected(self, mvn_csv, capsys):
         rc = main(["test", "--model", "mvn", "--data", mvn_csv,
@@ -269,4 +338,4 @@ class TestGenerateCommand:
         d = read_clustered_csv(str(out))
         assert d.p == 10
         assert d.response_kind == "binary_pm1"
-        assert set(np.unique(np.concatenate([c.y for c in d.clusters]))) == {-1.0, 1.0}
+        assert set(np.unique(d.y)) == {-1.0, 1.0}

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from clmc.data import (
-    Cluster,
     ClusteredDataset,
     ContrastFamily,
     build_contrasts,
@@ -11,12 +10,46 @@ from clmc.data import (
 
 
 def make_dataset(kind="continuous", ys=((1.0, 2.0), (0.5, 1.5)), p=1):
-    clusters = []
-    rng = np.random.default_rng(0)
-    for i, y in enumerate(ys):
-        y = np.asarray(y, dtype=float)
-        clusters.append(Cluster(id=str(i), y=y, x=rng.standard_normal((len(y), p))))
-    return ClusteredDataset(tuple(clusters), kind, p)
+    y = np.concatenate(ys).astype(float)
+    sizes = [len(v) for v in ys]
+    x = np.random.default_rng(0).standard_normal((len(y), p))
+    return ClusteredDataset(x, y, sizes, np.arange(len(ys)).astype(str), kind)
+
+
+def violation_columns():
+    """(response_kind, x, y, cluster sizes) of datasets with violations in
+    several clusters, including an empty cluster, one cluster and none."""
+    rng = np.random.default_rng(2024)
+    sizes = rng.integers(1, 5, 50)
+    sizes[[20, 44]] = 3
+    sizes[30] = 0
+    first = np.cumsum(sizes) - sizes
+    x = rng.standard_normal((sizes.sum(), 2))
+    y01 = rng.integers(0, 2, sizes.sum()).astype(float)
+    out = []
+    y, xb = y01.copy(), x.copy()
+    y[first[[3, 20]]] = np.nan
+    xb[first[7], 1] = np.inf
+    y[first[[12, 41]]] = 2.0
+    y[first[20] + 2] = 2.0
+    out.append(("binary01", xb, y, sizes))
+    y, xb = 2.0 * y01 - 1.0, x.copy()
+    y[first[5]] = 0.0
+    xb[first[9], 0] = np.nan
+    y[first[44] + 1] = 3.0
+    out.append(("binary_pm1", xb, y, sizes))
+    y, xb = np.exp(rng.standard_normal(sizes.sum())), x.copy()
+    y[first[2]] = 0.0
+    y[first[44]] = -3.0
+    xb[first[44] + 2, 0] = np.nan
+    y[first[47]] = -np.inf
+    out.append(("positive", xb, y, sizes))
+    y = rng.standard_normal(sizes.sum())
+    y[first[10]] = np.nan
+    out.append(("counts", x, y, sizes))
+    out.append(("continuous", x[:3], y[:3], np.array([3])))
+    out.append(("binary01", x[:0], y[:0], np.array([], dtype=int)))
+    return out
 
 
 class TestBuildContrasts:
@@ -81,13 +114,23 @@ class TestValidateDataset:
         assert report.ok
         assert report.issues == ()
 
-    def test_shape_violation_names_cluster(self):
-        good = Cluster("g", np.zeros(3), np.zeros((3, 1)))
-        bad = Cluster("bad", np.zeros(3), np.zeros((4, 1)))
-        report = validate_dataset(ClusteredDataset((good, bad), "continuous", 1))
-        assert not report.ok
-        assert len(report.issues) == 1
-        assert report.issues[0].cluster_id == "bad"
+    def test_shape_mismatch_is_a_constructor_error(self):
+        # columns cannot hold a cluster whose x and y disagree: the
+        # constructor rejects arrays that do not fit together
+        ids = ["g", "bad"]
+        with pytest.raises(ValueError, match="covariates"):
+            ClusteredDataset(np.zeros((7, 1)), np.zeros(6), [3, 3], ids, "continuous")
+        with pytest.raises(ValueError, match="covariates"):
+            ClusteredDataset(np.zeros(6), np.zeros(6), [3, 3], ids, "continuous")
+        with pytest.raises(ValueError, match="sum to the 6 rows"):
+            ClusteredDataset(np.zeros((6, 1)), np.zeros(6), [3, 4], ids, "continuous")
+        with pytest.raises(ValueError, match="one id per cluster"):
+            ClusteredDataset(np.zeros((6, 1)), np.zeros(6), [3, 3], ["g"], "continuous")
+
+    def test_ids_are_kept_verbatim(self):
+        # a fixed-width string array would drop the trailing NUL and merge the ids
+        d = ClusteredDataset(np.zeros((2, 1)), np.zeros(2), [1, 1], ["a", "a\x00"], "continuous")
+        assert d.ids.tolist() == ["a", "a\x00"]
 
     def test_binary01_domain_violation(self):
         d = make_dataset(kind="binary01", ys=((0.0, 1.0), (1.0, 2.0)))
@@ -101,8 +144,26 @@ class TestValidateDataset:
         assert not validate_dataset(bad).ok
 
     def test_single_cluster_flagged(self):
-        d = ClusteredDataset((Cluster("0", np.ones(2), np.ones((2, 1))),), "continuous", 1)
+        d = ClusteredDataset(np.ones((2, 1)), np.ones(2), [2], ["0"], "continuous")
         assert any("2 clusters" in i.message for i in validate_dataset(d).issues)
+
+    def test_messages_match_the_per_cluster_validator(self):
+        # recorded from the validator that looped over one object per cluster
+        recorded = [
+            ["3: non-finite value in y or x", "7: non-finite value in y or x",
+             "12: binary01 response outside {0,1}", "20: non-finite value in y or x",
+             "30: empty cluster", "41: binary01 response outside {0,1}"],
+            ["5: binary_pm1 response outside {-1,+1}", "9: non-finite value in y or x",
+             "30: empty cluster", "44: binary_pm1 response outside {-1,+1}"],
+            ["2: non-positive response", "30: empty cluster", "44: non-finite value in y or x",
+             "47: non-finite value in y or x"],
+            ["unknown response_kind 'counts'", "10: non-finite value in y or x", "30: empty cluster"],
+            ["need at least 2 clusters, got 1"],
+            ["need at least 2 clusters, got 0"],
+        ]
+        for (kind, x, y, sizes), want in zip(violation_columns(), recorded, strict=True):
+            d = ClusteredDataset(x, y, sizes, np.arange(len(sizes)).astype(str), kind)
+            assert validate_dataset(d).messages() == want
 
     def test_nonfinite_flagged(self):
         d = make_dataset(ys=((np.nan, 1.0), (0.0, 1.0)))

@@ -2,13 +2,15 @@
 stop rule, invariance under cluster and row order, equivariance under
 covariate scaling, and the separation check of the binary models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import clmc.cli
 import clmc.harness
-from clmc.data import Cluster, ClusteredDataset
+from clmc.data import ClusteredDataset
 from clmc.harness import preset_config
 from clmc.models import (
     FITTERS,
@@ -38,8 +40,10 @@ def _fit(model, d):
     return fit.theta_hat
 
 
-def _with_clusters(d, clusters):
-    return ClusteredDataset(tuple(clusters), d.response_kind, d.p)
+def _permuted(d, clusters, rows):
+    """d with its clusters in the order `clusters` and its rows in the order `rows`."""
+    return ClusteredDataset(d.x[rows], d.y[rows], d.cluster_sizes[clusters], d.ids[clusters],
+                            d.response_kind)
 
 
 def test_one_registry():
@@ -65,7 +69,8 @@ def test_small_final_step_does_not_stop_scoring(rep):
 def test_cluster_order_leaves_estimate_unchanged(model, seed):
     d = generate(_SPECS[model], seed)
     perm = np.random.default_rng(seed).permutation(d.n)
-    shuffled = _with_clusters(d, (d.clusters[i] for i in perm))
+    new_place = np.argsort(perm)[np.repeat(np.arange(d.n), d.cluster_sizes)]
+    shuffled = _permuted(d, perm, np.argsort(new_place, kind="stable"))
     np.testing.assert_allclose(_fit(model, shuffled), _fit(model, d), rtol=0, atol=1e-8)
 
 
@@ -77,9 +82,9 @@ def test_row_order_within_clusters_leaves_estimate_unchanged(model, seed):
     rng = np.random.default_rng(seed)
     # the gaussian working covariance is indexed by row position, so its rows
     # are permuted the same way in every cluster
-    shared = rng.permutation(d.clusters[0].m)
-    perms = [shared if model == "mvn" else rng.permutation(c.m) for c in d.clusters]
-    shuffled = _with_clusters(d, (Cluster(c.id, c.y[q], c.x[q]) for c, q in zip(d.clusters, perms)))
+    key = np.tile(rng.random(d.cluster_sizes[0]), d.n) if model == "mvn" else rng.random(len(d.y))
+    rows = np.lexsort((key, np.repeat(np.arange(d.n), d.cluster_sizes)))
+    shuffled = _permuted(d, np.arange(d.n), rows)
     np.testing.assert_allclose(_fit(model, shuffled), _fit(model, d), rtol=0, atol=1e-8)
 
 
@@ -90,7 +95,7 @@ def test_covariate_scaling_rescales_its_coefficient(model, seed, k):
     d = generate(_SPECS[model], seed)
     scale = np.ones(d.p)
     scale[k] = 4.0
-    scaled = _with_clusters(d, (Cluster(c.id, c.y, c.x * scale) for c in d.clusters))
+    scaled = dataclasses.replace(d, x=d.x * scale)
     expected = _fit(model, d)
     expected[k] /= 4.0
     np.testing.assert_allclose(_fit(model, scaled), expected, rtol=1e-6)
@@ -100,6 +105,6 @@ def test_covariate_scaling_rescales_its_coefficient(model, seed, k):
 def test_separable_binary_data_raise_separation_error(fitter):
     x = np.linspace(-2, 2, 30).reshape(-1, 1)
     y = (x.ravel() > 0).astype(float)
-    clusters = tuple(Cluster(str(i), y[2 * i : 2 * i + 2], x[2 * i : 2 * i + 2]) for i in range(15))
+    d = ClusteredDataset(x, y, np.full(15, 2), np.arange(15).astype(str), "binary01")
     with pytest.raises(SeparationError):
-        fitter(ClusteredDataset(clusters, "binary01", 1), FitOptions(max_iter=500))
+        fitter(d, FitOptions(max_iter=500))

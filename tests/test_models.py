@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from clmc.data import Cluster, ClusteredDataset
+from clmc.data import ClusteredDataset
 from clmc.models import (
     FitError,
     FitOptions,
@@ -93,9 +95,8 @@ class TestMvnFit:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((40, 1, 3))
         y = np.einsum("imp,p->im", x, [1.0, -2.0, 0.5]) + rng.standard_normal((40, 1))
-        d = ClusteredDataset(
-            tuple(Cluster(str(i), y[i], x[i]) for i in range(40)), "continuous", 3
-        )
+        d = ClusteredDataset(x.reshape(40, 3), y.ravel(), np.ones(40, dtype=int),
+                             np.arange(40).astype(str), "continuous")
         fit = mvn_cl_fit(d)
         pooled, *_ = np.linalg.lstsq(x.reshape(40, 3), y.ravel(), rcond=None)
         np.testing.assert_allclose(fit.beta, pooled, rtol=1e-10)
@@ -106,8 +107,8 @@ class TestMvnFit:
         d = gen_mvn(spec)
         fit = mvn_cl_fit(d)
 
-        ys = np.stack([c.y for c in d.clusters])
-        xs = np.stack([c.x for c in d.clusters])
+        ys = d.y.reshape(d.n, -1)
+        xs = d.x.reshape(d.n, -1, d.p)
 
         def profile_cl(b):
             r = ys - xs @ np.array([b])
@@ -139,10 +140,9 @@ class TestMvnFit:
         np.testing.assert_allclose(-fd_hessian(f, fit.beta) / d.n, fit.h_hat, rtol=1e-4)
 
     def test_requires_constant_m(self):
-        c1 = Cluster("0", np.zeros(2), np.zeros((2, 1)))
-        c2 = Cluster("1", np.zeros(3), np.zeros((3, 1)))
+        d = ClusteredDataset(np.zeros((5, 1)), np.zeros(5), [2, 3], ["0", "1"], "continuous")
         with pytest.raises(FitError):
-            mvn_cl_fit(ClusteredDataset((c1, c2), "continuous", 1))
+            mvn_cl_fit(d)
 
     def test_gamma_hat_is_sandwich(self):
         spec = ScenarioSpec("mvn", n=50, m=4, p=3, beta=np.zeros(3),
@@ -207,8 +207,9 @@ class TestProbitFit:
         d = gen_probit(spec)
         fit = probit_cl_fit(d)
         per_cluster = []
-        for c in d.clusters:
-            sub = ClusteredDataset((c, c), "binary01", d.p)
+        for rows in np.split(np.arange(len(d.y)), d.starts[1:]):
+            sub = ClusteredDataset(np.tile(d.x[rows], (2, 1)), np.tile(d.y[rows], 2),
+                                   [len(rows)] * 2, ["0", "1"], "binary01")
             h = -fd_hessian(lambda b: 0.5 * probit_cl_loglik(sub, b), fit.beta)
             per_cluster.append(h)
         per_cluster = np.array(per_cluster)
@@ -218,21 +219,15 @@ class TestProbitFit:
     def test_accepts_pm1_encoding(self):
         spec = ScenarioSpec("probit", n=80, m=2, p=2, beta=np.array([0.5, 0.0]), seed=10)
         d01 = gen_probit(spec)
-        pm1 = ClusteredDataset(
-            tuple(Cluster(c.id, 2.0 * c.y - 1.0, c.x) for c in d01.clusters),
-            "binary_pm1",
-            d01.p,
-        )
+        pm1 = dataclasses.replace(d01, y=2.0 * d01.y - 1.0, response_kind="binary_pm1")
         np.testing.assert_allclose(probit_cl_fit(d01).beta, probit_cl_fit(pm1).beta, rtol=1e-8)
 
     def test_separation_raises(self):
         x = np.linspace(-2, 2, 30).reshape(-1, 1)
         y = (x.ravel() > 0).astype(float)
-        clusters = tuple(
-            Cluster(str(i), y[2 * i : 2 * i + 2], x[2 * i : 2 * i + 2]) for i in range(15)
-        )
+        d = ClusteredDataset(x, y, np.full(15, 2), np.arange(15).astype(str), "binary01")
         with pytest.raises(FitError):
-            probit_cl_fit(ClusteredDataset(clusters, "binary01", 1), FitOptions(max_iter=500))
+            probit_cl_fit(d, FitOptions(max_iter=500))
 
 
 class TestQuadexpFit:
@@ -267,7 +262,7 @@ class TestQuadexpFit:
                             w=0.0, seed=14)
         d = gen_quadexp(spec)
         beta = np.array([0.3, -0.2])
-        x, y, _ = d.stacked()
+        x, y = d.x, d.y
         t = (y + 1.0) / 2.0
         eta = x @ beta
         indep = float(np.sum(t * eta - np.logaddexp(0.0, eta)))
@@ -297,7 +292,7 @@ class TestQuadexpFit:
                 exact += np.log(
                     probs[rest & (configs[:, j] == y[j])].sum() / probs[rest].sum()
                 )
-            d = ClusteredDataset((Cluster("0", y, x),), "binary_pm1", p)
+            d = ClusteredDataset(x, y, [m], ["0"], "binary_pm1")
             assert quadexp_cl_loglik(d, beta, w) == pytest.approx(exact, abs=1e-10)
 
     def test_cluster_mean_covariate_option(self):
@@ -311,9 +306,7 @@ class TestQuadexpFit:
 
 class TestGammaFit:
     def test_single_point_saturated(self):
-        d = ClusteredDataset(
-            (Cluster("0", np.array([np.e]), np.array([[1.0]])),), "positive", 1
-        )
+        d = ClusteredDataset([[1.0]], [np.e], [1], ["0"], "positive")
         fit = gamma_cl_fit(d)
         assert fit.beta[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -330,7 +323,7 @@ class TestGammaFit:
         spec = ScenarioSpec("gamma", n=100, m=2, p=1, beta=np.array([0.6]), nu=1.5, seed=19)
         d = gen_gamma(spec)
         fit = gamma_cl_fit(d)
-        x, y, _ = d.stacked()
+        x, y = d.x, d.y
 
         def quasi(b):
             mu = np.exp(x.ravel() * b)
@@ -347,14 +340,7 @@ class TestGammaFit:
         assert 1.0 / fit.nuisance["nu"] == pytest.approx(inv_nu, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        d = ClusteredDataset(
-            (
-                Cluster("0", np.array([1.0, -2.0]), np.ones((2, 1))),
-                Cluster("1", np.array([1.0, 2.0]), np.ones((2, 1))),
-            ),
-            "positive",
-            1,
-        )
+        d = ClusteredDataset(np.ones((4, 1)), [1.0, -2.0, 1.0, 2.0], [2, 2], ["0", "1"], "positive")
         with pytest.raises(FitError):
             gamma_cl_fit(d)
 
@@ -373,10 +359,7 @@ class TestGammaFit:
         fit = gamma_cl_fit(d)
         nu = fit.nuisance["nu"]
         # observed per-cluster curvature: nu * sum_j (y/mu) x x'
-        per_cluster = []
-        for c in d.clusters:
-            mu = np.exp(c.x @ fit.beta)
-            per_cluster.append(nu * (c.x * (c.y / mu)[:, None]).T @ c.x)
-        per_cluster = np.array(per_cluster)
+        w = nu * d.y / np.exp(d.x @ fit.beta)
+        per_cluster = np.add.reduceat(w[:, None, None] * d.x[:, :, None] * d.x[:, None, :], d.starts)
         se = per_cluster.std(axis=0, ddof=1) / np.sqrt(d.n)
         assert np.all(np.abs(per_cluster.mean(axis=0) - fit.h_hat) <= 3.0 * se + 1e-8)

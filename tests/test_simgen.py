@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +23,13 @@ from clmc.simgen import (
 
 
 def datasets_equal(a, b):
-    if a.n != b.n or a.response_kind != b.response_kind:
-        return False
-    for ca, cb in zip(a.clusters, b.clusters):
-        if not (np.array_equal(ca.y, cb.y) and np.array_equal(ca.x, cb.x)):
-            return False
-    return True
+    return (a.response_kind == b.response_kind
+            and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("cluster_sizes", "ids", "y", "x")))
+
+
+def by_cluster(d, values):
+    """Rows of a constant-size dataset as an (n, m) array."""
+    return values.reshape(d.n, -1)
 
 
 class TestDeterminism:
@@ -49,7 +53,7 @@ class TestGenMvn:
         spec = ScenarioSpec("mvn", 4000, 4, 2, np.array([0.5, -0.5]),
                             Exchangeable(0.8, 0.0), seed=1)
         d = gen_mvn(spec)
-        resid = np.stack([c.y - c.x @ spec.beta for c in d.clusters])
+        resid = by_cluster(d, d.y - d.x @ spec.beta)
         cov = resid.T @ resid / d.n
         se = 0.8 / math.sqrt(d.n)
         off = cov[~np.eye(4, dtype=bool)]
@@ -60,7 +64,7 @@ class TestGenMvn:
         spec = ScenarioSpec("mvn", 6000, 4, 2, np.zeros(2),
                             Unstructured(UNSTRUCTURED_SIGMA_M4), seed=2)
         d = gen_mvn(spec)
-        ys = np.stack([c.y for c in d.clusters])
+        ys = by_cluster(d, d.y)
         cov = ys.T @ ys / d.n
         assert np.max(np.abs(cov - UNSTRUCTURED_SIGMA_M4)) < 0.15
 
@@ -72,14 +76,14 @@ class TestGenProbit:
     def test_null_marginal_is_half(self):
         spec = ScenarioSpec("probit", 3000, 4, 2, np.zeros(2), Exchangeable(1.0, 0.5), seed=3)
         d = gen_probit(spec)
-        ys = np.concatenate([c.y for c in d.clusters])
+        ys = d.y
         se = 0.5 / math.sqrt(len(ys))
         assert abs(ys.mean() - 0.5) < 3 * se
 
     def test_independent_within_cluster(self):
         spec = ScenarioSpec("probit", 6000, 2, 1, np.zeros(1), Exchangeable(1.0, 0.0), seed=4)
         d = gen_probit(spec)
-        ys = np.stack([c.y for c in d.clusters])
+        ys = by_cluster(d, d.y)
         corr = np.corrcoef(ys[:, 0], ys[:, 1])[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(d.n)
 
@@ -87,7 +91,7 @@ class TestGenProbit:
         rho = 0.5
         spec = ScenarioSpec("probit", 20000, 2, 1, np.zeros(1), Exchangeable(1.0, rho), seed=5)
         d = gen_probit(spec)
-        ys = np.stack([c.y for c in d.clusters])
+        ys = by_cluster(d, d.y)
         both = np.mean((ys[:, 0] == 1) & (ys[:, 1] == 1))
 
         def dens(v, u):
@@ -143,7 +147,7 @@ class TestGenQuadexp:
         beta = np.array([0.5, -0.3])
         spec = ScenarioSpec("quadexp", 20000, 4, 2, beta, w=0.0, seed=10, fixed_x=fx)
         d = gen_quadexp(spec)
-        ys = np.stack([c.y for c in d.clusters])
+        ys = by_cluster(d, d.y)
         p_plus = 1.0 / (1.0 + np.exp(-fx @ beta))
         emp = (ys == 1.0).mean(axis=0)
         se = np.sqrt(p_plus * (1 - p_plus) / d.n)
@@ -154,7 +158,7 @@ class TestGenQuadexp:
         spec = ScenarioSpec("quadexp", 32000, m, 1, np.zeros(1), w=0.0, seed=11,
                             fixed_x=np.zeros((m, 1)))
         d = gen_quadexp(spec)
-        ys = np.stack([c.y for c in d.clusters])
+        ys = by_cluster(d, d.y)
         codes = ((ys + 1) / 2 * (2 ** np.arange(m))).sum(axis=1).astype(int)
         counts = np.bincount(codes, minlength=2**m)
         expected = d.n / 2**m
@@ -166,7 +170,7 @@ class TestGenQuadexp:
         spec = ScenarioSpec("quadexp", 40000, m, 1, np.zeros(1), w=w, seed=12,
                             fixed_x=np.zeros((m, 1)))
         d = gen_quadexp(spec)
-        zs = np.array([(c.y == 1.0).sum() for c in d.clusters])
+        zs = (by_cluster(d, d.y) == 1.0).sum(axis=1)
         # with zero main effects the cluster total z is sufficient:
         # P(z) ~ C(m, z) exp(-w z (m - z))
         weights = np.array(
@@ -185,7 +189,7 @@ class TestGenQuadexp:
         spec = ScenarioSpec("quadexp", 100000, 4, 2, beta, w=w, seed=13, fixed_x=fx)
         d = gen_quadexp(spec)
         configs, probs = quadexp_enumeration_oracle(fx, beta, w)
-        ys = np.stack([c.y for c in d.clusters])
+        ys = by_cluster(d, d.y)
         codes = ((ys + 1) / 2 * (2 ** np.arange(4))).sum(axis=1).astype(int)
         oracle_codes = ((configs + 1) / 2 * (2 ** np.arange(4))).sum(axis=1).astype(int)
         emp = np.bincount(codes, minlength=16) / d.n
@@ -202,7 +206,7 @@ class TestGenQuadexp:
         spec = ScenarioSpec("probit", n, 3, 1, beta, Exchangeable(1.0, 0.0), seed=14,
                             fixed_x=fx)
         d = gen_probit(spec)
-        ys = np.stack([c.y for c in d.clusters])
+        ys = by_cluster(d, d.y)
         codes1 = (ys * (2 ** np.arange(3))).sum(axis=1).astype(int)
         rng = np.random.default_rng(15)
         from clmc.mvnprob import std_normal_cdf
@@ -231,7 +235,7 @@ class TestGenGamma:
     def test_independent_mean_one_ratio(self):
         spec = ScenarioSpec("gamma", 4000, 3, 2, np.array([0.5, 0.2]), nu=2.0, seed=17)
         d = gen_gamma(spec)
-        ratios = np.concatenate([c.y / np.exp(c.x @ spec.beta) for c in d.clusters])
+        ratios = d.y / np.exp(d.x @ spec.beta)
         se = 1.0 / math.sqrt(2.0 * len(ratios))  # var(y/mu) = 1/nu
         assert abs(ratios.mean() - 1.0) < 3 * se
 
@@ -248,7 +252,7 @@ class TestGenGamma:
         spec = ScenarioSpec("gamma", 8000, 3, 1, np.zeros(1),
                             Exchangeable(1.0, rho), nu=nu, seed=19)
         d = gen_gamma(spec)
-        scaled = np.stack([c.y / np.exp(c.x @ spec.beta) for c in d.clusters])
+        scaled = by_cluster(d, d.y / np.exp(d.x @ spec.beta))
         corr = np.corrcoef(scaled.T)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off - rho) < 0.06)
@@ -261,9 +265,7 @@ class TestGenGamma:
         d = gen_gamma(spec)
         alpha = k @ shapes
         g_cov_formula = k @ np.diag(shapes) @ k.T  # unit-scale gamma variances
-        scaled = np.stack(
-            [c.y / np.exp(c.x @ spec.beta) * alpha for c in d.clusters]
-        )
+        scaled = by_cluster(d, d.y / np.exp(d.x @ spec.beta)) * alpha
         emp = np.cov(scaled.T)
         assert np.all(np.abs(emp - g_cov_formula) < 0.2)
         corr_off = emp[0, 1] / math.sqrt(emp[0, 0] * emp[1, 1])
@@ -302,3 +304,35 @@ class TestScenarioSpec:
         spec = ScenarioSpec("mvn", 5, 3, 1, np.zeros(1), seed=23, fixed_x=np.zeros((2, 1)))
         with pytest.raises(ValueError):
             gen_mvn(spec)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "simgen_golden.json").read_text())
+
+
+def _golden_spec(params: dict) -> ScenarioSpec:
+    kw = dict(params)
+    corr = kw.pop("correlation", None)
+    if corr is not None:
+        corr = (Exchangeable(corr["sigma2"], corr["rho"]) if corr["type"] == "exchangeable"
+                else Unstructured(np.array(corr["sigma"])))
+    for key in ("beta", "fixed_x", "gamma_incidence", "gamma_shapes"):
+        if key in kw:
+            kw[key] = np.array(kw[key])
+    m = kw.pop("m")
+    return ScenarioSpec(m=tuple(m) if isinstance(m, list) else m, correlation=corr, **kw)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+def test_generators_reproduce_recorded_draws(case):
+    # recorded from generators that drew cluster by cluster: sizes, covariates
+    # and binary responses are bit-identical, continuous responses differ only
+    # by the summation order of the matrix products
+    d = generate(_golden_spec(case["spec"]))
+    assert d.cluster_sizes.tolist() == case["sizes"]
+    assert d.ids.tolist() == [str(i) for i in range(len(case["sizes"]))]
+    assert hashlib.sha256(np.ascontiguousarray(d.x, dtype="<f8").tobytes()).hexdigest() == case["x_sha256"]
+    assert d.response_kind == case["response_kind"]
+    if d.response_kind in ("binary01", "binary_pm1"):
+        assert d.y.tolist() == case["y"]
+    else:
+        np.testing.assert_allclose(d.y, case["y"], rtol=1e-12, atol=0)
