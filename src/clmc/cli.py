@@ -21,7 +21,7 @@ import numpy as np
 from .data import ClusteredDataset, ContrastFamily, build_contrasts, validate_dataset
 from .harness import DEFAULT_PROCEDURES, PRESETS, preset_config, run_experiment, ExperimentConfig
 from .inference import METHODS, evaluate_tests
-from .models import FITTERS, FitOptions
+from .models import FITTERS, naive_fit
 from .mvnprob import QmcConfig, std_normal_cdf
 from .simgen import Exchangeable, ScenarioSpec, Unstructured, generate
 
@@ -149,11 +149,12 @@ def cmd_fit(args) -> int:
         for msg in report.messages():
             print(f"error: {msg}", file=sys.stderr)
         return 1
-    opts = FitOptions(naive=args.naive)
     if args.model == "quadexp":
-        fit = FITTERS[args.model](data, opts, cluster_mean_covariates=args.cluster_means)
+        fit = FITTERS[args.model](data, cluster_mean_covariates=args.cluster_means)
     else:
-        fit = FITTERS[args.model](data, opts)
+        fit = FITTERS[args.model](data)
+    if args.naive:
+        fit = naive_fit(fit)
     se = np.sqrt(np.diag(fit.gamma_hat) / data.n)
     rows = []
     for name, est, s in zip(_coef_labels(args.model, data.p), fit.theta_hat, se):
@@ -222,7 +223,9 @@ def cmd_test(args) -> int:
         print(f"error: unknown methods {unknown}; choose from {METHODS}", file=sys.stderr)
         return 1
     cf = _parse_contrasts(args.contrasts, data.p)
-    fit = FITTERS[args.model](data, FitOptions(naive=args.naive))
+    fit = FITTERS[args.model](data)
+    if args.naive:
+        fit = naive_fit(fit)
     if not fit.converged:
         print("error: fit did not converge", file=sys.stderr)
         return 1
@@ -327,51 +330,21 @@ def cmd_simulate(args) -> int:
         cfg = _config_from_json(args.config, args)
     summary = run_experiment(cfg)
     scenario_name = args.preset or args.config
+
+    def row(procedure, metric, estimate, mc_se=""):
+        return {"scenario": scenario_name, "procedure": procedure, "metric": metric,
+                "estimate": estimate, "mc_se": mc_se, "replicates": summary.replicates_completed}
+
     rows = []
     for m, ps in summary.per_procedure.items():
-        rows.append(
-            {
-                "scenario": scenario_name,
-                "procedure": m,
-                "metric": ps.metric,
-                "estimate": _fmt(ps.estimate),
-                "mc_se": _fmt(ps.mc_std_error),
-                "replicates": summary.replicates_completed,
-            }
-        )
+        rows.append(row(m, ps.metric, _fmt(ps.estimate), _fmt(ps.mc_std_error)))
         if ps.ind_power_sum is not None and summary.truth_kind != "null":
-            rows.append(
-                {
-                    "scenario": scenario_name,
-                    "procedure": m,
-                    "metric": "ind_power_sum",
-                    "estimate": _fmt(ps.ind_power_sum),
-                    "mc_se": "",
-                    "replicates": summary.replicates_completed,
-                }
-            )
+            rows.append(row(m, "ind_power_sum", _fmt(ps.ind_power_sum)))
     if summary.efficiency is not None:
-        rows.append(
-            {
-                "scenario": scenario_name,
-                "procedure": "mcle_vs_mle",
-                "metric": "efficiency",
-                "estimate": _fmt(summary.efficiency),
-                "mc_se": _fmt(summary.efficiency_se),
-                "replicates": summary.replicates_completed,
-            }
-        )
+        rows.append(row("mcle_vs_mle", "efficiency", _fmt(summary.efficiency),
+                        _fmt(summary.efficiency_se)))
     if summary.failures:
-        rows.append(
-            {
-                "scenario": scenario_name,
-                "procedure": "",
-                "metric": "nonconverged_replicates",
-                "estimate": summary.failures,
-                "mc_se": "",
-                "replicates": summary.replicates_completed,
-            }
-        )
+        rows.append(row("", "nonconverged_replicates", summary.failures))
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         _emit(rows, args.format, out)

@@ -1,16 +1,20 @@
 """Replicated simulation experiments over the clustered-data models.
 
 One experiment repeatedly generates a dataset from a scenario, fits the
-matching composite-likelihood model, tests a contrast family with the
-requested procedures, and aggregates rejection counts into familywise error
-or power estimates.  The pseudo-procedure "naive" is the equicoordinate
-(mnq) rule applied with the correlation-ignoring covariance H^-1 instead of
-the full sandwich; everything else uses the sandwich.
+matching composite-likelihood model and tests a contrast family with the
+requested procedures.  Each replicate returns its raw outcome: a boolean
+reject matrix (procedures x contrasts) and, for the gaussian model, the
+MLE efficiency ratio.  `run_experiment` stacks the outcomes and counts
+everything once from that array: familywise error or power, per-row reject
+rates, ordering violations and the mean efficiency.  The pseudo-procedure
+"naive" is the equicoordinate (mnq) rule applied with the
+correlation-ignoring covariance H^-1 (`models.naive_fit`) instead of the
+full sandwich; everything else uses the sandwich.
 
 Replicate r draws its generator seed from SeedSequence(master, spawn_key=(r,)),
-and all aggregation is integer counting, so results are identical for any
-worker count and scheduling order.  Non-converged or structurally failed fits
-are dropped and counted, never retried.
+and outcomes are collected in replicate order, so results are identical for
+any worker count and scheduling order.  Non-converged or structurally failed
+fits are dropped and counted, never retried.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .data import ContrastFamily, build_contrasts
 from .inference import evaluate_tests
-from .models import FITTERS, FitError, mvn_mle_fit, sandwich
+from .models import FITTERS, FitError, mvn_mle_fit, naive_fit
 from .mvnprob import QmcConfig
 from .simgen import Exchangeable, ScenarioSpec, Unstructured, UNSTRUCTURED_SIGMA_M4, generate
 
@@ -95,39 +100,24 @@ class SimSummary:
         return self.per_procedure[procedure].mc_std_error
 
 
-def _replicate_counts(cfg: ExperimentConfig, rep: int) -> dict:
-    seed = np.random.SeedSequence(cfg.scenario.seed, spawn_key=(rep,))
-    data = generate(cfg.scenario, seed)
-    out = {"completed": 0, "failed": 1, "globals": None, "rows": None,
-           "violations": np.zeros(3, dtype=int), "efficiency": None}
+def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[np.ndarray, float | None] | None:
+    """Replicate `rep`: its reject matrix (procedures x contrasts, in the
+    order of cfg.procedures) and MLE efficiency, or None for a fit that
+    fails or does not converge."""
+    data = generate(cfg.scenario, np.random.SeedSequence(cfg.scenario.seed, spawn_key=(rep,)))
     try:
         fit = FITTERS[cfg.scenario.model](data)
     except FitError:
-        return out
+        return None
     if not fit.converged:
-        return out
+        return None
 
-    full_methods = tuple(m for m in cfg.procedures if m != "naive")
-    report = evaluate_tests(fit, cfg.contrasts, data.n, cfg.alpha, full_methods, cfg.qmc)
-    rejects = {m: report.decisions[m].reject for m in full_methods}
+    full = tuple(m for m in cfg.procedures if m != "naive")
+    decisions = evaluate_tests(fit, cfg.contrasts, data.n, cfg.alpha, full, cfg.qmc).decisions
     if "naive" in cfg.procedures:
-        naive_fit = dataclasses.replace(
-            fit, gamma_hat=sandwich(fit.h_hat, fit.j_hat, naive=True)
-        )
-        naive_report = evaluate_tests(
-            naive_fit, cfg.contrasts, data.n, cfg.alpha, ("mnq",), cfg.qmc
-        )
-        rejects["naive"] = naive_report.decisions["mnq"].reject
-
-    violations = np.zeros(3, dtype=int)
-    if "holm" in rejects and "bonferroni" in rejects:
-        if np.any(rejects["bonferroni"] & ~rejects["holm"]):
-            violations[0] += 1
-        if rejects["holm"].any() != rejects["bonferroni"].any():
-            violations[1] += 1
-    if "mnq" in rejects and "bonferroni" in rejects:
-        if np.any(rejects["bonferroni"] & ~rejects["mnq"]):
-            violations[2] += 1
+        naive = evaluate_tests(naive_fit(fit), cfg.contrasts, data.n, cfg.alpha, ("mnq",), cfg.qmc)
+        decisions["naive"] = naive.decisions["mnq"]
+    rejects = np.array([decisions[m].reject for m in cfg.procedures], dtype=bool)
 
     efficiency = None
     if cfg.compute_efficiency:
@@ -136,91 +126,63 @@ def _replicate_counts(cfg: ExperimentConfig, rep: int) -> dict:
             efficiency = float(
                 np.mean(np.sqrt(np.diag(mle.gamma_hat)) / np.sqrt(np.diag(fit.gamma_hat)))
             )
-
-    out.update(
-        completed=1,
-        failed=0,
-        globals={m: int(r.any()) for m, r in rejects.items()},
-        rows={m: r.astype(int) for m, r in rejects.items()},
-        violations=violations,
-        efficiency=efficiency,
-    )
-    return out
+    return rejects, efficiency
 
 
-def _run_chunk(cfg: ExperimentConfig, reps: tuple[int, ...]) -> dict:
-    c = cfg.contrasts.c
-    agg = {
-        "completed": 0,
-        "failed": 0,
-        "globals": {m: 0 for m in cfg.procedures},
-        "rows": {m: np.zeros(c, dtype=int) for m in cfg.procedures},
-        "violations": np.zeros(3, dtype=int),
-        "efficiencies": {},
-    }
-    for rep in reps:
-        r = _replicate_counts(cfg, rep)
-        agg["completed"] += r["completed"]
-        agg["failed"] += r["failed"]
-        agg["violations"] += r["violations"]
-        if r["globals"] is not None:
-            for m in cfg.procedures:
-                agg["globals"][m] += r["globals"][m]
-                agg["rows"][m] += r["rows"][m]
-        if r["efficiency"] is not None:
-            agg["efficiencies"][rep] = r["efficiency"]
-    return agg
-
-
-def _merge(a: dict, b: dict, procedures) -> dict:
-    a["completed"] += b["completed"]
-    a["failed"] += b["failed"]
-    a["violations"] += b["violations"]
-    for m in procedures:
-        a["globals"][m] += b["globals"][m]
-        a["rows"][m] += b["rows"][m]
-    a["efficiencies"].update(b["efficiencies"])
-    return a
+def _ordering_violations(procedures: tuple[str, ...], rejects: np.ndarray) -> dict:
+    """Replicates that break an ordering the procedures guarantee, from the
+    (replicates, procedures, contrasts) reject array: Holm and mnq reject
+    every row that Bonferroni rejects, and Holm rejects some row exactly
+    when Bonferroni does."""
+    r = dict(zip(procedures, rejects.swapaxes(0, 1)))
+    bonf = r.get("bonferroni")
+    out = dict.fromkeys(("holm_missing_bonferroni_rejection", "holm_bonferroni_global_mismatch",
+                         "mnq_missing_bonferroni_rejection"), 0)
+    if bonf is not None and "holm" in r:
+        holm = r["holm"]
+        out["holm_missing_bonferroni_rejection"] = (bonf & ~holm).any(axis=1).sum()
+        out["holm_bonferroni_global_mismatch"] = (holm.any(axis=1) != bonf.any(axis=1)).sum()
+    if bonf is not None and "mnq" in r:
+        out["mnq_missing_bonferroni_rejection"] = (bonf & ~r["mnq"]).any(axis=1).sum()
+    return {k: int(v) for k, v in out.items()}
 
 
 def run_experiment(cfg: ExperimentConfig) -> SimSummary:
     """Run all replicates (optionally across processes) and summarize."""
-    reps = list(range(cfg.replicates))
+    reps = range(cfg.replicates)
     if cfg.workers <= 1:
-        agg = _run_chunk(cfg, tuple(reps))
+        outcomes = [_replicate(cfg, rep) for rep in reps]
     else:
-        n_chunks = min(len(reps), cfg.workers * 4)
-        chunks = [tuple(reps[i::n_chunks]) for i in range(n_chunks)]
-        agg = None
+        chunksize = max(1, cfg.replicates // (4 * cfg.workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for part in pool.map(_run_chunk, [cfg] * len(chunks), chunks):
-                agg = part if agg is None else _merge(agg, part, cfg.procedures)
-
-    completed = agg["completed"]
+            outcomes = list(pool.map(partial(_replicate, cfg), reps, chunksize=chunksize))
+    done = [out for out in outcomes if out is not None]
+    completed = len(done)
     if completed == 0:
         raise RuntimeError("every replicate failed to produce a converged fit")
 
+    # replicate outcomes arrive in replicate order for any worker count, so
+    # every sum below is bit-identical across worker counts
+    rejects = np.stack([r for r, _ in done])
+    global_rates = rejects.any(axis=2).sum(axis=0) / completed
+    row_rates = rejects.sum(axis=0) / completed
     truth_rows = np.abs(cfg.contrasts.matrix @ cfg.scenario.beta) > 1e-12
     metric = "fwer" if cfg.truth_kind == "null" else "global_power"
     per_proc = {}
-    for m in cfg.procedures:
-        p_hat = agg["globals"][m] / completed
-        rates = agg["rows"][m] / completed
-        ind = float(rates[truth_rows].sum()) if truth_rows.any() else None
+    for k, m in enumerate(cfg.procedures):
+        p_hat = float(global_rates[k])
         per_proc[m] = ProcedureSummary(
             procedure=m,
             metric=metric,
             estimate=p_hat,
             mc_std_error=float(np.sqrt(p_hat * (1.0 - p_hat) / completed)),
-            ind_power_sum=ind,
-            reject_rates=rates,
+            ind_power_sum=float(row_rates[k][truth_rows].sum()) if truth_rows.any() else None,
+            reject_rates=row_rates[k],
         )
 
     efficiency = efficiency_se = None
-    if agg["efficiencies"]:
-        # replicate-indexed values reduced in canonical order so the result
-        # is bit-identical for every worker count
-        vals = np.array([agg["efficiencies"][r] for r in sorted(agg["efficiencies"])])
+    vals = np.array([e for _, e in done if e is not None])
+    if len(vals):
         efficiency = float(vals.mean())
         efficiency_se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
 
@@ -228,15 +190,11 @@ def run_experiment(cfg: ExperimentConfig) -> SimSummary:
         model=cfg.scenario.model,
         truth_kind=cfg.truth_kind,
         replicates_completed=completed,
-        failures=agg["failed"],
+        failures=cfg.replicates - completed,
         per_procedure=per_proc,
         efficiency=efficiency,
         efficiency_se=efficiency_se,
-        ordering_violations={
-            "holm_missing_bonferroni_rejection": int(agg["violations"][0]),
-            "holm_bonferroni_global_mismatch": int(agg["violations"][1]),
-            "mnq_missing_bonferroni_rejection": int(agg["violations"][2]),
-        },
+        ordering_violations=_ordering_violations(cfg.procedures, rejects),
     )
 
 
@@ -284,48 +242,24 @@ _X_ROW_CORR = 0.15
 _X_SCALE = 5.0
 
 
-def _beta_a1(p: int, size: float) -> np.ndarray:
-    b = np.zeros(p)
-    b[3] = size
-    return b
+# Preset effects by model: the value of every coefficient under the null,
+# the (index, value) of the one coefficient "a1" moves, and the values "a2"
+# gives coefficients 1..5.
+_EFFECTS = {
+    "mvn": (0.0, (3, 0.032), (0.008, 0.01, -0.03, 0.005, -0.01)),
+    "probit": (0.0, (3, 0.03), (0.008, 0.01, -0.03, 0.005, -0.01)),
+    "quadexp": (0.0, (3, 0.12), (0.08, 0.12, -0.03, 0.05, -0.08)),
+    "gamma": (0.75, (2, 0.68), (0.80, 0.68, 0.70, 0.79, 0.69)),
+}
 
 
-def _beta_a2(p: int, sizes: tuple[float, ...]) -> np.ndarray:
-    b = np.zeros(p)
-    b[1 : 1 + len(sizes)] = sizes
-    return b
-
-
-def _mvn_beta(truth: str, p: int) -> np.ndarray:
-    if truth == "null":
-        return np.zeros(p)
+def _beta(model: str, truth: str, p: int) -> np.ndarray:
+    null, (k, a1), a2 = _EFFECTS[model]
+    b = np.full(p, null)
     if truth == "a1":
-        return _beta_a1(p, 0.032)
-    return _beta_a2(p, (0.008, 0.01, -0.03, 0.005, -0.01))
-
-
-def _probit_beta(truth: str, p: int) -> np.ndarray:
-    if truth == "null":
-        return np.zeros(p)
-    if truth == "a1":
-        return _beta_a1(p, 0.03)
-    return _beta_a2(p, (0.008, 0.01, -0.03, 0.005, -0.01))
-
-
-def _quadexp_beta(truth: str, p: int) -> np.ndarray:
-    if truth == "null":
-        return np.zeros(p)
-    if truth == "a1":
-        return _beta_a1(p, 0.12)
-    return _beta_a2(p, (0.08, 0.12, -0.03, 0.05, -0.08))
-
-
-def _gamma_beta(truth: str, p: int) -> np.ndarray:
-    b = np.full(p, 0.75)
-    if truth == "a1":
-        b[2] = 0.68
+        b[k] = a1
     elif truth == "a2":
-        b[1:6] = (0.80, 0.68, 0.70, 0.79, 0.69)
+        b[1 : 1 + len(a2)] = a2
     return b
 
 
@@ -368,35 +302,31 @@ def preset_config(
             m, p = int(design[1][1:]), int(design[2][1:])
             corr = Exchangeable(0.8, rho)
         scenario = ScenarioSpec(
-            "mvn", 200, m, p, _mvn_beta(truth, p), corr, seed=seed,
+            "mvn", 200, m, p, _beta("mvn", truth, p), corr, seed=seed,
             x_row_corr=_X_ROW_CORR, x_scale=_X_SCALE,
         )
-        eff = True
     elif model == "probit":
         rho = _num(design[0], "rho")
         m, p = int(design[1][1:]), int(design[2][1:])
         scenario = ScenarioSpec(
-            "probit", 500, m, p, _probit_beta(truth, p), Exchangeable(1.0, rho),
+            "probit", 500, m, p, _beta("probit", truth, p), Exchangeable(1.0, rho),
             seed=seed, x_row_corr=_X_ROW_CORR, x_scale=_X_SCALE,
         )
-        eff = False
     elif model == "quadexp":
         w = _num(design[0], "w")
         p = int(design[1][1:])
         scenario = ScenarioSpec(
-            "quadexp", 700, (4, 5, 6, 7, 8), p, _quadexp_beta(truth, p), w=w,
+            "quadexp", 700, (4, 5, 6, 7, 8), p, _beta("quadexp", truth, p), w=w,
             seed=seed, x_row_corr=1.0,
         )
-        eff = False
     elif model == "gamma":
         p = 10
         corr = None if design[0] == "independent" else Exchangeable(1.0, 0.5)
         xr = _X_ROW_CORR if design[0] == "independent" else 1.0
         scenario = ScenarioSpec(
-            "gamma", 3000, 3, p, _gamma_beta(truth, p), corr, nu=1.0, seed=seed,
+            "gamma", 3000, 3, p, _beta("gamma", truth, p), corr, nu=1.0, seed=seed,
             x_row_corr=xr,
         )
-        eff = False
     else:
         raise ValueError(f"unknown preset {name!r}")
 
@@ -413,7 +343,7 @@ def preset_config(
         replicates=replicates,
         procedures=procedures,
         workers=workers,
-        compute_efficiency=eff,
+        compute_efficiency=model == "mvn",
     )
 
 

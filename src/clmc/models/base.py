@@ -1,16 +1,20 @@
-"""Shared fitting machinery: result/option types, the sandwich covariance,
-and `fit_rows`, the step-halving Fisher-scoring driver for composite
-likelihoods whose terms depend on theta only through eta = u' theta.
+"""Shared fitting machinery: result/option types, the sandwich covariance
+and its correlation-ignoring (naive) variant, `cluster_starts` for every
+per-cluster `reduceat`, and `fit_rows`, the step-halving Fisher-scoring
+driver for composite likelihoods whose terms depend on theta only through
+eta = u' theta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["FitError", "SeparationError", "FitOptions", "FitResult", "sandwich"]
+from ..data import ClusteredDataset
+
+__all__ = ["FitError", "SeparationError", "FitOptions", "FitResult", "sandwich", "naive_fit"]
 
 _MAX_CONDITION = 1e12
 _DIVERGENCE_BOUND = 1e3
@@ -30,7 +34,6 @@ class FitOptions:
     max_iter: int = 100
     param_tol: float = 1e-8
     score_tol: float = 1e-6
-    naive: bool = False
 
     def __post_init__(self):
         if self.param_tol <= 0 or self.score_tol <= 0:
@@ -47,8 +50,8 @@ class FitResult:
     entries are the regression coefficients (models with an interaction or
     dispersion parameter append it after the coefficients or report it in
     `nuisance`).  `gamma_hat` estimates the asymptotic covariance of
-    sqrt(n) * (theta_hat - theta), i.e. H^-1 J H^-1, or H^-1 when the fit
-    was requested with the correlation-ignoring (naive) option.
+    sqrt(n) * (theta_hat - theta), i.e. H^-1 J H^-1 (`naive_fit` swaps in
+    the correlation-ignoring H^-1).
     """
 
     theta_hat: np.ndarray
@@ -75,6 +78,24 @@ def sandwich(h_hat: np.ndarray, j_hat: np.ndarray, naive: bool = False) -> np.nd
     h_inv = np.linalg.inv(h)
     out = h_inv if naive else h_inv @ np.asarray(j_hat, dtype=float) @ h_inv
     return 0.5 * (out + out.T)
+
+
+def naive_fit(fit: FitResult) -> FitResult:
+    """The fit with gamma_hat = H^-1, the covariance that ignores the
+    correlation within clusters."""
+    return replace(fit, gamma_hat=sandwich(fit.h_hat, fit.j_hat, naive=True))
+
+
+def cluster_starts(d: ClusteredDataset) -> np.ndarray:
+    """First row of each cluster of a dataset, for `np.add.reduceat`.
+
+    An empty cluster raises FitError: reduceat would read the next
+    cluster's first row as its sum instead of 0.
+    """
+    empty = np.flatnonzero(d.cluster_sizes == 0)
+    if len(empty):
+        raise FitError(f"empty cluster {d.ids[empty[0]]}; every cluster needs a row")
+    return d.starts
 
 
 @dataclass(frozen=True)
@@ -158,8 +179,9 @@ def fisher_scoring(
 def fit_rows(model: RowModel, u: np.ndarray, y: np.ndarray, starts: np.ndarray,
              theta0: np.ndarray, opts: FitOptions, score_tol: float | None = None) -> FitResult:
     """Fit a row model to design rows u and responses y stacked by cluster,
-    `starts` holding each cluster's first row; J is the empirical covariance
-    of the per-cluster score sums.  n_beta counts every entry of theta."""
+    `starts` holding each cluster's first row (see `cluster_starts`); J is
+    the empirical covariance of the per-cluster score sums.  n_beta counts
+    every entry of theta."""
     tol = opts.score_tol if score_tol is None else score_tol
     theta, iterations, converged = fisher_scoring(model, u, y, theta0, opts, tol)
     eta = u @ theta
@@ -170,5 +192,5 @@ def fit_rows(model: RowModel, u: np.ndarray, y: np.ndarray, starts: np.ndarray,
     h_hat = 0.5 * (h_hat + h_hat.T)
     cluster_scores = np.add.reduceat(u * model.score(eta, y)[:, None], starts, axis=0)
     j_hat = cluster_scores.T @ cluster_scores / n
-    return FitResult(theta, h_hat, 0.5 * (j_hat + j_hat.T), sandwich(h_hat, j_hat, opts.naive),
+    return FitResult(theta, h_hat, 0.5 * (j_hat + j_hat.T), sandwich(h_hat, j_hat),
                      float(np.sum(model.loglik(eta, y))), iterations, converged, u.shape[1])

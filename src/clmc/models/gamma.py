@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..data import ClusteredDataset
-from .base import FitError, FitOptions, FitResult, RowModel, fit_rows
+from .base import FitError, FitOptions, FitResult, RowModel, cluster_starts, fit_rows
 
 __all__ = ["gamma_cl_fit", "gamma_cl_loglik", "gamma_cl_score"]
 
@@ -83,7 +83,7 @@ def _dispersion(dev_sum: float, n_obs: int, n_clusters: int, p: int) -> float:
 def gamma_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
     x, y = d.x, _positive(d.y)
     beta0, *_ = np.linalg.lstsq(x, np.log(y), rcond=None)
-    fit = fit_rows(_QUASI, x, y, d.starts, beta0, opts, score_tol=0.01 * opts.score_tol)
+    fit = fit_rows(_QUASI, x, y, cluster_starts(d), beta0, opts, score_tol=0.01 * opts.score_tol)
     eta = x @ fit.theta_hat
     mu = np.exp(eta)
     dev_sum = float(np.sum((y - mu) / mu + np.log(mu / y)))
@@ -94,6 +94,5 @@ def gamma_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitRes
     converged = bool(fit.converged and (dispersion <= _MIN_DISPERSION or score <= opts.score_tol))
     return dataclasses.replace(
         fit, h_hat=nu * fit.h_hat, j_hat=nu * nu * fit.j_hat, loglik=_loglik(eta, y, nu),
-        gamma_hat=fit.gamma_hat / nu if opts.naive else fit.gamma_hat,
         converged=converged, nuisance={"nu": nu},
     )

@@ -86,7 +86,7 @@ def _alternating_fit(d: ClusteredDataset, opts: FitOptions, weight, loglik) -> F
     j_hat = wx_rows.T @ (sigma @ wx_rows.reshape(n, m, p)).reshape(n * m, p) / n
     j_hat = 0.5 * (j_hat + j_hat.T)
     return FitResult(
-        beta, h_hat, j_hat, sandwich(h_hat, j_hat, opts.naive), loglik(ys - xs @ beta, sigma),
+        beta, h_hat, j_hat, sandwich(h_hat, j_hat), loglik(ys - xs @ beta, sigma),
         iterations, bool(converged), p, {"sigma": sigma},
     )
 

@@ -61,7 +61,6 @@ class QmcConfig:
     shifts: int = 12
     seed: int = 20240801
     target_abs_error: float = 5e-4
-    max_doublings: int = 6
 
     def __post_init__(self):
         if self.points_per_shift < 16:
@@ -141,6 +140,9 @@ def _prepare_correlation(corr: np.ndarray) -> np.ndarray:
 # Computation of Multivariate Normal and t Probabilities, Sec. 4.1.3).
 _RANK_TOL = 1e-10
 _LOAD_TOL = 1e-5
+
+# the QMC point count per shift is doubled at most this many times
+_MAX_DOUBLINGS = 6
 
 
 def _trapezoidal_cholesky(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,12 +245,22 @@ def _conditioned_means(a, b, chol, stage, points):
     return f.reshape(shifts, n).mean(axis=1)
 
 
-def _estimate(a, b, chol, stage, n_points, shifts, seed):
-    pts = _sobol_stack(chol.shape[1] - 1, n_points, shifts, seed)
-    means = _conditioned_means(a, b, chol, stage, pts)
-    value = float(means.mean())
-    se = float(means.std(ddof=1) / np.sqrt(shifts))
-    return value, se
+def _mean_se(means: np.ndarray) -> tuple[float, float]:
+    """Estimate and standard error from the per-shift means."""
+    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(len(means)))
+
+
+def _doubled_points(dim: int, cfg: QmcConfig, per_shift_means) -> tuple[np.ndarray, float, float]:
+    """The Sobol stack, doubled from cfg.points_per_shift at most
+    _MAX_DOUBLINGS times until the standard error of per_shift_means(points)
+    meets cfg.target_abs_error; returns the points, the estimate and its SE."""
+    n = _next_pow2(cfg.points_per_shift)
+    for level in range(_MAX_DOUBLINGS + 1):
+        pts = _sobol_stack(dim, n << level, cfg.shifts, cfg.seed)
+        value, se = _mean_se(per_shift_means(pts))
+        if se <= cfg.target_abs_error:
+            break
+    return pts, value, se
 
 
 def mvn_rectangle_prob(lower, upper, corr, cfg: QmcConfig = QmcConfig()) -> ProbEstimate:
@@ -274,13 +286,9 @@ def mvn_rectangle_prob(lower, upper, corr, cfg: QmcConfig = QmcConfig()) -> Prob
         value = _conditioned_means(a, b, chol, stage, np.empty((1, 1, 0)))[0]
         return ProbEstimate(float(np.clip(value, 0.0, 1.0)), 0.0)
 
-    n = _next_pow2(cfg.points_per_shift)
-    value, se = _estimate(a, b, chol, stage, n, cfg.shifts, cfg.seed)
-    for _ in range(cfg.max_doublings):
-        if se <= cfg.target_abs_error:
-            break
-        n *= 2
-        value, se = _estimate(a, b, chol, stage, n, cfg.shifts, cfg.seed)
+    _, value, se = _doubled_points(
+        chol.shape[1] - 1, cfg, lambda pts: _conditioned_means(a, b, chol, stage, pts)
+    )
     return ProbEstimate(float(np.clip(value, 0.0, 1.0)), se)
 
 
@@ -304,26 +312,18 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) ->
         return lo
     target = 1.0 - alpha
 
-    n = _next_pow2(cfg.points_per_shift)
-    level = 0
-    while True:
-        pts = _sobol_stack(chol.shape[1] - 1, n, cfg.shifts, cfg.seed)
-        memo: dict[float, tuple[float, float]] = {}
+    def means_at(q: float, pts: np.ndarray) -> np.ndarray:
+        bound = np.full(c, q)
+        return _conditioned_means(-bound, bound, chol, stage, pts)
 
-        def prob(q: float) -> tuple[float, float]:
-            got = memo.get(q)
-            if got is None:
-                bound = np.full(c, q)
-                means = _conditioned_means(-bound, bound, chol, stage, pts)
-                got = (float(means.mean()), float(means.std(ddof=1) / np.sqrt(cfg.shifts)))
-                memo[q] = got
-            return got
+    # the point count is chosen from the SE at the Bonferroni end of the bracket
+    pts, p_hi, se_hi = _doubled_points(chol.shape[1] - 1, cfg, lambda pts: means_at(hi, pts))
+    memo = {hi: (p_hi, se_hi)}
 
-        p_hi, se_hi = prob(hi)
-        if se_hi <= cfg.target_abs_error or level >= cfg.max_doublings:
-            break
-        n *= 2
-        level += 1
+    def prob(q: float) -> tuple[float, float]:
+        if q not in memo:
+            memo[q] = _mean_se(means_at(q, pts))
+        return memo[q]
 
     # pick the x-tolerance so the induced probability error stays under the
     # 1e-3 band: |dP/dq| <= 2 c phi(q) <= 2 c phi(lo) over the bracket

@@ -257,7 +257,7 @@ class TestErrorPath:
     def test_test_command_rejects_nonconverged_fit(self, mvn_csv, capsys, monkeypatch):
         real = FITTERS["mvn"]
         monkeypatch.setitem(
-            FITTERS, "mvn", lambda d, opts: dataclasses.replace(real(d, opts), converged=False)
+            FITTERS, "mvn", lambda d, *opts: dataclasses.replace(real(d, *opts), converged=False)
         )
         rc = main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", "many-to-one:1"])
         out = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Properties shared by every fitter in the registry: the shared Fisher-scoring
 stop rule, invariance under cluster and row order, equivariance under
-covariate scaling, and the separation check of the binary models."""
+covariate scaling, the separation check of the binary models, and the
+empty-cluster check of the row-model fitters."""
 
 import dataclasses
 
@@ -14,6 +15,7 @@ from clmc.data import ClusteredDataset
 from clmc.harness import preset_config
 from clmc.models import (
     FITTERS,
+    FitError,
     FitOptions,
     SeparationError,
     probit_cl_fit,
@@ -108,3 +110,24 @@ def test_separable_binary_data_raise_separation_error(fitter):
     d = ClusteredDataset(x, y, np.full(15, 2), np.arange(15).astype(str), "binary01")
     with pytest.raises(SeparationError):
         fitter(d, FitOptions(max_iter=500))
+
+
+_ROW_FITS = {
+    "probit": probit_cl_fit,
+    "quadexp": quadexp_cl_fit,
+    "quadexp-cluster-means": lambda d: quadexp_cl_fit(d, cluster_mean_covariates=True),
+    "gamma": FITTERS["gamma"],
+}
+
+
+@pytest.mark.parametrize("where", ["front", "middle", "end"])
+@pytest.mark.parametrize("name", list(_ROW_FITS))
+def test_empty_cluster_is_a_fit_error(name, where):
+    # reduceat over the cluster starts gives an empty cluster the next
+    # cluster's first row instead of 0, so the fit must refuse it
+    d = generate(_SPECS[name.split("-")[0]], 8)
+    k = {"front": 0, "middle": d.n // 2, "end": d.n}[where]
+    sizes = np.insert(d.cluster_sizes, k, 0)
+    ids = np.insert(d.ids, k, "void")
+    with pytest.raises(FitError, match="empty cluster void"):
+        _ROW_FITS[name](ClusteredDataset(d.x, d.y, sizes, ids, d.response_kind))

@@ -1,4 +1,7 @@
 import dataclasses
+import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,13 +52,7 @@ class TestRunExperiment:
     def test_worker_count_does_not_change_results(self):
         s1 = run_experiment(small_config(workers=1))
         s2 = run_experiment(small_config(workers=2))
-        assert s1.replicates_completed == s2.replicates_completed
-        for m in s1.per_procedure:
-            assert s1.per_procedure[m].estimate == s2.per_procedure[m].estimate
-            np.testing.assert_array_equal(
-                s1.per_procedure[m].reject_rates, s2.per_procedure[m].reject_rates
-            )
-        assert s1.efficiency == s2.efficiency
+        assert summary_fields(s1) == summary_fields(s2)
 
     def test_ordering_violations_zero(self):
         s = run_experiment(small_config(replicates=60))
@@ -114,6 +111,100 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             scenario = ScenarioSpec("probit", 20, 2, 4, np.zeros(4), seed=1)
             small_config(scenario=scenario)  # efficiency only for mvn
+
+    def test_counts_of_known_reject_patterns(self, monkeypatch):
+        import clmc.harness as mod
+
+        # reject patterns over the 3 contrasts, per completed replicate; the
+        # fit of replicate 2 fails, so 5 of the 6 replicates count
+        patterns = [
+            {"mnq": "000", "naive": "000", "bonferroni": "000", "holm": "000"},
+            {"mnq": "100", "naive": "110", "bonferroni": "100", "holm": "000"},
+            {"mnq": "001", "naive": "011", "bonferroni": "011", "holm": "010"},
+            {"mnq": "111", "naive": "111", "bonferroni": "000", "holm": "100"},
+            {"mnq": "111", "naive": "111", "bonferroni": "111", "holm": "111"},
+        ]
+        real = mod.FITTERS["mvn"]
+        calls = {"fits": 0}
+
+        def fitter(d, opts=None):
+            calls["fits"] += 1
+            if calls["fits"] == 3:
+                raise FitError("synthetic failure")
+            return real(d)
+
+        seen = []
+
+        def fake_tests(fit, cf, n, alpha, methods, qmc):
+            # replicates are told apart by their estimate; a lone "mnq" call
+            # evaluates the naive covariance
+            key = fit.theta_hat.tobytes()
+            if key not in seen:
+                seen.append(key)
+            pattern = patterns[seen.index(key)]
+            names = {"mnq": "naive"} if methods == ("mnq",) else {m: m for m in methods}
+            return SimpleNamespace(decisions={
+                m: SimpleNamespace(reject=np.array([ch == "1" for ch in pattern[names[m]]]))
+                for m in methods
+            })
+
+        monkeypatch.setitem(mod.FITTERS, "mvn", fitter)
+        monkeypatch.setattr(mod, "evaluate_tests", fake_tests)
+        cfg = small_config(replicates=6, compute_efficiency=False,
+                           procedures=("mnq", "naive", "bonferroni", "holm"))
+        s = run_experiment(cfg)
+        assert (s.replicates_completed, s.failures) == (5, 1)
+        assert s.ordering_violations == {
+            "holm_missing_bonferroni_rejection": 2,
+            "holm_bonferroni_global_mismatch": 2,
+            "mnq_missing_bonferroni_rejection": 1,
+        }
+        want = {
+            "mnq": (0.8, [0.6, 0.4, 0.6]),
+            "naive": (0.8, [0.6, 0.8, 0.6]),
+            "bonferroni": (0.6, [0.4, 0.4, 0.4]),
+            "holm": (0.6, [0.4, 0.4, 0.2]),
+        }
+        for m, (estimate, rates) in want.items():
+            ps = s.per_procedure[m]
+            assert ps.estimate == pytest.approx(estimate, abs=1e-15)
+            np.testing.assert_allclose(ps.reject_rates, rates, atol=1e-15)
+            assert ps.ind_power_sum is None  # no true alternative under the null
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "harness_golden.json").read_text())
+
+
+def summary_fields(s) -> dict:
+    """Every field of a SimSummary as plain Python values, for equality checks."""
+    return {
+        "replicates_completed": s.replicates_completed, "failures": s.failures,
+        "efficiency": s.efficiency, "efficiency_se": s.efficiency_se,
+        "ordering_violations": s.ordering_violations,
+        "per_procedure": {m: {"metric": ps.metric, "estimate": ps.estimate,
+                              "mc_std_error": ps.mc_std_error, "ind_power_sum": ps.ind_power_sum,
+                              "reject_rates": ps.reject_rates.tolist()}
+                          for m, ps in s.per_procedure.items()},
+    }
+
+
+def _golden_config(case) -> ExperimentConfig:
+    sc = dict(case["scenario"])
+    corr = Exchangeable(sc.pop("sigma2"), sc.pop("rho"))
+    scenario = ScenarioSpec(beta=np.array(sc.pop("beta")), correlation=corr, **sc)
+    kind = case["contrasts"]
+    cf = build_contrasts(kind, scenario.p, baseline=1 if kind == "many_to_one" else None)
+    return ExperimentConfig(scenario, cf, case["truth_kind"], case["replicates"],
+                            procedures=tuple(case["procedures"]), qmc=QmcConfig(**case["qmc"]),
+                            compute_efficiency=case["compute_efficiency"])
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+def test_summaries_reproduce_recorded_runs(case):
+    # recorded from a harness that merged per-replicate count dicts; every
+    # field is bit-identical (mvn-a1-efficiency has an efficiency ratio and
+    # true alternatives, probit-null-dropped-pairwise drops 2 of 30 fits)
+    assert summary_fields(run_experiment(_golden_config(case))) == case["summary"]
 
 
 class TestSampleSizeScan:

@@ -14,6 +14,7 @@ from clmc.models import (
     mvn_cl_loglik,
     mvn_cl_score,
     mvn_mle_fit,
+    naive_fit,
     probit_cl_fit,
     probit_cl_loglik,
     probit_cl_score,
@@ -155,7 +156,7 @@ class TestMvnFit:
     def test_naive_gamma_is_h_inverse(self):
         spec = ScenarioSpec("mvn", n=50, m=4, p=3, beta=np.zeros(3),
                             correlation=Exchangeable(0.8, 0.5), seed=3)
-        fit = mvn_cl_fit(gen_mvn(spec), FitOptions(naive=True))
+        fit = naive_fit(mvn_cl_fit(gen_mvn(spec)))
         np.testing.assert_allclose(fit.gamma_hat, np.linalg.inv(fit.h_hat), rtol=1e-10)
 
 
