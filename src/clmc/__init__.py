@@ -52,7 +52,6 @@ from .harness import (
     SimSummary,
     preset_config,
     run_experiment,
-    sample_size_scan,
 )
 from .simgen import (
     Exchangeable,

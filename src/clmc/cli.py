@@ -10,9 +10,9 @@ fixed seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 from array import array
-import dataclasses
 import json
 import sys
 
@@ -131,6 +131,11 @@ def _fmt(x: float, digits: int = 6) -> str:
     return f"{x:.{digits}g}"
 
 
+def _output(path: str | None):
+    """Context manager for the --output file, or for stdout (left open)."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -142,19 +147,29 @@ def _coef_labels(model: str, p: int) -> list[str]:
     return labels
 
 
-def cmd_fit(args) -> int:
-    data = read_clustered_csv(args.data)
-    report = validate_dataset(data)
-    if not report.ok:
-        for msg in report.messages():
-            print(f"error: {msg}", file=sys.stderr)
-        return 1
-    if args.model == "quadexp":
-        fit = FITTERS[args.model](data, cluster_mean_covariates=args.cluster_means)
+def _read_valid(path: str) -> ClusteredDataset | None:
+    """The dataset in `path`, or None after printing each validation error."""
+    data = read_clustered_csv(path)
+    errors = validate_dataset(data).messages()
+    for msg in errors:
+        print(f"error: {msg}", file=sys.stderr)
+    return None if errors else data
+
+
+def _fit(args, data: ClusteredDataset):
+    """The --model fit of `data`, with --cluster-means (fit only) and --naive."""
+    if args.model == "quadexp" and getattr(args, "cluster_means", False):
+        fit = FITTERS["quadexp"](data, cluster_mean_covariates=True)
     else:
         fit = FITTERS[args.model](data)
-    if args.naive:
-        fit = naive_fit(fit)
+    return naive_fit(fit) if args.naive else fit
+
+
+def cmd_fit(args) -> int:
+    data = _read_valid(args.data)
+    if data is None:
+        return 1
+    fit = _fit(args, data)
     se = np.sqrt(np.diag(fit.gamma_hat) / data.n)
     rows = []
     for name, est, s in zip(_coef_labels(args.model, data.p), fit.theta_hat, se):
@@ -171,15 +186,11 @@ def cmd_fit(args) -> int:
         rows.append(
             {"coefficient": "nu", "estimate": _fmt(fit.nuisance["nu"]), "se": "", "p_value": ""}
         )
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with _output(args.output) as out:
         _emit(rows, args.format, out)
         meta = f"# n={data.n} converged={fit.converged} iterations={fit.iterations} loglik={_fmt(fit.loglik, 8)}"
         if args.format == "text":
             out.write(meta + "\n")
-    finally:
-        if args.output:
-            out.close()
     if not fit.converged:
         print("error: fit did not converge", file=sys.stderr)
         return 1
@@ -211,11 +222,8 @@ def _parse_contrasts(spec: str, p: int) -> ContrastFamily:
 
 
 def cmd_test(args) -> int:
-    data = read_clustered_csv(args.data)
-    report = validate_dataset(data)
-    if not report.ok:
-        for msg in report.messages():
-            print(f"error: {msg}", file=sys.stderr)
+    data = _read_valid(args.data)
+    if data is None:
         return 1
     methods = tuple(m.strip() for m in args.methods.split(","))
     unknown = [m for m in methods if m not in METHODS]
@@ -223,9 +231,7 @@ def cmd_test(args) -> int:
         print(f"error: unknown methods {unknown}; choose from {METHODS}", file=sys.stderr)
         return 1
     cf = _parse_contrasts(args.contrasts, data.p)
-    fit = FITTERS[args.model](data)
-    if args.naive:
-        fit = naive_fit(fit)
+    fit = _fit(args, data)
     if not fit.converged:
         print("error: fit did not converge", file=sys.stderr)
         return 1
@@ -252,8 +258,7 @@ def cmd_test(args) -> int:
         }
         for m in methods
     ]
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with _output(args.output) as out:
         if args.format == "json":
             json.dump({"hypotheses": rows, "methods": thresholds}, out, indent=2, default=str)
             out.write("\n")
@@ -261,9 +266,6 @@ def cmd_test(args) -> int:
             _emit(rows, args.format, out)
             out.write("\n" if args.format == "text" else "")
             _emit(thresholds, args.format, out)
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
@@ -345,12 +347,8 @@ def cmd_simulate(args) -> int:
                         _fmt(summary.efficiency_se)))
     if summary.failures:
         rows.append(row("", "nonconverged_replicates", summary.failures))
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with _output(args.output) as out:
         _emit(rows, args.format, out)
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 

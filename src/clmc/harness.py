@@ -20,7 +20,6 @@ fits are dropped and counted, never retried.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -36,9 +35,7 @@ __all__ = [
     "ExperimentConfig",
     "ProcedureSummary",
     "SimSummary",
-    "ScanRow",
     "run_experiment",
-    "sample_size_scan",
     "PRESETS",
     "preset_config",
 ]
@@ -198,28 +195,6 @@ def run_experiment(cfg: ExperimentConfig) -> SimSummary:
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    n: int
-    summary: SimSummary
-    within_two_se: bool
-
-
-def sample_size_scan(cfg: ExperimentConfig, sizes: list[int]) -> list[ScanRow]:
-    """Re-run the experiment at each sample size; flag whether the mnq FWER
-    sits within two Monte Carlo standard errors of alpha."""
-    if cfg.truth_kind != "null":
-        raise ValueError("the size scan is defined under the global null")
-    rows = []
-    for n in sizes:
-        scen = dataclasses.replace(cfg.scenario, n=int(n))
-        summary = run_experiment(dataclasses.replace(cfg, scenario=scen))
-        est = summary.estimate("mnq")
-        se = summary.mc_se("mnq")
-        rows.append(ScanRow(int(n), summary, bool(abs(est - cfg.alpha) <= 2.0 * se)))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # scenario presets
 
@@ -270,7 +245,7 @@ def preset_config(
     workers: int = 1,
     contrast_kind: str = "many_to_one",
 ) -> ExperimentConfig:
-    """Build a named experiment configuration.
+    """Build the named experiment configuration; `name` must be in PRESETS.
 
     Names follow "<model>-<truth>-<design>":
       mvn-{null,a1,a2}-rho{0,02,05}-m{4,10}-p{10,20}
@@ -279,13 +254,9 @@ def preset_config(
       quadexp-{null,a1,a2}-w{0,05}-p{10,20}
       gamma-{null,a1,a2}-{independent,correlated}
     """
-    parts = name.split("-")
-    if len(parts) < 3:
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    model, truth = parts[0], parts[1]
-    design = parts[2:]
-    if truth not in ("null", "a1", "a2"):
-        raise ValueError(f"unknown truth component in preset {name!r}")
+    model, truth, *design = name.split("-")
 
     def _num(tag: str, prefix: str) -> float:
         raw = tag.removeprefix(prefix)
@@ -293,14 +264,10 @@ def preset_config(
 
     if model == "mvn":
         if design[0] == "unstructured":
-            m, p = int(design[1][1:]), int(design[2][1:])
             corr = Unstructured(UNSTRUCTURED_SIGMA_M4)
-            if m != 4:
-                raise ValueError("the unstructured covariance is specified for m=4 only")
         else:
-            rho = _num(design[0], "rho")
-            m, p = int(design[1][1:]), int(design[2][1:])
-            corr = Exchangeable(0.8, rho)
+            corr = Exchangeable(0.8, _num(design[0], "rho"))
+        m, p = int(design[1][1:]), int(design[2][1:])
         scenario = ScenarioSpec(
             "mvn", 200, m, p, _beta("mvn", truth, p), corr, seed=seed,
             x_row_corr=_X_ROW_CORR, x_scale=_X_SCALE,
@@ -319,7 +286,7 @@ def preset_config(
             "quadexp", 700, (4, 5, 6, 7, 8), p, _beta("quadexp", truth, p), w=w,
             seed=seed, x_row_corr=1.0,
         )
-    elif model == "gamma":
+    else:
         p = 10
         corr = None if design[0] == "independent" else Exchangeable(1.0, 0.5)
         xr = _X_ROW_CORR if design[0] == "independent" else 1.0
@@ -327,8 +294,6 @@ def preset_config(
             "gamma", 3000, 3, p, _beta("gamma", truth, p), corr, nu=1.0, seed=seed,
             x_row_corr=xr,
         )
-    else:
-        raise ValueError(f"unknown preset {name!r}")
 
     if contrast_kind == "many_to_one":
         contrasts = build_contrasts("many_to_one", scenario.p, baseline=1)

@@ -90,7 +90,6 @@ class MethodDecision:
     method: str
     reject: np.ndarray
     threshold: float | None = None
-    per_hypothesis_threshold: np.ndarray | None = None
     adjusted_p: np.ndarray | None = None
 
     @property
@@ -103,29 +102,17 @@ def _two_sided_p(t: np.ndarray) -> np.ndarray:
 
 
 def _holm(t: np.ndarray, alpha: float) -> MethodDecision:
+    """Holm's step-down rule: in ascending order of p, reject while p <= alpha/(c-k);
+    the adjusted p is the running maximum of min(1, (c-k) p)."""
     c = len(t)
     p = _two_sided_p(t)
     order = np.argsort(p, kind="stable")
-    reject = np.zeros(c, dtype=bool)
-    levels = np.empty(c)
-    stopped = False
+    remaining = c - np.arange(c)
+    reject = np.empty(c, dtype=bool)
+    reject[order] = np.logical_and.accumulate(p[order] <= alpha / remaining)
     adj = np.empty(c)
-    running = 0.0
-    for k, idx in enumerate(order):
-        level = alpha / (c - k)
-        levels[idx] = level
-        running = max(running, min(1.0, (c - k) * p[idx]))
-        adj[idx] = running
-        if not stopped and p[idx] <= level:
-            reject[idx] = True
-        else:
-            stopped = True
-    return MethodDecision(
-        method="holm",
-        reject=reject,
-        per_hypothesis_threshold=std_normal_quantile(1.0 - levels / 2.0),
-        adjusted_p=adj,
-    )
+    adj[order] = np.maximum.accumulate(np.minimum(1.0, remaining * p[order]))
+    return MethodDecision(method="holm", reject=reject, adjusted_p=adj)
 
 
 def adjust(

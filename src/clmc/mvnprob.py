@@ -16,6 +16,8 @@ Sobol points); independent scrambles ("shifts") give an empirical standard
 error, and the point count per shift is doubled until the requested absolute
 error is met.  Variables are pre-ordered by ascending univariate interval
 probability, which reduces the variance of the conditioned integrand.
+R is validated, never repaired: the semidefinite Cholesky's rank tolerance
+absorbs the negative eigenvalue noise of an estimated singular R.
 
 The equicoordinate quantile solves P(max_i |Z_i| <= q) = 1 - alpha by
 safeguarded bracketing between the naive two-sided normal cutoff (always a
@@ -107,14 +109,16 @@ def chi_square_quantile(df: int, p: float) -> float:
 
 
 def _prepare_correlation(corr: np.ndarray) -> np.ndarray:
-    """Validate and, if needed, repair a correlation matrix.
+    """Validate a correlation matrix; return it exactly symmetric, unit diagonal.
 
-    Eigenvalues below -1e-10 are rejected; small negatives from estimation
-    noise are clipped to zero and the diagonal renormalized to one.
+    An eigenvalue below -1e-10 is an error.  Smaller negative eigenvalues are
+    left alone: `_trapezoidal_cholesky` counts them as dependence (_RANK_TOL).
     """
     r = np.asarray(corr, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("correlation matrix must be square")
+    if not np.isfinite(r).all():
+        raise ValueError("correlation matrix must be finite")
     if np.max(np.abs(r - r.T)) > 1e-8:
         raise ValueError("correlation matrix must be symmetric")
     if np.max(np.abs(np.diag(r) - 1.0)) > 1e-8:
@@ -123,12 +127,6 @@ def _prepare_correlation(corr: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(r)
     if w[0] < -1e-10:
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    if w[0] < 0.0:
-        w2, v = np.linalg.eigh(r)
-        r = (v * np.clip(w2, 0.0, None)) @ v.T
-        d = np.sqrt(np.clip(np.diag(r), 1e-32, None))
-        r = r / np.outer(d, d)
-        r = 0.5 * (r + r.T)
     np.fill_diagonal(r, 1.0)
     return r
 

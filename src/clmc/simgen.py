@@ -35,24 +35,15 @@ MODELS = ("mvn", "probit", "quadexp", "gamma")
 
 # 4x4 covariance with no special structure, symmetrized from its published
 # row listing (one off-diagonal pair disagreed; we use the average, 0.6).
-UNSTRUCTURED_SIGMA_M4 = 0.5 * (
-    np.array(
-        [
-            [1.3, 0.9, 0.5, 0.3],
-            [0.9, 1.9, 1.3, 0.3],
-            [0.5, 1.3, 1.3, 0.1],
-            [0.3, 0.9, 0.1, 0.7],
-        ]
-    )
-    + np.array(
-        [
-            [1.3, 0.9, 0.5, 0.3],
-            [0.9, 1.9, 1.3, 0.3],
-            [0.5, 1.3, 1.3, 0.1],
-            [0.3, 0.9, 0.1, 0.7],
-        ]
-    ).T
+_SIGMA_M4_ROWS = np.array(
+    [
+        [1.3, 0.9, 0.5, 0.3],
+        [0.9, 1.9, 1.3, 0.3],
+        [0.5, 1.3, 1.3, 0.1],
+        [0.3, 0.9, 0.1, 0.7],
+    ]
 )
+UNSTRUCTURED_SIGMA_M4 = 0.5 * (_SIGMA_M4_ROWS + _SIGMA_M4_ROWS.T)
 UNSTRUCTURED_SIGMA_M4.setflags(write=False)
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +24,15 @@ def mvn_csv(tmp_path):
     return str(path)
 
 
+# covariates vary within a cluster, so cluster means differ from the rows
+QUADEXP_SPEC = ScenarioSpec("quadexp", 300, (3, 4, 5), 3,
+                            np.array([0.4, 0.1, -0.2]), w=0.3, seed=32, x_row_corr=0.3)
+
+
 @pytest.fixture
 def quadexp_csv(tmp_path):
-    spec = ScenarioSpec("quadexp", 300, (3, 4, 5), 3,
-                        np.array([0.4, 0.1, -0.2]), w=0.3, seed=32, x_row_corr=0.3)
     path = tmp_path / "qe.csv"
-    write_clustered_csv(gen_quadexp(spec), str(path))
+    write_clustered_csv(gen_quadexp(QUADEXP_SPEC), str(path))
     return str(path)
 
 
@@ -339,3 +343,54 @@ class TestGenerateCommand:
         assert d.p == 10
         assert d.response_kind == "binary_pm1"
         assert set(np.unique(d.y)) == {-1.0, 1.0}
+
+    def test_unknown_preset_name_is_one_line(self, tmp_path, capsys):
+        # names that look like presets but are not in PRESETS once raised
+        # an IndexError traceback or built a neighbouring design
+        for bad in ("mvn-null-rho05", "probit-null-rho0", "quadexp-null-w05", "gamma-null-bogus",
+                    "quadexp-null-w05-p10-extra"):
+            rc = main(["generate", "--preset", bad, "--output", str(tmp_path / "g.csv")])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# golden output: clmc fit/test stdout (or --output file) recorded byte for byte
+
+CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+GOLDEN_DATA = {"mvn": "mvn-a2-rho05-m4-p10", "quadexp": "quadexp-a1-w05-p10",
+               "gamma": "gamma-a1-correlated"}
+GOLDEN_SEED = "7"
+
+
+def write_golden_csvs(root: Path) -> dict:
+    """The recorded commands' data files: three `clmc generate` outputs, and
+    QUADEXP_SPEC's rows (the quadexp presets repeat one covariate row per
+    cluster, on which --cluster-means changes nothing)."""
+    paths = {key: str(root / f"{key}.csv") for key in (*GOLDEN_DATA, "quadexp_rows")}
+    for key, preset in GOLDEN_DATA.items():
+        assert main(["generate", "--preset", preset, "--seed", GOLDEN_SEED,
+                     "--output", paths[key]]) == 0
+    write_clustered_csv(gen_quadexp(QUADEXP_SPEC), paths["quadexp_rows"])
+    return paths
+
+
+@pytest.fixture(scope="module")
+def golden_csvs(tmp_path_factory):
+    return write_golden_csvs(tmp_path_factory.mktemp("golden"))
+
+
+def run_golden_case(argv, paths, out_path, capsys) -> dict:
+    """Run one recorded command line; its exit code, stdout and --output file."""
+    argv = [a.format(out=out_path, **paths) for a in argv]
+    rc = main(argv)
+    stdout = capsys.readouterr().out
+    written = open(out_path, newline="").read() if "--output" in argv else None
+    return {"rc": rc, "stdout": stdout, "output": written}
+
+
+@pytest.mark.parametrize("case", CLI_GOLDEN, ids=[c["name"] for c in CLI_GOLDEN])
+def test_cli_output_matches_recording(case, golden_csvs, tmp_path, capsys):
+    got = run_golden_case(case["argv"], golden_csvs, str(tmp_path / "out.txt"), capsys)
+    assert got == {k: case[k] for k in ("rc", "stdout", "output")}

@@ -12,7 +12,6 @@ from clmc.harness import (
     PRESETS,
     preset_config,
     run_experiment,
-    sample_size_scan,
 )
 from clmc.models import FitError
 from clmc.mvnprob import QmcConfig
@@ -207,21 +206,6 @@ def test_summaries_reproduce_recorded_runs(case):
     assert summary_fields(run_experiment(_golden_config(case))) == case["summary"]
 
 
-class TestSampleSizeScan:
-    def test_scan_rows(self):
-        rows = sample_size_scan(small_config(replicates=25, compute_efficiency=False),
-                                [40, 80])
-        assert [r.n for r in rows] == [40, 80]
-        for r in rows:
-            assert r.summary.replicates_completed <= 25
-            assert isinstance(r.within_two_se, bool)
-
-    def test_requires_null(self):
-        cfg = small_config(truth_kind="a1")
-        with pytest.raises(ValueError):
-            sample_size_scan(cfg, [40])
-
-
 class TestPresets:
     def test_all_preset_names_build(self):
         for name in PRESETS:
@@ -263,6 +247,7 @@ class TestPresets:
 
     def test_unknown_presets_rejected(self):
         for bad in ("mvn-null", "weird-null-rho0-m4-p10", "mvn-b3-rho0-m4-p10",
-                    "mvn-null-unstructured-m10-p10"):
+                    "mvn-null-unstructured-m10-p10", "mvn-null-rho05", "probit-null-rho0",
+                    "quadexp-null-w05", "gamma-null-bogus", "quadexp-null-w05-p10-extra"):
             with pytest.raises(ValueError):
                 preset_config(bad)

@@ -191,6 +191,25 @@ class TestRectangleProb:
         with pytest.raises(ValueError):
             mvn_rectangle_prob([1.0, -1.0], [1.0, 1.0], np.eye(2), FAST)
 
+    @pytest.mark.parametrize("corr", [
+        # a chain: every 2x2 minor is PSD and the second row is dependent on
+        # the first, but the third row contradicts it (min eigenvalue -0.414)
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+        [[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, np.inf, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ], ids=["chain", "nan", "inf"])
+    def test_rejects_non_psd_and_nonfinite(self, corr):
+        with pytest.raises(ValueError):
+            mvn_rectangle_prob([-1, -1, -1], [1, 1, 1], corr, FAST)
+        with pytest.raises(ValueError):
+            equicoordinate_quantile(corr, 0.05, FAST)
+
+    def test_rejects_nan_diagonal(self):
+        # LAPACK can return finite eigenvalues for a NaN diagonal entry
+        corr = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            mvn_rectangle_prob([-1, -1], [1, 1], corr, FAST)
+
     def test_psd_repair_accepts_estimation_noise(self):
         corr = np.array([[1.0, 0.9999999999], [0.9999999999, 1.0]])
         est = mvn_rectangle_prob([-1.0, -1.0], [1.0, 1.0], corr, FAST)
@@ -340,6 +359,18 @@ class TestRankDeficient:
         # max |b_i - b_j| / sqrt(2) over 10 iid coefficients is a scaled normal range
         q = equicoordinate_quantile(family_corr("all_pairwise", 10), 0.05, qmc)
         assert _range_cdf(q * math.sqrt(2.0), 10) == pytest.approx(0.95, abs=1e-3)
+
+    def test_eigenvalue_noise_below_zero_is_accepted(self):
+        # the exact all-pairwise V of 5 coefficients (rank 4) with one null
+        # eigenvalue pushed to -1e-13, as estimation noise leaves it
+        w, u = np.linalg.eigh(family_corr("all_pairwise", 5))
+        w[0] = -1e-13
+        v = (u * w) @ u.T
+        v = 0.5 * (v + v.T)
+        np.fill_diagonal(v, 1.0)
+        assert -1e-10 < np.linalg.eigvalsh(v)[0] < 0.0
+        q = equicoordinate_quantile(v, 0.05, FAST)
+        assert _range_cdf(q * math.sqrt(2.0), 5) == pytest.approx(0.95, abs=1e-3)
 
     def test_large_all_pairwise_family(self):
         # c = 190 contrasts of rank 19 at the CLI's QMC settings
