@@ -19,19 +19,24 @@ probability, which reduces the variance of the conditioned integrand.
 R is validated, never repaired: the semidefinite Cholesky's rank tolerance
 absorbs the negative eigenvalue noise of an estimated singular R.
 
-The equicoordinate quantile solves P(max_i |Z_i| <= q) = 1 - alpha by
-safeguarded bracketing between the naive two-sided normal cutoff (always a
-lower bound) and the Bonferroni cutoff (always an upper bound, by the union
-bound).  All estimates are deterministic functions of the configured seed.
+The equicoordinate quantile solves P(max_i |Z_i| <= q) = 1 - alpha with a
+safeguarded secant on Phi^-1(P(q)) - Phi^-1(1 - alpha), on one fixed Sobol
+stack so the estimate is a smooth function of q.  The root lies between the
+naive two-sided normal cutoff (a lower bound) and the Bonferroni cutoff (an
+upper bound, by the union bound; Sidak 1967, JASA 62:626); the search starts
+at the Bonferroni end and stops when the estimate is within
+target_abs_error / 200 of 1 - alpha.  All estimates are deterministic
+functions of the configured seed.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, linalg, optimize
+from scipy import integrate, optimize
 from scipy.special import chdtri, ndtr, ndtri
 from scipy.stats import qmc
 
@@ -152,6 +157,10 @@ def _trapezoidal_cholesky(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     last column in which its loading is nonzero.  Returns L with its rows
     sorted by stage, the stages, and the row order: L L' = r[order][:, order].
     A full-rank matrix gives LAPACK's Cholesky factor and stages 0..c-1.
+
+    A singular matrix is factored column by column (outer-product form): each
+    opened column is one rank-1 update of the rows after its pivot, so the
+    work is rank(r) vectorized steps rather than one triangular solve per row.
     """
     c = len(r)
     try:
@@ -161,22 +170,30 @@ def _trapezoidal_cholesky(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     except np.linalg.LinAlgError:
         pass
     low = np.zeros((c, c))
-    stage = np.empty(c, dtype=int)
+    # rem[k:, k:] is the covariance of rows k.. left after the opened columns
+    rem = r.copy()
     pivots: list[int] = []
-    for k in range(c):
-        m = len(pivots)
-        if m:
-            low[k, :m] = linalg.solve_triangular(low[pivots, :m], r[pivots, k], lower=True)
-        rem = r[k, k] - low[k, :m] @ low[k, :m]
-        if rem > _RANK_TOL:
-            low[k, m] = np.sqrt(rem)
-            stage[k] = m
-            pivots.append(k)
-        else:
-            stage[k] = np.flatnonzero(np.abs(low[k, :m]) > _LOAD_TOL)[-1]
-            low[k, stage[k] + 1 :] = 0.0
+    k = 0
+    while True:
+        opens = np.flatnonzero(np.diag(rem)[k:] > _RANK_TOL)
+        if not len(opens):
+            break
+        k += opens[0]
+        col = rem[k:, k] / np.sqrt(rem[k, k])
+        low[k:, len(pivots)] = col
+        rem[k:, k:] -= np.outer(col, col)
+        pivots.append(k)
+        k += 1
+    rank = len(pivots)
+    low = low[:, :rank]
+    stage = np.empty(c, dtype=int)
+    stage[pivots] = np.arange(rank)
+    dependent = np.setdiff1d(np.arange(c), pivots)
+    loaded = np.abs(low[dependent]) > _LOAD_TOL
+    stage[dependent] = rank - 1 - np.argmax(loaded[:, ::-1], axis=1)
+    low[dependent] *= np.arange(rank) <= stage[dependent, None]
     order = np.argsort(stage, kind="stable")
-    return low[order, : len(pivots)], stage[order], order
+    return low[order], stage[order], order
 
 
 def _reorder(lower, upper, r):
@@ -290,12 +307,33 @@ def mvn_rectangle_prob(lower, upper, corr, cfg: QmcConfig = QmcConfig()) -> Prob
     return ProbEstimate(float(np.clip(value, 0.0, 1.0)), se)
 
 
-def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) -> float:
-    """Solve P(max_i |Z_i| <= q) = 1 - alpha for Z ~ N(0, corr).
+class _Quantile(NamedTuple):
+    """An equicoordinate quantile and the QMC evidence behind it."""
 
-    Bracketed between the two-sided univariate cutoff and the Bonferroni
-    cutoff; the same QMC point set is reused for every trial q so the
-    bracketing function is smooth in q.
+    q: float
+    prob: float  # the estimate of P(max_i |Z_i| <= q) on the quantile's own points
+    std_error: float  # its QMC standard error
+    passes: int  # integrand passes over the Sobol stack, point doublings included
+    points_per_shift: int
+
+
+# the root is accepted when |P(q) - (1 - alpha)| <= target_abs_error / _ROOT_FRACTION;
+# the secant reaches that in 2-4 passes, so _MAX_STEPS is only a safeguard
+_ROOT_FRACTION = 200
+_MAX_STEPS = 40
+
+
+def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
+    """Solve P(max_i |Z_i| <= q) = 1 - alpha for Z ~ N(0, corr), with diagnostics.
+
+    The point count is chosen from the SE at the Bonferroni cutoff `hi`, and
+    every trial q reuses those points.  From `hi` a secant on
+    h(q) = Phi^-1(P(q)) - Phi^-1(1 - alpha) runs inside the bracket
+    [lo, hi], lo the two-sided univariate cutoff.  Its first slope is that of
+    independent coordinates, P(q) = (2 Phi(q) - 1)^k, with k fitted so the
+    law passes through P(hi).  A step that leaves the bracket bisects it,
+    except that one reaching lo evaluates lo itself, which is the cutoff when
+    P(lo) >= 1 - alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -307,40 +345,63 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) ->
     chol, stage, _ = _trapezoidal_cholesky(r)
     if chol.shape[1] == 1:
         # rank one: every |Z_i| equals |Z_1|
-        return lo
+        return _Quantile(lo, 1.0 - alpha, 0.0, 0, 0)
     target = 1.0 - alpha
+    tol = cfg.target_abs_error / _ROOT_FRACTION
+    passes = 0
 
     def means_at(q: float, pts: np.ndarray) -> np.ndarray:
+        nonlocal passes
+        passes += 1
         bound = np.full(c, q)
         return _conditioned_means(-bound, bound, chol, stage, pts)
 
-    # the point count is chosen from the SE at the Bonferroni end of the bracket
-    pts, p_hi, se_hi = _doubled_points(chol.shape[1] - 1, cfg, lambda pts: means_at(hi, pts))
-    memo = {hi: (p_hi, se_hi)}
+    z_target = ndtri(target)
 
-    def prob(q: float) -> tuple[float, float]:
-        if q not in memo:
-            memo[q] = _mean_se(means_at(q, pts))
-        return memo[q]
+    def h(p: float) -> float:
+        return float(ndtri(min(max(p, _PROB_FLOOR), _PROB_CEIL)) - z_target)
 
-    # pick the x-tolerance so the induced probability error stays under the
-    # 1e-3 band: |dP/dq| <= 2 c phi(q) <= 2 c phi(lo) over the bracket
-    slope_bound = 2.0 * c * np.exp(-0.5 * lo * lo) / np.sqrt(2.0 * np.pi)
-    xtol = float(np.clip(1e-3 / max(slope_bound, 1.0), 1e-5, 1e-3))
-    g = lambda q: prob(q)[0] - target
-    g_lo = g(lo)
-    if g_lo >= 0.0:
-        return lo
-    if p_hi - target <= 0.0:
-        return hi
-    q_hat = optimize.brentq(g, lo, hi, xtol=xtol, rtol=1e-12, maxiter=200)
-    p_hat, se_hat = prob(float(q_hat))
-    if abs(p_hat - target) > 1e-3 + 2.0 * se_hat:
-        raise QuantileConvergenceError(
-            f"quantile search stalled: |P(q)-(1-alpha)| = {abs(p_hat - target):.2e} "
-            f"with QMC std error {se_hat:.2e}"
-        )
-    return float(q_hat)
+    pts, p, se = _doubled_points(chol.shape[1] - 1, cfg, lambda pts: means_at(hi, pts))
+    n = pts.shape[1]
+    if p - target <= tol:
+        return _Quantile(hi, p, se, passes, n)
+    # the first slope is d Phi^-1(P)/dq at hi for P(q) = (2 Phi(q) - 1)^k, the law
+    # of k independent coordinates, with k fitted so that P(hi) = p
+    width = 2.0 * ndtr(hi) - 1.0
+    z = ndtri(p)
+    slope = float(np.log(p) / np.log(width) * p * 2.0 * np.exp(0.5 * (z * z - hi * hi)) / width)
+    q0, h0 = hi, h(p)
+    a, b, a_known = lo, hi, False  # h(b) > 0, and h(a) < 0 once a_known
+    for _ in range(_MAX_STEPS):
+        q = q0 - h0 / slope if slope > 0.0 else b
+        if not a < q < b:
+            q = lo if q <= lo and not a_known else 0.5 * (a + b)
+        p, se = _mean_se(means_at(q, pts))
+        if abs(p - target) <= tol or (q == lo and p >= target):
+            return _Quantile(q, p, se, passes, n)
+        h1 = h(p)
+        if h1 > 0.0:
+            b = q
+        else:
+            a, a_known = q, True
+        slope = (h1 - h0) / (q - q0)
+        q0, h0 = q, h1
+    raise QuantileConvergenceError(
+        f"quantile search stalled: |P(q)-(1-alpha)| = {abs(p - target):.2e} after "
+        f"{_MAX_STEPS} steps, tolerance {tol:.2e}"
+    )
+
+
+def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) -> float:
+    """Solve P(max_i |Z_i| <= q) = 1 - alpha for Z ~ N(0, corr).
+
+    q lies between the two-sided univariate cutoff and the Bonferroni cutoff.
+    A safeguarded secant on Phi^-1(P(q)) - Phi^-1(1 - alpha), on one QMC point
+    set reused for every trial q, stops when the estimate of P(q) is within
+    cfg.target_abs_error / 200 of 1 - alpha, and raises
+    QuantileConvergenceError if it cannot get there.
+    """
+    return _quantile(corr, alpha, cfg).q
 
 
 def _range_cdf(q: float, k: int) -> float:
@@ -355,8 +416,12 @@ def _range_cdf(q: float, k: int) -> float:
     return k * val
 
 
+@functools.lru_cache(maxsize=64)
 def studentized_range_quantile(k: int, alpha: float) -> float:
-    """Infinite-degrees-of-freedom studentized range quantile q_{k;alpha}."""
+    """Infinite-degrees-of-freedom studentized range quantile q_{k;alpha}.
+
+    Cached per (k, alpha): each call brackets a root of an adaptive quadrature.
+    """
     if k < 2:
         raise ValueError("need k >= 2 groups")
     if not 0.0 < alpha < 1.0:

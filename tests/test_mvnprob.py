@@ -2,16 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from scipy import integrate
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy import integrate, linalg
 from scipy.special import ndtr, ndtri
 
 from clmc.data import build_contrasts
 from clmc.harness import preset_config
 from clmc.mvnprob import (
+    _LOAD_TOL,
+    _RANK_TOL,
+    _ROOT_FRACTION,
     ProbEstimate,
     QmcConfig,
+    _conditioned_means,
+    _next_pow2,
+    _prepare_correlation,
+    _quantile,
     _range_cdf,
+    _sobol_stack,
     _trapezoidal_cholesky,
     chi_square_quantile,
     equicoordinate_quantile,
@@ -98,6 +106,38 @@ def range_cdf_oracle(q: float, k: int, n=40001, span=10.0) -> float:
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     h = zs[1] - zs[0]
     return k * float((integrand * w).sum() * h / 3.0)
+
+
+def row_loop_cholesky(r):
+    """The row-by-row semidefinite Cholesky, one triangular solve per row:
+    the oracle of `_trapezoidal_cholesky`'s column-by-column form."""
+    c = len(r)
+    low = np.zeros((c, c))
+    stage = np.empty(c, dtype=int)
+    pivots = []
+    for k in range(c):
+        m = len(pivots)
+        if m:
+            low[k, :m] = linalg.solve_triangular(low[pivots, :m], r[pivots, k], lower=True)
+        rem = r[k, k] - low[k, :m] @ low[k, :m]
+        if rem > _RANK_TOL:
+            low[k, m] = np.sqrt(rem)
+            stage[k] = m
+            pivots.append(k)
+        else:
+            stage[k] = np.flatnonzero(np.abs(low[k, :m]) > _LOAD_TOL)[-1]
+            low[k, stage[k] + 1 :] = 0.0
+    order = np.argsort(stage, kind="stable")
+    return low[order, : len(pivots)], stage[order], order
+
+
+def factor_model_corr(c, strong, rng):
+    """cor(A A') for a c x c normal A whose first `strong` columns are scaled by 3."""
+    a = rng.standard_normal((c, c))
+    a[:, :strong] *= 3.0
+    s = a @ a.T
+    d = np.sqrt(np.diag(s))
+    return s / np.outer(d, d)
 
 
 def random_correlation(c, rng):
@@ -293,6 +333,15 @@ class TestStudentizedRange:
         with pytest.raises(ValueError):
             studentized_range_quantile(1, 0.05)
 
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_cached_value_is_the_bracketed_root(self, k):
+        fresh = studentized_range_quantile.__wrapped__(k, 0.05)
+        assert studentized_range_quantile(k, 0.05) == fresh
+        hits = studentized_range_quantile.cache_info().hits
+        assert studentized_range_quantile(k, 0.05) == fresh
+        assert studentized_range_quantile.cache_info().hits == hits + 1
+        assert _range_cdf(fresh, k) == pytest.approx(0.95, abs=1e-9)
+
 
 def test_qmc_config_validation():
     with pytest.raises(ValueError):
@@ -352,6 +401,34 @@ class TestTrapezoidalCholesky:
         assert np.array_equal(stage, np.arange(5))
         assert np.array_equal(order, np.arange(5))
 
+    @staticmethod
+    def assert_matches_row_loop(v, tol):
+        chol, stage, order = _trapezoidal_cholesky(v)
+        want, want_stage, want_order = row_loop_cholesky(v)
+        assert np.array_equal(stage, want_stage)
+        assert np.array_equal(order, want_order)
+        assert np.max(np.abs(chol - want)) <= tol
+
+    @pytest.mark.parametrize("p", [5, 10, 20])
+    def test_all_pairwise_matches_the_row_loop(self, p):
+        self.assert_matches_row_loop(family_corr("all_pairwise", p), 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(2, 12), rank=st.integers(1, 11), seed=st.integers(0, 2**32 - 1))
+    def test_low_rank_matches_the_row_loop(self, c, rank, seed):
+        load = np.random.default_rng(seed).standard_normal((c, min(rank, c - 1)))
+        cov = load @ load.T
+        d = np.sqrt(np.diag(cov))
+        v = _prepare_correlation(cov / np.outer(d, d))
+        want, want_stage, _ = row_loop_cholesky(v)
+        pivot = np.min(np.abs(want[np.arange(c), want_stage]))
+        # the two forms sum the same terms in another order; a pivot p carries
+        # that rounding as about c eps / p^2, and where this nears _RANK_TOL
+        # the rank itself is decided by rounding
+        noise = c * np.finfo(float).eps / pivot**2
+        assume(noise <= _RANK_TOL / 100)
+        self.assert_matches_row_loop(v, max(1e-12, 16 * noise))
+
 
 class TestRankDeficient:
     @pytest.mark.parametrize("qmc", QMC_CONFIGS.values(), ids=QMC_CONFIGS.keys())
@@ -390,6 +467,7 @@ class TestRankDeficient:
 
     def test_rank_one_is_the_univariate_cutoff(self):
         assert equicoordinate_quantile(np.ones((3, 3)), 0.05, FAST) == ndtri(0.975)
+        assert _quantile(np.ones((3, 3)), 0.05, FAST).passes == 0
 
     def test_rank_one_rectangle_is_the_interval_intersection(self):
         corr = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
@@ -450,12 +528,13 @@ def _exchangeable(c, rho):
     return v
 
 
-# cutoffs of the engine before rank reduction; a full-rank V must keep them
+# cutoffs of the secant root on the QMC estimate, at the CLI's and the
+# harness's settings; a change of engine that moves them records the move
 GOLDEN = [
-    ("many-to-one p10", lambda: family_corr("many_to_one", 10), 2.6864415948147053, 2.686354452904904),
-    ("many-to-one p20", lambda: family_corr("many_to_one", 20), 2.891584843833085, 2.8898092537754234),
-    ("exchangeable 0.3 c8", lambda: _exchangeable(8, 0.3), 2.702955728717034, 2.7029036249843506),
-    ("gamma-null-correlated", _gamma_null_corr, 2.6872782863186178, 2.6874421161875257),
+    ("many-to-one p10", lambda: family_corr("many_to_one", 10), 2.686221060760663, 2.686099242399252),
+    ("many-to-one p20", lambda: family_corr("many_to_one", 20), 2.8915745869092846, 2.8897976010618436),
+    ("exchangeable 0.3 c8", lambda: _exchangeable(8, 0.3), 2.7029412074921533, 2.7028890323046393),
+    ("gamma-null-correlated", _gamma_null_corr, 2.6870629076277353, 2.68719459802257),
 ]
 
 
@@ -465,3 +544,45 @@ def test_full_rank_cutoffs_unchanged(make, cli_cut, harness_cut):
     v = make()
     assert equicoordinate_quantile(v, 0.05, QmcConfig()) == pytest.approx(cli_cut, abs=1e-12)
     assert equicoordinate_quantile(v, 0.05, HARNESS) == pytest.approx(harness_cut, abs=1e-12)
+
+
+class TestQuantileRoot:
+    @pytest.mark.parametrize("qmc", QMC_CONFIGS.values(), ids=QMC_CONFIGS.keys())
+    @pytest.mark.parametrize(
+        "make",
+        [g[1] for g in GOLDEN] + [lambda: family_corr("all_pairwise", 10)],
+        ids=[g[0] for g in GOLDEN] + ["all-pairwise p10"],
+    )
+    def test_at_most_four_passes(self, make, qmc):
+        res = _quantile(make(), 0.05, qmc)
+        doublings = (res.points_per_shift // _next_pow2(qmc.points_per_shift)).bit_length() - 1
+        assert res.passes - doublings <= 4
+
+    @settings(max_examples=25, deadline=None)
+    @given(c=st.integers(2, 12), strong=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           qmc=st.sampled_from(list(QMC_CONFIGS.values())))
+    def test_root_is_bracketed_and_within_tolerance(self, c, strong, seed, qmc):
+        v = factor_model_corr(c, strong, np.random.default_rng(seed))
+        res = _quantile(v, 0.05, qmc)
+        lo, hi = ndtri(0.975), ndtri(1.0 - 0.05 / (2 * c))
+        assert lo <= res.q <= hi
+        # the estimate is P(q) on the quantile's own factor and points
+        r = _prepare_correlation(v)
+        chol, stage, _ = _trapezoidal_cholesky(r)
+        pts = _sobol_stack(chol.shape[1] - 1, res.points_per_shift, qmc.shifts, qmc.seed)
+        bound = np.full(c, res.q)
+        assert _conditioned_means(-bound, bound, chol, stage, pts).mean() == pytest.approx(res.prob, abs=1e-15)
+        tol = qmc.target_abs_error / _ROOT_FRACTION
+        if lo < res.q < hi:
+            assert abs(res.prob - 0.95) <= tol
+        elif res.q == hi:
+            assert res.prob <= 0.95 + tol
+        else:
+            assert res.prob >= 0.95 - tol
+
+    @pytest.mark.parametrize("qmc", QMC_CONFIGS.values(), ids=QMC_CONFIGS.keys())
+    def test_near_rank_one_exchangeable(self, qmc):
+        # rho = 0.9999: P(q) hugs the univariate law, and the root the lower end
+        res = _quantile(_exchangeable(10, 0.9999), 0.05, qmc)
+        assert ndtri(0.975) <= res.q < ndtri(1.0 - 0.05 / 20)
+        assert res.q == pytest.approx(ndtri(0.975), abs=0.05)
