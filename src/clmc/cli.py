@@ -42,8 +42,9 @@ def _infer_kind(values: np.ndarray) -> str:
 
 def _csv_rows(path: str):
     """(line number, fields) of each CSV row; text the csv module cannot
-    parse or bytes that are not UTF-8 raise ValueError naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    parse or bytes that are not UTF-8 raise ValueError naming the file.
+    A leading UTF-8 byte-order mark is dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:
@@ -54,11 +55,40 @@ def _csv_rows(path: str):
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_clustered_csv(path: str) -> ClusteredDataset:
-    """Parse a long-format clustered CSV; malformed rows fail with their
-    line number so problems can be fixed in place.  Clusters are ordered by
-    the first appearance of their id and keep their rows in file order, so
-    the rows of one cluster need not be contiguous."""
+def _read_fast(path: str):
+    """(id ranks, row clusters, y|x table) from numpy's C parser, or None on any
+    error and wherever numpy could read the file differently from `_read_rows`."""
+    rank, cluster, limit = {}, [], csv.field_size_limit()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            head = next(fh, "")
+            header = [h.strip() for h in head.split(",")]
+            if (len(header) < 3 or header[:2] != ["cluster_id", "y"] or '"' in head
+                    or len(head) > limit):
+                return None
+            for line in fh:
+                if line in ("\n", "\r\n"):
+                    continue
+                cid = line.partition(",")[0].strip()
+                # numpy fails at a whitespace-only line, so stop at the first; csv.reader
+                # alone handles quotes, lone \r line ends and its field size limit, and
+                # \x1c-\x1f are whitespace to numpy but not to float()
+                if (not cid or line.count(",") != len(header) - 1 or len(line) > limit
+                        or line.endswith("\r") or '"' in line or "\x1c" in line or "\x1d" in line
+                        or "\x1e" in line or "\x1f" in line):
+                    return None
+                cluster.append(rank.setdefault(cid, len(rank)))
+        if not cluster:
+            return None
+        table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(1, len(header)),
+                           comments=None, ndmin=2, encoding="utf-8-sig")
+        return (rank, cluster, table) if len(table) == len(cluster) else None
+    except Exception:
+        return None
+
+
+def _read_rows(path: str):
+    """`_read_fast`'s result by csv.reader and float(); ValueError naming the line."""
     rows = _csv_rows(path)
     _, header = next(rows, (None, None))
     if header is None:
@@ -87,8 +117,18 @@ def read_clustered_csv(path: str) -> ClusteredDataset:
         cluster.append(rank.setdefault(cid, len(rank)))
     if not values:
         raise ValueError(f"{path}: no data rows")
+    return rank, cluster, np.frombuffer(values).reshape(len(cluster), -1)
+
+
+def read_clustered_csv(path: str) -> ClusteredDataset:
+    """Parse a long-format clustered CSV; malformed rows fail with their
+    line number so problems can be fixed in place.  Clusters are ordered by
+    the first appearance of their id and keep their rows in file order, so
+    the rows of one cluster need not be contiguous.  numpy reads plain files;
+    the csv module reads the rest and words every error."""
+    rank, cluster, table = _read_fast(path) or _read_rows(path)
     cluster = np.array(cluster)
-    table = np.frombuffer(values).reshape(len(cluster), -1)[np.argsort(cluster, kind="stable")]
+    table = table[np.argsort(cluster, kind="stable")]
     return ClusteredDataset(table[:, 1:], table[:, 0], np.bincount(cluster), list(rank),
                             _infer_kind(table[:, 0]))
 
@@ -206,7 +246,7 @@ def _parse_contrasts(spec: str, p: int) -> ContrastFamily:
         path = spec.split(":", 1)[1]
         labels, rows = [], []
         for lineno, row in _csv_rows(path):
-            if not row:
+            if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != p + 1:
                 raise ValueError(f"{path}:{lineno}: contrast rows must have {p} weights")

@@ -26,7 +26,7 @@ from .mvnprob import (
     QmcConfig,
     chi_square_quantile,
     equicoordinate_quantile,
-    mvn_rectangle_prob,
+    mvn_rectangle_prob,  # not called here; perfbench/workloads.py wraps it by this name
     std_normal_cdf,
     std_normal_quantile,
     studentized_range_quantile,
@@ -152,17 +152,10 @@ def adjust(
         cut = studentized_range_quantile(cf.p, alpha) / np.sqrt(2.0)
         return MethodDecision("tukey", abs_t > cut, cut)
     if method == "mnq":
-        cut = equicoordinate_quantile(v_hat, alpha, cfg)
-        adj = None
         if mnq_adjusted_p:
-            adj = np.array(
-                [
-                    1.0 - mvn_rectangle_prob(-np.full(c, ti), np.full(c, ti), v_hat, cfg).value
-                    if ti > 0.0
-                    else 1.0
-                    for ti in abs_t
-                ]
-            )
+            cut, adj = equicoordinate_quantile(v_hat, alpha, cfg, p_values_at=abs_t)
+        else:
+            cut, adj = equicoordinate_quantile(v_hat, alpha, cfg), None
         return MethodDecision("mnq", abs_t > cut, cut, adjusted_p=adj)
     raise ValueError(f"unknown method {method!r}")
 

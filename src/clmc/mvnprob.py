@@ -315,6 +315,7 @@ class _Quantile(NamedTuple):
     std_error: float  # its QMC standard error
     passes: int  # integrand passes over the Sobol stack, point doublings included
     points_per_shift: int
+    exceed: np.ndarray  # P(max_i |Z_i| > t) for each t asked for, on the same points
 
 
 # the root is accepted when |P(q) - (1 - alpha)| <= target_abs_error / _ROOT_FRACTION;
@@ -323,7 +324,7 @@ _ROOT_FRACTION = 200
 _MAX_STEPS = 40
 
 
-def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
+def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=()) -> _Quantile:
     """Solve P(max_i |Z_i| <= q) = 1 - alpha for Z ~ N(0, corr), with diagnostics.
 
     The point count is chosen from the SE at the Bonferroni cutoff `hi`, and
@@ -333,7 +334,8 @@ def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
     independent coordinates, P(q) = (2 Phi(q) - 1)^k, with k fitted so the
     law passes through P(hi).  A step that leaves the bracket bisects it,
     except that one reaching lo evaluates lo itself, which is the cutoff when
-    P(lo) >= 1 - alpha.
+    P(lo) >= 1 - alpha.  `exceed` is 1 - P(t) at each t of `exceed_at`, on
+    these points where their SE meets cfg.target_abs_error, else on doubled ones.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -343,12 +345,28 @@ def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
     hi = float(ndtri(1.0 - alpha / (2.0 * c)))
     # the bounds are the same for every row, so the factor's row order does not matter
     chol, stage, _ = _trapezoidal_cholesky(r)
-    if chol.shape[1] == 1:
-        # rank one: every |Z_i| equals |Z_1|
-        return _Quantile(lo, 1.0 - alpha, 0.0, 0, 0)
+    dim = chol.shape[1] - 1  # QMC dimensions
+
+    def found(q: float, p: float, se: float, pts: np.ndarray) -> _Quantile:
+        probs = []
+        for t in exceed_at:
+            def means(pts, bound=np.full(c, t)):
+                return _conditioned_means(-bound, bound, chol, stage, pts)
+
+            t_p, t_se = _mean_se(means(pts)) if passes else (means(pts)[0], 0.0)
+            if t_se > cfg.target_abs_error:
+                # the points were sized near P = 1 - alpha; a mid-range P(t) can need more
+                t_p = _doubled_points(dim, cfg, means)[1]
+            probs.append(t_p)
+        n = pts.shape[1] if passes else 0
+        return _Quantile(q, p, se, passes, n, 1.0 - np.clip(probs, 0.0, 1.0))
+
+    passes = 0
+    if dim == 0:
+        # rank one: every |Z_i| equals |Z_1|, and P(t) needs no QMC points
+        return found(lo, 1.0 - alpha, 0.0, np.empty((1, 1, 0)))
     target = 1.0 - alpha
     tol = cfg.target_abs_error / _ROOT_FRACTION
-    passes = 0
 
     def means_at(q: float, pts: np.ndarray) -> np.ndarray:
         nonlocal passes
@@ -361,10 +379,9 @@ def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
     def h(p: float) -> float:
         return float(ndtri(min(max(p, _PROB_FLOOR), _PROB_CEIL)) - z_target)
 
-    pts, p, se = _doubled_points(chol.shape[1] - 1, cfg, lambda pts: means_at(hi, pts))
-    n = pts.shape[1]
+    pts, p, se = _doubled_points(dim, cfg, lambda pts: means_at(hi, pts))
     if p - target <= tol:
-        return _Quantile(hi, p, se, passes, n)
+        return found(hi, p, se, pts)
     # the first slope is d Phi^-1(P)/dq at hi for P(q) = (2 Phi(q) - 1)^k, the law
     # of k independent coordinates, with k fitted so that P(hi) = p
     width = 2.0 * ndtr(hi) - 1.0
@@ -378,7 +395,7 @@ def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
             q = lo if q <= lo and not a_known else 0.5 * (a + b)
         p, se = _mean_se(means_at(q, pts))
         if abs(p - target) <= tol or (q == lo and p >= target):
-            return _Quantile(q, p, se, passes, n)
+            return found(q, p, se, pts)
         h1 = h(p)
         if h1 > 0.0:
             b = q
@@ -392,7 +409,7 @@ def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
     )
 
 
-def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) -> float:
+def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig(), p_values_at=None):
     """Solve P(max_i |Z_i| <= q) = 1 - alpha for Z ~ N(0, corr).
 
     q lies between the two-sided univariate cutoff and the Bonferroni cutoff.
@@ -400,8 +417,13 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) ->
     set reused for every trial q, stops when the estimate of P(q) is within
     cfg.target_abs_error / 200 of 1 - alpha, and raises
     QuantileConvergenceError if it cannot get there.
+
+    Given statistics `p_values_at`, returns (q, p), p_i = P(max_j |Z_j| > |t_i|)
+    to cfg.target_abs_error; where the points that gave q meet that target, p_i
+    is estimated on them, so there p_i <= alpha exactly where P(|t_i|) >= 1 - alpha.
     """
-    return _quantile(corr, alpha, cfg).q
+    res = _quantile(corr, alpha, cfg, () if p_values_at is None else np.abs(p_values_at))
+    return res.q if p_values_at is None else (res.q, res.exceed)
 
 
 def _range_cdf(q: float, k: int) -> float:

@@ -3,12 +3,14 @@ import dataclasses
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import clmc.inference
+from clmc import cli
 from clmc.cli import FITTERS, main, read_clustered_csv, write_clustered_csv
 from clmc.models import FitError
 from clmc.mvnprob import QuantileConvergenceError
@@ -34,6 +36,38 @@ def quadexp_csv(tmp_path):
     path = tmp_path / "qe.csv"
     write_clustered_csv(gen_quadexp(QUADEXP_SPEC), str(path))
     return str(path)
+
+
+# tokens, lines and line ends that numpy's parser and the csv row loop could
+# read differently: the first few are read alike, the rest send a file to the loop
+ODD_FIELDS = [" 1.5 ", "nan", "-nan", "1e999", "-1e-400", "\v1", "1\f", "1\u2028", "\xa02", "\t.5",
+              "#", "a\x00", " c ", "\u2028b", "1_0", "\x1c1", "b\x1f", '"1"', "", " ", "x", "0x1",
+              "1 2", "\x001", "\ufeff1", "\uff11", "1,2", '"1,2"']
+ODD_LINES = ["", "  ", "\t", "\x1c", "#", "# note", ",", "\x00", "a,1"]
+ODD_ENDS = ["\r", "\r\n", "\n", ""]
+
+
+@st.composite
+def nearly_plain_csv(draw) -> bytes:
+    """A well-formed clustered CSV with at most three odd fields, lines or line ends."""
+    p = draw(st.integers(1, 2))
+    number = st.one_of(st.floats(allow_nan=False).map(repr), st.integers(-2, 2).map(str))
+    rows = draw(st.lists(st.lists(number, min_size=p + 1, max_size=p + 1), min_size=1, max_size=6))
+    lines = [["cluster_id", "y"] + [f"x{j + 1}" for j in range(p)]]
+    lines += [[draw(st.sampled_from(["a", "b", "c"]))] + r for r in rows]
+    ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        kind = draw(st.sampled_from(["field", "line", "end"]))
+        if kind == "field":
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(st.sampled_from(ODD_FIELDS))
+        elif kind == "line":
+            lines.insert(i, [draw(st.sampled_from(ODD_LINES))])
+            ends.insert(i, ends[i])
+        else:
+            ends[i] = draw(st.sampled_from(ODD_ENDS))
+    text = "".join(",".join(line) + end for line, end in zip(lines, ends))
+    return b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode("utf-8")
 
 
 class TestReadClusteredCsv:
@@ -142,6 +176,76 @@ class TestReadClusteredCsv:
         else:
             assert d.n == len(d.ids) and d.cluster_sizes.sum() == len(d.y) == len(d.x)
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=nearly_plain_csv())
+    @example(raw=b"cluster_id,y,x1\r\nb,1,2\r\na,3,4\r\n\r\nb,5,6\r\n")
+    @example(raw=b"\xef\xbb\xbfcluster_id,y,x1\nb,1,2\n\na,3,4")
+    @example(raw=b"cluster_id,y,x1\na,1,2\n  \n\t\nb,3,4\n")
+    @example(raw=b"cluster_id,y,x1\n#,1,2\n# note\n")
+    @example(raw=b'cluster_id,y,x1\n"a",1,2\n')
+    @example(raw=b'cluster_id,y,x1\na,"1",2\n')
+    @example(raw=b"cluster_id,y,x1\na\x00,1,2\nb,\x001,2\n")
+    @example(raw="cluster_id,y,x1\na,\v1,1\f\nb,1\u2028,\xa02\n".encode())
+    @example(raw=b"cluster_id,y,x1\na,\x1c1,2\n")
+    @example(raw=b"cluster_id,y,x1\na,nan,1e999\nb,-nan, 1.5 \n")
+    @example(raw=b"cluster_id,y,x1\na,1_0,2\n")
+    @example(raw=b"cluster_id,y,x1\na,1,2,3\n")
+    @example(raw=b"cluster_id,y,x1\na,1,2\rb,3,4\r")
+    @example(raw=b"cluster_id,y," + b"x" * 200_000 + b"\na,1,2\n")
+    def test_fast_path_reads_what_the_row_loop_reads(self, tmp_path, raw):
+        path = tmp_path / "same.csv"
+        path.write_bytes(raw)
+        if cli._read_fast(str(path)) is None:
+            return
+        fast = read_clustered_csv(str(path))
+        with mock.patch.object(cli, "_read_fast", lambda path: None):
+            loop = read_clustered_csv(str(path))
+        # "-nan" reads as a NaN of either sign; validate_dataset rejects NaN rows anyway
+        for name in ("x", "y", "cluster_sizes"):
+            np.testing.assert_array_equal(getattr(fast, name), getattr(loop, name))
+        assert fast.ids.tolist() == loop.ids.tolist()
+        assert fast.response_kind == loop.response_kind
+
+    @pytest.mark.parametrize("raw", [
+        b"cluster_id,y,x1\nb,1.0,0.5\na,2.0,0.25\nb,0.5,1.0\n",
+        b"cluster_id,y,x1\r\nb,1.0,0.5\r\na,2.0,0.25\r\n\r\nb,0.5,1.0\r\n",
+        b"\xef\xbb\xbfcluster_id,y,x1\nb,1.0,0.5\na,2.0,0.25\nb,0.5,1.0",
+    ], ids=["lf", "crlf", "bom"])
+    def test_plain_files_skip_the_row_loop(self, tmp_path, monkeypatch, raw):
+        def loop_called(path):
+            raise AssertionError("the row loop read a plain file")
+
+        monkeypatch.setattr(cli, "_csv_rows", loop_called)
+        path = tmp_path / "plain.csv"
+        path.write_bytes(raw)
+        d = read_clustered_csv(str(path))
+        assert d.ids.tolist() == ["b", "a"] and d.cluster_sizes.tolist() == [2, 1]
+        assert d.y.tolist() == [1.0, 0.5, 2.0] and d.x[:, 0].tolist() == [0.5, 1.0, 0.25]
+
+    def test_whitespace_only_line_goes_to_the_row_loop_before_numpy(self, tmp_path, monkeypatch):
+        # numpy would fail on the "  " line only after parsing the rows above it
+        calls = []
+        path = tmp_path / "trailing.csv"
+        path.write_bytes(b"cluster_id,y,x1\nb,1.0,0.5\na,2.0,0.25\n  \n")
+        monkeypatch.setattr(cli.np, "loadtxt", lambda *args, **kwargs: calls.append(args))
+        assert cli._read_fast(str(path)) is None and not calls
+        monkeypatch.undo()
+        d = read_clustered_csv(str(path))
+        assert d.ids.tolist() == ["b", "a"] and d.y.tolist() == [1.0, 2.0]
+
+    def test_byte_order_mark_is_accepted(self, mvn_csv, tmp_path, capsys):
+        # the quoted id sends the second file to the row loop
+        for name, body in (("plain", b"a,1.0,0.5\nb,2.0,0.25\n"), ("quoted", b'"a",1.0,0.5\nb,2.0,0.25\n')):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(b"\xef\xbb\xbfcluster_id,y,x1\n" + body)
+            d = read_clustered_csv(str(path))
+            assert d.ids.tolist() == ["a", "b"] and d.y.tolist() == [1.0, 2.0]
+        cpath = tmp_path / "contrasts.csv"
+        cpath.write_bytes(b"\xef\xbb\xbfonly,1,-1,0\n")
+        assert main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", f"file:{cpath}",
+                     "--methods", "bonferroni", "--format", "json"]) == 0
+        assert [h["hypothesis"] for h in json.loads(capsys.readouterr().out)["hypotheses"]] == ["only"]
+
     def test_kind_inference(self, tmp_path):
         cases = {
             "cluster_id,y,x1\na,0,0.1\na,1,0.2\nb,1,0.3\n": "binary01",
@@ -228,6 +332,15 @@ class TestTestCommand:
         assert [h["hypothesis"] for h in report["hypotheses"]] == [
             "first_vs_second", "first_vs_third",
         ]
+
+    def test_contrast_file_skips_whitespace_only_lines(self, mvn_csv, tmp_path, capsys):
+        cpath = tmp_path / "contrasts.csv"
+        cpath.write_text("first_vs_second,1,-1,0\n  \n\t\nfirst_vs_third,1,0,-1\n  ")
+        rc = main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", f"file:{cpath}",
+                   "--methods", "bonferroni", "--format", "json"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [h["hypothesis"] for h in report["hypotheses"]] == ["first_vs_second", "first_vs_third"]
 
     @pytest.mark.parametrize("text,where", [
         (b"a,1,-1,0\nb,1,0," + b"1" * 200_000 + b"\n", ":2: field larger than field limit"),

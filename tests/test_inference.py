@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from clmc.data import ContrastFamily, build_contrasts
 from clmc.inference import adjust, correlation_matrix_V, evaluate_tests
 from clmc.inference import test_statistics as t_statistics
 from clmc.models import FitResult
-from clmc.mvnprob import QmcConfig, std_normal_cdf, std_normal_quantile
+from clmc.mvnprob import QmcConfig, mvn_rectangle_prob, std_normal_cdf, std_normal_quantile
 
 FAST = QmcConfig(points_per_shift=1024, shifts=8, target_abs_error=1e-3, seed=42)
 
@@ -199,6 +201,51 @@ class TestAdjust:
         assert dec.adjusted_p is not None
         assert np.all((dec.adjusted_p >= 0) & (dec.adjusted_p <= 1))
         assert dec.adjusted_p[0] < dec.adjusted_p[1] < dec.adjusted_p[2]
+
+    @pytest.mark.parametrize("v", [
+        exchangeable(6, 0.4),
+        build_contrasts("all_pairwise", 4).matrix @ build_contrasts("all_pairwise", 4).matrix.T / 2,
+        np.ones((6, 6)),
+    ], ids=["exchangeable", "all-pairwise-rank-3", "rank-1"])
+    def test_mnq_adjusted_p_is_below_alpha_exactly_above_the_cutoff(self, v):
+        # the cutoff solves P(q) = 1 - alpha only to target_abs_error / 200, so
+        # the statistics keep at least 1e-3 from it
+        c = len(v)
+        cf = ContrastFamily(np.eye(c), tuple(f"h{i}" for i in range(c)))
+        cut = adjust("mnq", np.zeros(c), v, 0.05, cf, FAST).threshold
+        for offsets in ([-0.5, -0.05, -1e-3, 1e-3, 0.05, 0.5], [-2.0, -5e-3, 2e-3, -2e-3, 5e-3, 3.0]):
+            t = (cut + np.array(offsets)) * np.array([1, -1, 1, -1, 1, -1])
+            dec = adjust("mnq", t, v, 0.05, cf, FAST, mnq_adjusted_p=True)
+            assert dec.threshold == cut
+            np.testing.assert_array_equal(dec.adjusted_p <= 0.05, np.abs(t) > cut)
+            np.testing.assert_array_equal(dec.reject, np.abs(t) > cut)
+
+    def test_mnq_adjusted_p_is_the_rectangle_estimate(self):
+        # with a target no SE misses, neither the quantile nor the rectangle
+        # probability doubles its points, so both integrate on the same stack
+        cfg = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=1.0, seed=3)
+        cf = build_contrasts("many_to_one", 5, baseline=1)
+        v = exchangeable(4, 0.5)
+        t = np.array([2.9, -0.3, 1.7, -2.2])
+        dec = adjust("mnq", t, v, 0.05, cf, cfg, mnq_adjusted_p=True)
+        rect = [1.0 - mvn_rectangle_prob(-np.full(4, a), np.full(4, a), v, cfg).value for a in np.abs(t)]
+        assert dec.adjusted_p.tolist() == rect
+
+    def test_mnq_adjusted_p_meets_the_target_off_the_cutoff(self):
+        # the quantile's 256 points meet the target near P = 0.95 but not at
+        # mid-range P; there the p-values double their points as the rectangle
+        # probability does, and equal it
+        cfg = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=5e-4, seed=3)
+        cf = build_contrasts("all_pairwise", 10)
+        v = cf.matrix @ cf.matrix.T / 2
+        t = np.linspace(1.5, 3.5, 45)
+        dec = adjust("mnq", t, v, 0.05, cf, cfg, mnq_adjusted_p=True)
+        single = dataclasses.replace(cfg, target_abs_error=1.0)
+        undoubled = [mvn_rectangle_prob(-np.full(45, a), np.full(45, a), v, single) for a in t]
+        assert max(r.std_error for r in undoubled) > cfg.target_abs_error
+        rect = [mvn_rectangle_prob(-np.full(45, a), np.full(45, a), v, cfg) for a in t]
+        assert max(r.std_error for r in rect) <= cfg.target_abs_error
+        assert dec.adjusted_p.tolist() == [1.0 - r.value for r in rect]
 
     def test_unknown_method(self):
         cf = build_contrasts("many_to_one", 3, baseline=1)
