@@ -55,26 +55,43 @@ def _csv_rows(path: str):
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _plain_quoted(field: str):
+    """The text inside `field` when it is exactly one plain pair of quotes round
+    text without a quote, as csv.reader reads it; else None.  The callers split
+    at commas and line ends first, so a quoted comma or line end never gets here."""
+    inner = field[1:-1]
+    return inner if len(field) > 1 and field[0] == field[-1] == '"' and '"' not in inner else None
+
+
 def _read_fast(path: str):
     """(id ranks, row clusters, y|x table) from numpy's C parser, or None on any
-    error and wherever numpy could read the file differently from `_read_rows`."""
+    error and wherever numpy could read the file differently from `_read_rows`.
+    R's write.csv quoting (every header name and every id) is read here."""
     rank, cluster, limit = {}, [], csv.field_size_limit()
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             head = next(fh, "")
-            header = [h.strip() for h in head.split(",")]
-            if (len(header) < 3 or header[:2] != ["cluster_id", "y"] or '"' in head
-                    or len(head) > limit):
+            names = [_plain_quoted(h) if '"' in h else h for h in head.rstrip("\r\n").split(",")]
+            if None in names or len(head) > limit:
+                return None
+            header = [h.strip() for h in names]
+            if len(header) < 3 or header[:2] != ["cluster_id", "y"]:
                 return None
             for line in fh:
                 if line in ("\n", "\r\n"):
                     continue
-                cid = line.partition(",")[0].strip()
+                cid = line.partition(",")[0]
+                if '"' in line:
+                    # numpy skips column 0 unparsed, so a quoted id is the only quoting it can take
+                    cid = _plain_quoted(cid) if line.count('"') == 2 else None
+                    if cid is None:
+                        return None
+                cid = cid.strip()
                 # numpy fails at a whitespace-only line, so stop at the first; csv.reader
-                # alone handles quotes, lone \r line ends and its field size limit, and
+                # alone handles lone \r line ends and its field size limit, and
                 # \x1c-\x1f are whitespace to numpy but not to float()
                 if (not cid or line.count(",") != len(header) - 1 or len(line) > limit
-                        or line.endswith("\r") or '"' in line or "\x1c" in line or "\x1d" in line
+                        or line.endswith("\r") or "\x1c" in line or "\x1d" in line
                         or "\x1e" in line or "\x1f" in line):
                     return None
                 cluster.append(rank.setdefault(cid, len(rank)))

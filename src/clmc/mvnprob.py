@@ -25,8 +25,15 @@ stack so the estimate is a smooth function of q.  The root lies between the
 naive two-sided normal cutoff (a lower bound) and the Bonferroni cutoff (an
 upper bound, by the union bound; Sidak 1967, JASA 62:626); the search starts
 at the Bonferroni end and stops when the estimate is within
-target_abs_error / 200 of 1 - alpha.  All estimates are deterministic
-functions of the configured seed.
+target_abs_error / 200 of 1 - alpha.  On a stack of at least 4096 points per
+shift it runs in two stages: first on the stack's first 1/16 points per
+shift (a power-of-two prefix of a scrambled Sobol sequence is itself a
+randomized net) to target_abs_error / 20, then on the full stack from that
+root.  Adjusted p-values start on the same prefix and double their points
+until 3 standard errors fit in target_abs_error, a bound on the true error;
+one near alpha, or whose side of alpha disagrees with the cutoff's decision,
+is taken on the quantile's full stack instead.  All estimates are
+deterministic functions of the configured seed.
 """
 
 from __future__ import annotations
@@ -62,7 +69,15 @@ class QuantileConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QmcConfig:
-    """Settings for the randomized quasi-Monte Carlo integrator."""
+    """Settings for the randomized quasi-Monte Carlo integrator.
+
+    `points_per_shift` is the full Sobol stack per shift, before any doubling.
+    From 4096 points the quantile search and the adjusted p-values start on
+    its first 1/16; a smaller stack is used whole.  A rectangle probability
+    meets `target_abs_error` as 1 standard error, an adjusted p-value taken on
+    a prefix as 3, so a printed 4-digit mnq p-value carries up to
+    `target_abs_error` of QMC error.
+    """
 
     points_per_shift: int = 4096
     shifts: int = 12
@@ -313,29 +328,101 @@ class _Quantile(NamedTuple):
     q: float
     prob: float  # the estimate of P(max_i |Z_i| <= q) on the quantile's own points
     std_error: float  # its QMC standard error
-    passes: int  # integrand passes over the Sobol stack, point doublings included
+    passes: int  # integrand passes over the full Sobol stack, point doublings included
+    prefix_passes: int  # passes of the search over the stack's prefix
     points_per_shift: int
-    exceed: np.ndarray  # P(max_i |Z_i| > t) for each t asked for, on the same points
+    exceed: np.ndarray  # P(max_i |Z_i| > t) for each t asked for, on the same factor
 
 
-# the root is accepted when |P(q) - (1 - alpha)| <= target_abs_error / _ROOT_FRACTION;
-# the secant reaches that in 2-4 passes, so _MAX_STEPS is only a safeguard
+# The root is accepted when |P(q) - (1 - alpha)| <= target_abs_error / _ROOT_FRACTION.
+# On a stack of at least _PREFIX_SHARE * _MIN_PREFIX points per shift a search
+# on its first 1/_PREFIX_SHARE (a power-of-two prefix of a scrambled Sobol
+# sequence, itself a randomized net) first stops at target_abs_error /
+# _PREFIX_ROOT_FRACTION, and the full stack then takes 1-2 secant steps.  A
+# smaller stack has no prefix stage: on the harness's 512 points per shift,
+# prefixes of 32-128 saved no passes.  _MAX_STEPS is only a safeguard.
 _ROOT_FRACTION = 200
+_PREFIX_ROOT_FRACTION = 20
+_PREFIX_SHARE = 16
+_MIN_PREFIX = 256
 _MAX_STEPS = 40
+
+# an adjusted p-value taken on a prefix has _P_VALUE_SES standard errors within
+# target_abs_error: a bound on its true error, not a 1-SE guess
+_P_VALUE_SES = 3
+
+
+def _independence_slope(q: float, p: float) -> float:
+    """d Phi^-1(P)/dq at q for P(q) = (2 Phi(q) - 1)^k, the law of k
+    independent coordinates, with k fitted so that P(q) = p."""
+    width = 2.0 * ndtr(q) - 1.0
+    z = ndtri(p)
+    return float(np.log(p) / np.log(width) * p * 2.0 * np.exp(0.5 * (z * z - q * q)) / width)
+
+
+def _secant(prob_at, q: float, p: float, se: float, slope: float,
+            lo: float, hi: float, target: float, tol: float):
+    """Safeguarded secant on h(q) = Phi^-1(P(q)) - Phi^-1(target) inside [lo, hi].
+
+    Starts from the evaluated point (q, P(q) = p, its SE) with the given first
+    slope; prob_at(q) returns (P(q), SE).  It stops when |P(q) - target| <= tol,
+    at lo when P(lo) >= target and at hi when P(hi) <= target.  A step that
+    leaves the bracket bisects it, except that one reaching an end not yet
+    evaluated evaluates that end.  Returns q, P(q), its SE and the last slope.
+    """
+    z_target = ndtri(target)
+
+    def h(p: float) -> float:
+        return float(ndtri(min(max(p, _PROB_FLOOR), _PROB_CEIL)) - z_target)
+
+    q0, h0 = q, h(p)
+    # h(b) > 0 once b_known, and h(a) <= 0 once a_known
+    a, b, a_known, b_known = (lo, q, False, True) if h0 > 0.0 else (q, hi, True, False)
+    steps = 0
+    while not (abs(p - target) <= tol or (q == lo and p >= target) or (q == hi and p <= target)):
+        if steps == _MAX_STEPS:
+            raise QuantileConvergenceError(
+                f"quantile search stalled: |P(q)-(1-alpha)| = {abs(p - target):.2e} after "
+                f"{_MAX_STEPS} steps, tolerance {tol:.2e}"
+            )
+        steps += 1
+        q = q0 - h0 / slope if slope > 0.0 else b
+        if not a < q < b:
+            if q <= lo and not a_known:
+                q = lo
+            elif q >= hi and not b_known:
+                q = hi
+            else:
+                q = 0.5 * (a + b)
+        p, se = prob_at(q)
+        h1 = h(p)
+        if h1 > 0.0:
+            b, b_known = q, True
+        else:
+            a, a_known = q, True
+        slope = (h1 - h0) / (q - q0)
+        q0, h0 = q, h1
+    return q, p, se, slope
 
 
 def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=()) -> _Quantile:
     """Solve P(max_i |Z_i| <= q) = 1 - alpha for Z ~ N(0, corr), with diagnostics.
 
-    The point count is chosen from the SE at the Bonferroni cutoff `hi`, and
-    every trial q reuses those points.  From `hi` a secant on
-    h(q) = Phi^-1(P(q)) - Phi^-1(1 - alpha) runs inside the bracket
-    [lo, hi], lo the two-sided univariate cutoff.  Its first slope is that of
-    independent coordinates, P(q) = (2 Phi(q) - 1)^k, with k fitted so the
-    law passes through P(hi).  A step that leaves the bracket bisects it,
-    except that one reaching lo evaluates lo itself, which is the cutoff when
-    P(lo) >= 1 - alpha.  `exceed` is 1 - P(t) at each t of `exceed_at`, on
-    these points where their SE meets cfg.target_abs_error, else on doubled ones.
+    The search runs `_secant` inside [lo, hi], lo the two-sided univariate
+    cutoff and hi the Bonferroni cutoff, from hi, with a first slope from the
+    law of independent coordinates fitted through P(hi).  On a stack of
+    cfg.points_per_shift >= _PREFIX_SHARE * _MIN_PREFIX points it first runs on
+    the stack's prefix to a loose tolerance, then on the full stack from the
+    prefix root with the prefix's last slope.  The point count is chosen from
+    the SE at the first full-stack q (the prefix root, or hi without a prefix
+    stage) and every later trial q reuses those points.
+
+    `exceed` is 1 - P(t) at each t of `exceed_at`.  With a prefix stage it is
+    taken on the prefix, doubled (within the stack, then beyond it) until
+    _P_VALUE_SES SEs meet cfg.target_abs_error, unless that value lies within
+    the target of alpha or disagrees on (p <= alpha) with t > q.  Otherwise,
+    and without a prefix stage, it is taken on the quantile's points, or on
+    doubled points where its SE there misses the target.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
@@ -347,66 +434,62 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=()) -> _Quantile:
     chol, stage, _ = _trapezoidal_cholesky(r)
     dim = chol.shape[1] - 1  # QMC dimensions
 
-    def found(q: float, p: float, se: float, pts: np.ndarray) -> _Quantile:
-        probs = []
-        for t in exceed_at:
-            def means(pts, bound=np.full(c, t)):
-                return _conditioned_means(-bound, bound, chol, stage, pts)
-
-            t_p, t_se = _mean_se(means(pts)) if passes else (means(pts)[0], 0.0)
-            if t_se > cfg.target_abs_error:
-                # the points were sized near P = 1 - alpha; a mid-range P(t) can need more
-                t_p = _doubled_points(dim, cfg, means)[1]
-            probs.append(t_p)
-        n = pts.shape[1] if passes else 0
-        return _Quantile(q, p, se, passes, n, 1.0 - np.clip(probs, 0.0, 1.0))
-
-    passes = 0
-    if dim == 0:
-        # rank one: every |Z_i| equals |Z_1|, and P(t) needs no QMC points
-        return found(lo, 1.0 - alpha, 0.0, np.empty((1, 1, 0)))
-    target = 1.0 - alpha
-    tol = cfg.target_abs_error / _ROOT_FRACTION
-
     def means_at(q: float, pts: np.ndarray) -> np.ndarray:
-        nonlocal passes
-        passes += 1
         bound = np.full(c, q)
         return _conditioned_means(-bound, bound, chol, stage, pts)
 
-    z_target = ndtri(target)
+    if dim == 0:
+        # rank one: every |Z_i| equals |Z_1|, and P(t) needs no QMC points
+        probs = [means_at(t, np.empty((1, 1, 0)))[0] for t in exceed_at]
+        return _Quantile(lo, 1.0 - alpha, 0.0, 0, 0, 0, 1.0 - np.clip(probs, 0.0, 1.0))
+    target = 1.0 - alpha
+    n = _next_pow2(cfg.points_per_shift)
+    prefix_n = n // _PREFIX_SHARE
+    with_prefix = prefix_n >= _MIN_PREFIX
+    passes = prefix_passes = 0
 
-    def h(p: float) -> float:
-        return float(ndtri(min(max(p, _PROB_FLOOR), _PROB_CEIL)) - z_target)
+    def full_pass(q: float, pts: np.ndarray) -> np.ndarray:
+        nonlocal passes
+        passes += 1
+        return means_at(q, pts)
 
-    pts, p, se = _doubled_points(dim, cfg, lambda pts: means_at(hi, pts))
-    if p - target <= tol:
-        return found(hi, p, se, pts)
-    # the first slope is d Phi^-1(P)/dq at hi for P(q) = (2 Phi(q) - 1)^k, the law
-    # of k independent coordinates, with k fitted so that P(hi) = p
-    width = 2.0 * ndtr(hi) - 1.0
-    z = ndtri(p)
-    slope = float(np.log(p) / np.log(width) * p * 2.0 * np.exp(0.5 * (z * z - hi * hi)) / width)
-    q0, h0 = hi, h(p)
-    a, b, a_known = lo, hi, False  # h(b) > 0, and h(a) < 0 once a_known
-    for _ in range(_MAX_STEPS):
-        q = q0 - h0 / slope if slope > 0.0 else b
-        if not a < q < b:
-            q = lo if q <= lo and not a_known else 0.5 * (a + b)
-        p, se = _mean_se(means_at(q, pts))
-        if abs(p - target) <= tol or (q == lo and p >= target):
-            return found(q, p, se, pts)
-        h1 = h(p)
-        if h1 > 0.0:
-            b = q
-        else:
-            a, a_known = q, True
-        slope = (h1 - h0) / (q - q0)
-        q0, h0 = q, h1
-    raise QuantileConvergenceError(
-        f"quantile search stalled: |P(q)-(1-alpha)| = {abs(p - target):.2e} after "
-        f"{_MAX_STEPS} steps, tolerance {tol:.2e}"
-    )
+    q, slope = hi, None
+    if with_prefix:
+        prefix = np.ascontiguousarray(_sobol_stack(dim, n, cfg.shifts, cfg.seed)[:, :prefix_n])
+
+        def prefix_prob(q: float) -> tuple[float, float]:
+            nonlocal prefix_passes
+            prefix_passes += 1
+            return _mean_se(means_at(q, prefix))
+
+        p, se = prefix_prob(hi)
+        q, _, _, slope = _secant(prefix_prob, hi, p, se, _independence_slope(hi, p), lo, hi,
+                                 target, cfg.target_abs_error / _PREFIX_ROOT_FRACTION)
+    # the point count is chosen from the SE at the first full-stack q
+    pts, p, se = _doubled_points(dim, cfg, functools.partial(full_pass, q))
+    if slope is None:
+        slope = _independence_slope(hi, p)
+    q, p, se, _ = _secant(lambda q: _mean_se(full_pass(q, pts)), q, p, se, slope, lo, hi,
+                          target, cfg.target_abs_error / _ROOT_FRACTION)
+
+    def exceed_prob(t: float) -> float:
+        means = functools.partial(means_at, t)
+        if with_prefix:
+            size, t_se, bound = prefix_n, np.inf, cfg.target_abs_error / _P_VALUE_SES
+            while t_se > bound and size <= n << _MAX_DOUBLINGS:
+                stack = pts if size <= pts.shape[1] else _sobol_stack(dim, size, cfg.shifts, cfg.seed)
+                t_p, t_se = _mean_se(means(stack[:, :size]))
+                size *= 2
+            if abs(1.0 - t_p - alpha) > cfg.target_abs_error and (1.0 - t_p <= alpha) == (t > q):
+                return t_p
+        t_p, t_se = _mean_se(means(pts))
+        if t_se > cfg.target_abs_error:
+            # the points were sized near P = 1 - alpha; a mid-range P(t) can need more
+            t_p = _doubled_points(dim, cfg, means)[1]
+        return t_p
+
+    probs = [exceed_prob(t) for t in exceed_at]
+    return _Quantile(q, p, se, passes, prefix_passes, pts.shape[1], 1.0 - np.clip(probs, 0.0, 1.0))
 
 
 def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig(), p_values_at=None):
@@ -416,11 +499,17 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig(), p_
     A safeguarded secant on Phi^-1(P(q)) - Phi^-1(1 - alpha), on one QMC point
     set reused for every trial q, stops when the estimate of P(q) is within
     cfg.target_abs_error / 200 of 1 - alpha, and raises
-    QuantileConvergenceError if it cannot get there.
+    QuantileConvergenceError if it cannot get there.  cfg.points_per_shift is
+    the full stack; from 4096 points the search first runs on its first 1/16
+    to cfg.target_abs_error / 20, and the full stack continues from there.
 
-    Given statistics `p_values_at`, returns (q, p), p_i = P(max_j |Z_j| > |t_i|)
-    to cfg.target_abs_error; where the points that gave q meet that target, p_i
-    is estimated on them, so there p_i <= alpha exactly where P(|t_i|) >= 1 - alpha.
+    Given statistics `p_values_at`, returns (q, p), p_i = P(max_j |Z_j| > |t_i|).
+    With a prefix stage p_i starts on the prefix and doubles its points until
+    3 standard errors fit in cfg.target_abs_error.  A p_i within the target of
+    alpha, or whose side of alpha disagrees with |t_i| > q, and every p_i
+    without a prefix stage, is estimated on the points that gave q, doubled
+    only where its SE there misses the target; on those points p_i <= alpha
+    exactly where P(|t_i|) >= 1 - alpha.
     """
     res = _quantile(corr, alpha, cfg, () if p_values_at is None else np.abs(p_values_at))
     return res.q if p_values_at is None else (res.q, res.exceed)

@@ -42,7 +42,8 @@ def quadexp_csv(tmp_path):
 # read differently: the first few are read alike, the rest send a file to the loop
 ODD_FIELDS = [" 1.5 ", "nan", "-nan", "1e999", "-1e-400", "\v1", "1\f", "1\u2028", "\xa02", "\t.5",
               "#", "a\x00", " c ", "\u2028b", "1_0", "\x1c1", "b\x1f", '"1"', "", " ", "x", "0x1",
-              "1 2", "\x001", "\ufeff1", "\uff11", "1,2", '"1,2"']
+              "1 2", "\x001", "\ufeff1", "\uff11", "1,2", '"1,2"', '" a "', '""', '"a', 'a"',
+              ' "a"', '"a" ', '"a""b"', '"a"b']
 ODD_LINES = ["", "  ", "\t", "\x1c", "#", "# note", ",", "\x00", "a,1"]
 ODD_ENDS = ["\r", "\r\n", "\n", ""]
 
@@ -55,6 +56,12 @@ def nearly_plain_csv(draw) -> bytes:
     rows = draw(st.lists(st.lists(number, min_size=p + 1, max_size=p + 1), min_size=1, max_size=6))
     lines = [["cluster_id", "y"] + [f"x{j + 1}" for j in range(p)]]
     lines += [[draw(st.sampled_from(["a", "b", "c"]))] + r for r in rows]
+    # R's write.csv quotes every header name and every id
+    if draw(st.booleans()):
+        lines[0] = [f'"{name}"' for name in lines[0]]
+    if draw(st.booleans()):
+        for line in lines[1:]:
+            line[0] = f'"{line[0]}"'
     ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(1, len(lines) - 1))
@@ -192,6 +199,14 @@ class TestReadClusteredCsv:
     @example(raw=b"cluster_id,y,x1\na,1,2,3\n")
     @example(raw=b"cluster_id,y,x1\na,1,2\rb,3,4\r")
     @example(raw=b"cluster_id,y," + b"x" * 200_000 + b"\na,1,2\n")
+    @example(raw=b'"cluster_id","y","x1"\r\n"a",1,2\r\n" b ",3,4\r\n"a",5,6\r\n')
+    @example(raw=b'"cluster_id"," y","x1,x2"\n"a",1,2,3\n')
+    @example(raw=b'"cluster_id",y, "x1"\na,1,2\n')
+    @example(raw=b'cluster_id,y,x1\n"a" ,1,2\n')
+    @example(raw=b'cluster_id,y,x1\n "a",1,2\n')
+    @example(raw=b' "cluster_id",y,x1\na,1,2\n')
+    @example(raw=b'cluster_id,y,x1\n"a\rb",1,2\n')
+    @example(raw=b'cluster_id,y,x1\n"",1,2\n')
     def test_fast_path_reads_what_the_row_loop_reads(self, tmp_path, raw):
         path = tmp_path / "same.csv"
         path.write_bytes(raw)
@@ -210,7 +225,8 @@ class TestReadClusteredCsv:
         b"cluster_id,y,x1\nb,1.0,0.5\na,2.0,0.25\nb,0.5,1.0\n",
         b"cluster_id,y,x1\r\nb,1.0,0.5\r\na,2.0,0.25\r\n\r\nb,0.5,1.0\r\n",
         b"\xef\xbb\xbfcluster_id,y,x1\nb,1.0,0.5\na,2.0,0.25\nb,0.5,1.0",
-    ], ids=["lf", "crlf", "bom"])
+        b'"cluster_id","y","x1"\n"b",1.0,0.5\n"a",2.0,0.25\n"b",0.5,1.0\n',
+    ], ids=["lf", "crlf", "bom", "quoted-header-and-ids"])
     def test_plain_files_skip_the_row_loop(self, tmp_path, monkeypatch, raw):
         def loop_called(path):
             raise AssertionError("the row loop read a plain file")

@@ -202,20 +202,26 @@ class TestAdjust:
         assert np.all((dec.adjusted_p >= 0) & (dec.adjusted_p <= 1))
         assert dec.adjusted_p[0] < dec.adjusted_p[1] < dec.adjusted_p[2]
 
-    @pytest.mark.parametrize("v", [
-        exchangeable(6, 0.4),
-        build_contrasts("all_pairwise", 4).matrix @ build_contrasts("all_pairwise", 4).matrix.T / 2,
-        np.ones((6, 6)),
-    ], ids=["exchangeable", "all-pairwise-rank-3", "rank-1"])
-    def test_mnq_adjusted_p_is_below_alpha_exactly_above_the_cutoff(self, v):
-        # the cutoff solves P(q) = 1 - alpha only to target_abs_error / 200, so
-        # the statistics keep at least 1e-3 from it
+    # FAST's stack is too small for a prefix stage; QmcConfig()'s p-values start on its prefix
+    @pytest.mark.parametrize("v, cfg", [
+        (v, cfg) for cfg in (FAST, QmcConfig()) for v in (
+            exchangeable(6, 0.4),
+            build_contrasts("all_pairwise", 4).matrix @ build_contrasts("all_pairwise", 4).matrix.T / 2,
+            np.ones((6, 6)),
+        )
+    ], ids=["exchangeable", "all-pairwise-rank-3", "rank-1",
+            "exchangeable-cli", "all-pairwise-rank-3-cli", "rank-1-cli"])
+    def test_mnq_adjusted_p_is_below_alpha_exactly_above_the_cutoff(self, v, cfg):
+        # the cutoff solves P(q) = 1 - alpha only to target_abs_error / 200, about
+        # 5e-5 in q, so the statistics keep at least 1e-4 from it; within 1e-3 a
+        # p-value taken on a prefix can fall on the wrong side of alpha
         c = len(v)
         cf = ContrastFamily(np.eye(c), tuple(f"h{i}" for i in range(c)))
-        cut = adjust("mnq", np.zeros(c), v, 0.05, cf, FAST).threshold
-        for offsets in ([-0.5, -0.05, -1e-3, 1e-3, 0.05, 0.5], [-2.0, -5e-3, 2e-3, -2e-3, 5e-3, 3.0]):
+        cut = adjust("mnq", np.zeros(c), v, 0.05, cf, cfg).threshold
+        for offsets in ([-0.5, -0.05, -1e-3, 1e-3, 0.05, 0.5], [-2.0, -5e-3, 2e-3, -2e-3, 5e-3, 3.0],
+                        [-1e-4, 1e-4, -2e-4, 2e-4, -4e-4, 4e-4]):
             t = (cut + np.array(offsets)) * np.array([1, -1, 1, -1, 1, -1])
-            dec = adjust("mnq", t, v, 0.05, cf, FAST, mnq_adjusted_p=True)
+            dec = adjust("mnq", t, v, 0.05, cf, cfg, mnq_adjusted_p=True)
             assert dec.threshold == cut
             np.testing.assert_array_equal(dec.adjusted_p <= 0.05, np.abs(t) > cut)
             np.testing.assert_array_equal(dec.reject, np.abs(t) > cut)
