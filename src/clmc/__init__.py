@@ -42,6 +42,7 @@ from .mvnprob import (
     QmcConfig,
     chi_square_quantile,
     equicoordinate_quantile,
+    equicoordinate_rejects,
     mvn_rectangle_prob,
     std_normal_cdf,
     std_normal_quantile,

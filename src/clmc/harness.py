@@ -9,12 +9,17 @@ everything once from that array: familywise error or power, per-row reject
 rates, ordering violations and the mean efficiency.  The pseudo-procedure
 "naive" is the equicoordinate (mnq) rule applied with the
 correlation-ignoring covariance H^-1 (`models.naive_fit`) instead of the
-full sandwich; everything else uses the sandwich.
+full sandwich; everything else uses the sandwich.  Both mnq rules read
+only which statistics exceed the cutoff, so they come from
+`mvnprob.equicoordinate_rejects`, which stops the cutoff search once every
+statistic is on a known side of it: the decisions of the finished search,
+in 1-3 integrand passes per rule on average where it makes 3-4.
 
 Replicate r draws its generator seed from SeedSequence(master, spawn_key=(r,)),
 and outcomes are collected in replicate order, so results are identical for
-any worker count and scheduling order.  Non-converged or structurally failed
-fits are dropped and counted, never retried.
+any worker count and scheduling order.  A replicate whose fit fails or does
+not converge, or whose statistics, V or mnq cutoff cannot be computed
+(ValueError, QuantileConvergenceError), is dropped and counted, never retried.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from functools import partial
 import numpy as np
 
 from .data import ContrastFamily, build_contrasts
-from .inference import evaluate_tests
+from .inference import METHODS, evaluate_tests
 from .models import FITTERS, FitError, mvn_mle_fit, naive_fit
-from .mvnprob import QmcConfig
+from .mvnprob import QmcConfig, QuantileConvergenceError, equicoordinate_rejects
 from .simgen import Exchangeable, ScenarioSpec, Unstructured, UNSTRUCTURED_SIGMA_M4, generate
 
 __all__ = [
@@ -67,6 +72,15 @@ class ExperimentConfig:
             raise ValueError("truth_kind must be null, a1 or a2")
         if self.compute_efficiency and self.scenario.model != "mvn":
             raise ValueError("efficiency ratios are defined for the gaussian model only")
+        # checked here because _replicate drops a replicate whose tests raise ValueError
+        unknown = set(self.procedures) - set(METHODS) - {"naive"}
+        if unknown:
+            raise ValueError(f"unknown procedures {sorted(unknown)}")
+        if "tukey" in self.procedures and self.contrasts.kind != "all_pairwise":
+            raise ValueError("tukey applies to all-pairwise families only")
+        if self.contrasts.p > self.scenario.p:
+            raise ValueError(f"contrasts address {self.contrasts.p} coefficients, "
+                             f"the scenario has {self.scenario.p}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +111,25 @@ class SimSummary:
         return self.per_procedure[procedure].mc_std_error
 
 
+def _rejects(cfg: ExperimentConfig, fit, n: int) -> np.ndarray:
+    """The reject matrix (procedures x contrasts, in the order of
+    cfg.procedures) of one fit.  mnq and naive need only the side of the
+    cutoff each statistic falls on, not the cutoff itself."""
+    others = tuple(m for m in cfg.procedures if m not in ("mnq", "naive"))
+    tests = evaluate_tests(fit, cfg.contrasts, n, cfg.alpha, others, cfg.qmc)
+    rejects = {m: d.reject for m, d in tests.decisions.items()}
+    if "mnq" in cfg.procedures:
+        rejects["mnq"] = equicoordinate_rejects(tests.v_hat, tests.t_stats, cfg.alpha, cfg.qmc)
+    if "naive" in cfg.procedures:
+        naive = evaluate_tests(naive_fit(fit), cfg.contrasts, n, cfg.alpha, (), cfg.qmc)
+        rejects["naive"] = equicoordinate_rejects(naive.v_hat, naive.t_stats, cfg.alpha, cfg.qmc)
+    return np.array([rejects[m] for m in cfg.procedures], dtype=bool)
+
+
 def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[np.ndarray, float | None] | None:
-    """Replicate `rep`: its reject matrix (procedures x contrasts, in the
-    order of cfg.procedures) and MLE efficiency, or None for a fit that
-    fails or does not converge."""
+    """Replicate `rep`: its reject matrix and MLE efficiency, or None for a
+    fit that fails or does not converge, or whose statistics, V or mnq cutoff
+    cannot be computed (a degenerate sandwich, a quantile search that stalls)."""
     data = generate(cfg.scenario, np.random.SeedSequence(cfg.scenario.seed, spawn_key=(rep,)))
     try:
         fit = FITTERS[cfg.scenario.model](data)
@@ -108,13 +137,10 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[np.ndarray, float | Non
         return None
     if not fit.converged:
         return None
-
-    full = tuple(m for m in cfg.procedures if m != "naive")
-    decisions = evaluate_tests(fit, cfg.contrasts, data.n, cfg.alpha, full, cfg.qmc).decisions
-    if "naive" in cfg.procedures:
-        naive = evaluate_tests(naive_fit(fit), cfg.contrasts, data.n, cfg.alpha, ("mnq",), cfg.qmc)
-        decisions["naive"] = naive.decisions["mnq"]
-    rejects = np.array([decisions[m].reject for m in cfg.procedures], dtype=bool)
+    try:
+        rejects = _rejects(cfg, fit, data.n)
+    except (ValueError, QuantileConvergenceError):
+        return None
 
     efficiency = None
     if cfg.compute_efficiency:

@@ -8,13 +8,14 @@ import pytest
 
 from clmc.data import build_contrasts
 from clmc.harness import (
+    _SIM_QMC,
     ExperimentConfig,
     PRESETS,
     preset_config,
     run_experiment,
 )
 from clmc.models import FitError
-from clmc.mvnprob import QmcConfig
+from clmc.mvnprob import QmcConfig, QuantileConvergenceError
 from clmc.simgen import Exchangeable, ScenarioSpec
 
 TINY_QMC = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=3e-3, seed=5)
@@ -102,9 +103,47 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError):
             run_experiment(small_config(replicates=3, compute_efficiency=False))
 
+    @pytest.mark.parametrize("cause", ["contrast-variance", "indefinite-V", "quantile-stall"])
+    def test_degenerate_replicate_is_dropped_and_counted(self, monkeypatch, cause):
+        import clmc.harness as mod
+
+        real_fit, real_rejects = mod.FITTERS["mvn"], mod.equicoordinate_rejects
+        calls = {"fits": 0, "rejects": 0}
+
+        def fitter(d, opts=None):
+            fit = real_fit(d)
+            calls["fits"] += 1
+            if calls["fits"] != 2 or cause == "quantile-stall":
+                return fit
+            # the contrasts are b_k - b_1: zero variances make test_statistics
+            # raise; variances of 0.5 with covariances -0.5 give V = 2I - J,
+            # which is not positive semidefinite
+            gamma = fit.gamma_hat.copy()
+            gamma[:4, :4] = 0.0 if cause == "contrast-variance" else np.diag([-0.5, 1.0, 1.0, 1.0])
+            return dataclasses.replace(fit, gamma_hat=gamma)
+
+        def rejects(v, t, alpha, qmc):
+            calls["rejects"] += 1
+            if calls["rejects"] == 3 and cause == "quantile-stall":  # replicate 1's mnq
+                raise QuantileConvergenceError("quantile search stalled")
+            return real_rejects(v, t, alpha, qmc)
+
+        monkeypatch.setitem(mod.FITTERS, "mvn", fitter)
+        monkeypatch.setattr(mod, "equicoordinate_rejects", rejects)
+        s = run_experiment(small_config(replicates=4, compute_efficiency=False))
+        assert (s.replicates_completed, s.failures) == (3, 1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(replicates=0)
+        # a replicate whose tests raise ValueError is dropped, so a procedure
+        # the family cannot run is refused before any replicate
+        with pytest.raises(ValueError, match="unknown procedures"):
+            small_config(procedures=("mnq", "dunnett"))
+        with pytest.raises(ValueError, match="tukey"):
+            small_config(procedures=("mnq", "tukey"))
+        with pytest.raises(ValueError, match="contrasts address 5"):
+            small_config(contrasts=build_contrasts("many_to_one", 5, baseline=1))
         with pytest.raises(ValueError):
             small_config(truth_kind="b7")
         with pytest.raises(ValueError):
@@ -134,21 +173,28 @@ class TestRunExperiment:
 
         seen = []
 
+        def bits(word):
+            return np.array([ch == "1" for ch in word])
+
         def fake_tests(fit, cf, n, alpha, methods, qmc):
-            # replicates are told apart by their estimate; a lone "mnq" call
-            # evaluates the naive covariance
+            # replicates are told apart by their estimate; the call without
+            # procedures evaluates the naive covariance.  The statistics carry
+            # the replicate's patterns and V names the one the mnq rule returns
             key = fit.theta_hat.tobytes()
             if key not in seen:
                 seen.append(key)
             pattern = patterns[seen.index(key)]
-            names = {"mnq": "naive"} if methods == ("mnq",) else {m: m for m in methods}
-            return SimpleNamespace(decisions={
-                m: SimpleNamespace(reject=np.array([ch == "1" for ch in pattern[names[m]]]))
-                for m in methods
-            })
+            return SimpleNamespace(
+                t_stats=pattern, v_hat="naive" if not methods else "mnq",
+                decisions={m: SimpleNamespace(reject=bits(pattern[m])) for m in methods},
+            )
+
+        def fake_rejects(v, t, alpha, qmc):
+            return bits(t[v])
 
         monkeypatch.setitem(mod.FITTERS, "mvn", fitter)
         monkeypatch.setattr(mod, "evaluate_tests", fake_tests)
+        monkeypatch.setattr(mod, "equicoordinate_rejects", fake_rejects)
         cfg = small_config(replicates=6, compute_efficiency=False,
                            procedures=("mnq", "naive", "bonferroni", "holm"))
         s = run_experiment(cfg)
@@ -204,6 +250,21 @@ def test_summaries_reproduce_recorded_runs(case):
     # field is bit-identical (mvn-a1-efficiency has an efficiency ratio and
     # true alternatives, probit-null-dropped-pairwise drops 2 of 30 fits)
     assert summary_fields(run_experiment(_golden_config(case))) == case["summary"]
+
+
+SIM_GOLDEN = json.loads((Path(__file__).parent / "data" / "harness_sim_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", SIM_GOLDEN,
+                         ids=[f"{c['preset']}-{c['contrast_kind']}" for c in SIM_GOLDEN])
+def test_preset_summaries_reproduce_recorded_runs(case):
+    # recorded under the harness's own QMC settings (512 x 6 points) with the
+    # mnq and naive decisions |t| > equicoordinate_quantile(V); a decision
+    # that moves changes a reject rate
+    cfg = preset_config(case["preset"], replicates=case["replicates"], seed=case["seed"],
+                        contrast_kind=case["contrast_kind"])
+    assert cfg.qmc == _SIM_QMC
+    assert summary_fields(run_experiment(cfg)) == case["summary"]
 
 
 class TestPresets:

@@ -23,6 +23,7 @@ from clmc.mvnprob import (
     _trapezoidal_cholesky,
     chi_square_quantile,
     equicoordinate_quantile,
+    equicoordinate_rejects,
     mvn_rectangle_prob,
     std_normal_cdf,
     std_normal_quantile,
@@ -615,3 +616,73 @@ class TestQuantileRoot:
         res = _quantile(_exchangeable(10, 0.9999), 0.05, qmc)
         assert ndtri(0.975) <= res.q < ndtri(1.0 - 0.05 / 20)
         assert res.q == pytest.approx(ndtri(0.975), abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# decisions without the finished cutoff search
+
+TINY = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=3e-3, seed=5)
+DECISION_CONFIGS = {"harness": _SIM_QMC, "cli": QmcConfig(), "tiny": TINY}
+
+
+def _rank_one(c, rng):
+    signs = rng.choice([-1.0, 1.0], size=c)
+    return np.outer(signs, signs)
+
+
+class TestEquicoordinateRejects:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["factor", "all-pairwise", "rank-one"]), c=st.integers(2, 15),
+           seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 1e-3, 0.03, 0.3, 1.5]),
+           alpha=st.sampled_from([0.05, 0.1]), name=st.sampled_from(list(DECISION_CONFIGS)))
+    def test_same_decisions_as_the_cutoff(self, kind, c, seed, spread, alpha, name):
+        rng = np.random.default_rng(seed)
+        if kind == "factor":
+            v = factor_model_corr(c, rng.integers(0, 4), rng)
+        elif kind == "all-pairwise":
+            v = family_corr("all_pairwise", 3 + c % 4)  # singular, c = 3, 6, 10 or 15
+        else:
+            v = _rank_one(c, rng)
+        cfg = DECISION_CONFIGS[name]
+        k = len(v)
+        q = equicoordinate_quantile(v, alpha, cfg)
+        # |t| around the cutoff (spread 0: all at 0, far below it), and the
+        # values where a decision could flip
+        lo, hi = ndtri(1.0 - alpha / 2.0), ndtri(1.0 - alpha / (2.0 * k))
+        special = [lo, hi, q, q - 1e-9, q + 1e-9]
+        t = np.abs(q + spread * rng.standard_normal(k)) if spread else np.zeros(k)
+        at = rng.choice(k, size=min(k, rng.integers(1, 4)), replace=False)
+        t[at] = rng.choice(special, size=len(at))
+        t *= rng.choice([-1.0, 1.0], size=k)
+        np.testing.assert_array_equal(equicoordinate_rejects(v, t, alpha, cfg), np.abs(t) > q)
+
+    @pytest.mark.parametrize("name", DECISION_CONFIGS)
+    def test_no_pass_when_every_statistic_is_outside_the_bounds(self, name, monkeypatch):
+        import clmc.mvnprob as mod
+
+        def never(*args):
+            raise AssertionError("integrand evaluated")
+
+        v = family_corr("many_to_one", 10)
+        lo, hi = ndtri(0.975), ndtri(1.0 - 0.05 / 18)
+        t = np.array([0.0, -lo, lo, hi + 1e-12, -4.0, 1.0, -0.5, 10.0, 0.1])
+        monkeypatch.setattr(mod, "_conditioned_means", never)
+        np.testing.assert_array_equal(equicoordinate_rejects(v, t, 0.05, DECISION_CONFIGS[name]),
+                                      np.abs(t) > lo)
+
+    @pytest.mark.parametrize("offset", [None, -0.05, 0.05])
+    def test_fewer_full_passes_than_the_finished_search(self, offset):
+        # the many-to-one p = 20 family's V, as in the mvn-null-rho05-m10-p20
+        # preset (cutoff about 2.89, lo 1.96); one statistic in (lo, 2.6] or
+        # near the cutoff, the rest at 0
+        v = family_corr("many_to_one", 20)
+        full = _quantile(v, 0.05, _SIM_QMC)
+        t = np.zeros(19)
+        t[4] = 2.3 if offset is None else full.q + offset
+        res = _quantile(v, 0.05, _SIM_QMC, decide=t)
+        assert res.passes < full.passes
+        np.testing.assert_array_equal(t > res.q, t > full.q)
+
+    def test_statistics_must_match_the_dimension(self):
+        with pytest.raises(ValueError, match="dimension"):
+            equicoordinate_rejects(np.eye(3), np.zeros(4), 0.05, TINY)
