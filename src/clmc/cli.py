@@ -293,9 +293,7 @@ def cmd_test(args) -> int:
         print("error: fit did not converge", file=sys.stderr)
         return 1
     qmc = QmcConfig(points_per_shift=args.qmc_points, shifts=args.qmc_shifts, seed=args.seed)
-    result = evaluate_tests(
-        fit, cf, data.n, args.alpha, methods, qmc, mnq_adjusted_p="mnq" in methods
-    )
+    result = evaluate_tests(fit, cf, data.n, args.alpha, methods, qmc)
     rows = []
     for i, label in enumerate(result.labels):
         row = {"hypothesis": label, "t": _fmt(result.t_stats[i])}

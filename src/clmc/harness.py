@@ -11,9 +11,10 @@ rates, ordering violations and the mean efficiency.  The pseudo-procedure
 correlation-ignoring covariance H^-1 (`models.naive_fit`) instead of the
 full sandwich; everything else uses the sandwich.  Both mnq rules read
 only which statistics exceed the cutoff, so they come from
-`mvnprob.equicoordinate_rejects`, which stops the cutoff search once every
-statistic is on a known side of it: the decisions of the finished search,
-in 1-3 integrand passes per rule on average where it makes 3-4.
+`mvnprob.equicoordinate_rejects`, which reads them off P(max|Z| <= |t_i|)
+on the cutoff search's points (the max-T identity): the decisions of the
+finished search, in 1-2 integrand passes per rule on average where it
+makes 3-4.
 
 Replicate r draws its generator seed from SeedSequence(master, spawn_key=(r,)),
 and outcomes are collected in replicate order, so results are identical for
@@ -25,6 +26,7 @@ not converge, or whose statistics, V or mnq cutoff cannot be computed
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -173,11 +175,13 @@ def _ordering_violations(procedures: tuple[str, ...], rejects: np.ndarray) -> di
 def run_experiment(cfg: ExperimentConfig) -> SimSummary:
     """Run all replicates (optionally across processes) and summarize."""
     reps = range(cfg.replicates)
-    if cfg.workers <= 1:
+    # the pool forks all its workers at the first submit, needed or not
+    workers = min(cfg.workers, cfg.replicates, os.cpu_count() or 1)
+    if workers <= 1:
         outcomes = [_replicate(cfg, rep) for rep in reps]
     else:
-        chunksize = max(1, cfg.replicates // (4 * cfg.workers))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        chunksize = max(1, cfg.replicates // (4 * workers))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(partial(_replicate, cfg), reps, chunksize=chunksize))
     done = [out for out in outcomes if out is not None]
     completed = len(done)

@@ -122,7 +122,6 @@ def adjust(
     alpha: float,
     cf: ContrastFamily,
     cfg: QmcConfig = QmcConfig(),
-    mnq_adjusted_p: bool = False,
 ) -> MethodDecision:
     """Apply one multiple-comparison procedure to the statistics `t`."""
     t = np.asarray(t, dtype=float)
@@ -152,10 +151,7 @@ def adjust(
         cut = studentized_range_quantile(cf.p, alpha) / np.sqrt(2.0)
         return MethodDecision("tukey", abs_t > cut, cut)
     if method == "mnq":
-        if mnq_adjusted_p:
-            cut, adj = equicoordinate_quantile(v_hat, alpha, cfg, p_values_at=abs_t)
-        else:
-            cut, adj = equicoordinate_quantile(v_hat, alpha, cfg), None
+        cut, adj = equicoordinate_quantile(v_hat, alpha, cfg, p_values_at=abs_t)
         return MethodDecision("mnq", abs_t > cut, cut, adjusted_p=adj)
     raise ValueError(f"unknown method {method!r}")
 
@@ -181,12 +177,9 @@ def evaluate_tests(
     alpha: float = 0.05,
     methods: tuple[str, ...] = ("mnq", "bonferroni", "sidak", "holm", "scheffe"),
     cfg: QmcConfig = QmcConfig(),
-    mnq_adjusted_p: bool = False,
 ) -> TestReport:
     """Compute T, estimate V, and run each requested procedure."""
     t = test_statistics(fit, cf, n)
     v = correlation_matrix_V(fit.gamma_hat, cf)
-    decisions = {
-        m: adjust(m, t, v, alpha, cf, cfg, mnq_adjusted_p=mnq_adjusted_p) for m in methods
-    }
+    decisions = {m: adjust(m, t, v, alpha, cf, cfg) for m in methods}
     return TestReport(t_stats=t, v_hat=v, alpha=alpha, labels=cf.labels, decisions=decisions)

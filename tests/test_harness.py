@@ -54,6 +54,34 @@ class TestRunExperiment:
         s2 = run_experiment(small_config(workers=2))
         assert summary_fields(s1) == summary_fields(s2)
 
+    @pytest.mark.parametrize("workers, cpus, pool", [(500, 64, 4), (3, 2, 2), (500, None, None)])
+    def test_pool_is_sized_by_replicates_and_cpus(self, monkeypatch, workers, cpus, pool):
+        # the pool forks all max_workers at its first submit; this fake starts
+        # no process and maps serially, recording the size it was asked for
+        import clmc.harness as mod
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                assert chunksize >= 1
+                return map(fn, items)
+
+        monkeypatch.setattr(mod.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(mod.os, "cpu_count", lambda: cpus)
+        s = run_experiment(small_config(workers=workers, replicates=4))
+        assert sizes == ([] if pool is None else [pool])
+        assert summary_fields(s) == summary_fields(run_experiment(small_config(replicates=4)))
+
     def test_ordering_violations_zero(self):
         s = run_experiment(small_config(replicates=60))
         assert all(v == 0 for v in s.ordering_violations.values())

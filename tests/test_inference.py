@@ -197,7 +197,7 @@ class TestAdjust:
     def test_mnq_adjusted_p(self):
         cf = build_contrasts("many_to_one", 4, baseline=1)
         t = np.array([3.5, 1.0, 0.0])
-        dec = adjust("mnq", t, exchangeable(3, 0.4), 0.05, cf, FAST, mnq_adjusted_p=True)
+        dec = adjust("mnq", t, exchangeable(3, 0.4), 0.05, cf, FAST)
         assert dec.adjusted_p is not None
         assert np.all((dec.adjusted_p >= 0) & (dec.adjusted_p <= 1))
         assert dec.adjusted_p[0] < dec.adjusted_p[1] < dec.adjusted_p[2]
@@ -221,7 +221,7 @@ class TestAdjust:
         for offsets in ([-0.5, -0.05, -1e-3, 1e-3, 0.05, 0.5], [-2.0, -5e-3, 2e-3, -2e-3, 5e-3, 3.0],
                         [-1e-4, 1e-4, -2e-4, 2e-4, -4e-4, 4e-4]):
             t = (cut + np.array(offsets)) * np.array([1, -1, 1, -1, 1, -1])
-            dec = adjust("mnq", t, v, 0.05, cf, cfg, mnq_adjusted_p=True)
+            dec = adjust("mnq", t, v, 0.05, cf, cfg)
             assert dec.threshold == cut
             np.testing.assert_array_equal(dec.adjusted_p <= 0.05, np.abs(t) > cut)
             np.testing.assert_array_equal(dec.reject, np.abs(t) > cut)
@@ -233,7 +233,7 @@ class TestAdjust:
         cf = build_contrasts("many_to_one", 5, baseline=1)
         v = exchangeable(4, 0.5)
         t = np.array([2.9, -0.3, 1.7, -2.2])
-        dec = adjust("mnq", t, v, 0.05, cf, cfg, mnq_adjusted_p=True)
+        dec = adjust("mnq", t, v, 0.05, cf, cfg)
         rect = [1.0 - mvn_rectangle_prob(-np.full(4, a), np.full(4, a), v, cfg).value for a in np.abs(t)]
         assert dec.adjusted_p.tolist() == rect
 
@@ -245,7 +245,7 @@ class TestAdjust:
         cf = build_contrasts("all_pairwise", 10)
         v = cf.matrix @ cf.matrix.T / 2
         t = np.linspace(1.5, 3.5, 45)
-        dec = adjust("mnq", t, v, 0.05, cf, cfg, mnq_adjusted_p=True)
+        dec = adjust("mnq", t, v, 0.05, cf, cfg)
         single = dataclasses.replace(cfg, target_abs_error=1.0)
         undoubled = [mvn_rectangle_prob(-np.full(45, a), np.full(45, a), v, single) for a in t]
         assert max(r.std_error for r in undoubled) > cfg.target_abs_error

@@ -683,6 +683,21 @@ class TestEquicoordinateRejects:
         assert res.passes < full.passes
         np.testing.assert_array_equal(t > res.q, t > full.q)
 
+    @pytest.mark.parametrize("name", DECISION_CONFIGS)
+    def test_statistic_at_the_cutoff_falls_back_to_the_search(self, name):
+        # P at the finished search's root lies within the root tolerance of
+        # 1 - alpha, so the identity cannot place it; the search then runs on
+        # the same points after the pass at the statistic, and its root decides
+        cfg = DECISION_CONFIGS[name]
+        v = family_corr("many_to_one", 20)
+        full = _quantile(v, 0.05, cfg)
+        assert abs(full.prob - 0.95) <= cfg.target_abs_error / _ROOT_FRACTION
+        t = np.zeros(19)
+        t[4] = full.q
+        res = _quantile(v, 0.05, cfg, decide=t)
+        assert (res.q, res.passes, res.prefix_passes) == (full.q, full.passes + 1, full.prefix_passes)
+        assert not equicoordinate_rejects(v, -t, 0.05, cfg).any()
+
     def test_statistics_must_match_the_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
             equicoordinate_rejects(np.eye(3), np.zeros(4), 0.05, TINY)
