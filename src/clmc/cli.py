@@ -327,8 +327,17 @@ def cmd_test(args) -> int:
 def _config_from_json(path: str, args) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: the experiment must be a JSON object")
+
+    def shaped(key, default, kind, what):
+        value = raw.get(key, default)
+        if not isinstance(value, kind):
+            raise ValueError(f"{path}: {key!r} must be {what}")
+        return value
+
     model = raw["model"]
-    corr = raw.get("correlation")
+    corr = shaped("correlation", None, (dict, type(None)), "an object")
     if corr is not None:
         if corr.get("type") == "exchangeable":
             corr = Exchangeable(corr.get("sigma2", 1.0), corr.get("rho", 0.0))
@@ -350,18 +359,18 @@ def _config_from_json(path: str, args) -> ExperimentConfig:
         x_row_corr=float(raw.get("x_row_corr", 0.0)),
         x_scale=float(raw.get("x_scale", 1.0)),
     )
-    cspec = raw.get("contrasts", {"kind": "many_to_one", "baseline": 1})
-    if cspec["kind"] == "many_to_one":
-        contrasts = build_contrasts("many_to_one", scenario.p, baseline=cspec.get("baseline", 1))
-    else:
-        contrasts = build_contrasts("all_pairwise", scenario.p)
+    cspec = shaped("contrasts", {"kind": "many_to_one"}, dict, "an object")
+    kind = cspec["kind"]
+    contrasts = build_contrasts(
+        kind, scenario.p, baseline=cspec.get("baseline", 1 if kind == "many_to_one" else None)
+    )
     return ExperimentConfig(
         scenario=scenario,
         contrasts=contrasts,
         truth_kind=raw.get("truth_kind", "null"),
         replicates=int(raw.get("replicates", args.replicates)),
         alpha=float(raw.get("alpha", 0.05)),
-        procedures=tuple(raw.get("procedures", DEFAULT_PROCEDURES)),
+        procedures=tuple(shaped("procedures", DEFAULT_PROCEDURES, (list, tuple), "a list")),
         workers=args.workers,
         compute_efficiency=bool(raw.get("compute_efficiency", model == "mvn")),
     )
@@ -445,9 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--methods", default="mnq,bonferroni,sidak,holm,scheffe")
     p_test.add_argument("--naive", action="store_true")
-    p_test.add_argument("--seed", type=int, default=20240801)
-    p_test.add_argument("--qmc-points", type=int, default=4096)
-    p_test.add_argument("--qmc-shifts", type=int, default=12)
+    p_test.add_argument("--seed", type=int, default=20240801,
+                        help="seed of the QMC scrambles; mnq output is a function of it")
+    p_test.add_argument("--qmc-points", type=int, default=4096,
+                        help="starting Sobol points per shift, rounded up to a power of two; "
+                             "an mnq p-value grows them until 3 SEs fit in 5e-4, the cutoff "
+                             "until 1 SE does (default 4096)")
+    p_test.add_argument("--qmc-shifts", type=int, default=12,
+                        help="independent scrambles; their spread is each estimate's SE "
+                             "(default 12)")
     p_test.add_argument("--format", **common)
     p_test.add_argument("--output")
     p_test.set_defaults(func=cmd_test)

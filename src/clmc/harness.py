@@ -186,7 +186,7 @@ def run_experiment(cfg: ExperimentConfig) -> SimSummary:
     done = [out for out in outcomes if out is not None]
     completed = len(done)
     if completed == 0:
-        raise RuntimeError("every replicate failed to produce a converged fit")
+        raise RuntimeError("every replicate was dropped (its fit, statistics or mnq decisions failed)")
 
     # replicate outcomes arrive in replicate order for any worker count, so
     # every sum below is bit-identical across worker counts

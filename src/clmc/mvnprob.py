@@ -13,8 +13,10 @@ where its limits are intersected with those of the other rows of that stage
 (Genz & Bretz 2009, Sec. 4.1.3).  For a full-rank R every stage has one row.
 The cube integral is evaluated with randomized quasi-Monte Carlo (scrambled
 Sobol points); independent scrambles ("shifts") give an empirical standard
-error, and the point count per shift is doubled until the requested absolute
-error is met.  Variables are pre-ordered by ascending univariate interval
+error.  One rule sizes every estimate: it is accepted when 3 standard errors
+fit in the requested absolute error, a bound on its true error, and a miss
+jumps straight to the point count that the standard error asks for (Genz &
+Bretz 2009, Ch. 4).  Variables are pre-ordered by ascending univariate interval
 probability, which reduces the variance of the conditioned integrand.
 R is validated, never repaired: the semidefinite Cholesky's rank tolerance
 absorbs the negative eigenvalue noise of an estimated singular R.
@@ -29,11 +31,11 @@ target_abs_error / 200 of 1 - alpha.  On a stack of at least 4096 points per
 shift it runs in two stages: first on the stack's first 1/16 points per
 shift (a power-of-two prefix of a scrambled Sobol sequence is itself a
 randomized net) to target_abs_error / 20, then on the full stack from that
-root.  Adjusted p-values start on the same prefix and double their points
-until 3 standard errors fit in target_abs_error, a bound on the true error;
-one near alpha, or whose side of alpha disagrees with the cutoff's decision,
-is taken on the quantile's full stack instead.  All estimates are
-deterministic functions of the configured seed.
+root; the point count is sized there at 1 standard error.  Adjusted p-values
+start on the same prefix, or on the quantile's points without a prefix
+stage, and follow the 3-SE rule; one near alpha, or whose side of alpha
+disagrees with the cutoff's decision, is taken on the quantile's points
+instead.  All estimates are deterministic functions of the configured seed.
 
 A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
 (Hothorn, Bretz & Westfall 2008), so `equicoordinate_rejects` takes P at
@@ -45,6 +47,7 @@ tolerance of 1 - alpha: the decisions of the finished search.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,12 +81,14 @@ class QuantileConvergenceError(RuntimeError):
 class QmcConfig:
     """Settings for the randomized quasi-Monte Carlo integrator.
 
-    `points_per_shift` is the full Sobol stack per shift, before any doubling.
-    From 4096 points the quantile search and the adjusted p-values start on
-    its first 1/16; a smaller stack is used whole.  A rectangle probability
-    meets `target_abs_error` as 1 standard error, an adjusted p-value taken on
-    a prefix as 3, so a printed 4-digit mnq p-value carries up to
-    `target_abs_error` of QMC error.
+    `points_per_shift`, rounded up to a power of two, is the starting Sobol
+    stack per shift.  From 4096 points the quantile search and the adjusted
+    p-values start on its first 1/16; a smaller stack is used whole.  A
+    rectangle probability or an adjusted p-value is accepted when 3 standard
+    errors fit in `target_abs_error`, so a printed 4-digit mnq p-value
+    carries up to `target_abs_error` of QMC error; the quantile's points are
+    sized at 1 standard error.  An estimate that misses grows its stack to
+    at most 64 times the starting one.
     """
 
     points_per_shift: int = 4096
@@ -287,17 +292,20 @@ def _mean_se(means: np.ndarray) -> tuple[float, float]:
     return float(means.mean()), float(means.std(ddof=1) / np.sqrt(len(means)))
 
 
-def _doubled_points(dim: int, cfg: QmcConfig, per_shift_means) -> tuple[np.ndarray, float, float]:
-    """The Sobol stack, doubled from cfg.points_per_shift at most
-    _MAX_DOUBLINGS times until the standard error of per_shift_means(points)
-    meets cfg.target_abs_error; returns the points, the estimate and its SE."""
-    n = _next_pow2(cfg.points_per_shift)
-    for level in range(_MAX_DOUBLINGS + 1):
-        pts = _sobol_stack(dim, n << level, cfg.shifts, cfg.seed)
+def _estimate(per_shift_means, stack: np.ndarray, n: int, cfg: QmcConfig, ses: int = 3):
+    """per_shift_means on the first n points per shift of `stack`, accepted
+    once `ses` standard errors fit in cfg.target_abs_error.  A miss jumps to
+    n (ses SE / target)^2 points, rounded up to a power of two and at least
+    2n, taken from `stack` while it is long enough and from a fresh stack
+    beyond it, until the estimate is accepted or has _MAX_DOUBLINGS doublings
+    of cfg.points_per_shift.  Returns the points, the estimate and its SE."""
+    cap = _next_pow2(cfg.points_per_shift) << _MAX_DOUBLINGS
+    while True:
+        pts = stack[:, :n] if n <= stack.shape[1] else _sobol_stack(stack.shape[2], n, cfg.shifts, cfg.seed)
         value, se = _mean_se(per_shift_means(pts))
-        if se <= cfg.target_abs_error:
-            break
-    return pts, value, se
+        if ses * se <= cfg.target_abs_error or n >= cap:
+            return pts, value, se
+        n = min(cap, max(2 * n, _next_pow2(math.ceil(n * (ses * se / cfg.target_abs_error) ** 2))))
 
 
 def mvn_rectangle_prob(lower, upper, corr, cfg: QmcConfig = QmcConfig()) -> ProbEstimate:
@@ -323,9 +331,9 @@ def mvn_rectangle_prob(lower, upper, corr, cfg: QmcConfig = QmcConfig()) -> Prob
         value = _conditioned_means(a, b, chol, stage, np.empty((1, 1, 0)))[0]
         return ProbEstimate(float(np.clip(value, 0.0, 1.0)), 0.0)
 
-    _, value, se = _doubled_points(
-        chol.shape[1] - 1, cfg, lambda pts: _conditioned_means(a, b, chol, stage, pts)
-    )
+    n = _next_pow2(cfg.points_per_shift)
+    _, value, se = _estimate(lambda pts: _conditioned_means(a, b, chol, stage, pts),
+                             _sobol_stack(chol.shape[1] - 1, n, cfg.shifts, cfg.seed), n, cfg)
     return ProbEstimate(float(np.clip(value, 0.0, 1.0)), se)
 
 
@@ -353,10 +361,6 @@ _PREFIX_ROOT_FRACTION = 20
 _PREFIX_SHARE = 16
 _MIN_PREFIX = 256
 _MAX_STEPS = 40
-
-# an adjusted p-value taken on a prefix has _P_VALUE_SES standard errors within
-# target_abs_error: a bound on its true error, not a 1-SE guess
-_P_VALUE_SES = 3
 
 
 def _independence_slope(q: float, p: float) -> float:
@@ -420,16 +424,14 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=(), decide=None) -> 
     law of independent coordinates fitted through P(hi).  On a stack of
     cfg.points_per_shift >= _PREFIX_SHARE * _MIN_PREFIX points it first runs on
     the stack's prefix to a loose tolerance, then on the full stack from the
-    prefix root with the prefix's last slope.  The point count is chosen from
-    the SE at the first full-stack q (the prefix root, or hi without a prefix
-    stage) and every later trial q reuses those points.
+    prefix root with the prefix's last slope.  The point count is sized by
+    `_estimate` at 1 SE at the first full-stack q (the prefix root, or hi
+    without a prefix stage) and every later trial q reuses those points.
 
-    `exceed` is 1 - P(t) at each t of `exceed_at`.  With a prefix stage it is
-    taken on the prefix, doubled (within the stack, then beyond it) until
-    _P_VALUE_SES SEs meet cfg.target_abs_error, unless that value lies within
-    the target of alpha or disagrees on (p <= alpha) with t > q.  Otherwise,
-    and without a prefix stage, it is taken on the quantile's points, or on
-    doubled points where its SE there misses the target.
+    `exceed` is 1 - P(t) at each t of `exceed_at`, sized by `_estimate` from
+    the prefix, or from the quantile's points without a prefix stage.  A value
+    within the target of alpha, or that disagrees on (p <= alpha) with t > q,
+    is taken on the quantile's points instead.
 
     Given the absolute statistics `decide`, q only separates the decisions
     t > q: lo, with no pass, when no t lies in (lo, hi].  Otherwise, on the
@@ -474,9 +476,9 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=(), decide=None) -> 
         passes += 1
         return means_at(q, pts)
 
-    q, slope = hi, None
+    q, slope, stack = hi, None, _sobol_stack(dim, n, cfg.shifts, cfg.seed)
     if with_prefix:
-        prefix = np.ascontiguousarray(_sobol_stack(dim, n, cfg.shifts, cfg.seed)[:, :prefix_n])
+        prefix = np.ascontiguousarray(stack[:, :prefix_n])
 
         def prefix_prob(q: float) -> tuple[float, float]:
             nonlocal prefix_passes
@@ -487,7 +489,7 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=(), decide=None) -> 
         q, _, _, slope = _secant(prefix_prob, hi, p, se, _independence_slope(hi, p), lo, hi,
                                  target, cfg.target_abs_error / _PREFIX_ROOT_FRACTION)
     # the point count is chosen from the SE at the first full-stack q
-    pts, p, se = _doubled_points(dim, cfg, functools.partial(full_pass, q))
+    pts, p, se = _estimate(functools.partial(full_pass, q), stack, n, cfg, ses=1)
     if slope is None:
         slope = _independence_slope(hi, p)
     tol = cfg.target_abs_error / _ROOT_FRACTION
@@ -505,19 +507,10 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=(), decide=None) -> 
 
     def exceed_prob(t: float) -> float:
         means = functools.partial(means_at, t)
-        if with_prefix:
-            size, t_se, bound = prefix_n, np.inf, cfg.target_abs_error / _P_VALUE_SES
-            while t_se > bound and size <= n << _MAX_DOUBLINGS:
-                stack = pts if size <= pts.shape[1] else _sobol_stack(dim, size, cfg.shifts, cfg.seed)
-                t_p, t_se = _mean_se(means(stack[:, :size]))
-                size *= 2
-            if abs(1.0 - t_p - alpha) > cfg.target_abs_error and (1.0 - t_p <= alpha) == (t > q):
-                return t_p
-        t_p, t_se = _mean_se(means(pts))
-        if t_se > cfg.target_abs_error:
-            # the points were sized near P = 1 - alpha; a mid-range P(t) can need more
-            t_p = _doubled_points(dim, cfg, means)[1]
-        return t_p
+        t_p = _estimate(means, pts, prefix_n if with_prefix else pts.shape[1], cfg)[1]
+        if abs(1.0 - t_p - alpha) > cfg.target_abs_error and (1.0 - t_p <= alpha) == (t > q):
+            return t_p
+        return _mean_se(means(pts))[0]
 
     probs = [exceed_prob(t) for t in exceed_at]
     return _Quantile(q, p, se, passes, prefix_passes, pts.shape[1], 1.0 - np.clip(probs, 0.0, 1.0))
@@ -535,12 +528,11 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig(), p_
     to cfg.target_abs_error / 20, and the full stack continues from there.
 
     Given statistics `p_values_at`, returns (q, p), p_i = P(max_j |Z_j| > |t_i|).
-    With a prefix stage p_i starts on the prefix and doubles its points until
-    3 standard errors fit in cfg.target_abs_error.  A p_i within the target of
-    alpha, or whose side of alpha disagrees with |t_i| > q, and every p_i
-    without a prefix stage, is estimated on the points that gave q, doubled
-    only where its SE there misses the target; on those points p_i <= alpha
-    exactly where P(|t_i|) >= 1 - alpha.
+    p_i starts on the prefix (on the points that gave q without a prefix
+    stage) and is accepted when 3 standard errors fit in cfg.target_abs_error.
+    A p_i within the target of alpha, or whose side of alpha disagrees with
+    |t_i| > q, is estimated on the points that gave q; on those points
+    p_i <= alpha exactly where P(|t_i|) >= 1 - alpha.
     """
     res = _quantile(corr, alpha, cfg, () if p_values_at is None else np.abs(p_values_at))
     return res.q if p_values_at is None else (res.q, res.exceed)

@@ -415,7 +415,8 @@ class TestErrorPath:
         monkeypatch.setitem(FITTERS, "mvn", broken)
         rc = main(["simulate", "--preset", "mvn-null-rho0-m4-p10", "--replicates", "2"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: every replicate failed to produce a converged fit\n"
+        assert capsys.readouterr().err == (
+            "error: every replicate was dropped (its fit, statistics or mnq decisions failed)\n")
 
 
 class TestSimulateCommand:
@@ -452,6 +453,25 @@ class TestSimulateCommand:
         assert rc == 0
         rows = json.loads(capsys.readouterr().out)
         assert all(r["replicates"] == 4 for r in rows)
+
+    @pytest.mark.parametrize("change, message", [
+        (None, "the experiment must be a JSON object"),
+        ({"correlation": 0.5}, "'correlation' must be an object"),
+        ({"contrasts": 5}, "'contrasts' must be an object"),
+        ({"procedures": 5}, "'procedures' must be a list"),
+        ({"contrasts": {"kind": "bogus"}}, "cannot build contrasts of kind 'bogus'"),
+    ], ids=["top-level-list", "correlation-number", "contrasts-number", "procedures-number",
+            "unknown-contrast-kind"])
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, change, message):
+        cfg = {"model": "mvn", "n": 50, "m": 4, "p": 3, "beta": [0, 0, 0], "replicates": 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([1] if change is None else {**cfg, **change}))
+        rc = main(["simulate", "--config", str(path)])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert message in out.err
 
     def test_preset_and_config_mutually_exclusive(self, capsys):
         assert main(["simulate"]) == 1

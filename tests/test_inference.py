@@ -239,8 +239,8 @@ class TestAdjust:
 
     def test_mnq_adjusted_p_meets_the_target_off_the_cutoff(self):
         # the quantile's 256 points meet the target near P = 0.95 but not at
-        # mid-range P; there the p-values double their points as the rectangle
-        # probability does, and equal it
+        # mid-range P; off the cutoff the p-values grow their points by the
+        # rectangle probability's 3-SE rule, and equal it
         cfg = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=5e-4, seed=3)
         cf = build_contrasts("all_pairwise", 10)
         v = cf.matrix @ cf.matrix.T / 2
@@ -250,7 +250,7 @@ class TestAdjust:
         undoubled = [mvn_rectangle_prob(-np.full(45, a), np.full(45, a), v, single) for a in t]
         assert max(r.std_error for r in undoubled) > cfg.target_abs_error
         rect = [mvn_rectangle_prob(-np.full(45, a), np.full(45, a), v, cfg) for a in t]
-        assert max(r.std_error for r in rect) <= cfg.target_abs_error
+        assert max(3 * r.std_error for r in rect) <= cfg.target_abs_error
         assert dec.adjusted_p.tolist() == [1.0 - r.value for r in rect]
 
     def test_unknown_method(self):

@@ -345,6 +345,15 @@ class TestGammaFit:
         with pytest.raises(FitError):
             gamma_cl_fit(d)
 
+    @pytest.mark.parametrize("second", [np.zeros(4), np.array([1.0, 2.0, 0.5, 1.5])],
+                             ids=["zero column", "repeated column"])
+    def test_singular_design_is_a_fit_error(self, second):
+        # the harness drops a replicate only on FitError; a LinAlgError would end the run
+        x = np.c_[[1.0, 2.0, 0.5, 1.5], second]
+        d = ClusteredDataset(x, [1.0, 2.0, 1.5, 0.7], [2, 2], ["0", "1"], "positive")
+        with pytest.raises(FitError, match="singular design matrix"):
+            gamma_cl_fit(d)
+
     def test_j_hat_psd_and_sandwich_identity(self):
         spec = ScenarioSpec("gamma", n=120, m=3, p=2, beta=np.array([0.4, 0.2]),
                             correlation=Exchangeable(1.0, 0.5), nu=1.0, seed=20)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -553,6 +554,31 @@ def test_full_rank_cutoffs_unchanged(make, cli_cut, harness_cut):
     assert equicoordinate_quantile(v, 0.05, HARNESS) == pytest.approx(harness_cut, abs=1e-12)
 
 
+FINE = QmcConfig(points_per_shift=2**15, seed=11)
+P_VALUE_V = dict(zip(["many-to-one p10", "all-pairwise p10", "factor 0", "factor 1", "factor 2"],
+                     [family_corr("many_to_one", 10), family_corr("all_pairwise", 10), *FACTOR_V]))
+P_VALUE_T = np.array([1.8, 2.2, 2.6, 3.0])
+
+
+@functools.lru_cache(maxsize=None)
+def fine_exceed(name):
+    """P(max_i |Z_i| > t) at each t of P_VALUE_T for V = P_VALUE_V[name], on FINE."""
+    v = P_VALUE_V[name]
+    c = len(v)
+    return tuple(1.0 - mvn_rectangle_prob(-np.full(c, x), np.full(c, x), v, FINE).value for x in P_VALUE_T)
+
+
+@pytest.mark.parametrize("v", FACTOR_V, ids=["factor 0", "factor 1", "factor 2"])
+def test_rectangle_prob_meets_the_target_against_a_fine_reference(v):
+    # 3 standard errors fit in the target: a bound on the true error
+    c = len(v)
+    for lower, upper in ((np.full(c, -2.2), np.full(c, 2.2)), (np.full(c, -1.8), np.full(c, 2.6)),
+                         (np.full(c, -np.inf), np.full(c, 2.0))):
+        est = mvn_rectangle_prob(lower, upper, v, QmcConfig())
+        ref = mvn_rectangle_prob(lower, upper, v, FINE)
+        assert abs(est.value - ref.value) <= QmcConfig().target_abs_error
+
+
 class TestQuantileRoot:
     @pytest.mark.parametrize("name", QMC_CONFIGS)
     @pytest.mark.parametrize(
@@ -595,20 +621,17 @@ class TestQuantileRoot:
         else:
             assert res.prob >= 0.95 - tol
 
-    @pytest.mark.parametrize(
-        "v",
-        [family_corr("many_to_one", 10), family_corr("all_pairwise", 10), *FACTOR_V],
-        ids=["many-to-one p10", "all-pairwise p10", "factor 0", "factor 1", "factor 2"],
-    )
-    def test_cli_adjusted_p_meets_the_target_against_a_fine_reference(self, v):
-        # the p-values start on a prefix of the quantile's stack; the target is
+    @pytest.mark.parametrize("name, points", [
+        *(pytest.param(name, 4096, id=name) for name in P_VALUE_V),
+        *(pytest.param(name, 1024, id=f"{name} at 1024 points") for name in P_VALUE_V),
+    ])
+    def test_cli_adjusted_p_meets_the_target_against_a_fine_reference(self, name, points):
+        # the p-values start on a prefix of the quantile's stack, or on the
+        # whole of a 1024-point stack, which has no prefix stage; the target is
         # a bound on their true error
-        c = len(v)
-        t = np.array([1.8, 2.2, 2.6, 3.0])
-        _, p = equicoordinate_quantile(v, 0.05, QmcConfig(), p_values_at=t)
-        fine = QmcConfig(points_per_shift=2**15, seed=11)
-        ref = [1.0 - mvn_rectangle_prob(-np.full(c, x), np.full(c, x), v, fine).value for x in t]
-        np.testing.assert_allclose(p, ref, rtol=0.0, atol=QmcConfig().target_abs_error)
+        cfg = QmcConfig(points_per_shift=points)
+        _, p = equicoordinate_quantile(P_VALUE_V[name], 0.05, cfg, p_values_at=P_VALUE_T)
+        np.testing.assert_allclose(p, fine_exceed(name), rtol=0.0, atol=cfg.target_abs_error)
 
     @pytest.mark.parametrize("qmc", QMC_CONFIGS.values(), ids=QMC_CONFIGS.keys())
     def test_near_rank_one_exchangeable(self, qmc):
