@@ -15,9 +15,9 @@ The cube integral is evaluated with randomized quasi-Monte Carlo (scrambled
 Sobol points); independent scrambles ("shifts") give an empirical standard
 error.  One rule sizes every estimate: it is accepted when 3 standard errors
 fit in the requested absolute error, a bound on its true error, and a miss
-jumps straight to the point count that the standard error asks for (Genz &
-Bretz 2009, Ch. 4).  Variables are pre-ordered by ascending univariate interval
-probability, which reduces the variance of the conditioned integrand.
+doubles the point count per shift (Genz & Bretz 2009, Ch. 4).  Variables are
+pre-ordered by ascending univariate interval probability, which reduces the
+variance of the conditioned integrand.
 R is validated, never repaired: the semidefinite Cholesky's rank tolerance
 absorbs the negative eigenvalue noise of an estimated singular R.
 
@@ -47,7 +47,6 @@ tolerance of 1 - alpha: the decisions of the finished search.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,8 +86,8 @@ class QmcConfig:
     rectangle probability or an adjusted p-value is accepted when 3 standard
     errors fit in `target_abs_error`, so a printed 4-digit mnq p-value
     carries up to `target_abs_error` of QMC error; the quantile's points are
-    sized at 1 standard error.  An estimate that misses grows its stack to
-    at most 64 times the starting one.
+    sized at 1 standard error.  An estimate that misses doubles its stack,
+    up to 64 times the starting one.
     """
 
     points_per_shift: int = 4096
@@ -292,20 +291,20 @@ def _mean_se(means: np.ndarray) -> tuple[float, float]:
     return float(means.mean()), float(means.std(ddof=1) / np.sqrt(len(means)))
 
 
-def _estimate(per_shift_means, stack: np.ndarray, n: int, cfg: QmcConfig, ses: int = 3):
-    """per_shift_means on the first n points per shift of `stack`, accepted
-    once `ses` standard errors fit in cfg.target_abs_error.  A miss jumps to
-    n (ses SE / target)^2 points, rounded up to a power of two and at least
-    2n, taken from `stack` while it is long enough and from a fresh stack
-    beyond it, until the estimate is accepted or has _MAX_DOUBLINGS doublings
-    of cfg.points_per_shift.  Returns the points, the estimate and its SE."""
+def _estimate(per_shift_means, stack: np.ndarray, n: int, cfg: QmcConfig, ses: int = 3,
+              final=lambda n, value: False):
+    """per_shift_means on the first n points per shift of `stack`, doubled
+    (within `stack`, then on a fresh stack beyond it) until `ses` standard
+    errors fit in cfg.target_abs_error, `final(n, estimate)` holds, or the
+    points reach _MAX_DOUBLINGS doublings of cfg.points_per_shift.  Returns
+    the points, the estimate and its SE."""
     cap = _next_pow2(cfg.points_per_shift) << _MAX_DOUBLINGS
     while True:
         pts = stack[:, :n] if n <= stack.shape[1] else _sobol_stack(stack.shape[2], n, cfg.shifts, cfg.seed)
         value, se = _mean_se(per_shift_means(pts))
-        if ses * se <= cfg.target_abs_error or n >= cap:
+        if ses * se <= cfg.target_abs_error or n >= cap or final(n, value):
             return pts, value, se
-        n = min(cap, max(2 * n, _next_pow2(math.ceil(n * (ses * se / cfg.target_abs_error) ** 2))))
+        n *= 2
 
 
 def mvn_rectangle_prob(lower, upper, corr, cfg: QmcConfig = QmcConfig()) -> ProbEstimate:
@@ -431,7 +430,8 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=(), decide=None) -> 
     `exceed` is 1 - P(t) at each t of `exceed_at`, sized by `_estimate` from
     the prefix, or from the quantile's points without a prefix stage.  A value
     within the target of alpha, or that disagrees on (p <= alpha) with t > q,
-    is taken on the quantile's points instead.
+    is taken on the quantile's points instead; an estimate already on them is
+    kept as it is.
 
     Given the absolute statistics `decide`, q only separates the decisions
     t > q: lo, with no pass, when no t lies in (lo, hi].  Otherwise, on the
@@ -507,10 +507,16 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=(), decide=None) -> 
 
     def exceed_prob(t: float) -> float:
         means = functools.partial(means_at, t)
-        t_p = _estimate(means, pts, prefix_n if with_prefix else pts.shape[1], cfg)[1]
-        if abs(1.0 - t_p - alpha) > cfg.target_abs_error and (1.0 - t_p <= alpha) == (t > q):
-            return t_p
-        return _mean_se(means(pts))[0]
+
+        def on_q_points(p: float) -> bool:
+            # near alpha, or on the other side of alpha from the decision t > q
+            return abs(1.0 - p - alpha) <= cfg.target_abs_error or (1.0 - p <= alpha) != (t > q)
+
+        used, t_p, _ = _estimate(means, pts, prefix_n if with_prefix else pts.shape[1], cfg,
+                                 final=lambda m, p: m == pts.shape[1] and on_q_points(p))
+        if on_q_points(t_p) and used.shape[1] != pts.shape[1]:
+            return _mean_se(means(pts))[0]
+        return t_p
 
     probs = [exceed_prob(t) for t in exceed_at]
     return _Quantile(q, p, se, passes, prefix_passes, pts.shape[1], 1.0 - np.clip(probs, 0.0, 1.0))
