@@ -51,6 +51,7 @@ from .mvnprob import (
 from .harness import (
     ExperimentConfig,
     SimSummary,
+    experiment_config,
     preset_config,
     run_experiment,
 )

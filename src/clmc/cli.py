@@ -19,11 +19,11 @@ import sys
 import numpy as np
 
 from .data import ClusteredDataset, ContrastFamily, build_contrasts, validate_dataset
-from .harness import DEFAULT_PROCEDURES, PRESETS, preset_config, run_experiment, ExperimentConfig
+from .harness import PRESETS, experiment_config, preset_config, run_experiment
 from .inference import METHODS, evaluate_tests
 from .models import FITTERS, naive_fit
 from .mvnprob import QmcConfig, std_normal_cdf
-from .simgen import Exchangeable, ScenarioSpec, Unstructured, generate
+from .simgen import generate
 
 
 # ---------------------------------------------------------------------------
@@ -324,58 +324,6 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _config_from_json(path: str, args) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: the experiment must be a JSON object")
-
-    def shaped(key, default, kind, what):
-        value = raw.get(key, default)
-        if not isinstance(value, kind):
-            raise ValueError(f"{path}: {key!r} must be {what}")
-        return value
-
-    model = raw["model"]
-    corr = shaped("correlation", None, (dict, type(None)), "an object")
-    if corr is not None:
-        if corr.get("type") == "exchangeable":
-            corr = Exchangeable(corr.get("sigma2", 1.0), corr.get("rho", 0.0))
-        elif corr.get("type") == "unstructured":
-            corr = Unstructured(np.array(corr["sigma"]))
-        else:
-            raise ValueError(f"unknown correlation type {corr!r}")
-    m = raw["m"]
-    scenario = ScenarioSpec(
-        model=model,
-        n=int(raw["n"]),
-        m=tuple(m) if isinstance(m, list) else int(m),
-        p=int(raw["p"]),
-        beta=np.array(raw["beta"], dtype=float),
-        correlation=corr,
-        w=float(raw.get("w", 0.0)),
-        nu=float(raw.get("nu", 1.0)),
-        seed=int(raw.get("seed", args.seed)),
-        x_row_corr=float(raw.get("x_row_corr", 0.0)),
-        x_scale=float(raw.get("x_scale", 1.0)),
-    )
-    cspec = shaped("contrasts", {"kind": "many_to_one"}, dict, "an object")
-    kind = cspec["kind"]
-    contrasts = build_contrasts(
-        kind, scenario.p, baseline=cspec.get("baseline", 1 if kind == "many_to_one" else None)
-    )
-    return ExperimentConfig(
-        scenario=scenario,
-        contrasts=contrasts,
-        truth_kind=raw.get("truth_kind", "null"),
-        replicates=int(raw.get("replicates", args.replicates)),
-        alpha=float(raw.get("alpha", 0.05)),
-        procedures=tuple(shaped("procedures", DEFAULT_PROCEDURES, (list, tuple), "a list")),
-        workers=args.workers,
-        compute_efficiency=bool(raw.get("compute_efficiency", model == "mvn")),
-    )
-
-
 def cmd_simulate(args) -> int:
     if args.list_presets:
         for name in PRESETS:
@@ -385,15 +333,17 @@ def cmd_simulate(args) -> int:
         print("error: give exactly one of --preset or --config", file=sys.stderr)
         return 1
     if args.preset:
-        cfg = preset_config(
-            args.preset,
-            replicates=args.replicates,
-            seed=args.seed,
-            workers=args.workers,
-            contrast_kind=args.contrast_kind,
-        )
+        cfg = preset_config(args.preset, args.replicates, args.seed, args.workers,
+                            args.contrast_kind or "many_to_one")
+    elif args.contrast_kind:
+        print("error: --contrast-kind applies to --preset only", file=sys.stderr)
+        return 1
     else:
-        cfg = _config_from_json(args.config, args)
+        try:
+            with open(args.config) as fh:
+                cfg = experiment_config(json.load(fh), args.replicates, args.seed, args.workers)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     summary = run_experiment(cfg)
     scenario_name = args.preset or args.config
 
@@ -410,7 +360,7 @@ def cmd_simulate(args) -> int:
         rows.append(row("mcle_vs_mle", "efficiency", _fmt(summary.efficiency),
                         _fmt(summary.efficiency_se)))
     if summary.failures:
-        rows.append(row("", "nonconverged_replicates", summary.failures))
+        rows.append(row("", "dropped_replicates", summary.failures))
     with _output(args.output) as out:
         _emit(rows, args.format, out)
     return 0
@@ -474,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replicates", type=int, default=2000)
     p_sim.add_argument("--seed", type=int, default=1234)
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--contrast-kind", default="many_to_one",
-                       choices=("many_to_one", "all_pairwise"))
+    p_sim.add_argument("--contrast-kind", choices=("many_to_one", "all_pairwise"),
+                       help="the preset's contrast family (default many_to_one)")
     p_sim.add_argument("--format", **common)
     p_sim.add_argument("--output")
     p_sim.set_defaults(func=cmd_simulate)

@@ -44,6 +44,7 @@ __all__ = [
     "SimSummary",
     "run_experiment",
     "PRESETS",
+    "experiment_config",
     "preset_config",
 ]
 
@@ -75,9 +76,9 @@ class ExperimentConfig:
         if self.compute_efficiency and self.scenario.model != "mvn":
             raise ValueError("efficiency ratios are defined for the gaussian model only")
         # checked here because _replicate drops a replicate whose tests raise ValueError
-        unknown = set(self.procedures) - set(METHODS) - {"naive"}
+        unknown = [m for m in self.procedures if m not in METHODS and m != "naive"]
         if unknown:
-            raise ValueError(f"unknown procedures {sorted(unknown)}")
+            raise ValueError(f"unknown procedures {unknown}")
         if "tukey" in self.procedures and self.contrasts.kind != "all_pairwise":
             raise ValueError("tukey applies to all-pairwise families only")
         if self.contrasts.p > self.scenario.p:
@@ -226,7 +227,74 @@ def run_experiment(cfg: ExperimentConfig) -> SimSummary:
 
 
 # ---------------------------------------------------------------------------
-# scenario presets
+# experiment descriptions
+
+
+def _numeric(value, key: str, kind=float):
+    """`value` converted by `kind` when it is a JSON number or a list of them;
+    anything else, text included, is a ValueError naming `key`."""
+    try:
+        if np.asarray(value).dtype.kind not in "iuf":
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key!r} must be numeric, got {value!r}") from None
+
+
+def experiment_config(raw, replicates: int = 2000, seed: int = 1234,
+                      workers: int = 1) -> ExperimentConfig:
+    """The experiment `raw`, a `clmc simulate --config` object, describes
+    (README "CLI examples" lists its keys); `replicates` and `seed` stand in
+    for absent keys.  A malformed field is a ValueError naming its key."""
+    if not isinstance(raw, dict):
+        raise ValueError("the experiment must be a JSON object")
+
+    def shaped(key, default, kind, what):
+        value = raw.get(key, default)
+        if not isinstance(value, kind):
+            raise ValueError(f"{key!r} must be {what}")
+        return value
+
+    model = raw.get("model")
+    corr = shaped("correlation", None, (dict, type(None)), "an object")
+    if corr is not None:
+        if corr.get("type") == "exchangeable":
+            corr = Exchangeable(_numeric(corr.get("sigma2", 1.0), "sigma2"),
+                                _numeric(corr.get("rho", 0.0), "rho"))
+        elif corr.get("type") == "unstructured":
+            corr = Unstructured(_numeric(corr.get("sigma"), "sigma", np.array))
+        else:
+            raise ValueError(f"unknown correlation type {corr!r}")
+    scenario = ScenarioSpec(
+        model=model,
+        n=_numeric(raw.get("n"), "n", int),
+        m=_numeric(raw.get("m"), "m", lambda m: tuple(m) if isinstance(m, list) else int(m)),
+        p=_numeric(raw.get("p"), "p", int),
+        beta=_numeric(raw.get("beta"), "beta", np.atleast_1d),
+        correlation=corr,
+        w=_numeric(raw.get("w", 0.0), "w"),
+        nu=_numeric(raw.get("nu", 1.0), "nu"),
+        seed=_numeric(raw.get("seed", seed), "seed", int),
+        x_row_corr=_numeric(raw.get("x_row_corr", 0.0), "x_row_corr"),
+        x_scale=_numeric(raw.get("x_scale", 1.0), "x_scale"),
+    )
+    cspec = shaped("contrasts", {"kind": "many_to_one"}, dict, "an object")
+    kind = cspec.get("kind")
+    baseline = cspec.get("baseline", 1 if kind == "many_to_one" else None)
+    contrasts = build_contrasts(
+        kind, scenario.p, baseline=None if baseline is None else _numeric(baseline, "baseline", int)
+    )
+    return ExperimentConfig(
+        scenario=scenario,
+        contrasts=contrasts,
+        truth_kind=raw.get("truth_kind", "null"),
+        replicates=_numeric(raw.get("replicates", replicates), "replicates", int),
+        alpha=_numeric(raw.get("alpha", 0.05), "alpha"),
+        procedures=tuple(shaped("procedures", DEFAULT_PROCEDURES, (list, tuple), "a list")),
+        workers=workers,
+        compute_efficiency=shaped("compute_efficiency", model == "mvn", bool, "true or false"),
+    )
+
 
 # Preset covariate design: rows of one cluster share a common factor with
 # correlation 0.15.  With fully independent rows the cross-row terms of the
@@ -237,15 +305,13 @@ def run_experiment(cfg: ExperimentConfig) -> SimSummary:
 # designs use one covariate vector per cluster (row correlation 1), the
 # cluster-level reading of their regression structure; anything much weaker
 # cannot produce the near-zero naive error rate seen for positive association.
-_X_ROW_CORR = 0.15
-
+#
 # Gaussian and probit preset covariates have standard deviation 5: the
 # documented powers of the tiny preset effect sizes (0.008-0.032) require a
 # per-coordinate standard error near 0.007 at n=200..500, which unit-variance
 # covariates cannot deliver.  The association-model presets keep unit scale,
 # whose stated standard-normal covariates match their documented powers.
-_X_SCALE = 5.0
-
+_SCALED = {"x_row_corr": 0.15, "x_scale": 5.0}
 
 # Preset effects by model: the value of every coefficient under the null,
 # the (index, value) of the one coefficient "a1" moves, and the values "a2"
@@ -258,14 +324,48 @@ _EFFECTS = {
 }
 
 
-def _beta(model: str, truth: str, p: int) -> np.ndarray:
+def _preset(model: str, truth: str, n: int, m, p: int, **design) -> dict:
     null, (k, a1), a2 = _EFFECTS[model]
-    b = np.full(p, null)
+    beta = [null] * p
     if truth == "a1":
-        b[k] = a1
+        beta[k] = a1
     elif truth == "a2":
-        b[1 : 1 + len(a2)] = a2
-    return b
+        beta[1 : 1 + len(a2)] = a2
+    return {"model": model, "truth_kind": truth, "n": n, "m": m, "p": p, "beta": beta, **design}
+
+
+# Each preset as a `clmc simulate --config` object, without its contrasts,
+# procedures, replicates and seed (`preset_config` supplies them).  Names
+# follow "<model>-<truth>-<design>", a leading 0 in a design number marking
+# a decimal point (rho02 is rho = 0.2, w05 is w = 0.5):
+#   mvn-{null,a1,a2}-rho{0,02,05}-m{4,10}-p{10,20}
+#   mvn-{null,a1,a2}-unstructured-m4-p10
+#   probit-{null,a1,a2}-rho{0,05}-m{4,10}-p{10,20}
+#   quadexp-{null,a1,a2}-w{0,05}-p{10,20}
+#   gamma-{null,a1,a2}-{independent,correlated}
+_TRUTHS = ("null", "a1", "a2")
+PRESETS = {
+    **{f"mvn-{t}-rho{r}-m{m}-p{p}": _preset(
+           "mvn", t, 200, m, p, correlation={"type": "exchangeable", "sigma2": 0.8, "rho": rho},
+           **_SCALED)
+       for t in _TRUTHS for r, rho in (("0", 0.0), ("02", 0.2), ("05", 0.5))
+       for m in (4, 10) for p in (10, 20)},
+    **{f"mvn-{t}-unstructured-m4-p10": _preset(
+           "mvn", t, 200, 4, 10,
+           correlation={"type": "unstructured", "sigma": UNSTRUCTURED_SIGMA_M4.tolist()}, **_SCALED)
+       for t in _TRUTHS},
+    **{f"probit-{t}-rho{r}-m{m}-p{p}": _preset(
+           "probit", t, 500, m, p, correlation={"type": "exchangeable", "rho": rho}, **_SCALED)
+       for t in _TRUTHS for r, rho in (("0", 0.0), ("05", 0.5))
+       for m in (4, 10) for p in (10, 20)},
+    **{f"quadexp-{t}-w{r}-p{p}": _preset("quadexp", t, 700, [4, 5, 6, 7, 8], p, w=w, x_row_corr=1.0)
+       for t in _TRUTHS for r, w in (("0", 0.0), ("05", 0.5)) for p in (10, 20)},
+    **{f"gamma-{t}-{c}": _preset("gamma", t, 3000, 3, 10, **design)
+       for t in _TRUTHS for c, design in (
+           ("independent", {"x_row_corr": 0.15}),
+           ("correlated", {"correlation": {"type": "exchangeable", "rho": 0.5},
+                           "x_row_corr": 1.0}))},
+}
 
 
 def preset_config(
@@ -275,94 +375,12 @@ def preset_config(
     workers: int = 1,
     contrast_kind: str = "many_to_one",
 ) -> ExperimentConfig:
-    """Build the named experiment configuration; `name` must be in PRESETS.
-
-    Names follow "<model>-<truth>-<design>":
-      mvn-{null,a1,a2}-rho{0,02,05}-m{4,10}-p{10,20}
-      mvn-{null,a1,a2}-unstructured-m4-p10
-      probit-{null,a1,a2}-rho{0,05}-m{4,10}-p{10,20}
-      quadexp-{null,a1,a2}-w{0,05}-p{10,20}
-      gamma-{null,a1,a2}-{independent,correlated}
-    """
+    """The experiment PRESETS[name] describes, testing either the many-to-one
+    family against coefficient 1 or the all-pairwise family (Tukey added)."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    model, truth, *design = name.split("-")
-
-    def _num(tag: str, prefix: str) -> float:
-        raw = tag.removeprefix(prefix)
-        return float(raw[0] + "." + raw[1:]) if len(raw) > 1 else float(raw)
-
-    if model == "mvn":
-        if design[0] == "unstructured":
-            corr = Unstructured(UNSTRUCTURED_SIGMA_M4)
-        else:
-            corr = Exchangeable(0.8, _num(design[0], "rho"))
-        m, p = int(design[1][1:]), int(design[2][1:])
-        scenario = ScenarioSpec(
-            "mvn", 200, m, p, _beta("mvn", truth, p), corr, seed=seed,
-            x_row_corr=_X_ROW_CORR, x_scale=_X_SCALE,
-        )
-    elif model == "probit":
-        rho = _num(design[0], "rho")
-        m, p = int(design[1][1:]), int(design[2][1:])
-        scenario = ScenarioSpec(
-            "probit", 500, m, p, _beta("probit", truth, p), Exchangeable(1.0, rho),
-            seed=seed, x_row_corr=_X_ROW_CORR, x_scale=_X_SCALE,
-        )
-    elif model == "quadexp":
-        w = _num(design[0], "w")
-        p = int(design[1][1:])
-        scenario = ScenarioSpec(
-            "quadexp", 700, (4, 5, 6, 7, 8), p, _beta("quadexp", truth, p), w=w,
-            seed=seed, x_row_corr=1.0,
-        )
-    else:
-        p = 10
-        corr = None if design[0] == "independent" else Exchangeable(1.0, 0.5)
-        xr = _X_ROW_CORR if design[0] == "independent" else 1.0
-        scenario = ScenarioSpec(
-            "gamma", 3000, 3, p, _beta("gamma", truth, p), corr, nu=1.0, seed=seed,
-            x_row_corr=xr,
-        )
-
-    if contrast_kind == "many_to_one":
-        contrasts = build_contrasts("many_to_one", scenario.p, baseline=1)
-        procedures = DEFAULT_PROCEDURES
-    else:
-        contrasts = build_contrasts("all_pairwise", scenario.p)
-        procedures = DEFAULT_PROCEDURES + ("tukey",)
-    return ExperimentConfig(
-        scenario=scenario,
-        contrasts=contrasts,
-        truth_kind=truth,
-        replicates=replicates,
-        procedures=procedures,
-        workers=workers,
-        compute_efficiency=model == "mvn",
-    )
-
-
-PRESETS = tuple(
-    [
-        f"mvn-{t}-rho{r}-m{m}-p{p}"
-        for t in ("null", "a1", "a2")
-        for r in ("0", "02", "05")
-        for m in (4, 10)
-        for p in (10, 20)
-    ]
-    + [f"mvn-{t}-unstructured-m4-p10" for t in ("null", "a1", "a2")]
-    + [
-        f"probit-{t}-rho{r}-m{m}-p{p}"
-        for t in ("null", "a1", "a2")
-        for r in ("0", "05")
-        for m in (4, 10)
-        for p in (10, 20)
-    ]
-    + [
-        f"quadexp-{t}-w{w}-p{p}"
-        for t in ("null", "a1", "a2")
-        for w in ("0", "05")
-        for p in (10, 20)
-    ]
-    + [f"gamma-{t}-{c}" for t in ("null", "a1", "a2") for c in ("independent", "correlated")]
-)
+    raw = PRESETS[name]
+    if contrast_kind != "many_to_one":
+        raw = {**raw, "contrasts": {"kind": contrast_kind},
+               "procedures": [*DEFAULT_PROCEDURES, "tukey"]}
+    return experiment_config(raw, replicates, seed, workers)

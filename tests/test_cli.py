@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import clmc.inference
 from clmc import cli
 from clmc.cli import FITTERS, main, read_clustered_csv, write_clustered_csv
+from clmc.harness import PRESETS
 from clmc.models import FitError
 from clmc.mvnprob import QuantileConvergenceError
 from clmc.simgen import Exchangeable, ScenarioSpec, gen_mvn, gen_quadexp
@@ -418,6 +419,22 @@ class TestErrorPath:
         assert capsys.readouterr().err == (
             "error: every replicate was dropped (its fit, statistics or mnq decisions failed)\n")
 
+    def test_dropped_replicate_is_one_row(self, capsys, monkeypatch):
+        real, calls = FITTERS["mvn"], []
+
+        def fails_once(d, opts=None):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FitError("synthetic failure")
+            return real(d)
+
+        monkeypatch.setitem(FITTERS, "mvn", fails_once)
+        assert main(["simulate", "--preset", "mvn-null-rho0-m4-p10", "--replicates", "3",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["estimate"] for r in rows if r["metric"] == "dropped_replicates"] == [1]
+        assert all(r["replicates"] == 2 for r in rows)
+
 
 class TestSimulateCommand:
     def test_list_presets(self, capsys):
@@ -455,17 +472,25 @@ class TestSimulateCommand:
         assert all(r["replicates"] == 4 for r in rows)
 
     @pytest.mark.parametrize("change, message", [
-        (None, "the experiment must be a JSON object"),
+        ("[1]", "the experiment must be a JSON object"),
         ({"correlation": 0.5}, "'correlation' must be an object"),
         ({"contrasts": 5}, "'contrasts' must be an object"),
         ({"procedures": 5}, "'procedures' must be a list"),
         ({"contrasts": {"kind": "bogus"}}, "cannot build contrasts of kind 'bogus'"),
+        ({"n": [1]}, "'n' must be numeric"),
+        ({"m": {"a": 1}}, "'m' must be numeric"),
+        ({"beta": {"a": 1}}, "'beta' must be numeric"),
+        ({"correlation": {"type": "exchangeable", "rho": "x"}}, "'rho' must be numeric"),
+        ({"contrasts": {"kind": "many_to_one", "baseline": "1"}}, "'baseline' must be numeric"),
+        ({"procedures": [["mnq"]]}, "unknown procedures [['mnq']]"),
+        ("not json", "cfg.json: Expecting value"),
     ], ids=["top-level-list", "correlation-number", "contrasts-number", "procedures-number",
-            "unknown-contrast-kind"])
+            "unknown-contrast-kind", "n-list", "m-object", "beta-object", "rho-text",
+            "baseline-text", "procedure-list", "not-json"])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, change, message):
         cfg = {"model": "mvn", "n": 50, "m": 4, "p": 3, "beta": [0, 0, 0], "replicates": 2}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps([1] if change is None else {**cfg, **change}))
+        path.write_text(change if isinstance(change, str) else json.dumps({**cfg, **change}))
         rc = main(["simulate", "--config", str(path)])
         out = capsys.readouterr()
         assert rc == 1
@@ -476,6 +501,28 @@ class TestSimulateCommand:
     def test_preset_and_config_mutually_exclusive(self, capsys):
         assert main(["simulate"]) == 1
         assert main(["simulate", "--preset", "x", "--config", "y"]) == 1
+
+    def test_contrast_kind_is_refused_with_config(self, tmp_path, capsys):
+        # the --config object names its own family; the flag was once ignored
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "mvn", "n": 50, "m": 4, "p": 3, "beta": [0, 0, 0]}))
+        rc = main(["simulate", "--config", str(path), "--contrast-kind", "all_pairwise"])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err == "error: --contrast-kind applies to --preset only\n"
+
+    def test_dumped_preset_as_config_prints_the_preset_rows(self, tmp_path, capsys):
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps(PRESETS["probit-a1-rho05-m4-p10"]))
+        common = ["--replicates", "4", "--format", "json"]
+        assert main(["simulate", "--preset", "probit-a1-rho05-m4-p10", *common]) == 0
+        by_preset = json.loads(capsys.readouterr().out)
+        assert main(["simulate", "--config", str(path), *common]) == 0
+        by_config = json.loads(capsys.readouterr().out)
+        for row in by_preset + by_config:
+            del row["scenario"]
+        assert by_config == by_preset
 
     def test_unknown_preset(self, capsys):
         assert main(["simulate", "--preset", "bogus-null-x"]) == 1

@@ -11,6 +11,7 @@ from clmc.harness import (
     _SIM_QMC,
     ExperimentConfig,
     PRESETS,
+    experiment_config,
     preset_config,
     run_experiment,
 )
@@ -293,6 +294,26 @@ def test_preset_summaries_reproduce_recorded_runs(case):
                         contrast_kind=case["contrast_kind"])
     assert cfg.qmc == _SIM_QMC
     assert summary_fields(run_experiment(cfg)) == case["summary"]
+
+
+def comparable(obj):
+    """`obj` with every field spelt out: dataclasses field by field, arrays
+    by dtype, shape and bytes, scalars by type and repr."""
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__, {f.name: comparable(getattr(obj, f.name))
+                                    for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, tuple):
+        return tuple(comparable(v) for v in obj)
+    return type(obj).__name__, repr(obj)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_preset_is_a_config_object(name):
+    raw = json.loads(json.dumps(PRESETS[name]))
+    got = experiment_config(raw, replicates=7, seed=5, workers=2)
+    assert comparable(got) == comparable(preset_config(name, replicates=7, seed=5, workers=2))
 
 
 class TestPresets:
