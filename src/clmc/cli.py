@@ -30,16 +30,6 @@ from .simgen import generate
 # clustered CSV input/output
 
 
-def _infer_kind(values: np.ndarray) -> str:
-    if np.isin(values, (0.0, 1.0)).all():
-        return "binary01"
-    if np.isin(values, (-1.0, 1.0)).all():
-        return "binary_pm1"
-    if (values > 0).all():
-        return "positive"
-    return "continuous"
-
-
 def _csv_rows(path: str):
     """(line number, fields) of each CSV row; text the csv module cannot
     parse or bytes that are not UTF-8 raise ValueError naming the file.
@@ -146,8 +136,7 @@ def read_clustered_csv(path: str) -> ClusteredDataset:
     rank, cluster, table = _read_fast(path) or _read_rows(path)
     cluster = np.array(cluster)
     table = table[np.argsort(cluster, kind="stable")]
-    return ClusteredDataset(table[:, 1:], table[:, 0], np.bincount(cluster), list(rank),
-                            _infer_kind(table[:, 0]))
+    return ClusteredDataset(table[:, 1:], table[:, 0], np.bincount(cluster), list(rank))
 
 
 def write_clustered_csv(d: ClusteredDataset, path: str) -> None:
@@ -258,7 +247,10 @@ def _parse_contrasts(spec: str, p: int) -> ContrastFamily:
     if spec == "all-pairwise":
         return build_contrasts("all_pairwise", p)
     if spec.startswith("many-to-one:"):
-        return build_contrasts("many_to_one", p, baseline=int(spec.split(":", 1)[1]))
+        baseline = spec.split(":", 1)[1]
+        if not baseline.strip().isdecimal():
+            raise ValueError(f"baseline {baseline!r} of --contrasts {spec!r} is not a positive integer")
+        return build_contrasts("many_to_one", p, baseline=int(baseline))
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         labels, rows = [], []

@@ -5,9 +5,10 @@ response vector y_i of length m_i and an m_i x p covariate matrix X_i.
 Observations within a cluster may be dependent, observations from different
 clusters are independent.  The dataset stores every row once, as columns:
 the rows of all clusters stacked in cluster order (x is N x p and y has N
-entries, N = sum m_i), the cluster sizes m_i and one id per cluster.
+entries, N = sum m_i), the cluster sizes m_i >= 1 and one id per cluster.
 Per-cluster sums are `reduceat` sums over `starts`, the first row of each
-cluster.  A contrast family is a c x p matrix C whose rows define the linear
+cluster.  The response kind is read off y, so it always agrees with it.
+A contrast family is a c x p matrix C whose rows define the linear
 hypotheses C_i' beta = 0 tested jointly.
 """
 
@@ -17,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-RESPONSE_KINDS = ("continuous", "binary01", "binary_pm1", "positive")
-
 CONTRAST_KINDS = ("many_to_one", "all_pairwise", "custom")
 
 
@@ -27,16 +26,15 @@ class ClusteredDataset:
     """Rows of n clusters stacked in cluster order: covariates x (N, p) and
     responses y (N,), with the size and the opaque id of each cluster.
 
-    Arrays that do not fit together (x not N x p, sizes that do not sum to N,
-    not one id per cluster) raise ValueError; everything else is reported by
-    `validate_dataset`.
+    Arrays that do not fit together (x not N x p, a cluster without rows,
+    sizes that do not sum to N, not one id per cluster) raise ValueError;
+    everything else is reported by `validate_dataset`.
     """
 
     x: np.ndarray
     y: np.ndarray
     cluster_sizes: np.ndarray
     ids: np.ndarray
-    response_kind: str
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -45,8 +43,8 @@ class ClusteredDataset:
         ids = np.asarray(self.ids, dtype=object)  # ids kept verbatim, as Python strings
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise ValueError(f"need covariates (N, p) and responses (N,), got {x.shape} and {y.shape}")
-        if sizes.ndim != 1 or np.any(sizes < 0) or sizes.sum() != len(y):
-            raise ValueError(f"cluster sizes must be nonnegative and sum to the {len(y)} rows")
+        if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != len(y):
+            raise ValueError(f"cluster sizes must be positive and sum to the {len(y)} rows")
         if ids.shape != sizes.shape:
             raise ValueError(f"need one id per cluster, got {ids.size} ids for {sizes.size} clusters")
         for name, value in (("x", x), ("y", y), ("cluster_sizes", sizes), ("ids", ids)):
@@ -64,6 +62,17 @@ class ClusteredDataset:
     def starts(self) -> np.ndarray:
         """First row of each cluster."""
         return np.cumsum(self.cluster_sizes) - self.cluster_sizes
+
+    @property
+    def response_kind(self) -> str:
+        """Kind of the responses, read off y: binary01 when every y is 0 or 1,
+        else binary_pm1 when every y is -1 or +1, else positive when every
+        y > 0, else continuous."""
+        if np.isin(self.y, (0.0, 1.0)).all():
+            return "binary01"
+        if np.isin(self.y, (-1.0, 1.0)).all():
+            return "binary_pm1"
+        return "positive" if (self.y > 0).all() else "continuous"
 
     @property
     def constant_m(self) -> bool:
@@ -92,36 +101,18 @@ class ValidationReport:
         ]
 
 
-# rows inside each response kind's domain, and the message for a cluster with
-# a row outside; other kinds have no domain (non-finite rows are flagged apart)
-_DOMAINS = {
-    "binary01": (lambda y: np.isin(y, (0.0, 1.0)), "binary01 response outside {0,1}"),
-    "binary_pm1": (lambda y: np.isin(y, (-1.0, 1.0)), "binary_pm1 response outside {-1,+1}"),
-    "positive": (lambda y: y > 0, "non-positive response"),
-}
-
-
 def validate_dataset(d: ClusteredDataset) -> ValidationReport:
-    """Check every dataset invariant and report all violations found.
+    """Report what the constructor leaves to the data: fewer than 2 clusters,
+    then each cluster with a non-finite value in y or x, in cluster order.
 
-    Never raises: domain problems and global problems are collected into the
-    report so callers can show them all at once.  Global problems come
-    first, then each cluster's in the order empty, non-finite, outside the
-    response domain; a cluster with a non-finite value gets no domain check.
+    Never raises, so callers can show every problem at once.
     """
     issues: list[ValidationIssue] = []
-    if d.response_kind not in RESPONSE_KINDS:
-        issues.append(ValidationIssue(None, f"unknown response_kind {d.response_kind!r}"))
     if d.n < 2:
         issues.append(ValidationIssue(None, f"need at least 2 clusters, got {d.n}"))
-    # per-cluster counts of flagged rows; unlike reduceat, bincount gives an empty cluster 0
-    row_cluster = np.repeat(np.arange(d.n), d.cluster_sizes)
-    nonfinite = np.bincount(row_cluster, ~(np.isfinite(d.y) & np.isfinite(d.x).all(axis=1)), d.n) > 0
-    in_domain, domain_message = _DOMAINS.get(d.response_kind, (np.isfinite, ""))
-    outside = (np.bincount(row_cluster, ~in_domain(d.y), d.n) > 0) & ~nonfinite
-    messages = ("empty cluster", "non-finite value in y or x", domain_message)
-    flagged = np.nonzero(np.column_stack([d.cluster_sizes == 0, nonfinite, outside]))
-    issues += [ValidationIssue(str(d.ids[i]), messages[k]) for i, k in zip(*flagged)]
+    bad_rows = np.flatnonzero(~(np.isfinite(d.y) & np.isfinite(d.x).all(axis=1)))
+    bad_clusters = np.unique(np.searchsorted(d.starts, bad_rows, side="right") - 1)
+    issues += [ValidationIssue(str(d.ids[i]), "non-finite value in y or x") for i in bad_clusters]
     return ValidationReport(tuple(issues))
 
 

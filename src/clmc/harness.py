@@ -75,6 +75,9 @@ class ExperimentConfig:
             raise ValueError("truth_kind must be null, a1 or a2")
         if self.compute_efficiency and self.scenario.model != "mvn":
             raise ValueError("efficiency ratios are defined for the gaussian model only")
+        # here, not in ScenarioSpec: gen_mvn draws mixed sizes, mvn_cl_fit cannot fit them
+        if self.scenario.model == "mvn" and len(set(np.atleast_1d(self.scenario.m))) > 1:
+            raise ValueError(f"the gaussian fitter needs one cluster size 'm', got {self.scenario.m}")
         # checked here because _replicate drops a replicate whose tests raise ValueError
         unknown = [m for m in self.procedures if m not in METHODS and m != "naive"]
         if unknown:
@@ -241,6 +244,17 @@ def _numeric(value, key: str, kind=float):
         raise ValueError(f"{key!r} must be numeric, got {value!r}") from None
 
 
+def _integer(value, key: str, sizes: bool = False):
+    """`value` as an int, or a list of them as a tuple where `sizes` allows
+    one; a number with a fractional part is a ValueError naming `key`."""
+    num = _numeric(value, key, np.asarray)
+    if num.ndim > sizes:
+        raise ValueError(f"{key!r} must be numeric, got {value!r}")
+    if not (np.isfinite(num) & (num % 1 == 0)).all():
+        raise ValueError(f"{key!r} must be an integer")
+    return tuple(int(v) for v in num.tolist()) if num.ndim else int(num)
+
+
 def experiment_config(raw, replicates: int = 2000, seed: int = 1234,
                       workers: int = 1) -> ExperimentConfig:
     """The experiment `raw`, a `clmc simulate --config` object, describes
@@ -267,14 +281,14 @@ def experiment_config(raw, replicates: int = 2000, seed: int = 1234,
             raise ValueError(f"unknown correlation type {corr!r}")
     scenario = ScenarioSpec(
         model=model,
-        n=_numeric(raw.get("n"), "n", int),
-        m=_numeric(raw.get("m"), "m", lambda m: tuple(m) if isinstance(m, list) else int(m)),
-        p=_numeric(raw.get("p"), "p", int),
+        n=_integer(raw.get("n"), "n"),
+        m=_integer(raw.get("m"), "m", sizes=True),
+        p=_integer(raw.get("p"), "p"),
         beta=_numeric(raw.get("beta"), "beta", np.atleast_1d),
         correlation=corr,
         w=_numeric(raw.get("w", 0.0), "w"),
         nu=_numeric(raw.get("nu", 1.0), "nu"),
-        seed=_numeric(raw.get("seed", seed), "seed", int),
+        seed=_integer(raw.get("seed", seed), "seed"),
         x_row_corr=_numeric(raw.get("x_row_corr", 0.0), "x_row_corr"),
         x_scale=_numeric(raw.get("x_scale", 1.0), "x_scale"),
     )
@@ -282,13 +296,13 @@ def experiment_config(raw, replicates: int = 2000, seed: int = 1234,
     kind = cspec.get("kind")
     baseline = cspec.get("baseline", 1 if kind == "many_to_one" else None)
     contrasts = build_contrasts(
-        kind, scenario.p, baseline=None if baseline is None else _numeric(baseline, "baseline", int)
+        kind, scenario.p, baseline=None if baseline is None else _integer(baseline, "baseline")
     )
     return ExperimentConfig(
         scenario=scenario,
         contrasts=contrasts,
         truth_kind=raw.get("truth_kind", "null"),
-        replicates=_numeric(raw.get("replicates", replicates), "replicates", int),
+        replicates=_integer(raw.get("replicates", replicates), "replicates"),
         alpha=_numeric(raw.get("alpha", 0.05), "alpha"),
         procedures=tuple(shaped("procedures", DEFAULT_PROCEDURES, (list, tuple), "a list")),
         workers=workers,

@@ -1,8 +1,9 @@
 """Shared fitting machinery: result/option types, the sandwich covariance
-and its correlation-ignoring (naive) variant, `cluster_starts` for every
-per-cluster `reduceat`, and `fit_rows`, the step-halving Fisher-scoring
-driver for composite likelihoods whose terms depend on theta only through
-eta = u' theta.
+and its correlation-ignoring (naive) variant, the 0/1 targets of a binary
+dataset, and `fit_rows`, the step-halving Fisher-scoring driver for
+composite likelihoods whose terms depend on theta only through
+eta = u' theta.  Per-cluster sums are `reduceat` sums over `d.starts`,
+which a dataset keeps valid: every cluster has a row.
 """
 
 from __future__ import annotations
@@ -86,18 +87,6 @@ def naive_fit(fit: FitResult) -> FitResult:
     return replace(fit, gamma_hat=sandwich(fit.h_hat, fit.j_hat, naive=True))
 
 
-def cluster_starts(d: ClusteredDataset) -> np.ndarray:
-    """First row of each cluster of a dataset, for `np.add.reduceat`.
-
-    An empty cluster raises FitError: reduceat would read the next
-    cluster's first row as its sum instead of 0.
-    """
-    empty = np.flatnonzero(d.cluster_sizes == 0)
-    if len(empty):
-        raise FitError(f"empty cluster {d.ids[empty[0]]}; every cluster needs a row")
-    return d.starts
-
-
 @dataclass(frozen=True)
 class RowModel:
     """Per-row terms of a composite likelihood in eta = u' theta.
@@ -121,13 +110,12 @@ class RowModel:
         return u.T @ self.score(u @ np.asarray(theta, dtype=float), y)
 
 
-def binary_targets(y: np.ndarray, model: str) -> np.ndarray:
-    """0/1 targets from responses coded {0,1} or {-1,+1}."""
-    vals = np.unique(y)
-    if np.isin(vals, (0.0, 1.0)).all():
-        return y
-    if np.isin(vals, (-1.0, 1.0)).all():
-        return (y + 1.0) / 2.0
+def binary_targets(d: ClusteredDataset, model: str) -> np.ndarray:
+    """0/1 targets of a dataset whose responses are coded {0,1} or {-1,+1}."""
+    if d.response_kind == "binary01":
+        return d.y
+    if d.response_kind == "binary_pm1":
+        return (d.y + 1.0) / 2.0
     raise FitError(f"{model} fitter needs binary responses in {{0,1}} or {{-1,+1}}")
 
 
@@ -179,7 +167,7 @@ def fisher_scoring(
 def fit_rows(model: RowModel, u: np.ndarray, y: np.ndarray, starts: np.ndarray,
              theta0: np.ndarray, opts: FitOptions, score_tol: float | None = None) -> FitResult:
     """Fit a row model to design rows u and responses y stacked by cluster,
-    `starts` holding each cluster's first row (see `cluster_starts`); J is
+    `starts` holding each cluster's first row (`d.starts`); J is
     the empirical covariance of the per-cluster score sums.  n_beta counts
     every entry of theta."""
     tol = opts.score_tol if score_tol is None else score_tol

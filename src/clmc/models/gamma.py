@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..data import ClusteredDataset
-from .base import FitError, FitOptions, FitResult, RowModel, cluster_starts, fit_rows
+from .base import FitError, FitOptions, FitResult, RowModel, fit_rows
 
 __all__ = ["gamma_cl_fit", "gamma_cl_loglik", "gamma_cl_score"]
 
@@ -87,7 +87,7 @@ def gamma_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitRes
         beta0 = np.linalg.solve(x.T @ x, x.T @ np.log(y))
     except np.linalg.LinAlgError as exc:
         raise FitError("singular design matrix") from exc
-    fit = fit_rows(_QUASI, x, y, cluster_starts(d), beta0, opts, score_tol=0.01 * opts.score_tol)
+    fit = fit_rows(_QUASI, x, y, d.starts, beta0, opts, score_tol=0.01 * opts.score_tol)
     eta = x @ fit.theta_hat
     mu = np.exp(eta)
     dev_sum = float(np.sum((y - mu) / mu + np.log(mu / y)))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from ..data import ClusteredDataset
-from .base import FitOptions, FitResult, RowModel, binary_targets, cluster_starts, fit_rows
+from .base import FitOptions, FitResult, RowModel, binary_targets, fit_rows
 
 __all__ = ["probit_cl_fit", "probit_cl_loglik", "probit_cl_score"]
 
@@ -42,13 +42,13 @@ _PROBIT = RowModel(
 
 
 def probit_cl_loglik(d: ClusteredDataset, beta) -> float:
-    return _PROBIT.objective(d.x, binary_targets(d.y, "probit"), beta)
+    return _PROBIT.objective(d.x, binary_targets(d, "probit"), beta)
 
 
 def probit_cl_score(d: ClusteredDataset, beta) -> np.ndarray:
-    return _PROBIT.gradient(d.x, binary_targets(d.y, "probit"), beta)
+    return _PROBIT.gradient(d.x, binary_targets(d, "probit"), beta)
 
 
 def probit_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
-    y = binary_targets(d.y, "probit")
-    return fit_rows(_PROBIT, d.x, y, cluster_starts(d), np.zeros(d.p), opts)
+    y = binary_targets(d, "probit")
+    return fit_rows(_PROBIT, d.x, y, d.starts, np.zeros(d.p), opts)

@@ -27,15 +27,15 @@ import numpy as np
 from scipy.special import expit
 
 from ..data import ClusteredDataset
-from .base import FitOptions, FitResult, RowModel, binary_targets, cluster_starts, fit_rows
+from .base import FitOptions, FitResult, RowModel, binary_targets, fit_rows
 
 __all__ = ["quadexp_cl_fit", "quadexp_cl_loglik", "quadexp_cl_score"]
 
 
 def _augmented_design(d: ClusteredDataset, cluster_means: bool = False) -> tuple[np.ndarray, ...]:
     """(U, t, starts): logistic design [x | association column], 0/1 target."""
-    x, starts, sizes = d.x, cluster_starts(d), d.cluster_sizes
-    t = binary_targets(d.y, "association-model")
+    x, starts, sizes = d.x, d.starts, d.cluster_sizes
+    t = binary_targets(d, "association-model")
     # s_ij = 2 z_i - m_i - y_ij on the +-1 scale
     s = np.repeat(2.0 * np.add.reduceat(t, starts) - sizes, sizes) - (2.0 * t - 1.0)
     if cluster_means:

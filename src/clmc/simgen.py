@@ -129,10 +129,10 @@ class ScenarioSpec:
             raise ValueError(f"beta has length {len(beta)}, expected p={self.p}")
         if not isinstance(self.m, int):
             object.__setattr__(self, "m", tuple(int(v) for v in self.m))
-            if any(v < 1 for v in self.m):
-                raise ValueError("cluster sizes must be positive")
-        elif self.m < 1:
-            raise ValueError("cluster sizes must be positive")
+        if not self.m or min(np.atleast_1d(self.m)) < 1:
+            raise ValueError(f"m must be a positive cluster size or a nonempty list of them, got {self.m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.x_row_corr <= 1.0:
             raise ValueError("x_row_corr must lie in [0, 1]")
         if self.x_scale <= 0.0:
@@ -176,8 +176,8 @@ def _size_groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return [(int(m), row_sizes == m, sizes == m) for m in np.unique(sizes)]
 
 
-def _dataset(x: np.ndarray, y: np.ndarray, sizes: np.ndarray, kind: str) -> ClusteredDataset:
-    return ClusteredDataset(x, y, sizes, np.arange(len(sizes)).astype(str), kind)
+def _dataset(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> ClusteredDataset:
+    return ClusteredDataset(x, y, sizes, np.arange(len(sizes)).astype(str))
 
 
 def _gaussian_latent(spec: ScenarioSpec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
@@ -196,7 +196,7 @@ def gen_mvn(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     rng = _rng(spec, seed)
     sizes = spec.sizes(rng)
     x = _covariates(spec, sizes, rng)
-    return _dataset(x, _gaussian_latent(spec, x, sizes, rng), sizes, "continuous")
+    return _dataset(x, _gaussian_latent(spec, x, sizes, rng), sizes)
 
 
 def gen_probit(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
@@ -208,7 +208,7 @@ def gen_probit(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     sizes = spec.sizes(rng)
     x = _covariates(spec, sizes, rng)
     latent = _gaussian_latent(spec, x, sizes, rng)
-    return _dataset(x, (latent > 0.0).astype(float), sizes, "binary01")
+    return _dataset(x, (latent > 0.0).astype(float), sizes)
 
 
 @functools.lru_cache(maxsize=32)
@@ -261,7 +261,7 @@ def gen_quadexp(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
         cum = np.cumsum(weights / weights.sum(axis=0, keepdims=True), axis=0)
         picks = (cum < uniforms[clusters][None, :]).sum(axis=0)
         y[rows] = configs[picks].ravel()
-    return _dataset(x, y, sizes, "binary_pm1")
+    return _dataset(x, y, sizes)
 
 
 def _gamma_components(spec: ScenarioSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +317,7 @@ def gen_gamma(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     for (m, rows, _), (k, shapes) in zip(groups, comps):
         g_m = g[owner_size == m].reshape(-1, len(shapes))
         y[rows] = (mu[rows].reshape(-1, m) * (g_m @ k.T) / (k @ shapes)).ravel()
-    return _dataset(x, y, sizes, "positive")
+    return _dataset(x, y, sizes)
 
 
 _GENERATORS = {

@@ -133,7 +133,7 @@ def test_criterion_01_conditional_loglik_matches_enumeration():
                     probs[rest & (configs[:, j] == y[j])].sum() / probs[rest].sum()
                 )
             got = quadexp_cl_loglik(
-                ClusteredDataset(x, y, [m], ["0"], "binary_pm1"), beta, w
+                ClusteredDataset(x, y, [m], ["0"]), beta, w
             )
             worst = max(worst, abs(got - exact))
         elapsed = time.time() - t0

@@ -373,6 +373,16 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cpath}{where}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("baseline", ["abc", ""])
+    def test_non_integer_baseline_is_one_line_naming_it(self, mvn_csv, capsys, baseline):
+        spec = f"many-to-one:{baseline}"
+        rc = main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", spec])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err == (f"error: baseline {baseline!r} of --contrasts {spec!r} "
+                           "is not a positive integer\n")
+
     def test_unknown_method_rejected(self, mvn_csv, capsys):
         rc = main(["test", "--model", "mvn", "--data", mvn_csv,
                    "--contrasts", "many-to-one:1", "--methods", "fdr"])
@@ -484,9 +494,20 @@ class TestSimulateCommand:
         ({"contrasts": {"kind": "many_to_one", "baseline": "1"}}, "'baseline' must be numeric"),
         ({"procedures": [["mnq"]]}, "unknown procedures [['mnq']]"),
         ("not json", "cfg.json: Expecting value"),
+        ({"n": 2.9}, "'n' must be an integer"),
+        ({"m": [4.5, 3]}, "'m' must be an integer"),
+        ({"p": 3.7}, "'p' must be an integer"),
+        ({"seed": 0.5}, "'seed' must be an integer"),
+        ({"replicates": 2.5}, "'replicates' must be an integer"),
+        ({"contrasts": {"kind": "many_to_one", "baseline": 1.5}}, "'baseline' must be an integer"),
+        ({"m": []}, "m must be a positive cluster size or a nonempty list of them, got ()"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"m": [4, 3]}, "the gaussian fitter needs one cluster size 'm', got (4, 3)"),
     ], ids=["top-level-list", "correlation-number", "contrasts-number", "procedures-number",
             "unknown-contrast-kind", "n-list", "m-object", "beta-object", "rho-text",
-            "baseline-text", "procedure-list", "not-json"])
+            "baseline-text", "procedure-list", "not-json", "n-fraction", "m-fraction",
+            "p-fraction", "seed-fraction", "replicates-fraction", "baseline-fraction",
+            "m-empty", "seed-negative", "mvn-mixed-sizes"])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, change, message):
         cfg = {"model": "mvn", "n": 50, "m": 4, "p": 3, "beta": [0, 0, 0], "replicates": 2}
         path = tmp_path / "cfg.json"
@@ -497,6 +518,25 @@ class TestSimulateCommand:
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert message in out.err
+
+    def test_integral_floats_are_integers(self, tmp_path, capsys):
+        cfg = {"model": "mvn", "n": 50.0, "m": [4.0], "p": 3.0, "beta": [0, 0, 0],
+               "replicates": 2.0, "seed": 3.0, "contrasts": {"kind": "many_to_one", "baseline": 2.0}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert all(r["replicates"] == 2 for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "mvn-null-rho0-m4-p10", "--replicates", "2", "--seed", "-1"],
+        ["generate", "--preset", "mvn-null-rho0-m4-p10", "--seed", "-3", "--output", "unused.csv"],
+    ], ids=["simulate", "generate"])
+    def test_negative_seed_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: seed must be nonnegative, got {argv[argv.index('--seed') + 1]}\n"
 
     def test_preset_and_config_mutually_exclusive(self, capsys):
         assert main(["simulate"]) == 1

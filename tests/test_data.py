@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,20 +11,20 @@ from clmc.data import (
 )
 
 
-def make_dataset(kind="continuous", ys=((1.0, 2.0), (0.5, 1.5)), p=1):
+def make_dataset(ys=((1.0, 2.0), (0.5, 1.5)), p=1):
     y = np.concatenate(ys).astype(float)
     sizes = [len(v) for v in ys]
     x = np.random.default_rng(0).standard_normal((len(y), p))
-    return ClusteredDataset(x, y, sizes, np.arange(len(ys)).astype(str), kind)
+    return ClusteredDataset(x, y, sizes, np.arange(len(ys)).astype(str))
 
 
 def violation_columns():
-    """(response_kind, x, y, cluster sizes) of datasets with violations in
-    several clusters, including an empty cluster, one cluster and none."""
+    """(x, y, cluster sizes) of datasets with violations in several
+    clusters, one cluster and none.  Responses outside a binary or positive
+    coding are no violation: the kind is read off y."""
     rng = np.random.default_rng(2024)
     sizes = rng.integers(1, 5, 50)
     sizes[[20, 44]] = 3
-    sizes[30] = 0
     first = np.cumsum(sizes) - sizes
     x = rng.standard_normal((sizes.sum(), 2))
     y01 = rng.integers(0, 2, sizes.sum()).astype(float)
@@ -32,23 +34,23 @@ def violation_columns():
     xb[first[7], 1] = np.inf
     y[first[[12, 41]]] = 2.0
     y[first[20] + 2] = 2.0
-    out.append(("binary01", xb, y, sizes))
+    out.append((xb, y, sizes))
     y, xb = 2.0 * y01 - 1.0, x.copy()
     y[first[5]] = 0.0
     xb[first[9], 0] = np.nan
     y[first[44] + 1] = 3.0
-    out.append(("binary_pm1", xb, y, sizes))
+    out.append((xb, y, sizes))
     y, xb = np.exp(rng.standard_normal(sizes.sum())), x.copy()
     y[first[2]] = 0.0
     y[first[44]] = -3.0
     xb[first[44] + 2, 0] = np.nan
     y[first[47]] = -np.inf
-    out.append(("positive", xb, y, sizes))
+    out.append((xb, y, sizes))
     y = rng.standard_normal(sizes.sum())
     y[first[10]] = np.nan
-    out.append(("counts", x, y, sizes))
-    out.append(("continuous", x[:3], y[:3], np.array([3])))
-    out.append(("binary01", x[:0], y[:0], np.array([], dtype=int)))
+    out.append((x, y, sizes))
+    out.append((x[:3], y[:3], np.array([3])))
+    out.append((x[:0], y[:0], np.array([], dtype=int)))
     return out
 
 
@@ -119,52 +121,60 @@ class TestValidateDataset:
         # constructor rejects arrays that do not fit together
         ids = ["g", "bad"]
         with pytest.raises(ValueError, match="covariates"):
-            ClusteredDataset(np.zeros((7, 1)), np.zeros(6), [3, 3], ids, "continuous")
+            ClusteredDataset(np.zeros((7, 1)), np.zeros(6), [3, 3], ids)
         with pytest.raises(ValueError, match="covariates"):
-            ClusteredDataset(np.zeros(6), np.zeros(6), [3, 3], ids, "continuous")
+            ClusteredDataset(np.zeros(6), np.zeros(6), [3, 3], ids)
         with pytest.raises(ValueError, match="sum to the 6 rows"):
-            ClusteredDataset(np.zeros((6, 1)), np.zeros(6), [3, 4], ids, "continuous")
+            ClusteredDataset(np.zeros((6, 1)), np.zeros(6), [3, 4], ids)
         with pytest.raises(ValueError, match="one id per cluster"):
-            ClusteredDataset(np.zeros((6, 1)), np.zeros(6), [3, 3], ["g"], "continuous")
+            ClusteredDataset(np.zeros((6, 1)), np.zeros(6), [3, 3], ["g"])
 
     def test_ids_are_kept_verbatim(self):
         # a fixed-width string array would drop the trailing NUL and merge the ids
-        d = ClusteredDataset(np.zeros((2, 1)), np.zeros(2), [1, 1], ["a", "a\x00"], "continuous")
+        d = ClusteredDataset(np.zeros((2, 1)), np.zeros(2), [1, 1], ["a", "a\x00"])
         assert d.ids.tolist() == ["a", "a\x00"]
 
-    def test_binary01_domain_violation(self):
-        d = make_dataset(kind="binary01", ys=((0.0, 1.0), (1.0, 2.0)))
-        report = validate_dataset(d)
-        assert [i.cluster_id for i in report.issues] == ["1"]
-
-    def test_pm1_and_positive_domains(self):
-        ok = make_dataset(kind="binary_pm1", ys=((-1.0, 1.0), (1.0, 1.0)))
-        assert validate_dataset(ok).ok
-        bad = make_dataset(kind="positive", ys=((1.0, 2.0), (0.0, 3.0)))
-        assert not validate_dataset(bad).ok
-
     def test_single_cluster_flagged(self):
-        d = ClusteredDataset(np.ones((2, 1)), np.ones(2), [2], ["0"], "continuous")
+        d = ClusteredDataset(np.ones((2, 1)), np.ones(2), [2], ["0"])
         assert any("2 clusters" in i.message for i in validate_dataset(d).issues)
 
     def test_messages_match_the_per_cluster_validator(self):
         # recorded from the validator that looped over one object per cluster
         recorded = [
             ["3: non-finite value in y or x", "7: non-finite value in y or x",
-             "12: binary01 response outside {0,1}", "20: non-finite value in y or x",
-             "30: empty cluster", "41: binary01 response outside {0,1}"],
-            ["5: binary_pm1 response outside {-1,+1}", "9: non-finite value in y or x",
-             "30: empty cluster", "44: binary_pm1 response outside {-1,+1}"],
-            ["2: non-positive response", "30: empty cluster", "44: non-finite value in y or x",
-             "47: non-finite value in y or x"],
-            ["unknown response_kind 'counts'", "10: non-finite value in y or x", "30: empty cluster"],
+             "20: non-finite value in y or x"],
+            ["9: non-finite value in y or x"],
+            ["44: non-finite value in y or x", "47: non-finite value in y or x"],
+            ["10: non-finite value in y or x"],
             ["need at least 2 clusters, got 1"],
             ["need at least 2 clusters, got 0"],
         ]
-        for (kind, x, y, sizes), want in zip(violation_columns(), recorded, strict=True):
-            d = ClusteredDataset(x, y, sizes, np.arange(len(sizes)).astype(str), kind)
+        for (x, y, sizes), want in zip(violation_columns(), recorded, strict=True):
+            d = ClusteredDataset(x, y, sizes, np.arange(len(sizes)).astype(str))
             assert validate_dataset(d).messages() == want
 
     def test_nonfinite_flagged(self):
         d = make_dataset(ys=((np.nan, 1.0), (0.0, 1.0)))
         assert not validate_dataset(d).ok
+
+
+class TestResponseKind:
+    @pytest.mark.parametrize("y, kind", [
+        ([0.0, 1.0, 1.0, 0.0], "binary01"),
+        ([1.0, 1.0, 1.0, 1.0], "binary01"),  # every coding holds all ones; {0,1} comes first
+        ([-1.0, 1.0, 1.0, -1.0], "binary_pm1"),
+        ([-1.0, -1.0, -1.0, -1.0], "binary_pm1"),
+        ([0.5, 2.0, 3.0, 1.0], "positive"),
+        ([0.0, 2.0, 3.0, 1.0], "continuous"),
+        ([-0.5, 2.0, 1.0, 1.0], "continuous"),
+        ([np.nan, 1.0, 1.0, 0.0], "continuous"),
+    ])
+    def test_kind_is_read_off_y(self, y, kind):
+        assert make_dataset(ys=(y[:2], y[2:])).response_kind == kind
+
+    def test_replacing_y_changes_the_kind(self):
+        d = make_dataset(ys=((0.0, 1.0), (1.0, 0.0)))
+        assert d.response_kind == "binary01"
+        assert dataclasses.replace(d, y=2.0 * d.y - 1.0).response_kind == "binary_pm1"
+        assert dataclasses.replace(d, y=d.y + 0.5).response_kind == "positive"
+        assert dataclasses.replace(d, y=d.y - 0.5).response_kind == "continuous"

@@ -1,7 +1,8 @@
 """Properties shared by every fitter in the registry: the shared Fisher-scoring
 stop rule, invariance under cluster and row order, equivariance under
 covariate scaling, the separation check of the binary models, and the
-empty-cluster check of the row-model fitters."""
+dataset's refusal of an empty cluster, which the row-model fitters'
+per-cluster sums rely on."""
 
 import dataclasses
 
@@ -15,7 +16,6 @@ from clmc.data import ClusteredDataset
 from clmc.harness import preset_config
 from clmc.models import (
     FITTERS,
-    FitError,
     FitOptions,
     SeparationError,
     probit_cl_fit,
@@ -44,8 +44,7 @@ def _fit(model, d):
 
 def _permuted(d, clusters, rows):
     """d with its clusters in the order `clusters` and its rows in the order `rows`."""
-    return ClusteredDataset(d.x[rows], d.y[rows], d.cluster_sizes[clusters], d.ids[clusters],
-                            d.response_kind)
+    return ClusteredDataset(d.x[rows], d.y[rows], d.cluster_sizes[clusters], d.ids[clusters])
 
 
 def test_one_registry():
@@ -107,7 +106,7 @@ def test_covariate_scaling_rescales_its_coefficient(model, seed, k):
 def test_separable_binary_data_raise_separation_error(fitter):
     x = np.linspace(-2, 2, 30).reshape(-1, 1)
     y = (x.ravel() > 0).astype(float)
-    d = ClusteredDataset(x, y, np.full(15, 2), np.arange(15).astype(str), "binary01")
+    d = ClusteredDataset(x, y, np.full(15, 2), np.arange(15).astype(str))
     with pytest.raises(SeparationError):
         fitter(d, FitOptions(max_iter=500))
 
@@ -122,12 +121,12 @@ _ROW_FITS = {
 
 @pytest.mark.parametrize("where", ["front", "middle", "end"])
 @pytest.mark.parametrize("name", list(_ROW_FITS))
-def test_empty_cluster_is_a_fit_error(name, where):
-    # reduceat over the cluster starts gives an empty cluster the next
-    # cluster's first row instead of 0, so the fit must refuse it
+def test_empty_cluster_is_a_constructor_error(name, where):
+    # reduceat over the cluster starts would give an empty cluster the next
+    # cluster's first row instead of 0, so no dataset a fitter sees holds one
     d = generate(_SPECS[name.split("-")[0]], 8)
     k = {"front": 0, "middle": d.n // 2, "end": d.n}[where]
     sizes = np.insert(d.cluster_sizes, k, 0)
     ids = np.insert(d.ids, k, "void")
-    with pytest.raises(FitError, match="empty cluster void"):
-        _ROW_FITS[name](ClusteredDataset(d.x, d.y, sizes, ids, d.response_kind))
+    with pytest.raises(ValueError, match="cluster sizes must be positive"):
+        ClusteredDataset(d.x, d.y, sizes, ids)

@@ -179,6 +179,13 @@ class TestRunExperiment:
             scenario = ScenarioSpec("probit", 20, 2, 4, np.zeros(4), seed=1)
             small_config(scenario=scenario)  # efficiency only for mvn
 
+    def test_gaussian_model_refuses_mixed_cluster_sizes(self):
+        # mvn_cl_fit needs one cluster size, so every replicate would be dropped
+        mixed = ScenarioSpec("mvn", 60, (4, 3), 4, np.zeros(4), seed=77)
+        with pytest.raises(ValueError, match="one cluster size 'm', got \\(4, 3\\)"):
+            small_config(scenario=mixed)
+        small_config(scenario=dataclasses.replace(mixed, m=(4, 4)))
+
     def test_counts_of_known_reject_patterns(self, monkeypatch):
         import clmc.harness as mod
 

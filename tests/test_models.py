@@ -97,7 +97,7 @@ class TestMvnFit:
         x = rng.standard_normal((40, 1, 3))
         y = np.einsum("imp,p->im", x, [1.0, -2.0, 0.5]) + rng.standard_normal((40, 1))
         d = ClusteredDataset(x.reshape(40, 3), y.ravel(), np.ones(40, dtype=int),
-                             np.arange(40).astype(str), "continuous")
+                             np.arange(40).astype(str))
         fit = mvn_cl_fit(d)
         pooled, *_ = np.linalg.lstsq(x.reshape(40, 3), y.ravel(), rcond=None)
         np.testing.assert_allclose(fit.beta, pooled, rtol=1e-10)
@@ -141,8 +141,8 @@ class TestMvnFit:
         np.testing.assert_allclose(-fd_hessian(f, fit.beta) / d.n, fit.h_hat, rtol=1e-4)
 
     def test_requires_constant_m(self):
-        d = ClusteredDataset(np.zeros((5, 1)), np.zeros(5), [2, 3], ["0", "1"], "continuous")
-        with pytest.raises(FitError):
+        d = ClusteredDataset(np.zeros((5, 1)), np.arange(5.0) - 2.0, [2, 3], ["0", "1"])
+        with pytest.raises(FitError, match="constant cluster size"):
             mvn_cl_fit(d)
 
     def test_gamma_hat_is_sandwich(self):
@@ -210,7 +210,7 @@ class TestProbitFit:
         per_cluster = []
         for rows in np.split(np.arange(len(d.y)), d.starts[1:]):
             sub = ClusteredDataset(np.tile(d.x[rows], (2, 1)), np.tile(d.y[rows], 2),
-                                   [len(rows)] * 2, ["0", "1"], "binary01")
+                                   [len(rows)] * 2, ["0", "1"])
             h = -fd_hessian(lambda b: 0.5 * probit_cl_loglik(sub, b), fit.beta)
             per_cluster.append(h)
         per_cluster = np.array(per_cluster)
@@ -220,13 +220,13 @@ class TestProbitFit:
     def test_accepts_pm1_encoding(self):
         spec = ScenarioSpec("probit", n=80, m=2, p=2, beta=np.array([0.5, 0.0]), seed=10)
         d01 = gen_probit(spec)
-        pm1 = dataclasses.replace(d01, y=2.0 * d01.y - 1.0, response_kind="binary_pm1")
+        pm1 = dataclasses.replace(d01, y=2.0 * d01.y - 1.0)
         np.testing.assert_allclose(probit_cl_fit(d01).beta, probit_cl_fit(pm1).beta, rtol=1e-8)
 
     def test_separation_raises(self):
         x = np.linspace(-2, 2, 30).reshape(-1, 1)
         y = (x.ravel() > 0).astype(float)
-        d = ClusteredDataset(x, y, np.full(15, 2), np.arange(15).astype(str), "binary01")
+        d = ClusteredDataset(x, y, np.full(15, 2), np.arange(15).astype(str))
         with pytest.raises(FitError):
             probit_cl_fit(d, FitOptions(max_iter=500))
 
@@ -293,7 +293,7 @@ class TestQuadexpFit:
                 exact += np.log(
                     probs[rest & (configs[:, j] == y[j])].sum() / probs[rest].sum()
                 )
-            d = ClusteredDataset(x, y, [m], ["0"], "binary_pm1")
+            d = ClusteredDataset(x, y, [m], ["0"])
             assert quadexp_cl_loglik(d, beta, w) == pytest.approx(exact, abs=1e-10)
 
     def test_cluster_mean_covariate_option(self):
@@ -307,7 +307,7 @@ class TestQuadexpFit:
 
 class TestGammaFit:
     def test_single_point_saturated(self):
-        d = ClusteredDataset([[1.0]], [np.e], [1], ["0"], "positive")
+        d = ClusteredDataset([[1.0]], [np.e], [1], ["0"])
         fit = gamma_cl_fit(d)
         assert fit.beta[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -341,7 +341,7 @@ class TestGammaFit:
         assert 1.0 / fit.nuisance["nu"] == pytest.approx(inv_nu, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        d = ClusteredDataset(np.ones((4, 1)), [1.0, -2.0, 1.0, 2.0], [2, 2], ["0", "1"], "positive")
+        d = ClusteredDataset(np.ones((4, 1)), [1.0, -2.0, 1.0, 2.0], [2, 2], ["0", "1"])
         with pytest.raises(FitError):
             gamma_cl_fit(d)
 
@@ -350,7 +350,7 @@ class TestGammaFit:
     def test_singular_design_is_a_fit_error(self, second):
         # the harness drops a replicate only on FitError; a LinAlgError would end the run
         x = np.c_[[1.0, 2.0, 0.5, 1.5], second]
-        d = ClusteredDataset(x, [1.0, 2.0, 1.5, 0.7], [2, 2], ["0", "1"], "positive")
+        d = ClusteredDataset(x, [1.0, 2.0, 1.5, 0.7], [2, 2], ["0", "1"])
         with pytest.raises(FitError, match="singular design matrix"):
             gamma_cl_fit(d)
 

@@ -295,6 +295,16 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec("mvn", 10, 4, 2, np.zeros(2), Exchangeable(0.8, 1.5))
 
+    @pytest.mark.parametrize("m", [(), 0, (4, 0)], ids=["empty-list", "zero", "zero-entry"])
+    def test_cluster_sizes_are_refused_by_name(self, m):
+        with pytest.raises(ValueError, match="^m must be a positive cluster size"):
+            ScenarioSpec("quadexp", 10, m, 2, np.zeros(2))
+
+    def test_negative_seed_is_refused_by_name(self):
+        # numpy's SeedSequence refuses it only when the first replicate is drawn
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1"):
+            ScenarioSpec("mvn", 10, 4, 2, np.zeros(2), seed=-1)
+
     def test_size_sampling(self):
         spec = ScenarioSpec("quadexp", 400, (4, 5, 6, 7, 8), 1, np.zeros(1), w=0.0, seed=22)
         sizes = spec.sizes(np.random.default_rng(0))
