@@ -13,7 +13,6 @@ harness estimates familywise error rates and power for whole scenarios.
 from .data import (
     ClusteredDataset,
     ContrastFamily,
-    ValidationReport,
     build_contrasts,
     validate_dataset,
 )
@@ -27,7 +26,6 @@ from .inference import (
 )
 from .models import (
     FitError,
-    FitOptions,
     FitResult,
     SeparationError,
     gamma_cl_fit,

@@ -196,7 +196,7 @@ def _coef_labels(model: str, p: int) -> list[str]:
 def _read_valid(path: str) -> ClusteredDataset | None:
     """The dataset in `path`, or None after printing each validation error."""
     data = read_clustered_csv(path)
-    errors = validate_dataset(data).messages()
+    errors = validate_dataset(data)
     for msg in errors:
         print(f"error: {msg}", file=sys.stderr)
     return None if errors else data
@@ -396,15 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--methods", default="mnq,bonferroni,sidak,holm,scheffe")
     p_test.add_argument("--naive", action="store_true")
-    p_test.add_argument("--seed", type=int, default=20240801,
+    qmc = QmcConfig()
+    target = np.format_float_scientific(qmc.target_abs_error, trim="-", exp_digits=1)
+    p_test.add_argument("--seed", type=int, default=qmc.seed,
                         help="seed of the QMC scrambles; mnq output is a function of it")
-    p_test.add_argument("--qmc-points", type=int, default=4096,
+    p_test.add_argument("--qmc-points", type=int, default=qmc.points_per_shift,
                         help="starting Sobol points per shift, rounded up to a power of two; "
-                             "an mnq p-value grows them until 3 SEs fit in 5e-4, the cutoff "
-                             "until 1 SE does (default 4096)")
-    p_test.add_argument("--qmc-shifts", type=int, default=12,
+                             f"an mnq p-value grows them until 3 SEs fit in {target}, the cutoff "
+                             f"until 1 SE does (default {qmc.points_per_shift})")
+    p_test.add_argument("--qmc-shifts", type=int, default=qmc.shifts,
                         help="independent scrambles; their spread is each estimate's SE "
-                             "(default 12)")
+                             f"(default {qmc.shifts})")
     p_test.add_argument("--format", **common)
     p_test.add_argument("--output")
     p_test.set_defaults(func=cmd_test)

@@ -8,13 +8,15 @@ the rows of all clusters stacked in cluster order (x is N x p and y has N
 entries, N = sum m_i), the cluster sizes m_i >= 1 and one id per cluster.
 Per-cluster sums are `reduceat` sums over `starts`, the first row of each
 cluster.  The response kind is read off y, so it always agrees with it.
+`validate_dataset` returns one message per problem the constructor leaves
+to the data (too few clusters, non-finite values), as plain strings.
 A contrast family is a c x p matrix C whose rows define the linear
 hypotheses C_i' beta = 0 tested jointly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,7 @@ class ClusteredDataset:
 
     Arrays that do not fit together (x not N x p, a cluster without rows,
     sizes that do not sum to N, not one id per cluster) raise ValueError;
-    everything else is reported by `validate_dataset`.
+    `validate_dataset` returns a message for everything else.
     """
 
     x: np.ndarray
@@ -80,40 +82,17 @@ class ClusteredDataset:
         return bool(len(sizes) > 0 and (sizes == sizes[0]).all())
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    cluster_id: str | None
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return len(self.issues) == 0
-
-    def messages(self) -> list[str]:
-        return [
-            f"{i.cluster_id}: {i.message}" if i.cluster_id is not None else i.message
-            for i in self.issues
-        ]
-
-
-def validate_dataset(d: ClusteredDataset) -> ValidationReport:
-    """Report what the constructor leaves to the data: fewer than 2 clusters,
-    then each cluster with a non-finite value in y or x, in cluster order.
+def validate_dataset(d: ClusteredDataset) -> list[str]:
+    """The messages for what the constructor leaves to the data: fewer than
+    2 clusters, then each cluster with a non-finite value in y or x, in
+    cluster order and prefixed by its id.  Empty for a usable dataset.
 
     Never raises, so callers can show every problem at once.
     """
-    issues: list[ValidationIssue] = []
-    if d.n < 2:
-        issues.append(ValidationIssue(None, f"need at least 2 clusters, got {d.n}"))
+    messages = [f"need at least 2 clusters, got {d.n}"] if d.n < 2 else []
     bad_rows = np.flatnonzero(~(np.isfinite(d.y) & np.isfinite(d.x).all(axis=1)))
     bad_clusters = np.unique(np.searchsorted(d.starts, bad_rows, side="right") - 1)
-    issues += [ValidationIssue(str(d.ids[i]), "non-finite value in y or x") for i in bad_clusters]
-    return ValidationReport(tuple(issues))
+    return messages + [f"{d.ids[i]}: non-finite value in y or x" for i in bad_clusters]
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,9 @@ def _rejects(cfg: ExperimentConfig, fit, n: int) -> np.ndarray:
 def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[np.ndarray, float | None] | None:
     """Replicate `rep`: its reject matrix and MLE efficiency, or None for a
     fit that fails or does not converge, or whose statistics, V or mnq cutoff
-    cannot be computed (a degenerate sandwich, a quantile search that stalls)."""
+    cannot be computed (a degenerate sandwich, a quantile search that stalls).
+    Generation cannot fail: the ScenarioSpec refused an undrawable scenario
+    when the config was built."""
     data = generate(cfg.scenario, np.random.SeedSequence(cfg.scenario.seed, spawn_key=(rep,)))
     try:
         fit = FITTERS[cfg.scenario.model](data)

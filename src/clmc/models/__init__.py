@@ -6,7 +6,7 @@ The gaussian CL and GLS fitters share one alternating loop whose weight
 matrix is diag(Sigma)^-1 for CL and Sigma^-1 for GLS.
 """
 
-from .base import FitError, FitOptions, FitResult, SeparationError, naive_fit, sandwich
+from .base import FitError, FitResult, SeparationError, naive_fit, sandwich
 from .gamma import gamma_cl_fit, gamma_cl_loglik, gamma_cl_score
 from .mvn import mvn_cl_fit, mvn_cl_loglik, mvn_cl_score, mvn_mle_fit
 from .probit import probit_cl_fit, probit_cl_loglik, probit_cl_score
@@ -17,7 +17,7 @@ FITTERS = {
 }
 
 __all__ = [
-    "FITTERS", "FitError", "FitOptions", "FitResult", "SeparationError", "naive_fit", "sandwich",
+    "FITTERS", "FitError", "FitResult", "SeparationError", "naive_fit", "sandwich",
     "mvn_cl_fit", "mvn_mle_fit", "mvn_cl_loglik", "mvn_cl_score",
     "probit_cl_fit", "probit_cl_loglik", "probit_cl_score",
     "quadexp_cl_fit", "quadexp_cl_loglik", "quadexp_cl_score",

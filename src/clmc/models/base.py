@@ -1,9 +1,10 @@
-"""Shared fitting machinery: result/option types, the sandwich covariance
-and its correlation-ignoring (naive) variant, the 0/1 targets of a binary
-dataset, and `fit_rows`, the step-halving Fisher-scoring driver for
-composite likelihoods whose terms depend on theta only through
-eta = u' theta.  Per-cluster sums are `reduceat` sums over `d.starts`,
-which a dataset keeps valid: every cluster has a row.
+"""Shared fitting machinery: the result type, the stop rule every fitter
+shares (`MAX_ITER`, `SCORE_TOL`), the sandwich covariance and its
+correlation-ignoring (naive) variant, the 0/1 targets of a binary dataset,
+and `fit_rows`, the step-halving Fisher-scoring driver for composite
+likelihoods whose terms depend on theta only through eta = u' theta.
+Every fitter takes the dataset alone.  Per-cluster sums are `reduceat` sums
+over `d.starts`, which a dataset keeps valid: every cluster has a row.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import numpy as np
 
 from ..data import ClusteredDataset
 
-__all__ = ["FitError", "SeparationError", "FitOptions", "FitResult", "sandwich", "naive_fit"]
+__all__ = ["FitError", "SeparationError", "FitResult", "sandwich", "naive_fit"]
+
+MAX_ITER = 100  # scoring steps, or gaussian alternating updates, before a fit gives up
+SCORE_TOL = 1e-6  # sup norm of the score at which a fit has converged
 
 _MAX_CONDITION = 1e12
 _DIVERGENCE_BOUND = 1e3
@@ -28,19 +32,6 @@ class FitError(RuntimeError):
 
 class SeparationError(FitError):
     """Binary-response estimates diverged, indicating complete separation."""
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iter: int = 100
-    param_tol: float = 1e-8
-    score_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.param_tol <= 0 or self.score_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -124,15 +115,16 @@ def _gram(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def fisher_scoring(
-    model: RowModel, u: np.ndarray, y: np.ndarray, theta0: np.ndarray, opts: FitOptions, tol: float
+    model: RowModel, u: np.ndarray, y: np.ndarray, theta0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, bool]:
     """Maximize a row model's concave objective by step-halving Fisher scoring.
 
-    Returns (theta, iterations, converged); converged means the score's sup
-    norm fell below `tol`.  A tiny step alone never ends the loop: linearly
-    converging iterations take steps far below param_tol while the score is
-    still above its tolerance.  Divergence past a fixed bound raises
-    SeparationError, a singular information matrix raises FitError.
+    Returns (theta, iterations, converged) after at most MAX_ITER steps;
+    converged means the score's sup norm fell below `tol`.  A tiny step
+    alone never ends the loop: linearly converging iterations take steps
+    far below 1e-8 while the score is still above its tolerance.
+    Divergence past a fixed bound raises SeparationError, a singular
+    information matrix raises FitError.
     """
     step_weight = model.step_weight or model.weight
     theta = np.array(theta0, dtype=float)
@@ -140,7 +132,7 @@ def fisher_scoring(
     if not np.isfinite(ll):
         raise FitError("objective not finite at the starting point")
     steps = 0
-    while steps < opts.max_iter:
+    while steps < MAX_ITER:
         s = model.gradient(u, y, theta)
         if np.max(np.abs(s)) <= tol:
             return theta, steps, True
@@ -165,13 +157,12 @@ def fisher_scoring(
 
 
 def fit_rows(model: RowModel, u: np.ndarray, y: np.ndarray, starts: np.ndarray,
-             theta0: np.ndarray, opts: FitOptions, score_tol: float | None = None) -> FitResult:
+             theta0: np.ndarray, tol: float) -> FitResult:
     """Fit a row model to design rows u and responses y stacked by cluster,
-    `starts` holding each cluster's first row (`d.starts`); J is
-    the empirical covariance of the per-cluster score sums.  n_beta counts
-    every entry of theta."""
-    tol = opts.score_tol if score_tol is None else score_tol
-    theta, iterations, converged = fisher_scoring(model, u, y, theta0, opts, tol)
+    `starts` holding each cluster's first row (`d.starts`), scoring until the
+    score's sup norm is below `tol`; J is the empirical covariance of the
+    per-cluster score sums.  n_beta counts every entry of theta."""
+    theta, iterations, converged = fisher_scoring(model, u, y, theta0, tol)
     eta = u @ theta
     if model.mean is not None and np.max(np.abs(y - model.mean(eta))) < 1e-6:
         raise SeparationError("fitted probabilities reproduce every response exactly")

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..data import ClusteredDataset
-from .base import FitError, FitOptions, FitResult, RowModel, fit_rows
+from .base import SCORE_TOL, FitError, FitResult, RowModel, fit_rows
 
 __all__ = ["gamma_cl_fit", "gamma_cl_loglik", "gamma_cl_score"]
 
@@ -80,14 +80,14 @@ def _dispersion(dev_sum: float, n_obs: int, n_clusters: int, p: int) -> float:
     return num / den
 
 
-def gamma_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
+def gamma_cl_fit(d: ClusteredDataset) -> FitResult:
     x, y = d.x, _positive(d.y)
     try:
         # least squares on log y by the normal equations, several times cheaper than lstsq's SVD
         beta0 = np.linalg.solve(x.T @ x, x.T @ np.log(y))
     except np.linalg.LinAlgError as exc:
         raise FitError("singular design matrix") from exc
-    fit = fit_rows(_QUASI, x, y, d.starts, beta0, opts, score_tol=0.01 * opts.score_tol)
+    fit = fit_rows(_QUASI, x, y, d.starts, beta0, 0.01 * SCORE_TOL)
     eta = x @ fit.theta_hat
     mu = np.exp(eta)
     dev_sum = float(np.sum((y - mu) / mu + np.log(mu / y)))
@@ -95,7 +95,7 @@ def gamma_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitRes
     nu = 1.0 / max(dispersion, _MIN_DISPERSION)
     # the convergence contract is on the full score nu * t
     score = nu * np.max(np.abs(_QUASI.gradient(x, y, fit.theta_hat)))
-    converged = bool(fit.converged and (dispersion <= _MIN_DISPERSION or score <= opts.score_tol))
+    converged = bool(fit.converged and (dispersion <= _MIN_DISPERSION or score <= SCORE_TOL))
     return dataclasses.replace(
         fit, h_hat=nu * fit.h_hat, j_hat=nu * nu * fit.j_hat, loglik=_loglik(eta, y, nu),
         converged=converged, nuisance={"nu": nu},

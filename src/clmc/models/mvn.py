@@ -10,8 +10,9 @@ equation: with W = diag(Sigma)^-1,
 and Sigma is re-estimated from the residual vectors between steps.  The
 full-likelihood (GLS) fitter replaces W by Sigma^-1 and is used for
 efficiency comparisons only; both run one alternating loop that takes the
-weight as a function of Sigma.  H = sum_i X_i' W X_i / n and J =
-sum_i X_i' W Sigma W X_i / n, so J = H for the GLS weight.
+weight as a function of Sigma and stops when beta moves less than
+PARAM_TOL.  H = sum_i X_i' W X_i / n and J = sum_i X_i' W Sigma W X_i / n,
+so J = H for the GLS weight.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import ClusteredDataset
-from .base import FitError, FitOptions, FitResult, sandwich
+from .base import MAX_ITER, FitError, FitResult, sandwich
 
 __all__ = ["mvn_cl_fit", "mvn_mle_fit", "mvn_cl_loglik", "mvn_cl_score"]
+
+PARAM_TOL = 1e-8  # largest change of beta between updates that ends the loop
 
 
 def _gaussian_arrays(d: ClusteredDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -60,19 +63,19 @@ def mvn_cl_score(d: ClusteredDataset, beta, sigma_diag) -> np.ndarray:
     return np.einsum("imp,im->p", xs, (ys - xs @ np.asarray(beta, dtype=float)) / sigma_diag)
 
 
-def _alternating_fit(d: ClusteredDataset, opts: FitOptions, weight, loglik) -> FitResult:
+def _alternating_fit(d: ClusteredDataset, weight, loglik) -> FitResult:
     """Alternate beta = (sum X_i' W X_i)^-1 sum X_i' W y_i, W = weight(Sigma),
-    with Sigma = residual covariance until beta moves less than param_tol."""
+    with Sigma = residual covariance until beta moves less than PARAM_TOL."""
     xs, ys = _gaussian_arrays(d)
     n, m, p = xs.shape
     x_rows = xs.reshape(n * m, p)
     sigma = np.eye(m)
     beta = None
     try:
-        for iterations in range(1, opts.max_iter + 1):
+        for iterations in range(1, MAX_ITER + 1):
             wx_rows = (weight(sigma) @ xs).reshape(n * m, p)
             beta_new = np.linalg.solve(x_rows.T @ wx_rows, wx_rows.T @ ys.reshape(n * m))
-            converged = beta is not None and np.max(np.abs(beta_new - beta)) < opts.param_tol
+            converged = beta is not None and np.max(np.abs(beta_new - beta)) < PARAM_TOL
             beta = beta_new
             if converged:
                 break
@@ -91,12 +94,12 @@ def _alternating_fit(d: ClusteredDataset, opts: FitOptions, weight, loglik) -> F
     )
 
 
-def mvn_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
+def mvn_cl_fit(d: ClusteredDataset) -> FitResult:
     """Alternating weighted-least-squares / residual-covariance fit."""
-    return _alternating_fit(d, opts, lambda s: np.diag(1.0 / np.diag(s)),
+    return _alternating_fit(d, lambda s: np.diag(1.0 / np.diag(s)),
                             lambda r, s: _marginal_loglik(r, np.diag(s)))
 
 
-def mvn_mle_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
+def mvn_mle_fit(d: ClusteredDataset) -> FitResult:
     """Iterated GLS (full Gaussian likelihood); used for efficiency ratios."""
-    return _alternating_fit(d, opts, np.linalg.inv, _full_loglik)
+    return _alternating_fit(d, np.linalg.inv, _full_loglik)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from ..data import ClusteredDataset
-from .base import FitOptions, FitResult, RowModel, binary_targets, fit_rows
+from .base import SCORE_TOL, FitResult, RowModel, binary_targets, fit_rows
 
 __all__ = ["probit_cl_fit", "probit_cl_loglik", "probit_cl_score"]
 
@@ -49,6 +49,6 @@ def probit_cl_score(d: ClusteredDataset, beta) -> np.ndarray:
     return _PROBIT.gradient(d.x, binary_targets(d, "probit"), beta)
 
 
-def probit_cl_fit(d: ClusteredDataset, opts: FitOptions = FitOptions()) -> FitResult:
+def probit_cl_fit(d: ClusteredDataset) -> FitResult:
     y = binary_targets(d, "probit")
-    return fit_rows(_PROBIT, d.x, y, d.starts, np.zeros(d.p), opts)
+    return fit_rows(_PROBIT, d.x, y, d.starts, np.zeros(d.p), SCORE_TOL)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from ..data import ClusteredDataset
-from .base import FitOptions, FitResult, RowModel, binary_targets, fit_rows
+from .base import SCORE_TOL, FitResult, RowModel, binary_targets, fit_rows
 
 __all__ = ["quadexp_cl_fit", "quadexp_cl_loglik", "quadexp_cl_score"]
 
@@ -67,14 +67,12 @@ def quadexp_cl_score(d: ClusteredDataset, beta, w, cluster_mean_covariates=False
     return _LOGISTIC.gradient(u, t, np.append(np.asarray(beta, dtype=float), w))
 
 
-def quadexp_cl_fit(
-    d: ClusteredDataset, opts: FitOptions = FitOptions(), cluster_mean_covariates: bool = False
-) -> FitResult:
+def quadexp_cl_fit(d: ClusteredDataset, cluster_mean_covariates: bool = False) -> FitResult:
     """Estimate (beta, w) jointly; theta_hat is (beta_1..beta_p, w).
 
     `cluster_mean_covariates` replaces each row of x by its cluster mean,
     for designs where the main effect is a single cluster-level quantity.
     """
     u, t, starts = _augmented_design(d, cluster_mean_covariates)
-    fit = fit_rows(_LOGISTIC, u, t, starts, np.zeros(d.p + 1), opts)
+    fit = fit_rows(_LOGISTIC, u, t, starts, np.zeros(d.p + 1), SCORE_TOL)
     return dataclasses.replace(fit, n_beta=d.p, nuisance={"w": float(fit.theta_hat[-1])})

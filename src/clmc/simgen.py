@@ -2,7 +2,9 @@
 exact enumeration oracle for the pairwise-association binary model.
 
 Every generator is a pure function of (spec, seed): repeated calls with the
-same seed return bit-identical datasets.  Covariate matrices are freshly
+same seed return bit-identical datasets.  A `ScenarioSpec` refuses on
+construction every scenario a generator cannot draw, so generation never
+fails on a configuration.  Covariate matrices are freshly
 sampled standard normals per cluster unless `fixed_x` pins one design matrix
 for every cluster (useful for distributional tests).  Rows are built stacked:
 each random quantity is one batched draw in the order of a loop over
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 MODELS = ("mvn", "probit", "quadexp", "gamma")
+
+_MAX_ENUMERATED_M = 20  # largest cluster whose 2^m response vectors are enumerated
 
 # 4x4 covariance with no special structure, symmetrized from its published
 # row listing (one off-diagonal pair disagreed; we use the average, 0.6).
@@ -79,8 +83,6 @@ class Unstructured:
         object.__setattr__(self, "sigma", 0.5 * (s + s.T))
 
     def matrix(self, m: int) -> np.ndarray:
-        if self.sigma.shape[0] != m:
-            raise ValueError(f"covariance is {self.sigma.shape[0]}x..., cluster size is {m}")
         return self.sigma
 
 
@@ -100,7 +102,8 @@ class ScenarioSpec:
     one cluster correlate at r while every entry stays marginally N(0, 1).
     At 0 the rows are independent, at 1 every subject in a cluster shares one
     covariate vector (a cluster-level design).  `x_scale` multiplies the
-    covariates, setting their marginal standard deviation.
+    covariates, setting their marginal standard deviation.  A scenario its
+    generator could not draw raises ValueError (`_check_drawable`).
     """
 
     model: str
@@ -137,14 +140,55 @@ class ScenarioSpec:
             raise ValueError("x_row_corr must lie in [0, 1]")
         if self.x_scale <= 0.0:
             raise ValueError("x_scale must be positive")
-        if self.fixed_x is not None:
-            object.__setattr__(self, "fixed_x", np.asarray(self.fixed_x, dtype=float))
+        for name in ("fixed_x", "gamma_incidence", "gamma_shapes"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        _check_drawable(self)
 
     def sizes(self, rng: np.random.Generator) -> np.ndarray:
         if isinstance(self.m, int):
             return np.full(self.n, self.m, dtype=int)
         choices = np.asarray(self.m, dtype=int)
         return rng.choice(choices, size=self.n)
+
+
+def _check_drawable(spec: ScenarioSpec) -> None:
+    """Raise ValueError unless the generator of `spec.model` can draw a
+    cluster of every size in `spec.m`."""
+    sizes = set(np.atleast_1d(spec.m).tolist())
+    corr = spec.correlation
+    if spec.model == "quadexp" and max(sizes) > _MAX_ENUMERATED_M:
+        raise ValueError(f"enumeration sampler limited to cluster sizes <= {_MAX_ENUMERATED_M}")
+    if spec.fixed_x is not None and sizes != {len(spec.fixed_x)}:
+        raise ValueError("fixed_x rows must equal every cluster size")
+    if spec.model in ("mvn", "probit") and corr is not None:
+        if spec.model == "probit" and isinstance(corr, Exchangeable) and corr.sigma2 != 1.0:
+            raise ValueError("probit latent scale is fixed at 1; use sigma2=1")
+        if isinstance(corr, Unstructured) and sizes != {len(corr.sigma)}:
+            raise ValueError(f"covariance is {len(corr.sigma)}x..., cluster size is {spec.m}")
+        for m in sizes:
+            try:
+                np.linalg.cholesky(corr.matrix(m))
+            except np.linalg.LinAlgError:
+                raise ValueError(f"correlation is not positive definite at cluster size {m}") from None
+    if spec.model != "gamma":
+        return
+    k, shapes = spec.gamma_incidence, spec.gamma_shapes
+    if k is not None:
+        if not np.isin(k, (0.0, 1.0)).all():
+            raise ValueError("incidence matrix entries must be 0 or 1")
+        if np.linalg.matrix_rank(k) < k.shape[0]:
+            raise ValueError("incidence matrix must have full row rank")
+        if sizes != {k.shape[0]}:
+            raise ValueError("incidence matrix rows must equal the cluster size")
+        if shapes is not None and (len(shapes) != k.shape[1] or np.any(shapes < 0)):
+            raise ValueError("need one nonnegative shape per gamma component")
+    elif corr is not None and not isinstance(corr, Exchangeable):
+        raise ValueError("gamma model supports exchangeable correlation or an explicit incidence matrix")
+    elif corr is not None and corr.rho < 0.0:
+        raise ValueError("shared-component gamma construction needs rho >= 0")
+    if any(np.any(np.matmul(*_gamma_components(spec, m)) <= 0) for m in sizes):
+        raise ValueError("every margin needs a positive total shape")
 
 
 def _rng(spec: ScenarioSpec, seed) -> np.random.Generator:
@@ -155,10 +199,7 @@ def _covariates(spec: ScenarioSpec, sizes: np.ndarray, rng) -> np.ndarray:
     """Stacked (N, p) covariates; for x_row_corr > 0 one draw holds each
     cluster's shared-factor row followed by its m rows."""
     if spec.fixed_x is not None:
-        fx = spec.fixed_x
-        if np.any(sizes != fx.shape[0]):
-            raise ValueError("fixed_x rows must equal every cluster size")
-        return np.tile(fx, (len(sizes), 1))
+        return np.tile(spec.fixed_x, (len(sizes), 1))
     r = spec.x_row_corr
     if r == 0.0:
         return spec.x_scale * rng.standard_normal((sizes.sum(), spec.p))
@@ -202,9 +243,6 @@ def gen_mvn(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
 def gen_probit(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     """Dichotomize a latent gaussian at zero; latent scale fixed to one."""
     rng = _rng(spec, seed)
-    corr = spec.correlation or Exchangeable(1.0, 0.0)
-    if isinstance(corr, Exchangeable) and corr.sigma2 != 1.0:
-        raise ValueError("probit latent scale is fixed at 1; use sigma2=1")
     sizes = spec.sizes(rng)
     x = _covariates(spec, sizes, rng)
     latent = _gaussian_latent(spec, x, sizes, rng)
@@ -233,8 +271,8 @@ def quadexp_enumeration_oracle(x: np.ndarray, beta, w: float):
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     m = x.shape[0]
-    if m > 20:
-        raise ValueError(f"enumeration limited to m <= 20, got {m}")
+    if m > _MAX_ENUMERATED_M:
+        raise ValueError(f"enumeration limited to m <= {_MAX_ENUMERATED_M}, got {m}")
     configs, inter = _configs_pm1(m)
     mu_star = x @ np.asarray(beta, dtype=float) / 2.0
     expo = configs @ mu_star + (w / 2.0) * inter
@@ -247,8 +285,6 @@ def gen_quadexp(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     """Exact sampling by enumerating all configurations per cluster size."""
     rng = _rng(spec, seed)
     sizes = spec.sizes(rng)
-    if np.any(sizes > 20):
-        raise ValueError("enumeration sampler limited to cluster sizes <= 20")
     x = _covariates(spec, sizes, rng)
     uniforms = rng.random(spec.n)
     mu_star = x @ spec.beta / 2.0
@@ -266,28 +302,15 @@ def gen_quadexp(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
 
 def _gamma_components(spec: ScenarioSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(K, component shapes) for the correlated multivariate-gamma draw."""
-    if spec.gamma_incidence is not None:
-        k = np.asarray(spec.gamma_incidence, dtype=float)
-        if not np.isin(k, (0.0, 1.0)).all():
-            raise ValueError("incidence matrix entries must be 0 or 1")
-        if np.linalg.matrix_rank(k) < k.shape[0]:
-            raise ValueError("incidence matrix must have full row rank")
-        if k.shape[0] != m:
-            raise ValueError("incidence matrix rows must equal the cluster size")
-        if spec.gamma_shapes is not None:
-            shapes = np.asarray(spec.gamma_shapes, dtype=float)
-            if len(shapes) != k.shape[1] or np.any(shapes < 0):
-                raise ValueError("need one nonnegative shape per gamma component")
-        else:
+    k = spec.gamma_incidence
+    if k is not None:
+        shapes = spec.gamma_shapes
+        if shapes is None:
             shapes = np.full(k.shape[1], spec.nu / max(k.sum(axis=1).max(), 1.0))
         return k, shapes
     corr = spec.correlation
-    if corr is None or (isinstance(corr, Exchangeable) and corr.rho == 0.0):
+    if corr is None or corr.rho == 0.0:
         return np.eye(m), np.full(m, spec.nu)
-    if not isinstance(corr, Exchangeable):
-        raise ValueError("gamma model supports exchangeable correlation or an explicit incidence matrix")
-    if corr.rho < 0.0:
-        raise ValueError("shared-component gamma construction needs rho >= 0")
     # shared component + idiosyncratic components: marginal shape stays nu,
     # within-cluster correlation equals rho
     k = np.column_stack([np.ones(m), np.eye(m)])
@@ -303,8 +326,6 @@ def gen_gamma(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     x = _covariates(spec, sizes, rng)
     groups = _size_groups(sizes)
     comps = [_gamma_components(spec, m) for m, _, _ in groups]
-    if any(np.any(k @ shapes <= 0) for k, shapes in comps):
-        raise ValueError("every margin needs a positive total shape")
     # every cluster's components in cluster order, drawn in one call; the
     # size of a component's cluster selects the components of one group
     owner_size = np.repeat(sizes, sum(c * len(s) for (_, _, c), (_, s) in zip(groups, comps)))

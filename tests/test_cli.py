@@ -401,7 +401,7 @@ class TestErrorPath:
     def test_test_command_rejects_nonconverged_fit(self, mvn_csv, capsys, monkeypatch):
         real = FITTERS["mvn"]
         monkeypatch.setitem(
-            FITTERS, "mvn", lambda d, *opts: dataclasses.replace(real(d, *opts), converged=False)
+            FITTERS, "mvn", lambda d: dataclasses.replace(real(d), converged=False)
         )
         rc = main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", "many-to-one:1"])
         out = capsys.readouterr()
@@ -420,7 +420,7 @@ class TestErrorPath:
         assert capsys.readouterr().err == "error: quantile search stalled\n"
 
     def test_every_replicate_failed(self, capsys, monkeypatch):
-        def broken(d, opts=None):
+        def broken(d):
             raise FitError("synthetic failure")
 
         monkeypatch.setitem(FITTERS, "mvn", broken)
@@ -432,7 +432,7 @@ class TestErrorPath:
     def test_dropped_replicate_is_one_row(self, capsys, monkeypatch):
         real, calls = FITTERS["mvn"], []
 
-        def fails_once(d, opts=None):
+        def fails_once(d):
             calls.append(None)
             if len(calls) == 2:
                 raise FitError("synthetic failure")
@@ -551,6 +551,30 @@ class TestSimulateCommand:
         assert rc == 1
         assert out.out == ""
         assert out.err == "error: --contrast-kind applies to --preset only\n"
+
+    @pytest.mark.parametrize("change", [
+        {"model": "quadexp", "m": 21},
+        {"m": 3, "correlation": {"type": "unstructured", "sigma": [[1.0, 0.2], [0.2, 1.0]]}},
+        {"m": 2, "correlation": {"type": "unstructured", "sigma": [[1.0, 2.0], [2.0, 1.0]]}},
+        {"correlation": {"type": "exchangeable", "rho": -0.5}},
+        {"model": "probit", "correlation": {"type": "exchangeable", "sigma2": 2.0}},
+        {"model": "gamma", "correlation": {"type": "exchangeable", "rho": -0.2}},
+    ], ids=["quadexp-m21", "unstructured-size", "unstructured-not-pd", "exchangeable-rho",
+            "probit-sigma2", "gamma-rho"])
+    def test_undrawable_scenario_is_refused_before_any_replicate(self, tmp_path, capsys,
+                                                                 monkeypatch, change):
+        def no_replicate(cfg):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_replicate)
+        cfg = {"model": "mvn", "n": 50, "m": 4, "p": 3, "beta": [0, 0, 0], "replicates": 4}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, **change}))
+        rc = main(["simulate", "--config", str(path), "--workers", "2"])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1
 
     def test_dumped_preset_as_config_prints_the_preset_rows(self, tmp_path, capsys):
         path = tmp_path / "preset.json"

@@ -112,9 +112,7 @@ class TestContrastFamily:
 
 class TestValidateDataset:
     def test_valid_dataset_empty_report(self):
-        report = validate_dataset(make_dataset())
-        assert report.ok
-        assert report.issues == ()
+        assert validate_dataset(make_dataset()) == []
 
     def test_shape_mismatch_is_a_constructor_error(self):
         # columns cannot hold a cluster whose x and y disagree: the
@@ -136,7 +134,7 @@ class TestValidateDataset:
 
     def test_single_cluster_flagged(self):
         d = ClusteredDataset(np.ones((2, 1)), np.ones(2), [2], ["0"])
-        assert any("2 clusters" in i.message for i in validate_dataset(d).issues)
+        assert any("2 clusters" in msg for msg in validate_dataset(d))
 
     def test_messages_match_the_per_cluster_validator(self):
         # recorded from the validator that looped over one object per cluster
@@ -151,11 +149,11 @@ class TestValidateDataset:
         ]
         for (x, y, sizes), want in zip(violation_columns(), recorded, strict=True):
             d = ClusteredDataset(x, y, sizes, np.arange(len(sizes)).astype(str))
-            assert validate_dataset(d).messages() == want
+            assert validate_dataset(d) == want
 
     def test_nonfinite_flagged(self):
         d = make_dataset(ys=((np.nan, 1.0), (0.0, 1.0)))
-        assert not validate_dataset(d).ok
+        assert validate_dataset(d) == ["0: non-finite value in y or x"]
 
 
 class TestResponseKind:

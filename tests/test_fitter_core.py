@@ -5,6 +5,8 @@ dataset's refusal of an empty cluster, which the row-model fitters'
 per-cluster sums rely on."""
 
 import dataclasses
+import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,12 +18,12 @@ from clmc.data import ClusteredDataset
 from clmc.harness import preset_config
 from clmc.models import (
     FITTERS,
-    FitOptions,
     SeparationError,
     probit_cl_fit,
     probit_cl_score,
     quadexp_cl_fit,
 )
+from clmc.models.base import SCORE_TOL
 from clmc.simgen import Exchangeable, ScenarioSpec, generate
 
 _BETA = np.array([0.5, -0.4, 0.3])
@@ -31,13 +33,16 @@ _SPECS = {
     "quadexp": ScenarioSpec("quadexp", 60, (2, 3, 4), 3, _BETA, w=0.3),
     "gamma": ScenarioSpec("gamma", 40, 3, 3, _BETA, Exchangeable(1.0, 0.5), nu=2.0),
 }
-# tight enough that the compared estimates are exact to far below the test tolerances
-_TIGHT = FitOptions(score_tol=1e-9, param_tol=1e-11)
 _PROPERTY = settings(max_examples=15, deadline=None)
 
 
 def _fit(model, d):
-    fit = FITTERS[model](d, _TIGHT)
+    # tight enough that the compared estimates are exact to far below the test
+    # tolerances; each fitter reads its stop constant from its own module
+    module = importlib.import_module(FITTERS[model].__module__)
+    tight = {"PARAM_TOL": 1e-11} if model == "mvn" else {"SCORE_TOL": 1e-9}
+    with mock.patch.multiple(module, **tight):
+        fit = FITTERS[model](d)
     assert fit.converged
     return fit.theta_hat
 
@@ -61,7 +66,7 @@ def test_small_final_step_does_not_stop_scoring(rep):
     d = generate(sc, np.random.SeedSequence(sc.seed, spawn_key=(rep,)))
     fit = probit_cl_fit(d)
     assert fit.converged
-    assert np.max(np.abs(probit_cl_score(d, fit.beta))) <= FitOptions().score_tol
+    assert np.max(np.abs(probit_cl_score(d, fit.beta))) <= SCORE_TOL
 
 
 @pytest.mark.parametrize("model", sorted(_SPECS))
@@ -108,7 +113,7 @@ def test_separable_binary_data_raise_separation_error(fitter):
     y = (x.ravel() > 0).astype(float)
     d = ClusteredDataset(x, y, np.full(15, 2), np.arange(15).astype(str))
     with pytest.raises(SeparationError):
-        fitter(d, FitOptions(max_iter=500))
+        fitter(d)
 
 
 _ROW_FITS = {

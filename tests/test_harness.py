@@ -111,7 +111,7 @@ class TestRunExperiment:
         real = mod.FITTERS["mvn"]
         calls = {"k": 0}
 
-        def flaky(d, opts=None):
+        def flaky(d):
             calls["k"] += 1
             if calls["k"] % 3 == 0:
                 raise FitError("synthetic failure")
@@ -125,7 +125,7 @@ class TestRunExperiment:
     def test_all_failed_raises(self, monkeypatch):
         import clmc.harness as mod
 
-        def broken(d, opts=None):
+        def broken(d):
             raise FitError("nope")
 
         monkeypatch.setitem(mod.FITTERS, "mvn", broken)
@@ -139,7 +139,7 @@ class TestRunExperiment:
         real_fit, real_rejects = mod.FITTERS["mvn"], mod.equicoordinate_rejects
         calls = {"fits": 0, "rejects": 0}
 
-        def fitter(d, opts=None):
+        def fitter(d):
             fit = real_fit(d)
             calls["fits"] += 1
             if calls["fits"] != 2 or cause == "quantile-stall":
@@ -201,7 +201,7 @@ class TestRunExperiment:
         real = mod.FITTERS["mvn"]
         calls = {"fits": 0}
 
-        def fitter(d, opts=None):
+        def fitter(d):
             calls["fits"] += 1
             if calls["fits"] == 3:
                 raise FitError("synthetic failure")

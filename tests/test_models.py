@@ -6,7 +6,6 @@ import pytest
 from clmc.data import ClusteredDataset
 from clmc.models import (
     FitError,
-    FitOptions,
     gamma_cl_fit,
     gamma_cl_loglik,
     gamma_cl_score,
@@ -228,7 +227,7 @@ class TestProbitFit:
         y = (x.ravel() > 0).astype(float)
         d = ClusteredDataset(x, y, np.full(15, 2), np.arange(15).astype(str))
         with pytest.raises(FitError):
-            probit_cl_fit(d, FitOptions(max_iter=500))
+            probit_cl_fit(d)
 
 
 class TestQuadexpFit:

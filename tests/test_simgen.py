@@ -106,9 +106,8 @@ class TestGenProbit:
         assert orthant == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_rejects_nonunit_scale(self):
-        spec = ScenarioSpec("probit", 10, 2, 1, np.zeros(1), Exchangeable(0.8, 0.0), seed=6)
         with pytest.raises(ValueError):
-            gen_probit(spec)
+            ScenarioSpec("probit", 10, 2, 1, np.zeros(1), Exchangeable(0.8, 0.0), seed=6)
 
 
 class TestEnumerationOracle:
@@ -226,9 +225,8 @@ class TestGenQuadexp:
         assert stat < chi2.ppf(0.99, keep.sum() - 1)
 
     def test_m_bound(self):
-        spec = ScenarioSpec("quadexp", 5, 21, 1, np.zeros(1), w=0.0, seed=16)
         with pytest.raises(ValueError):
-            gen_quadexp(spec)
+            ScenarioSpec("quadexp", 5, 21, 1, np.zeros(1), w=0.0, seed=16)
 
 
 class TestGenGamma:
@@ -273,15 +271,11 @@ class TestGenGamma:
 
     def test_incidence_validation(self):
         bad_entries = np.array([[1.0, 0.5], [0.0, 1.0]])
-        spec = ScenarioSpec("gamma", 5, 2, 1, np.zeros(1), seed=21,
-                            gamma_incidence=bad_entries)
         with pytest.raises(ValueError):
-            gen_gamma(spec)
+            ScenarioSpec("gamma", 5, 2, 1, np.zeros(1), seed=21, gamma_incidence=bad_entries)
         rank_def = np.array([[1.0, 1.0], [1.0, 1.0]])
-        spec = ScenarioSpec("gamma", 5, 2, 1, np.zeros(1), seed=21,
-                            gamma_incidence=rank_def)
         with pytest.raises(ValueError):
-            gen_gamma(spec)
+            ScenarioSpec("gamma", 5, 2, 1, np.zeros(1), seed=21, gamma_incidence=rank_def)
 
 
 class TestScenarioSpec:
@@ -311,9 +305,8 @@ class TestScenarioSpec:
         assert set(sizes.tolist()) == {4, 5, 6, 7, 8}
 
     def test_fixed_x_needs_matching_m(self):
-        spec = ScenarioSpec("mvn", 5, 3, 1, np.zeros(1), seed=23, fixed_x=np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            gen_mvn(spec)
+            ScenarioSpec("mvn", 5, 3, 1, np.zeros(1), seed=23, fixed_x=np.zeros((2, 1)))
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "simgen_golden.json").read_text())
