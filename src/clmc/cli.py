@@ -346,7 +346,7 @@ def cmd_simulate(args) -> int:
     rows = []
     for m, ps in summary.per_procedure.items():
         rows.append(row(m, ps.metric, _fmt(ps.estimate), _fmt(ps.mc_std_error)))
-        if ps.ind_power_sum is not None and summary.truth_kind != "null":
+        if ps.ind_power_sum is not None:
             rows.append(row(m, "ind_power_sum", _fmt(ps.ind_power_sum)))
     if summary.efficiency is not None:
         rows.append(row("mcle_vs_mle", "efficiency", _fmt(summary.efficiency),

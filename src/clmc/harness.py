@@ -5,16 +5,16 @@ matching composite-likelihood model and tests a contrast family with the
 requested procedures.  Each replicate returns its raw outcome: a boolean
 reject matrix (procedures x contrasts) and, for the gaussian model, the
 MLE efficiency ratio.  `run_experiment` stacks the outcomes and counts
-everything once from that array: familywise error or power, per-row reject
-rates, ordering violations and the mean efficiency.  The pseudo-procedure
-"naive" is the equicoordinate (mnq) rule applied with the
-correlation-ignoring covariance H^-1 (`models.naive_fit`) instead of the
-full sandwich; everything else uses the sandwich.  Both mnq rules read
-only which statistics exceed the cutoff, so they come from
-`mvnprob.equicoordinate_rejects`, which reads them off P(max|Z| <= |t_i|)
-on the cutoff search's points (the max-T identity): the decisions of the
-finished search, in 1-2 integrand passes per rule on average where it
-makes 3-4.
+everything once from that array: familywise error, or global power when
+some contrast of beta is nonzero, per-row reject rates, ordering violations
+and the mean efficiency.  The pseudo-procedure "naive" is the equicoordinate
+(mnq) rule applied with the correlation-ignoring covariance H^-1
+(`models.naive_fit`) instead of the full sandwich; everything else uses the
+sandwich.  Both mnq rules read only which statistics exceed the cutoff, so
+they come from `mvnprob.equicoordinate_rejects`, which reads them off
+P(max|Z| <= |t_i|) on the cutoff search's points (the max-T identity): the
+decisions of the finished search, in 1-2 integrand passes per rule on
+average where it makes 3-4.
 
 Replicate r draws its generator seed from SeedSequence(master, spawn_key=(r,)),
 and outcomes are collected in replicate order, so results are identical for
@@ -26,6 +26,7 @@ not converge, or whose statistics, V or mnq cutoff cannot be computed
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -58,7 +59,6 @@ DEFAULT_PROCEDURES = ("mnq", "naive", "bonferroni", "sidak", "holm", "scheffe")
 class ExperimentConfig:
     scenario: ScenarioSpec
     contrasts: ContrastFamily
-    truth_kind: str = "null"
     replicates: int = 2000
     alpha: float = 0.05
     procedures: tuple[str, ...] = DEFAULT_PROCEDURES
@@ -71,8 +71,6 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.truth_kind not in ("null", "a1", "a2"):
-            raise ValueError("truth_kind must be null, a1 or a2")
         if self.compute_efficiency and self.scenario.model != "mvn":
             raise ValueError("efficiency ratios are defined for the gaussian model only")
         # here, not in ScenarioSpec: gen_mvn draws mixed sizes, mvn_cl_fit cannot fit them
@@ -102,7 +100,6 @@ class ProcedureSummary:
 @dataclass(frozen=True)
 class SimSummary:
     model: str
-    truth_kind: str
     replicates_completed: int
     failures: int
     per_procedure: dict
@@ -200,7 +197,7 @@ def run_experiment(cfg: ExperimentConfig) -> SimSummary:
     global_rates = rejects.any(axis=2).sum(axis=0) / completed
     row_rates = rejects.sum(axis=0) / completed
     truth_rows = np.abs(cfg.contrasts.matrix @ cfg.scenario.beta) > 1e-12
-    metric = "fwer" if cfg.truth_kind == "null" else "global_power"
+    metric = "global_power" if truth_rows.any() else "fwer"
     per_proc = {}
     for k, m in enumerate(cfg.procedures):
         p_hat = float(global_rates[k])
@@ -221,7 +218,6 @@ def run_experiment(cfg: ExperimentConfig) -> SimSummary:
 
     return SimSummary(
         model=cfg.scenario.model,
-        truth_kind=cfg.truth_kind,
         replicates_completed=completed,
         failures=cfg.replicates - completed,
         per_procedure=per_proc,
@@ -257,59 +253,77 @@ def _integer(value, key: str, sizes: bool = False):
     return tuple(int(v) for v in num.tolist()) if num.ndim else int(num)
 
 
+def _shaped(kind, what: str, convert=lambda value: value):
+    """A conversion by `convert` of values of type `kind`; any other value is
+    a ValueError naming its key."""
+    def check(value, key: str):
+        if not isinstance(value, kind):
+            raise ValueError(f"{key!r} must be {what}")
+        return convert(value)
+    return check
+
+
+def _object(raw, keys: dict, name: str = "", cls=None) -> dict:
+    """The JSON object `raw`, the value of key `name`, with each value
+    converted by keys[key].  A key not in `keys`, or a field without a
+    default in dataclass `cls` that `raw` lacks, is a ValueError naming it."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{name!r} must be an object" if name else "the experiment must be a JSON object")
+    needed = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING] if cls else []
+    for key in [*raw, *needed]:
+        if key not in keys or key not in raw:
+            path = f"{name}.{key}".lstrip(".")
+            raise ValueError(f"{'unknown' if key in raw else 'missing'} key {path!r}")
+    return {key: keys[key](value, key) for key, value in raw.items()}
+
+
+# each correlation "type" of a `--config` object: its class and other keys
+_CORRELATIONS = {
+    "exchangeable": (Exchangeable, {"sigma2": _numeric, "rho": _numeric}),
+    "unstructured": (Unstructured, {"sigma": partial(_numeric, kind=np.array)}),
+}
+
+
+def _correlation(raw, key: str):
+    """The correlation the object `raw` describes (null is none)."""
+    if raw is None:
+        return None
+    if not isinstance(raw, dict) or raw.get("type") not in tuple(_CORRELATIONS):
+        raise ValueError(f"{key!r} must be an object with a type in {list(_CORRELATIONS)}, got {raw!r}")
+    cls, keys = _CORRELATIONS[raw["type"]]
+    return cls(**_object({k: v for k, v in raw.items() if k != "type"}, keys, key, cls))
+
+
+# Every `clmc simulate --config` key with the conversion of its JSON value,
+# the ScenarioSpec fields first; an absent key keeps the dataclass default.
+_SCENARIO_KEYS = {
+    "model": _shaped(str, "text"), "n": _integer, "m": partial(_integer, sizes=True),
+    "p": _integer, "beta": partial(_numeric, kind=np.atleast_1d), "correlation": _correlation,
+    "w": _numeric, "nu": _numeric, "seed": _integer, "x_row_corr": _numeric, "x_scale": _numeric,
+}
+_KEYS = {
+    **_SCENARIO_KEYS,
+    "contrasts": lambda value, key: _object(
+        value, {"kind": _shaped(str, "text"), "baseline": _integer}, key),
+    "replicates": _integer, "alpha": _numeric,
+    "procedures": _shaped((list, tuple), "a list", tuple),
+    "compute_efficiency": _shaped(bool, "true or false"),
+}
+
+
 def experiment_config(raw, replicates: int = 2000, seed: int = 1234,
                       workers: int = 1) -> ExperimentConfig:
     """The experiment `raw`, a `clmc simulate --config` object, describes
     (README "CLI examples" lists its keys); `replicates` and `seed` stand in
-    for absent keys.  A malformed field is a ValueError naming its key."""
-    if not isinstance(raw, dict):
-        raise ValueError("the experiment must be a JSON object")
-
-    def shaped(key, default, kind, what):
-        value = raw.get(key, default)
-        if not isinstance(value, kind):
-            raise ValueError(f"{key!r} must be {what}")
-        return value
-
-    model = raw.get("model")
-    corr = shaped("correlation", None, (dict, type(None)), "an object")
-    if corr is not None:
-        if corr.get("type") == "exchangeable":
-            corr = Exchangeable(_numeric(corr.get("sigma2", 1.0), "sigma2"),
-                                _numeric(corr.get("rho", 0.0), "rho"))
-        elif corr.get("type") == "unstructured":
-            corr = Unstructured(_numeric(corr.get("sigma"), "sigma", np.array))
-        else:
-            raise ValueError(f"unknown correlation type {corr!r}")
-    scenario = ScenarioSpec(
-        model=model,
-        n=_integer(raw.get("n"), "n"),
-        m=_integer(raw.get("m"), "m", sizes=True),
-        p=_integer(raw.get("p"), "p"),
-        beta=_numeric(raw.get("beta"), "beta", np.atleast_1d),
-        correlation=corr,
-        w=_numeric(raw.get("w", 0.0), "w"),
-        nu=_numeric(raw.get("nu", 1.0), "nu"),
-        seed=_integer(raw.get("seed", seed), "seed"),
-        x_row_corr=_numeric(raw.get("x_row_corr", 0.0), "x_row_corr"),
-        x_scale=_numeric(raw.get("x_scale", 1.0), "x_scale"),
-    )
-    cspec = shaped("contrasts", {"kind": "many_to_one"}, dict, "an object")
+    for absent keys.  A malformed or unknown key is a ValueError naming it."""
+    fields = {"seed": seed, "replicates": replicates, **_object(raw, _KEYS, cls=ScenarioSpec)}
+    scenario = ScenarioSpec(**{key: fields.pop(key) for key in _SCENARIO_KEYS if key in fields})
+    cspec = fields.pop("contrasts", {"kind": "many_to_one"})
     kind = cspec.get("kind")
-    baseline = cspec.get("baseline", 1 if kind == "many_to_one" else None)
-    contrasts = build_contrasts(
-        kind, scenario.p, baseline=None if baseline is None else _integer(baseline, "baseline")
-    )
-    return ExperimentConfig(
-        scenario=scenario,
-        contrasts=contrasts,
-        truth_kind=raw.get("truth_kind", "null"),
-        replicates=_integer(raw.get("replicates", replicates), "replicates"),
-        alpha=_numeric(raw.get("alpha", 0.05), "alpha"),
-        procedures=tuple(shaped("procedures", DEFAULT_PROCEDURES, (list, tuple), "a list")),
-        workers=workers,
-        compute_efficiency=shaped("compute_efficiency", model == "mvn", bool, "true or false"),
-    )
+    contrasts = build_contrasts(kind, scenario.p,
+                                baseline=cspec.get("baseline", 1 if kind == "many_to_one" else None))
+    return ExperimentConfig(scenario, contrasts, workers=workers,
+                            **{"compute_efficiency": scenario.model == "mvn", **fields})
 
 
 # Preset covariate design: rows of one cluster share a common factor with
@@ -347,7 +361,7 @@ def _preset(model: str, truth: str, n: int, m, p: int, **design) -> dict:
         beta[k] = a1
     elif truth == "a2":
         beta[1 : 1 + len(a2)] = a2
-    return {"model": model, "truth_kind": truth, "n": n, "m": m, "p": p, "beta": beta, **design}
+    return {"model": model, "n": n, "m": m, "p": p, "beta": beta, **design}
 
 
 # Each preset as a `clmc simulate --config` object, without its contrasts,

@@ -2,17 +2,20 @@
 exact enumeration oracle for the pairwise-association binary model.
 
 Every generator is a pure function of (spec, seed): repeated calls with the
-same seed return bit-identical datasets.  A `ScenarioSpec` refuses on
-construction every scenario a generator cannot draw, so generation never
-fails on a configuration.  Covariate matrices are freshly
-sampled standard normals per cluster unless `fixed_x` pins one design matrix
-for every cluster (useful for distributional tests).  Rows are built stacked:
-each random quantity is one batched draw in the order of a loop over
-clusters, and the within-cluster algebra runs once per distinct size.
+same seed return bit-identical datasets.  `MODELS` is the one table of the
+models: each one's generator and the model-specific `ScenarioSpec` fields it
+reads.  A `ScenarioSpec` refuses on construction every scenario a generator
+cannot draw or whose fields it would not read, so generation never fails on
+a configuration.  Covariate matrices are freshly sampled standard normals
+per cluster unless `fixed_x` pins one design matrix for every cluster
+(useful for distributional tests).  Rows are built stacked: each random
+quantity is one batched draw in the order of a loop over clusters, and the
+within-cluster algebra runs once per distinct size.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -32,8 +35,6 @@ __all__ = [
     "generate",
     "quadexp_enumeration_oracle",
 ]
-
-MODELS = ("mvn", "probit", "quadexp", "gamma")
 
 _MAX_ENUMERATED_M = 20  # largest cluster whose 2^m response vectors are enumerated
 
@@ -93,9 +94,9 @@ class ScenarioSpec:
     `m` is either a fixed cluster size or a tuple of sizes sampled uniformly
     per cluster.  `correlation` drives the within-cluster dependence for the
     gaussian/probit/gamma models; `w` is the association parameter of the
-    binary pairwise-interaction model; `nu` the gamma shape.  For the gamma
-    model an explicit 0/1 incidence matrix and component shape vector may be
-    given instead of the default shared-component construction.
+    binary pairwise-interaction model; `nu` the gamma shape.  `MODELS` says
+    which of these three fields each model reads; another of them set away
+    from its default is refused.
 
     `x_row_corr` adds a shared cluster-level factor to the covariates:
     x_ij = sqrt(r) z_i + sqrt(1-r) e_ij with z, e standard normal, so rows of
@@ -118,8 +119,6 @@ class ScenarioSpec:
     x_row_corr: float = 0.0
     x_scale: float = 1.0
     fixed_x: np.ndarray | None = None
-    gamma_incidence: np.ndarray | None = None
-    gamma_shapes: np.ndarray | None = None
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -140,9 +139,8 @@ class ScenarioSpec:
             raise ValueError("x_row_corr must lie in [0, 1]")
         if self.x_scale <= 0.0:
             raise ValueError("x_scale must be positive")
-        for name in ("fixed_x", "gamma_incidence", "gamma_shapes"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.fixed_x is not None:
+            object.__setattr__(self, "fixed_x", np.asarray(self.fixed_x, dtype=float))
         _check_drawable(self)
 
     def sizes(self, rng: np.random.Generator) -> np.ndarray:
@@ -153,42 +151,35 @@ class ScenarioSpec:
 
 
 def _check_drawable(spec: ScenarioSpec) -> None:
-    """Raise ValueError unless the generator of `spec.model` can draw a
-    cluster of every size in `spec.m`."""
+    """Raise ValueError unless the generator of `spec.model` reads every
+    model-specific field `spec` sets and can draw a cluster of every size in
+    `spec.m`."""
+    reads = MODELS[spec.model][1]
+    for f in dataclasses.fields(spec):
+        if f.name in _MODEL_FIELDS and f.name not in reads and getattr(spec, f.name) != f.default:
+            raise ValueError(f"the {spec.model} model does not read {f.name!r}")
     sizes = set(np.atleast_1d(spec.m).tolist())
     corr = spec.correlation
     if spec.model == "quadexp" and max(sizes) > _MAX_ENUMERATED_M:
         raise ValueError(f"enumeration sampler limited to cluster sizes <= {_MAX_ENUMERATED_M}")
     if spec.fixed_x is not None and sizes != {len(spec.fixed_x)}:
         raise ValueError("fixed_x rows must equal every cluster size")
-    if spec.model in ("mvn", "probit") and corr is not None:
-        if spec.model == "probit" and isinstance(corr, Exchangeable) and corr.sigma2 != 1.0:
-            raise ValueError("probit latent scale is fixed at 1; use sigma2=1")
-        if isinstance(corr, Unstructured) and sizes != {len(corr.sigma)}:
-            raise ValueError(f"covariance is {len(corr.sigma)}x..., cluster size is {spec.m}")
-        for m in sizes:
-            try:
-                np.linalg.cholesky(corr.matrix(m))
-            except np.linalg.LinAlgError:
-                raise ValueError(f"correlation is not positive definite at cluster size {m}") from None
-    if spec.model != "gamma":
+    if spec.model == "gamma" and spec.nu <= 0.0:
+        raise ValueError("the gamma shape nu must be positive")
+    if corr is None:
         return
-    k, shapes = spec.gamma_incidence, spec.gamma_shapes
-    if k is not None:
-        if not np.isin(k, (0.0, 1.0)).all():
-            raise ValueError("incidence matrix entries must be 0 or 1")
-        if np.linalg.matrix_rank(k) < k.shape[0]:
-            raise ValueError("incidence matrix must have full row rank")
-        if sizes != {k.shape[0]}:
-            raise ValueError("incidence matrix rows must equal the cluster size")
-        if shapes is not None and (len(shapes) != k.shape[1] or np.any(shapes < 0)):
-            raise ValueError("need one nonnegative shape per gamma component")
-    elif corr is not None and not isinstance(corr, Exchangeable):
-        raise ValueError("gamma model supports exchangeable correlation or an explicit incidence matrix")
-    elif corr is not None and corr.rho < 0.0:
-        raise ValueError("shared-component gamma construction needs rho >= 0")
-    if any(np.any(np.matmul(*_gamma_components(spec, m)) <= 0) for m in sizes):
-        raise ValueError("every margin needs a positive total shape")
+    if spec.model == "gamma" and not (isinstance(corr, Exchangeable) and corr.rho >= 0.0):
+        raise ValueError("the shared-component gamma construction needs an exchangeable rho >= 0")
+    if isinstance(corr, Unstructured) and sizes != {len(corr.sigma)}:
+        raise ValueError(f"covariance is {len(corr.sigma)}x..., cluster size is {spec.m}")
+    for m in sizes:
+        if spec.model != "mvn" and np.any(np.diag(corr.matrix(m)) != 1.0):
+            raise ValueError(f"the {spec.model} model reads a correlation: its variances "
+                             "(sigma2, the diagonal of sigma) must be 1")
+        try:
+            np.linalg.cholesky(corr.matrix(m))
+        except np.linalg.LinAlgError:
+            raise ValueError(f"correlation is not positive definite at cluster size {m}") from None
 
 
 def _rng(spec: ScenarioSpec, seed) -> np.random.Generator:
@@ -300,55 +291,36 @@ def gen_quadexp(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     return _dataset(x, y, sizes)
 
 
-def _gamma_components(spec: ScenarioSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(K, component shapes) for the correlated multivariate-gamma draw."""
-    k = spec.gamma_incidence
-    if k is not None:
-        shapes = spec.gamma_shapes
-        if shapes is None:
-            shapes = np.full(k.shape[1], spec.nu / max(k.sum(axis=1).max(), 1.0))
-        return k, shapes
-    corr = spec.correlation
-    if corr is None or corr.rho == 0.0:
-        return np.eye(m), np.full(m, spec.nu)
-    # shared component + idiosyncratic components: marginal shape stays nu,
-    # within-cluster correlation equals rho
-    k = np.column_stack([np.ones(m), np.eye(m)])
-    shapes = np.concatenate([[corr.rho * spec.nu], np.full(m, (1.0 - corr.rho) * spec.nu)])
-    return k, shapes
-
-
 def gen_gamma(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
-    """Multivariate gamma via an incidence-matrix sum of independent gammas,
-    rescaled so each margin has mean exp(x_ij' beta)."""
+    """Gamma margins of shape nu and mean exp(x_ij' beta): each row's own
+    Gamma((1 - rho) nu) draw plus, at rho > 0, one Gamma(rho nu) draw its
+    cluster shares, scaled by mu / nu; rho is the within-cluster correlation."""
     rng = _rng(spec, seed)
     sizes = spec.sizes(rng)
     x = _covariates(spec, sizes, rng)
-    groups = _size_groups(sizes)
-    comps = [_gamma_components(spec, m) for m, _, _ in groups]
-    # every cluster's components in cluster order, drawn in one call; the
-    # size of a component's cluster selects the components of one group
-    owner_size = np.repeat(sizes, sum(c * len(s) for (_, _, c), (_, s) in zip(groups, comps)))
-    all_shapes = np.empty(len(owner_size))
-    for (m, _, clusters), (_, shapes) in zip(groups, comps):
-        all_shapes[owner_size == m] = np.tile(shapes, clusters.sum())
-    g = rng.gamma(shape=all_shapes, scale=1.0)
     mu = np.exp(x @ spec.beta)
-    y = np.empty(len(x))
-    for (m, rows, _), (k, shapes) in zip(groups, comps):
-        g_m = g[owner_size == m].reshape(-1, len(shapes))
-        y[rows] = (mu[rows].reshape(-1, m) * (g_m @ k.T) / (k @ shapes)).ravel()
-    return _dataset(x, y, sizes)
+    nu = spec.nu
+    rho = spec.correlation.rho if spec.correlation else 0.0
+    if rho == 0.0:
+        return _dataset(x, mu * rng.gamma(nu, size=len(x)) / nu, sizes)
+    # one draw holds each cluster's shared component followed by its m own ones
+    shared = np.zeros(len(sizes) + len(x), dtype=bool)
+    shared[np.cumsum(sizes + 1) - (sizes + 1)] = True
+    g = rng.gamma(np.where(shared, rho * nu, (1.0 - rho) * nu))
+    total_shape = rho * nu + (1.0 - rho) * nu  # nu, rounded as the sum of the two shapes
+    return _dataset(x, mu * (np.repeat(g[shared], sizes) + g[~shared]) / total_shape, sizes)
 
 
-_GENERATORS = {
-    "mvn": gen_mvn,
-    "probit": gen_probit,
-    "quadexp": gen_quadexp,
-    "gamma": gen_gamma,
+# Each model's generator and the model-specific ScenarioSpec fields it reads
+MODELS = {
+    "mvn": (gen_mvn, ("correlation",)),
+    "probit": (gen_probit, ("correlation",)),
+    "quadexp": (gen_quadexp, ("w",)),
+    "gamma": (gen_gamma, ("correlation", "nu")),
 }
+_MODEL_FIELDS = {name for _, reads in MODELS.values() for name in reads}
 
 
 def generate(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     """Dispatch to the generator named by spec.model."""
-    return _GENERATORS[spec.model](spec, seed)
+    return MODELS[spec.model][0](spec, seed)

@@ -503,11 +503,20 @@ class TestSimulateCommand:
         ({"m": []}, "m must be a positive cluster size or a nonempty list of them, got ()"),
         ({"seed": -1}, "seed must be nonnegative, got -1"),
         ({"m": [4, 3]}, "the gaussian fitter needs one cluster size 'm', got (4, 3)"),
+        ({"replicate": 10}, "unknown key 'replicate'"),
+        ({"corelation": {"type": "exchangeable", "rho": 0.2}}, "unknown key 'corelation'"),
+        ({"correlation": {"type": "exchangeable", "rh": 0.2}}, "unknown key 'correlation.rh'"),
+        ({"contrasts": {"kind": "many_to_one", "baselin": 2}}, "unknown key 'contrasts.baselin'"),
+        ({"correlation": {"type": "unstructured", "sigma": np.eye(4).tolist(), "rho": 0.2}},
+         "unknown key 'correlation.rho'"),
+        ({"truth_kind": "a1"}, "unknown key 'truth_kind'"),
     ], ids=["top-level-list", "correlation-number", "contrasts-number", "procedures-number",
             "unknown-contrast-kind", "n-list", "m-object", "beta-object", "rho-text",
             "baseline-text", "procedure-list", "not-json", "n-fraction", "m-fraction",
             "p-fraction", "seed-fraction", "replicates-fraction", "baseline-fraction",
-            "m-empty", "seed-negative", "mvn-mixed-sizes"])
+            "m-empty", "seed-negative", "mvn-mixed-sizes", "unknown-key", "misspelt-correlation",
+            "correlation-unknown-key", "contrasts-unknown-key", "unstructured-rho",
+            "removed-truth-kind"])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, change, message):
         cfg = {"model": "mvn", "n": 50, "m": 4, "p": 3, "beta": [0, 0, 0], "replicates": 2}
         path = tmp_path / "cfg.json"
@@ -559,8 +568,14 @@ class TestSimulateCommand:
         {"correlation": {"type": "exchangeable", "rho": -0.5}},
         {"model": "probit", "correlation": {"type": "exchangeable", "sigma2": 2.0}},
         {"model": "gamma", "correlation": {"type": "exchangeable", "rho": -0.2}},
+        {"model": "quadexp", "correlation": {"type": "exchangeable", "rho": 0.9}},
+        {"model": "quadexp", "nu": -5},
+        {"model": "gamma", "correlation": {"type": "exchangeable", "sigma2": 4}},
+        {"model": "probit", "m": 2, "correlation": {"type": "unstructured",
+                                                    "sigma": [[4.0, 0.0], [0.0, 4.0]]}},
     ], ids=["quadexp-m21", "unstructured-size", "unstructured-not-pd", "exchangeable-rho",
-            "probit-sigma2", "gamma-rho"])
+            "probit-sigma2", "gamma-rho", "quadexp-correlation", "quadexp-nu", "gamma-sigma2",
+            "probit-unstructured-scale"])
     def test_undrawable_scenario_is_refused_before_any_replicate(self, tmp_path, capsys,
                                                                  monkeypatch, change):
         def no_replicate(cfg):
@@ -575,6 +590,15 @@ class TestSimulateCommand:
         assert rc == 1
         assert out.out == ""
         assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1
+
+    def test_metric_is_read_off_the_effects(self, tmp_path, capsys):
+        # beta_3 differs from the baseline beta_1, so the rows are global power
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "mvn", "n": 50, "m": 4, "p": 3, "beta": [0, 0, 0.1],
+                                    "replicates": 4, "compute_efficiency": False}))
+        assert main(["simulate", "--config", str(path), "--format", "json"]) == 0
+        metrics = [r["metric"] for r in json.loads(capsys.readouterr().out)]
+        assert metrics == ["global_power", "ind_power_sum"] * 6
 
     def test_dumped_preset_as_config_prints_the_preset_rows(self, tmp_path, capsys):
         path = tmp_path / "preset.json"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 
 from clmc.data import build_contrasts
 from clmc.harness import (
+    _KEYS,
     _SIM_QMC,
     ExperimentConfig,
     PRESETS,
@@ -29,7 +31,6 @@ def small_config(**overrides):
     base = dict(
         scenario=scenario,
         contrasts=build_contrasts("many_to_one", 4, baseline=1),
-        truth_kind="null",
         replicates=40,
         qmc=TINY_QMC,
         compute_efficiency=True,
@@ -92,8 +93,7 @@ class TestRunExperiment:
             "mvn", 100, 4, 4, np.array([0.0, 0.0, 0.0, 0.3]),
             Exchangeable(0.8, 0.2), seed=3, x_row_corr=0.15,
         )
-        cfg = small_config(scenario=scenario, truth_kind="a1", replicates=30,
-                           compute_efficiency=False)
+        cfg = small_config(scenario=scenario, replicates=30, compute_efficiency=False)
         s = run_experiment(cfg)
         ps = s.per_procedure["mnq"]
         assert ps.metric == "global_power"
@@ -173,8 +173,6 @@ class TestRunExperiment:
             small_config(procedures=("mnq", "tukey"))
         with pytest.raises(ValueError, match="contrasts address 5"):
             small_config(contrasts=build_contrasts("many_to_one", 5, baseline=1))
-        with pytest.raises(ValueError):
-            small_config(truth_kind="b7")
         with pytest.raises(ValueError):
             scenario = ScenarioSpec("probit", 20, 2, 4, np.zeros(4), seed=1)
             small_config(scenario=scenario)  # efficiency only for mvn
@@ -275,7 +273,7 @@ def _golden_config(case) -> ExperimentConfig:
     scenario = ScenarioSpec(beta=np.array(sc.pop("beta")), correlation=corr, **sc)
     kind = case["contrasts"]
     cf = build_contrasts(kind, scenario.p, baseline=1 if kind == "many_to_one" else None)
-    return ExperimentConfig(scenario, cf, case["truth_kind"], case["replicates"],
+    return ExperimentConfig(scenario, cf, case["replicates"],
                             procedures=tuple(case["procedures"]), qmc=QmcConfig(**case["qmc"]),
                             compute_efficiency=case["compute_efficiency"])
 
@@ -323,6 +321,17 @@ def test_preset_is_a_config_object(name):
     assert comparable(got) == comparable(preset_config(name, replicates=7, seed=5, workers=2))
 
 
+def test_readme_lists_exactly_the_config_keys():
+    # README's --config key list and the parser's table cannot change apart
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    required, optional = re.search(
+        r"one JSON object with the\s+keys `([^`]*)`\s+and,\s+optionally,\s+`([^`]*)`", readme).groups()
+    listed = re.split(r",\s*", f"{required}, {optional}")
+    assert sorted(listed) == sorted(_KEYS)
+    assert required.split(", ") == [f.name for f in dataclasses.fields(ScenarioSpec)
+                                    if f.default is dataclasses.MISSING]
+
+
 class TestPresets:
     def test_all_preset_names_build(self):
         for name in PRESETS:
@@ -344,7 +353,7 @@ class TestPresets:
         assert cfg.scenario.n == 500
         assert cfg.scenario.beta[3] == 0.03
         assert cfg.scenario.x_scale == 5.0
-        assert cfg.truth_kind == "a1"
+        assert (cfg.contrasts.matrix @ cfg.scenario.beta != 0).any()  # an a1 alternative
 
         cfg = preset_config("quadexp-a2-w05-p10")
         assert cfg.scenario.n == 700

@@ -237,14 +237,6 @@ class TestGenGamma:
         se = 1.0 / math.sqrt(2.0 * len(ratios))  # var(y/mu) = 1/nu
         assert abs(ratios.mean() - 1.0) < 3 * se
 
-    def test_identity_incidence_degenerates_to_independent(self):
-        base = dict(model="gamma", n=50, m=3, p=1, beta=np.array([0.3]), nu=1.5, seed=18)
-        plain = gen_gamma(ScenarioSpec(**base))
-        with_k = gen_gamma(
-            ScenarioSpec(**base, gamma_incidence=np.eye(3), gamma_shapes=np.full(3, 1.5))
-        )
-        assert datasets_equal(plain, with_k)
-
     def test_shared_component_correlation(self):
         rho, nu = 0.5, 1.0
         spec = ScenarioSpec("gamma", 8000, 3, 1, np.zeros(1),
@@ -254,28 +246,6 @@ class TestGenGamma:
         corr = np.corrcoef(scaled.T)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off - rho) < 0.06)
-
-    def test_explicit_incidence_covariance_formula(self):
-        k = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-        shapes = np.array([1.0, 1.0, 1.0])
-        spec = ScenarioSpec("gamma", 15000, 3, 1, np.zeros(1), nu=1.0, seed=20,
-                            gamma_incidence=k, gamma_shapes=shapes)
-        d = gen_gamma(spec)
-        alpha = k @ shapes
-        g_cov_formula = k @ np.diag(shapes) @ k.T  # unit-scale gamma variances
-        scaled = by_cluster(d, d.y / np.exp(d.x @ spec.beta)) * alpha
-        emp = np.cov(scaled.T)
-        assert np.all(np.abs(emp - g_cov_formula) < 0.2)
-        corr_off = emp[0, 1] / math.sqrt(emp[0, 0] * emp[1, 1])
-        assert corr_off > 0
-
-    def test_incidence_validation(self):
-        bad_entries = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            ScenarioSpec("gamma", 5, 2, 1, np.zeros(1), seed=21, gamma_incidence=bad_entries)
-        rank_def = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(ValueError):
-            ScenarioSpec("gamma", 5, 2, 1, np.zeros(1), seed=21, gamma_incidence=rank_def)
 
 
 class TestScenarioSpec:
@@ -304,6 +274,20 @@ class TestScenarioSpec:
         sizes = spec.sizes(np.random.default_rng(0))
         assert set(sizes.tolist()) == {4, 5, 6, 7, 8}
 
+    @pytest.mark.parametrize("spec, message", [
+        (dict(model="quadexp", correlation=Exchangeable(1.0, 0.9)),
+         "quadexp model does not read 'correlation'"),
+        (dict(model="quadexp", nu=-5.0), "quadexp model does not read 'nu'"),
+        (dict(model="mvn", w=0.5), "mvn model does not read 'w'"),
+        (dict(model="gamma", correlation=Exchangeable(4.0, 0.0)), "variances"),
+        (dict(model="probit", correlation=Unstructured(4.0 * np.eye(2))), "variances"),
+    ], ids=["quadexp-correlation", "quadexp-nu", "mvn-w", "gamma-sigma2", "probit-unstructured-4I"])
+    def test_unread_field_or_latent_scale_is_refused(self, spec, message):
+        # each was once accepted: the first four ignored the field, and the
+        # probit fit of the last estimated beta / 2 (beta 1.0, n 4000, seed 1)
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(**{"n": 4000, "m": 2, "p": 1, "beta": np.ones(1), "seed": 1, **spec})
+
     def test_fixed_x_needs_matching_m(self):
         with pytest.raises(ValueError):
             ScenarioSpec("mvn", 5, 3, 1, np.zeros(1), seed=23, fixed_x=np.zeros((2, 1)))
@@ -318,7 +302,7 @@ def _golden_spec(params: dict) -> ScenarioSpec:
     if corr is not None:
         corr = (Exchangeable(corr["sigma2"], corr["rho"]) if corr["type"] == "exchangeable"
                 else Unstructured(np.array(corr["sigma"])))
-    for key in ("beta", "fixed_x", "gamma_incidence", "gamma_shapes"):
+    for key in ("beta", "fixed_x"):
         if key in kw:
             kw[key] = np.array(kw[key])
     m = kw.pop("m")
