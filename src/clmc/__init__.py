@@ -57,10 +57,6 @@ from .simgen import (
     Exchangeable,
     ScenarioSpec,
     Unstructured,
-    gen_gamma,
-    gen_mvn,
-    gen_probit,
-    gen_quadexp,
     generate,
     quadexp_enumeration_oracle,
 )

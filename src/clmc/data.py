@@ -140,27 +140,14 @@ def build_contrasts(kind: str, p: int, baseline: int | None = None) -> ContrastF
             raise ValueError("many_to_one requires a baseline index")
         if not 1 <= baseline <= p:
             raise ValueError(f"baseline must be in 1..{p}, got {baseline}")
-        b = baseline - 1
-        rows, labels = [], []
-        for j in range(p):
-            if j == b:
-                continue
-            row = np.zeros(p)
-            row[b] = 1.0
-            row[j] = -1.0
-            rows.append(row)
-            labels.append(f"b{baseline}=b{j + 1}")
-        return ContrastFamily(np.array(rows), tuple(labels), "many_to_one")
-    if kind == "all_pairwise":
+        pairs = [(baseline - 1, j) for j in range(p) if j != baseline - 1]
+    elif kind == "all_pairwise":
         if baseline is not None:
             raise ValueError("all_pairwise takes no baseline")
-        rows, labels = [], []
-        for i in range(p):
-            for j in range(i + 1, p):
-                row = np.zeros(p)
-                row[i] = 1.0
-                row[j] = -1.0
-                rows.append(row)
-                labels.append(f"b{i + 1}=b{j + 1}")
-        return ContrastFamily(np.array(rows), tuple(labels), "all_pairwise")
-    raise ValueError(f"cannot build contrasts of kind {kind!r}")
+        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    else:
+        raise ValueError(f"cannot build contrasts of kind {kind!r}")
+    rows = np.zeros((len(pairs), p))
+    for k, (i, j) in enumerate(pairs):
+        rows[k, i], rows[k, j] = 1.0, -1.0
+    return ContrastFamily(rows, tuple(f"b{i + 1}=b{j + 1}" for i, j in pairs), kind)

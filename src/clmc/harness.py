@@ -73,7 +73,7 @@ class ExperimentConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.compute_efficiency and self.scenario.model != "mvn":
             raise ValueError("efficiency ratios are defined for the gaussian model only")
-        # here, not in ScenarioSpec: gen_mvn draws mixed sizes, mvn_cl_fit cannot fit them
+        # here, not in ScenarioSpec: mixed sizes draw fine, mvn_cl_fit cannot fit them
         if self.scenario.model == "mvn" and len(set(np.atleast_1d(self.scenario.m))) > 1:
             raise ValueError(f"the gaussian fitter needs one cluster size 'm', got {self.scenario.m}")
         # checked here because _replicate drops a replicate whose tests raise ValueError
@@ -248,7 +248,7 @@ def _integer(value, key: str, sizes: bool = False):
     num = _numeric(value, key, np.asarray)
     if num.ndim > sizes:
         raise ValueError(f"{key!r} must be numeric, got {value!r}")
-    if not (np.isfinite(num) & (num % 1 == 0)).all():
+    if not np.isfinite(num).all() or (num % 1 != 0).any():
         raise ValueError(f"{key!r} must be an integer")
     return tuple(int(v) for v in num.tolist()) if num.ndim else int(num)
 

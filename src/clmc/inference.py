@@ -48,14 +48,9 @@ METHODS = ("bonferroni", "sidak", "holm", "scheffe", "tukey", "mnq")
 def _beta_block(fit_or_matrix, cf: ContrastFamily, what: str) -> np.ndarray:
     """Leading block of theta/Gamma addressed by a width-p contrast family."""
     m = np.asarray(fit_or_matrix)
-    width = cf.p
-    if m.ndim == 1:
-        if len(m) < width:
-            raise ValueError(f"{what}: contrasts address {width} parameters, fit has {len(m)}")
-        return m[:width]
-    if m.shape[0] < width:
-        raise ValueError(f"{what}: contrasts address {width} parameters, fit has {m.shape[0]}")
-    return m[:width, :width]
+    if len(m) < cf.p:
+        raise ValueError(f"{what}: contrasts address {cf.p} parameters, fit has {len(m)}")
+    return m[:cf.p] if m.ndim == 1 else m[:cf.p, :cf.p]
 
 
 def test_statistics(fit: FitResult, cf: ContrastFamily, n: int) -> np.ndarray:

@@ -1,16 +1,19 @@
-"""Random clustered-data generators for the four supported models, plus an
-exact enumeration oracle for the pairwise-association binary model.
+"""Random clustered data from the four supported models, plus an exact
+enumeration oracle for the pairwise-association binary model.
 
-Every generator is a pure function of (spec, seed): repeated calls with the
-same seed return bit-identical datasets.  `MODELS` is the one table of the
-models: each one's generator and the model-specific `ScenarioSpec` fields it
-reads.  A `ScenarioSpec` refuses on construction every scenario a generator
-cannot draw or whose fields it would not read, so generation never fails on
-a configuration.  Covariate matrices are freshly sampled standard normals
-per cluster unless `fixed_x` pins one design matrix for every cluster
-(useful for distributional tests).  Rows are built stacked: each random
-quantity is one batched draw in the order of a loop over clusters, and the
-within-cluster algebra runs once per distinct size.
+`generate(spec, seed)` is the one way to draw a dataset, and a pure function
+of (spec, seed): repeated calls with the same seed return bit-identical
+datasets.  It draws the cluster sizes, then the covariates, then the
+responses of spec.model.  `MODELS` is the one table of the models: each
+one's response draw (spec, x, sizes, rng) -> y and the model-specific
+`ScenarioSpec` fields it reads.  A `ScenarioSpec` refuses on construction
+every scenario its model cannot draw, whose fields it would not read, or
+with a non-finite value, so generation never fails on a configuration.
+Covariate matrices are freshly sampled standard normals per cluster unless
+`fixed_x` pins one design matrix for every cluster (useful for
+distributional tests).  Rows are built stacked: each random quantity is one
+batched draw in the order of a loop over clusters, and the within-cluster
+algebra runs once per distinct size.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ __all__ = [
     "Unstructured",
     "ScenarioSpec",
     "UNSTRUCTURED_SIGMA_M4",
-    "gen_mvn",
-    "gen_probit",
-    "gen_quadexp",
-    "gen_gamma",
     "generate",
     "quadexp_enumeration_oracle",
 ]
@@ -60,8 +59,8 @@ class Exchangeable:
     rho: float = 0.0
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("need |rho| < 1")
 
@@ -81,6 +80,8 @@ class Unstructured:
         s = np.asarray(self.sigma, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("covariance must be square")
+        if not np.isfinite(s).all():
+            raise ValueError("sigma must be finite")
         object.__setattr__(self, "sigma", 0.5 * (s + s.T))
 
     def matrix(self, m: int) -> np.ndarray:
@@ -103,8 +104,9 @@ class ScenarioSpec:
     one cluster correlate at r while every entry stays marginally N(0, 1).
     At 0 the rows are independent, at 1 every subject in a cluster shares one
     covariate vector (a cluster-level design).  `x_scale` multiplies the
-    covariates, setting their marginal standard deviation.  A scenario its
-    generator could not draw raises ValueError (`_check_drawable`).
+    covariates, setting their marginal standard deviation.  A non-finite
+    value, or a scenario its model could not draw, raises ValueError
+    (`_check_drawable`).
     """
 
     model: str
@@ -129,6 +131,9 @@ class ScenarioSpec:
         object.__setattr__(self, "beta", beta)
         if len(beta) != self.p:
             raise ValueError(f"beta has length {len(beta)}, expected p={self.p}")
+        for name in ("beta", "w", "nu", "x_scale"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not isinstance(self.m, int):
             object.__setattr__(self, "m", tuple(int(v) for v in self.m))
         if not self.m or min(np.atleast_1d(self.m)) < 1:
@@ -151,7 +156,7 @@ class ScenarioSpec:
 
 
 def _check_drawable(spec: ScenarioSpec) -> None:
-    """Raise ValueError unless the generator of `spec.model` reads every
+    """Raise ValueError unless the response draw of `spec.model` reads every
     model-specific field `spec` sets and can draw a cluster of every size in
     `spec.m`."""
     reads = MODELS[spec.model][1]
@@ -182,10 +187,6 @@ def _check_drawable(spec: ScenarioSpec) -> None:
             raise ValueError(f"correlation is not positive definite at cluster size {m}") from None
 
 
-def _rng(spec: ScenarioSpec, seed) -> np.random.Generator:
-    return np.random.default_rng(spec.seed if seed is None else seed)
-
-
 def _covariates(spec: ScenarioSpec, sizes: np.ndarray, rng) -> np.ndarray:
     """Stacked (N, p) covariates; for x_row_corr > 0 one draw holds each
     cluster's shared-factor row followed by its m rows."""
@@ -208,13 +209,9 @@ def _size_groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return [(int(m), row_sizes == m, sizes == m) for m in np.unique(sizes)]
 
 
-def _dataset(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> ClusteredDataset:
-    return ClusteredDataset(x, y, sizes, np.arange(len(sizes)).astype(str))
-
-
-def _gaussian_latent(spec: ScenarioSpec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
-    """x_i beta + L_m z_i with z drawn for every row at once and L_m the
-    Cholesky factor of the size-m correlation matrix."""
+def _mvn(spec: ScenarioSpec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
+    """y_i = X_i beta + L_m z_i with z drawn for every row at once and L_m the
+    Cholesky factor of the size-m covariance."""
     corr = spec.correlation or Exchangeable(1.0, 0.0)
     z = rng.standard_normal(len(x))
     eps = np.empty(len(x))
@@ -223,21 +220,9 @@ def _gaussian_latent(spec: ScenarioSpec, x: np.ndarray, sizes: np.ndarray, rng) 
     return x @ spec.beta + eps
 
 
-def gen_mvn(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
-    """y_i = X_i beta + eps_i with eps_i ~ N(0, Sigma) via Cholesky."""
-    rng = _rng(spec, seed)
-    sizes = spec.sizes(rng)
-    x = _covariates(spec, sizes, rng)
-    return _dataset(x, _gaussian_latent(spec, x, sizes, rng), sizes)
-
-
-def gen_probit(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
-    """Dichotomize a latent gaussian at zero; latent scale fixed to one."""
-    rng = _rng(spec, seed)
-    sizes = spec.sizes(rng)
-    x = _covariates(spec, sizes, rng)
-    latent = _gaussian_latent(spec, x, sizes, rng)
-    return _dataset(x, (latent > 0.0).astype(float), sizes)
+def _probit(spec: ScenarioSpec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
+    """The gaussian latent dichotomized at zero; its scale is one."""
+    return (_mvn(spec, x, sizes, rng) > 0.0).astype(float)
 
 
 @functools.lru_cache(maxsize=32)
@@ -272,11 +257,8 @@ def quadexp_enumeration_oracle(x: np.ndarray, beta, w: float):
     return configs, weights / weights.sum()
 
 
-def gen_quadexp(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
+def _quadexp(spec: ScenarioSpec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
     """Exact sampling by enumerating all configurations per cluster size."""
-    rng = _rng(spec, seed)
-    sizes = spec.sizes(rng)
-    x = _covariates(spec, sizes, rng)
     uniforms = rng.random(spec.n)
     mu_star = x @ spec.beta / 2.0
     y = np.empty(len(x))
@@ -288,39 +270,43 @@ def gen_quadexp(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
         cum = np.cumsum(weights / weights.sum(axis=0, keepdims=True), axis=0)
         picks = (cum < uniforms[clusters][None, :]).sum(axis=0)
         y[rows] = configs[picks].ravel()
-    return _dataset(x, y, sizes)
+    return y
 
 
-def gen_gamma(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
+def _gamma(spec: ScenarioSpec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
     """Gamma margins of shape nu and mean exp(x_ij' beta): each row's own
     Gamma((1 - rho) nu) draw plus, at rho > 0, one Gamma(rho nu) draw its
     cluster shares, scaled by mu / nu; rho is the within-cluster correlation."""
-    rng = _rng(spec, seed)
-    sizes = spec.sizes(rng)
-    x = _covariates(spec, sizes, rng)
     mu = np.exp(x @ spec.beta)
     nu = spec.nu
     rho = spec.correlation.rho if spec.correlation else 0.0
     if rho == 0.0:
-        return _dataset(x, mu * rng.gamma(nu, size=len(x)) / nu, sizes)
+        return mu * rng.gamma(nu, size=len(x)) / nu
     # one draw holds each cluster's shared component followed by its m own ones
     shared = np.zeros(len(sizes) + len(x), dtype=bool)
     shared[np.cumsum(sizes + 1) - (sizes + 1)] = True
     g = rng.gamma(np.where(shared, rho * nu, (1.0 - rho) * nu))
     total_shape = rho * nu + (1.0 - rho) * nu  # nu, rounded as the sum of the two shapes
-    return _dataset(x, mu * (np.repeat(g[shared], sizes) + g[~shared]) / total_shape, sizes)
+    return mu * (np.repeat(g[shared], sizes) + g[~shared]) / total_shape
 
 
-# Each model's generator and the model-specific ScenarioSpec fields it reads
+# Each model's response draw (spec, x, sizes, rng) -> y and the
+# model-specific ScenarioSpec fields it reads
 MODELS = {
-    "mvn": (gen_mvn, ("correlation",)),
-    "probit": (gen_probit, ("correlation",)),
-    "quadexp": (gen_quadexp, ("w",)),
-    "gamma": (gen_gamma, ("correlation", "nu")),
+    "mvn": (_mvn, ("correlation",)),
+    "probit": (_probit, ("correlation",)),
+    "quadexp": (_quadexp, ("w",)),
+    "gamma": (_gamma, ("correlation", "nu")),
 }
 _MODEL_FIELDS = {name for _, reads in MODELS.values() for name in reads}
 
 
 def generate(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
-    """Dispatch to the generator named by spec.model."""
-    return MODELS[spec.model][0](spec, seed)
+    """The dataset `spec` describes, drawn by the generator seeded with `seed`
+    (spec.seed when None): cluster sizes, covariates, then the responses of
+    spec.model."""
+    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    sizes = spec.sizes(rng)
+    x = _covariates(spec, sizes, rng)
+    y = MODELS[spec.model][0](spec, x, sizes, rng)
+    return ClusteredDataset(x, y, sizes, np.arange(len(sizes)).astype(str))

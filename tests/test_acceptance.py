@@ -40,10 +40,7 @@ from clmc.mvnprob import (
 from clmc.simgen import (
     Exchangeable,
     ScenarioSpec,
-    gen_gamma,
-    gen_mvn,
-    gen_probit,
-    gen_quadexp,
+    generate,
     quadexp_enumeration_oracle,
 )
 
@@ -164,7 +161,7 @@ def test_criterion_02_scores_match_finite_differences():
             beta = rng.normal(scale=0.4, size=p)
 
             spec = ScenarioSpec("mvn", 30, 3, p, beta, Exchangeable(1.0, 0.3), seed=500 + i)
-            data = gen_mvn(spec)
+            data = generate(spec)
             fit = mvn_cl_fit(data)
             assert fit.converged
             sd = np.diag(fit.nuisance["sigma"])
@@ -175,7 +172,7 @@ def test_criterion_02_scores_match_finite_differences():
             worst_rel = max(worst_rel, np.max(np.abs(an - fd)) / max(1.0, np.max(np.abs(fd))))
 
             spec = ScenarioSpec("probit", 60, 3, p, beta, Exchangeable(1.0, 0.3), seed=600 + i)
-            data = gen_probit(spec)
+            data = generate(spec)
             fit = probit_cl_fit(data)
             assert fit.converged
             worst_score = max(worst_score, np.max(np.abs(probit_cl_score(data, fit.beta))))
@@ -185,7 +182,7 @@ def test_criterion_02_scores_match_finite_differences():
             worst_rel = max(worst_rel, np.max(np.abs(an - fd)) / max(1.0, np.max(np.abs(fd))))
 
             spec = ScenarioSpec("quadexp", 50, (3, 4, 5), p, beta, w=0.3, seed=700 + i)
-            data = gen_quadexp(spec)
+            data = generate(spec)
             fit = quadexp_cl_fit(data)
             assert fit.converged
             worst_score = max(
@@ -198,7 +195,7 @@ def test_criterion_02_scores_match_finite_differences():
             worst_rel = max(worst_rel, np.max(np.abs(an - fd)) / max(1.0, np.max(np.abs(fd))))
 
             spec = ScenarioSpec("gamma", 50, 3, p, np.abs(beta) + 0.2, nu=1.5, seed=800 + i)
-            data = gen_gamma(spec)
+            data = generate(spec)
             fit = gamma_cl_fit(data)
             assert fit.converged
             nu = fit.nuisance["nu"]
@@ -340,7 +337,7 @@ def test_criterion_10_panel_pipeline_end_to_end(tmp_path, capsys):
         spec = ScenarioSpec(
             "quadexp", 900, (2, 3, 4, 5, 6), 7, beta, w=0.3, seed=404, x_row_corr=0.0
         )
-        data = gen_quadexp(spec)
+        data = generate(spec)
         csv_path = tmp_path / "panel.csv"
         write_clustered_csv(data, str(csv_path))
 

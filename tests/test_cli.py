@@ -15,7 +15,7 @@ from clmc.cli import FITTERS, main, read_clustered_csv, write_clustered_csv
 from clmc.harness import PRESETS
 from clmc.models import FitError
 from clmc.mvnprob import QuantileConvergenceError
-from clmc.simgen import Exchangeable, ScenarioSpec, gen_mvn, gen_quadexp
+from clmc.simgen import Exchangeable, ScenarioSpec, generate
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def mvn_csv(tmp_path):
     spec = ScenarioSpec("mvn", 80, 4, 3, np.array([0.5, -0.2, 0.0]),
                         Exchangeable(0.8, 0.3), seed=31)
     path = tmp_path / "mvn.csv"
-    write_clustered_csv(gen_mvn(spec), str(path))
+    write_clustered_csv(generate(spec), str(path))
     return str(path)
 
 
@@ -35,7 +35,7 @@ QUADEXP_SPEC = ScenarioSpec("quadexp", 300, (3, 4, 5), 3,
 @pytest.fixture
 def quadexp_csv(tmp_path):
     path = tmp_path / "qe.csv"
-    write_clustered_csv(gen_quadexp(QUADEXP_SPEC), str(path))
+    write_clustered_csv(generate(QUADEXP_SPEC), str(path))
     return str(path)
 
 
@@ -82,7 +82,7 @@ class TestReadClusteredCsv:
     def test_round_trip_identical(self, tmp_path):
         spec = ScenarioSpec("mvn", 12, 3, 2, np.array([0.1, 0.2]),
                             Exchangeable(1.0, 0.4), seed=33)
-        d = gen_mvn(spec)
+        d = generate(spec)
         path = tmp_path / "rt.csv"
         write_clustered_csv(d, str(path))
         back = read_clustered_csv(str(path))
@@ -363,7 +363,9 @@ class TestTestCommand:
         (b"a,1,-1,0\nb,1,0," + b"1" * 200_000 + b"\n", ":2: field larger than field limit"),
         (b"a,1,-1,0\n\xff,1,0,-1\n", ": not UTF-8"),
         (b"a,1,-1,0\nb,1,0\n", ":2: contrast rows must have 3 weights"),
-    ], ids=["oversized-field", "non-utf8", "ragged-row"])
+        (b"a,1,x,0\n", ":1: malformed contrast weight"),
+        (b"", ": contrast rows must have 3 weights"),
+    ], ids=["oversized-field", "non-utf8", "ragged-row", "malformed-weight", "empty"])
     def test_bad_contrast_file_is_one_line_naming_it(self, mvn_csv, tmp_path, capsys, text, where):
         cpath = tmp_path / "contrasts.csv"
         cpath.write_bytes(text)
@@ -382,6 +384,12 @@ class TestTestCommand:
         assert out.out == ""
         assert out.err == (f"error: baseline {baseline!r} of --contrasts {spec!r} "
                            "is not a positive integer\n")
+
+    def test_unknown_contrast_spec_is_one_line_naming_it(self, mvn_csv, capsys):
+        rc = main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", "foo"])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.err == "error: unknown contrast spec 'foo'\n"
 
     def test_unknown_method_rejected(self, mvn_csv, capsys):
         rc = main(["test", "--model", "mvn", "--data", mvn_csv,
@@ -407,6 +415,26 @@ class TestErrorPath:
         out = capsys.readouterr()
         assert rc == 1
         assert out.err == "error: fit did not converge\n"
+        assert out.out == ""
+
+    def test_fit_command_rejects_nonconverged_fit(self, mvn_csv, capsys, monkeypatch):
+        real = FITTERS["mvn"]
+        monkeypatch.setitem(
+            FITTERS, "mvn", lambda d: dataclasses.replace(real(d), converged=False)
+        )
+        rc = main(["fit", "--model", "mvn", "--data", mvn_csv])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.err == "error: fit did not converge\n"
+        assert "converged=False" in out.out
+
+    def test_test_command_refuses_non_finite_cell(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("cluster_id,y,x1,x2\n0,nan,1,2\n0,1,2,3\n1,0.5,1,0\n1,2,3,1\n")
+        rc = main(["test", "--model", "mvn", "--data", str(path), "--contrasts", "all-pairwise"])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.err == "error: 0: non-finite value in y or x\n"
         assert out.out == ""
 
     def test_quantile_failure(self, mvn_csv, capsys, monkeypatch):
@@ -573,9 +601,23 @@ class TestSimulateCommand:
         {"model": "gamma", "correlation": {"type": "exchangeable", "sigma2": 4}},
         {"model": "probit", "m": 2, "correlation": {"type": "unstructured",
                                                     "sigma": [[4.0, 0.0], [0.0, 4.0]]}},
+        # JSON's NaN and Infinity: each once failed only inside the replicates
+        {"x_scale": float("nan")},
+        {"x_scale": float("inf")},
+        {"beta": [float("nan"), 0, 0]},
+        {"correlation": {"type": "exchangeable", "sigma2": float("inf")}},
+        {"m": 2, "correlation": {"type": "unstructured",
+                                 "sigma": [[1.0, float("nan")], [float("nan"), 1.0]]}},
+        {"model": "gamma", "nu": float("nan")},
+        {"model": "gamma", "nu": float("inf")},
+        {"model": "quadexp", "w": float("nan")},
+        {"model": "quadexp", "w": float("inf")},
+        # refused, but once after a RuntimeWarning from its integer check
+        {"n": float("inf")},
     ], ids=["quadexp-m21", "unstructured-size", "unstructured-not-pd", "exchangeable-rho",
             "probit-sigma2", "gamma-rho", "quadexp-correlation", "quadexp-nu", "gamma-sigma2",
-            "probit-unstructured-scale"])
+            "probit-unstructured-scale", "x_scale-nan", "x_scale-inf", "beta-nan", "sigma2-inf",
+            "sigma-nan", "nu-nan", "nu-inf", "w-nan", "w-inf", "n-inf"])
     def test_undrawable_scenario_is_refused_before_any_replicate(self, tmp_path, capsys,
                                                                  monkeypatch, change):
         def no_replicate(cfg):
@@ -656,7 +698,7 @@ def write_golden_csvs(root: Path) -> dict:
     for key, preset in GOLDEN_DATA.items():
         assert main(["generate", "--preset", preset, "--seed", GOLDEN_SEED,
                      "--output", paths[key]]) == 0
-    write_clustered_csv(gen_quadexp(QUADEXP_SPEC), paths["quadexp_rows"])
+    write_clustered_csv(generate(QUADEXP_SPEC), paths["quadexp_rows"])
     return paths
 
 

@@ -25,10 +25,7 @@ from clmc.models import (
 from clmc.simgen import (
     Exchangeable,
     ScenarioSpec,
-    gen_gamma,
-    gen_mvn,
-    gen_probit,
-    gen_quadexp,
+    generate,
     quadexp_enumeration_oracle,
 )
 
@@ -104,7 +101,7 @@ class TestMvnFit:
     def test_tiny_instance_matches_grid_search(self):
         spec = ScenarioSpec("mvn", n=3, m=2, p=1, beta=np.array([0.4]),
                             correlation=Exchangeable(1.0, 0.3), seed=9)
-        d = gen_mvn(spec)
+        d = generate(spec)
         fit = mvn_cl_fit(d)
 
         ys = d.y.reshape(d.n, -1)
@@ -122,7 +119,7 @@ class TestMvnFit:
     def test_score_zero_at_convergence(self):
         spec = ScenarioSpec("mvn", n=60, m=4, p=3, beta=np.array([0.2, -0.1, 0.0]),
                             correlation=Exchangeable(0.8, 0.2), seed=5)
-        d = gen_mvn(spec)
+        d = generate(spec)
         fit = mvn_cl_fit(d)
         assert fit.converged
         s = mvn_cl_score(d, fit.beta, np.diag(fit.nuisance["sigma"]))
@@ -131,7 +128,7 @@ class TestMvnFit:
     def test_fd_score_and_hessian(self):
         spec = ScenarioSpec("mvn", n=25, m=3, p=2, beta=np.array([0.3, -0.4]),
                             correlation=Exchangeable(1.0, 0.4), seed=13)
-        d = gen_mvn(spec)
+        d = generate(spec)
         fit = mvn_cl_fit(d)
         sigma_diag = np.diag(fit.nuisance["sigma"])
         theta = fit.beta + np.array([0.05, -0.03])
@@ -147,7 +144,7 @@ class TestMvnFit:
     def test_gamma_hat_is_sandwich(self):
         spec = ScenarioSpec("mvn", n=50, m=4, p=3, beta=np.zeros(3),
                             correlation=Exchangeable(0.8, 0.5), seed=3)
-        fit = mvn_cl_fit(gen_mvn(spec))
+        fit = mvn_cl_fit(generate(spec))
         hinv = np.linalg.inv(fit.h_hat)
         np.testing.assert_allclose(fit.gamma_hat, hinv @ fit.j_hat @ hinv, rtol=1e-9)
         assert np.min(np.linalg.eigvalsh(fit.gamma_hat)) > 0
@@ -155,7 +152,7 @@ class TestMvnFit:
     def test_naive_gamma_is_h_inverse(self):
         spec = ScenarioSpec("mvn", n=50, m=4, p=3, beta=np.zeros(3),
                             correlation=Exchangeable(0.8, 0.5), seed=3)
-        fit = naive_fit(mvn_cl_fit(gen_mvn(spec)))
+        fit = naive_fit(mvn_cl_fit(generate(spec)))
         np.testing.assert_allclose(fit.gamma_hat, np.linalg.inv(fit.h_hat), rtol=1e-10)
 
 
@@ -163,7 +160,7 @@ class TestMvnMle:
     def test_matches_mcle_under_diagonal_truth(self):
         spec = ScenarioSpec("mvn", n=2500, m=4, p=3, beta=np.array([0.1, 0.0, -0.2]),
                             correlation=Exchangeable(0.8, 0.0), seed=21)
-        d = gen_mvn(spec)
+        d = generate(spec)
         cl, mle = mvn_cl_fit(d), mvn_mle_fit(d)
         ratio = np.mean(np.sqrt(np.diag(mle.gamma_hat)) / np.sqrt(np.diag(cl.gamma_hat)))
         assert ratio == pytest.approx(1.0, abs=0.02)
@@ -172,7 +169,7 @@ class TestMvnMle:
     def test_mle_no_less_efficient_under_correlation(self):
         spec = ScenarioSpec("mvn", n=400, m=4, p=5, beta=np.zeros(5),
                             correlation=Exchangeable(0.8, 0.5), seed=22)
-        d = gen_mvn(spec)
+        d = generate(spec)
         cl, mle = mvn_cl_fit(d), mvn_mle_fit(d)
         ratio = np.mean(np.sqrt(np.diag(mle.gamma_hat)) / np.sqrt(np.diag(cl.gamma_hat)))
         assert ratio < 1.0
@@ -182,14 +179,14 @@ class TestProbitFit:
     def test_fd_score(self):
         spec = ScenarioSpec("probit", n=50, m=2, p=2, beta=np.array([0.5, -0.3]),
                             correlation=Exchangeable(1.0, 0.4), seed=2)
-        d = gen_probit(spec)
+        d = generate(spec)
         theta = np.array([0.3, 0.1])
         f = lambda b: probit_cl_loglik(d, b)
         assert rel_err(probit_cl_score(d, theta), fd_gradient(f, theta)) < 1e-5
 
     def test_score_zero_at_convergence(self):
         spec = ScenarioSpec("probit", n=50, m=2, p=1, beta=np.array([0.4]), seed=8)
-        d = gen_probit(spec)
+        d = generate(spec)
         fit = probit_cl_fit(d)
         assert fit.converged
         assert np.max(np.abs(probit_cl_score(d, fit.beta))) < 1e-6
@@ -197,14 +194,14 @@ class TestProbitFit:
     def test_null_truth_estimates_near_zero(self):
         spec = ScenarioSpec("probit", n=4000, m=4, p=3, beta=np.zeros(3),
                             correlation=Exchangeable(1.0, 0.3), seed=4)
-        d = gen_probit(spec)
+        d = generate(spec)
         fit = probit_cl_fit(d)
         se = np.sqrt(np.diag(fit.gamma_hat) / d.n)
         assert np.all(np.abs(fit.beta) < 4.0 * se)
 
     def test_expected_info_matches_mean_observed_curvature(self):
         spec = ScenarioSpec("probit", n=2000, m=2, p=2, beta=np.array([0.3, -0.2]), seed=6)
-        d = gen_probit(spec)
+        d = generate(spec)
         fit = probit_cl_fit(d)
         per_cluster = []
         for rows in np.split(np.arange(len(d.y)), d.starts[1:]):
@@ -218,7 +215,7 @@ class TestProbitFit:
 
     def test_accepts_pm1_encoding(self):
         spec = ScenarioSpec("probit", n=80, m=2, p=2, beta=np.array([0.5, 0.0]), seed=10)
-        d01 = gen_probit(spec)
+        d01 = generate(spec)
         pm1 = dataclasses.replace(d01, y=2.0 * d01.y - 1.0)
         np.testing.assert_allclose(probit_cl_fit(d01).beta, probit_cl_fit(pm1).beta, rtol=1e-8)
 
@@ -234,7 +231,7 @@ class TestQuadexpFit:
     def test_fd_score(self):
         spec = ScenarioSpec("quadexp", n=40, m=(3, 4, 5), p=2,
                             beta=np.array([0.4, -0.2]), w=0.3, seed=3)
-        d = gen_quadexp(spec)
+        d = generate(spec)
         theta = np.array([0.2, 0.1, 0.15])
         f = lambda th: quadexp_cl_loglik(d, th[:2], th[2])
         analytic = quadexp_cl_score(d, theta[:2], theta[2])
@@ -243,7 +240,7 @@ class TestQuadexpFit:
     def test_observed_hessian_matches_h_hat(self):
         spec = ScenarioSpec("quadexp", n=60, m=4, p=2, beta=np.array([0.3, 0.1]),
                             w=0.4, seed=11)
-        d = gen_quadexp(spec)
+        d = generate(spec)
         fit = quadexp_cl_fit(d)
         f = lambda th: quadexp_cl_loglik(d, th[:2], th[2])
         np.testing.assert_allclose(-fd_hessian(f, fit.theta_hat) / d.n, fit.h_hat, rtol=1e-4)
@@ -251,7 +248,7 @@ class TestQuadexpFit:
     def test_score_zero_at_convergence(self):
         spec = ScenarioSpec("quadexp", n=100, m=(4, 5, 6, 7, 8), p=3,
                             beta=np.array([0.2, 0.0, -0.1]), w=0.5, seed=12)
-        d = gen_quadexp(spec)
+        d = generate(spec)
         fit = quadexp_cl_fit(d)
         assert fit.converged
         s = quadexp_cl_score(d, fit.beta, fit.theta_hat[-1])
@@ -260,7 +257,7 @@ class TestQuadexpFit:
     def test_w_zero_reduces_to_independent_logistic(self):
         spec = ScenarioSpec("quadexp", n=50, m=4, p=2, beta=np.array([0.6, -0.4]),
                             w=0.0, seed=14)
-        d = gen_quadexp(spec)
+        d = generate(spec)
         beta = np.array([0.3, -0.2])
         x, y = d.x, d.y
         t = (y + 1.0) / 2.0
@@ -271,7 +268,7 @@ class TestQuadexpFit:
     def test_w_hat_near_zero_for_independent_truth(self):
         spec = ScenarioSpec("quadexp", n=2000, m=(4, 5, 6, 7, 8), p=3,
                             beta=np.array([0.2, -0.1, 0.0]), w=0.0, seed=15)
-        d = gen_quadexp(spec)
+        d = generate(spec)
         fit = quadexp_cl_fit(d)
         se_w = np.sqrt(fit.gamma_hat[-1, -1] / d.n)
         assert abs(fit.theta_hat[-1]) < 4.0 * se_w
@@ -298,7 +295,7 @@ class TestQuadexpFit:
     def test_cluster_mean_covariate_option(self):
         spec = ScenarioSpec("quadexp", n=60, m=4, p=2, beta=np.array([0.3, 0.1]),
                             w=0.2, seed=16)
-        d = gen_quadexp(spec)
+        d = generate(spec)
         fit = quadexp_cl_fit(d, cluster_mean_covariates=True)
         assert fit.converged
         assert fit.theta_hat.shape == (3,)
@@ -313,7 +310,7 @@ class TestGammaFit:
     def test_fd_score(self):
         spec = ScenarioSpec("gamma", n=40, m=2, p=2, beta=np.array([0.5, -0.2]),
                             nu=2.0, seed=18)
-        d = gen_gamma(spec)
+        d = generate(spec)
         theta = np.array([0.4, -0.1])
         for nu in (1.0, 2.5):
             f = lambda b: gamma_cl_loglik(d, b, nu)
@@ -321,7 +318,7 @@ class TestGammaFit:
 
     def test_grid_search_and_exact_dispersion(self):
         spec = ScenarioSpec("gamma", n=100, m=2, p=1, beta=np.array([0.6]), nu=1.5, seed=19)
-        d = gen_gamma(spec)
+        d = generate(spec)
         fit = gamma_cl_fit(d)
         x, y = d.x, d.y
 
@@ -356,7 +353,7 @@ class TestGammaFit:
     def test_j_hat_psd_and_sandwich_identity(self):
         spec = ScenarioSpec("gamma", n=120, m=3, p=2, beta=np.array([0.4, 0.2]),
                             correlation=Exchangeable(1.0, 0.5), nu=1.0, seed=20)
-        fit = gamma_cl_fit(gen_gamma(spec))
+        fit = gamma_cl_fit(generate(spec))
         assert np.min(np.linalg.eigvalsh(fit.j_hat)) > -1e-10
         hinv = np.linalg.inv(fit.h_hat)
         np.testing.assert_allclose(fit.gamma_hat, hinv @ fit.j_hat @ hinv, rtol=1e-8)
@@ -364,7 +361,7 @@ class TestGammaFit:
     def test_expected_info_matches_mean_observed_curvature(self):
         spec = ScenarioSpec("gamma", n=3000, m=2, p=2, beta=np.array([0.4, -0.1]),
                             nu=2.0, seed=24)
-        d = gen_gamma(spec)
+        d = generate(spec)
         fit = gamma_cl_fit(d)
         nu = fit.nuisance["nu"]
         # observed per-cluster curvature: nu * sum_j (y/mu) x x'
@@ -390,7 +387,7 @@ class TestSizeOneClusters:
     def test_mvn_sandwich_is_h_inverse(self):
         # J = H algebraically: the weight is the inverse residual variance
         spec = ScenarioSpec("mvn", n=20000, m=1, p=3, beta=np.array([0.3, 0.0, -0.2]), seed=3)
-        assert self.gap(mvn_cl_fit(gen_mvn(spec))) < 1e-12
+        assert self.gap(mvn_cl_fit(generate(spec))) < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_probit_sandwich_is_h_inverse_in_expectation(self, seed):
@@ -398,9 +395,9 @@ class TestSizeOneClusters:
         # at 2000 clusters and 9.5e-3 at 20 000, where its maximum is 2.1e-2
         spec = ScenarioSpec("probit", n=20000, m=1, p=3, beta=np.array([0.3, 0.0, -0.2]),
                             seed=seed)
-        assert self.gap(probit_cl_fit(gen_probit(spec))) < 0.04
+        assert self.gap(probit_cl_fit(generate(spec))) < 0.04
 
     def test_quadexp_is_not_identifiable(self):
         spec = ScenarioSpec("quadexp", n=500, m=1, p=2, beta=np.array([0.3, 0.1]), w=0.2, seed=1)
         with pytest.raises(FitError, match="singular"):
-            quadexp_cl_fit(gen_quadexp(spec))
+            quadexp_cl_fit(generate(spec))

@@ -13,10 +13,6 @@ from clmc.simgen import (
     Exchangeable,
     ScenarioSpec,
     Unstructured,
-    gen_gamma,
-    gen_mvn,
-    gen_probit,
-    gen_quadexp,
     generate,
     quadexp_enumeration_oracle,
 )
@@ -52,7 +48,7 @@ class TestGenMvn:
     def test_independent_residual_covariance(self):
         spec = ScenarioSpec("mvn", 4000, 4, 2, np.array([0.5, -0.5]),
                             Exchangeable(0.8, 0.0), seed=1)
-        d = gen_mvn(spec)
+        d = generate(spec)
         resid = by_cluster(d, d.y - d.x @ spec.beta)
         cov = resid.T @ resid / d.n
         se = 0.8 / math.sqrt(d.n)
@@ -63,7 +59,7 @@ class TestGenMvn:
     def test_unstructured_sigma_accepted(self):
         spec = ScenarioSpec("mvn", 6000, 4, 2, np.zeros(2),
                             Unstructured(UNSTRUCTURED_SIGMA_M4), seed=2)
-        d = gen_mvn(spec)
+        d = generate(spec)
         ys = by_cluster(d, d.y)
         cov = ys.T @ ys / d.n
         assert np.max(np.abs(cov - UNSTRUCTURED_SIGMA_M4)) < 0.15
@@ -75,14 +71,14 @@ class TestGenMvn:
 class TestGenProbit:
     def test_null_marginal_is_half(self):
         spec = ScenarioSpec("probit", 3000, 4, 2, np.zeros(2), Exchangeable(1.0, 0.5), seed=3)
-        d = gen_probit(spec)
+        d = generate(spec)
         ys = d.y
         se = 0.5 / math.sqrt(len(ys))
         assert abs(ys.mean() - 0.5) < 3 * se
 
     def test_independent_within_cluster(self):
         spec = ScenarioSpec("probit", 6000, 2, 1, np.zeros(1), Exchangeable(1.0, 0.0), seed=4)
-        d = gen_probit(spec)
+        d = generate(spec)
         ys = by_cluster(d, d.y)
         corr = np.corrcoef(ys[:, 0], ys[:, 1])[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(d.n)
@@ -90,7 +86,7 @@ class TestGenProbit:
     def test_concordance_matches_orthant_probability(self):
         rho = 0.5
         spec = ScenarioSpec("probit", 20000, 2, 1, np.zeros(1), Exchangeable(1.0, rho), seed=5)
-        d = gen_probit(spec)
+        d = generate(spec)
         ys = by_cluster(d, d.y)
         both = np.mean((ys[:, 0] == 1) & (ys[:, 1] == 1))
 
@@ -145,7 +141,7 @@ class TestGenQuadexp:
         fx = rng.standard_normal((4, 2))
         beta = np.array([0.5, -0.3])
         spec = ScenarioSpec("quadexp", 20000, 4, 2, beta, w=0.0, seed=10, fixed_x=fx)
-        d = gen_quadexp(spec)
+        d = generate(spec)
         ys = by_cluster(d, d.y)
         p_plus = 1.0 / (1.0 + np.exp(-fx @ beta))
         emp = (ys == 1.0).mean(axis=0)
@@ -156,7 +152,7 @@ class TestGenQuadexp:
         m = 4
         spec = ScenarioSpec("quadexp", 32000, m, 1, np.zeros(1), w=0.0, seed=11,
                             fixed_x=np.zeros((m, 1)))
-        d = gen_quadexp(spec)
+        d = generate(spec)
         ys = by_cluster(d, d.y)
         codes = ((ys + 1) / 2 * (2 ** np.arange(m))).sum(axis=1).astype(int)
         counts = np.bincount(codes, minlength=2**m)
@@ -168,7 +164,7 @@ class TestGenQuadexp:
         m, w = 4, 0.5
         spec = ScenarioSpec("quadexp", 40000, m, 1, np.zeros(1), w=w, seed=12,
                             fixed_x=np.zeros((m, 1)))
-        d = gen_quadexp(spec)
+        d = generate(spec)
         zs = (by_cluster(d, d.y) == 1.0).sum(axis=1)
         # with zero main effects the cluster total z is sufficient:
         # P(z) ~ C(m, z) exp(-w z (m - z))
@@ -186,7 +182,7 @@ class TestGenQuadexp:
         beta = np.array([0.4, -0.2])
         w = 0.3
         spec = ScenarioSpec("quadexp", 100000, 4, 2, beta, w=w, seed=13, fixed_x=fx)
-        d = gen_quadexp(spec)
+        d = generate(spec)
         configs, probs = quadexp_enumeration_oracle(fx, beta, w)
         ys = by_cluster(d, d.y)
         codes = ((ys + 1) / 2 * (2 ** np.arange(4))).sum(axis=1).astype(int)
@@ -204,7 +200,7 @@ class TestGenQuadexp:
         n = 20000
         spec = ScenarioSpec("probit", n, 3, 1, beta, Exchangeable(1.0, 0.0), seed=14,
                             fixed_x=fx)
-        d = gen_probit(spec)
+        d = generate(spec)
         ys = by_cluster(d, d.y)
         codes1 = (ys * (2 ** np.arange(3))).sum(axis=1).astype(int)
         rng = np.random.default_rng(15)
@@ -232,7 +228,7 @@ class TestGenQuadexp:
 class TestGenGamma:
     def test_independent_mean_one_ratio(self):
         spec = ScenarioSpec("gamma", 4000, 3, 2, np.array([0.5, 0.2]), nu=2.0, seed=17)
-        d = gen_gamma(spec)
+        d = generate(spec)
         ratios = d.y / np.exp(d.x @ spec.beta)
         se = 1.0 / math.sqrt(2.0 * len(ratios))  # var(y/mu) = 1/nu
         assert abs(ratios.mean() - 1.0) < 3 * se
@@ -241,7 +237,7 @@ class TestGenGamma:
         rho, nu = 0.5, 1.0
         spec = ScenarioSpec("gamma", 8000, 3, 1, np.zeros(1),
                             Exchangeable(1.0, rho), nu=nu, seed=19)
-        d = gen_gamma(spec)
+        d = generate(spec)
         scaled = by_cluster(d, d.y / np.exp(d.x @ spec.beta))
         corr = np.corrcoef(scaled.T)
         off = corr[~np.eye(3, dtype=bool)]
@@ -287,6 +283,20 @@ class TestScenarioSpec:
         # probit fit of the last estimated beta / 2 (beta 1.0, n 4000, seed 1)
         with pytest.raises(ValueError, match=message):
             ScenarioSpec(**{"n": 4000, "m": 2, "p": 1, "beta": np.ones(1), "seed": 1, **spec})
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: ScenarioSpec("mvn", 30, 3, 1, [0.0], x_scale=np.nan), "x_scale"),
+        (lambda: ScenarioSpec("mvn", 30, 3, 1, [0.0], x_scale=np.inf), "x_scale"),
+        (lambda: ScenarioSpec("mvn", 30, 3, 2, [np.nan, 0.0]), "beta"),
+        (lambda: ScenarioSpec("quadexp", 30, 3, 1, [0.0], w=np.nan), "w"),
+        (lambda: ScenarioSpec("gamma", 30, 3, 1, [0.0], nu=np.inf), "nu"),
+        (lambda: Exchangeable(np.inf, 0.0), "sigma2"),
+        (lambda: Unstructured([[1.0, np.nan], [np.nan, 1.0]]), "sigma"),
+    ], ids=["x_scale-nan", "x_scale-inf", "beta-nan", "w-nan", "nu-inf", "sigma2-inf", "sigma-nan"])
+    def test_non_finite_value_is_refused_by_name(self, build, field):
+        # each was once accepted and failed only inside the fit of a replicate
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build()
 
     def test_fixed_x_needs_matching_m(self):
         with pytest.raises(ValueError):
