@@ -38,12 +38,9 @@ from .models import (
 from .mvnprob import (
     ProbEstimate,
     QmcConfig,
-    chi_square_quantile,
     equicoordinate_quantile,
     equicoordinate_rejects,
     mvn_rectangle_prob,
-    std_normal_cdf,
-    std_normal_quantile,
     studentized_range_quantile,
 )
 from .harness import (

@@ -17,12 +17,13 @@ import json
 import sys
 
 import numpy as np
+from scipy.special import ndtr
 
 from .data import ClusteredDataset, ContrastFamily, build_contrasts, validate_dataset
 from .harness import PRESETS, experiment_config, preset_config, run_experiment
 from .inference import METHODS, evaluate_tests
 from .models import FITTERS, naive_fit
-from .mvnprob import QmcConfig, std_normal_cdf
+from .mvnprob import QmcConfig
 from .simgen import generate
 
 
@@ -225,7 +226,7 @@ def cmd_fit(args) -> int:
                 "coefficient": name,
                 "estimate": _fmt(est),
                 "se": _fmt(s),
-                "p_value": _fmt(2.0 * std_normal_cdf(-abs(z)), 4),
+                "p_value": _fmt(2.0 * ndtr(-abs(z)), 4),
             }
         )
     if args.model == "gamma":
@@ -435,10 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # FitError, SeparationError and QuantileConvergenceError are RuntimeErrors
+    # FitError, SeparationError and QuantileConvergenceError are RuntimeErrors;
+    # numpy refuses an impossible allocation with a MemoryError naming its size
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -133,6 +133,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[np.ndarray, float | Non
     """Replicate `rep`: its reject matrix and MLE efficiency, or None for a
     fit that fails or does not converge, or whose statistics, V or mnq cutoff
     cannot be computed (a degenerate sandwich, a quantile search that stalls).
+    An MLE that fails or does not converge leaves only the efficiency out.
     Generation cannot fail: the ScenarioSpec refused an undrawable scenario
     when the config was built."""
     data = generate(cfg.scenario, np.random.SeedSequence(cfg.scenario.seed, spawn_key=(rep,)))
@@ -147,14 +148,13 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[np.ndarray, float | Non
     except (ValueError, QuantileConvergenceError):
         return None
 
-    efficiency = None
-    if cfg.compute_efficiency:
-        mle = mvn_mle_fit(data)
-        if mle.converged:
-            efficiency = float(
-                np.mean(np.sqrt(np.diag(mle.gamma_hat)) / np.sqrt(np.diag(fit.gamma_hat)))
-            )
-    return rejects, efficiency
+    try:
+        mle = mvn_mle_fit(data) if cfg.compute_efficiency else None
+    except FitError:
+        mle = None
+    if mle is None or not mle.converged:
+        return rejects, None
+    return rejects, float(np.mean(np.sqrt(np.diag(mle.gamma_hat)) / np.sqrt(np.diag(fit.gamma_hat))))
 
 
 def _ordering_violations(procedures: tuple[str, ...], rejects: np.ndarray) -> dict:

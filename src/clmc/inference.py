@@ -19,16 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chdtri, ndtr, ndtri
 
 from .data import ContrastFamily
 from .models.base import FitResult
 from .mvnprob import (
     QmcConfig,
-    chi_square_quantile,
     equicoordinate_quantile,
     mvn_rectangle_prob,  # not called here; perfbench/workloads.py wraps it by this name
-    std_normal_cdf,
-    std_normal_quantile,
     studentized_range_quantile,
 )
 
@@ -93,7 +91,7 @@ class MethodDecision:
 
 
 def _two_sided_p(t: np.ndarray) -> np.ndarray:
-    return 2.0 * std_normal_cdf(-np.abs(t))
+    return 2.0 * ndtr(-np.abs(t))
 
 
 def _holm(t: np.ndarray, alpha: float) -> MethodDecision:
@@ -128,17 +126,17 @@ def adjust(
     abs_t = np.abs(t)
 
     if method == "bonferroni":
-        cut = std_normal_quantile(1.0 - alpha / (2.0 * c))
+        cut = float(ndtri(1.0 - alpha / (2.0 * c)))
         return MethodDecision("bonferroni", abs_t > cut, cut,
                               adjusted_p=np.minimum(1.0, c * _two_sided_p(t)))
     if method == "sidak":
-        cut = std_normal_quantile(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / c)) / 2.0)
+        cut = float(ndtri(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / c)) / 2.0))
         return MethodDecision("sidak", abs_t > cut, cut,
                               adjusted_p=1.0 - (1.0 - _two_sided_p(t)) ** c)
     if method == "holm":
         return _holm(t, alpha)
     if method == "scheffe":
-        cut = float(np.sqrt(chi_square_quantile(int(np.linalg.matrix_rank(cf.matrix)), 1.0 - alpha)))
+        cut = float(np.sqrt(chdtri(np.linalg.matrix_rank(cf.matrix), alpha)))
         return MethodDecision("scheffe", abs_t > cut, cut)
     if method == "tukey":
         if cf.kind != "all_pairwise":

@@ -42,6 +42,9 @@ A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
 the statistics between the univariate and Bonferroni cutoffs, on the points
 the search would use, and runs the search only for a P within its root
 tolerance of 1 - alpha: the decisions of the finished search.
+
+Tukey's cutoff is scipy.stats.studentized_range at infinite degrees of
+freedom; the normal and chi-square cutoffs are scipy.special's, at the caller.
 """
 
 from __future__ import annotations
@@ -51,19 +54,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.special import chdtri, ndtr, ndtri
-from scipy.stats import qmc
+from scipy.special import ndtr, ndtri
+from scipy.stats import qmc, studentized_range
 
 __all__ = [
     "QmcConfig",
     "ProbEstimate",
-    "std_normal_cdf",
-    "std_normal_quantile",
     "mvn_rectangle_prob",
     "equicoordinate_quantile",
     "equicoordinate_rejects",
-    "chi_square_quantile",
     "studentized_range_quantile",
     "QuantileConvergenceError",
 ]
@@ -114,29 +113,6 @@ class ProbEstimate:
             raise ValueError(f"probability {self.value} outside [0,1]")
         if not np.isfinite(self.std_error) or self.std_error < 0:
             raise ValueError("std_error must be finite and nonnegative")
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF; tail-safe down to |z| ~ 37 (never exactly 0)."""
-    return ndtr(z)
-
-
-def std_normal_quantile(p):
-    """Inverse standard normal CDF for 0 < p < 1."""
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
-        raise ValueError("quantile requires 0 < p < 1")
-    out = ndtri(p_arr)
-    return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
-
-
-def chi_square_quantile(df: int, p: float) -> float:
-    """Inverse chi-square CDF with df degrees of freedom."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile requires 0 < p < 1")
-    return float(chdtri(df, 1.0 - p))
 
 
 def _prepare_correlation(corr: np.ndarray) -> np.ndarray:
@@ -562,35 +538,14 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
     return abs_t > _quantile(corr, alpha, cfg, decide=abs_t).q
 
 
-def _range_cdf(q: float, k: int) -> float:
-    """P(range of k iid standard normals <= q)."""
-    if q <= 0.0:
-        return 0.0
-
-    def integrand(z):
-        return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) * (ndtr(z) - ndtr(z - q)) ** (k - 1)
-
-    val, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-11, epsrel=1e-11)
-    return k * val
-
-
 @functools.lru_cache(maxsize=64)
 def studentized_range_quantile(k: int, alpha: float) -> float:
-    """Infinite-degrees-of-freedom studentized range quantile q_{k;alpha}.
-
-    Cached per (k, alpha): each call brackets a root of an adaptive quadrature.
-    """
+    """Infinite-degrees-of-freedom studentized range quantile q_{k;alpha}:
+    scipy.stats.studentized_range, exact sqrt(2) z_{alpha/2} at k = 2."""
     if k < 2:
         raise ValueError("need k >= 2 groups")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    target = 1.0 - alpha
-    lo = np.sqrt(2.0) * float(ndtri(1.0 - alpha / 2.0))
-    hi = np.sqrt(2.0) * float(ndtri(1.0 - alpha / (k * (k - 1))))
     if k == 2:
-        return lo
-    g = lambda q: _range_cdf(q, k) - target
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo > 0.0 or g_hi < 0.0:
-        raise QuantileConvergenceError("range-quantile bracket failed")
-    return float(optimize.brentq(g, lo, hi, xtol=1e-8, rtol=1e-12, maxiter=200))
+        return np.sqrt(2.0) * float(ndtri(1.0 - alpha / 2.0))
+    return float(studentized_range.ppf(1.0 - alpha, k, np.inf))

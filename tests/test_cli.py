@@ -288,7 +288,8 @@ class TestFitCommand:
         rc = main(["fit", "--model", "mvn", "--data", mvn_csv,
                    "--format", "csv", "--output", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["coefficient"] for r in rows] == ["x1", "x2", "x3"]
         est = float(rows[0]["estimate"])
         assert abs(est - 0.5) < 0.15
@@ -473,6 +474,25 @@ class TestErrorPath:
         assert [r["estimate"] for r in rows if r["metric"] == "dropped_replicates"] == [1]
         assert all(r["replicates"] == 2 for r in rows)
 
+    # sizes no machine can hold (96 PiB of QMC points, 711 PiB of cluster
+    # sizes): numpy refuses each before touching memory
+    def test_impossible_qmc_allocation_is_one_line(self, mvn_csv, capsys):
+        rc = main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", "many-to-one:1",
+                   "--qmc-points", str(2**50)])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.err.startswith("error: Unable to allocate") and out.err.count("\n") == 1
+
+    def test_impossible_scenario_allocation_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"model": "mvn", "n": 10**17, "m": 4, "p": 2,
+                                    "beta": [0.0, 0.0]}))
+        rc = main(["simulate", "--config", str(path), "--replicates", "1"])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.err.startswith("error: Unable to allocate") and out.err.count("\n") == 1
+        assert out.out == ""
+
 
 class TestSimulateCommand:
     def test_list_presets(self, capsys):
@@ -488,7 +508,8 @@ class TestSimulateCommand:
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-        rows = list(csv.DictReader(out1.open()))
+        with out1.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert set(rows[0]) == {"scenario", "procedure", "metric", "estimate",
                                 "mc_se", "replicates"}
         procs = {r["procedure"] for r in rows}
@@ -712,7 +733,10 @@ def run_golden_case(argv, paths, out_path, capsys) -> dict:
     argv = [a.format(out=out_path, **paths) for a in argv]
     rc = main(argv)
     stdout = capsys.readouterr().out
-    written = open(out_path, newline="").read() if "--output" in argv else None
+    written = None
+    if "--output" in argv:
+        with open(out_path, newline="") as fh:
+            written = fh.read()
     return {"rc": rc, "stdout": stdout, "output": written}
 
 

@@ -23,7 +23,7 @@ from clmc.models import (
     probit_cl_score,
     quadexp_cl_fit,
 )
-from clmc.models.base import SCORE_TOL
+from clmc.models.base import MAX_ITER, SCORE_TOL, FitError, RowModel, fisher_scoring
 from clmc.simgen import Exchangeable, ScenarioSpec, generate
 
 _BETA = np.array([0.5, -0.4, 0.3])
@@ -135,3 +135,60 @@ def test_empty_cluster_is_a_constructor_error(name, where):
     ids = np.insert(d.ids, k, "void")
     with pytest.raises(ValueError, match="cluster sizes must be positive"):
         ClusteredDataset(d.x, d.y, sizes, ids)
+
+
+# ---------------------------------------------------------------------------
+# the safeguards of the scoring driver, on least squares: loglik -(eta - y)^2 / 2
+# with a Fisher weight of 1, whose maximum is the least-squares fit
+
+_U = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0], [1.0, 5.0]])
+_Y = np.array([0.3, 1.1, 1.8, 3.2, 3.9, 5.1])
+
+
+def _least_squares(step_scale=1.0, calls=None):
+    """The least-squares row model; scoring steps use step_scale times its
+    weight, so a scale below 1 overshoots and a negative one points downhill."""
+
+    def loglik(eta, y):
+        if calls is not None:
+            calls.append(None)
+        return -0.5 * (eta - y) ** 2
+
+    return RowModel(loglik=loglik, score=lambda eta, y: y - eta,
+                    weight=lambda eta, y: np.ones_like(eta),
+                    step_weight=lambda eta, y: np.full_like(eta, step_scale))
+
+
+def test_scoring_halves_an_overshooting_step():
+    # a loose tolerance: near a score of 1e-6 the objective moves by less than
+    # the 1e-12 slack of the halving test, and a tenfold step can pass it
+    calls = []
+    theta, steps, converged = fisher_scoring(_least_squares(0.1, calls), _U, _Y, np.zeros(2), 1e-4)
+    assert converged
+    np.testing.assert_allclose(theta, np.linalg.lstsq(_U, _Y, rcond=None)[0], atol=1e-4)
+    # one objective at the start, one per accepted step, and the halvings
+    assert len(calls) > 1 + steps
+
+
+def test_scoring_stops_when_halving_runs_out():
+    # a step downhill improves at no scale: scoring gives up where it started
+    theta, steps, converged = fisher_scoring(_least_squares(-1.0), _U, _Y, np.zeros(2), SCORE_TOL)
+    assert (steps, converged) == (0, False)
+    np.testing.assert_array_equal(theta, np.zeros(2))
+
+
+def test_scoring_reports_max_iter_without_convergence():
+    # steps of 1/1000 of the Newton step shrink the score by 0.1% each
+    theta, steps, converged = fisher_scoring(_least_squares(1e3), _U, _Y, np.zeros(2), SCORE_TOL)
+    assert (steps, converged) == (MAX_ITER, False)
+
+
+def test_scoring_divergence_is_a_separation_error():
+    # the maximum lies past the divergence bound
+    with pytest.raises(SeparationError, match="diverged"):
+        fisher_scoring(_least_squares(), _U[:, :1], np.full(6, 5000.0), np.zeros(1), SCORE_TOL)
+
+
+def test_scoring_refuses_a_non_finite_start():
+    with pytest.raises(FitError, match="not finite at the starting point"):
+        fisher_scoring(_least_squares(), _U, _Y, np.array([np.nan, 0.0]), SCORE_TOL)

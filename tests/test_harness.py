@@ -132,6 +132,49 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError):
             run_experiment(small_config(replicates=3, compute_efficiency=False))
 
+    def test_nonconverged_cl_fit_is_dropped_and_counted(self, monkeypatch):
+        import clmc.harness as mod
+
+        real = mod.FITTERS["mvn"]
+        calls = {"k": 0}
+
+        def stalls_once(d):
+            calls["k"] += 1
+            fit = real(d)
+            return dataclasses.replace(fit, converged=False) if calls["k"] == 2 else fit
+
+        monkeypatch.setitem(mod.FITTERS, "mvn", stalls_once)
+        s = run_experiment(small_config(replicates=4, compute_efficiency=False))
+        assert (s.replicates_completed, s.failures) == (3, 1)
+
+    def test_failing_efficiency_mle_keeps_the_replicate(self):
+        # 5 clusters of 10 leave a rank-deficient residual covariance, so
+        # mvn_mle_fit raises FitError; the CL fit and its tests still count
+        raw = {"model": "mvn", "n": 5, "m": 10, "p": 2, "beta": [0.0, 0.0]}
+        s = run_experiment(experiment_config(raw, replicates=3))
+        without = run_experiment(experiment_config({**raw, "compute_efficiency": False},
+                                                   replicates=3))
+        assert (s.replicates_completed, s.failures) == (3, 0)
+        assert s.efficiency is None
+        assert summary_fields(s) == summary_fields(without)
+
+    def test_failing_efficiency_mle_leaves_out_only_its_efficiency(self, monkeypatch):
+        import clmc.harness as mod
+
+        real = mod.mvn_mle_fit
+        calls = {"k": 0}
+
+        def flaky(d):
+            calls["k"] += 1
+            if calls["k"] == 2:
+                raise FitError("singular design matrix or residual covariance")
+            return real(d)
+
+        monkeypatch.setattr(mod, "mvn_mle_fit", flaky)
+        s = run_experiment(small_config(replicates=4))
+        assert (s.replicates_completed, s.failures) == (4, 0)
+        assert s.efficiency is not None
+
     @pytest.mark.parametrize("cause", ["contrast-variance", "indefinite-V", "quantile-stall"])
     def test_degenerate_replicate_is_dropped_and_counted(self, monkeypatch, cause):
         import clmc.harness as mod

@@ -8,25 +8,25 @@ from scipy.special import ndtr, ndtri
 
 from clmc.data import build_contrasts
 from clmc.harness import _SIM_QMC, preset_config
+from clmc.inference import adjust
 from clmc.mvnprob import (
     _LOAD_TOL,
+    _MAX_STEPS,
     _RANK_TOL,
     _ROOT_FRACTION,
     ProbEstimate,
     QmcConfig,
+    QuantileConvergenceError,
     _conditioned_means,
     _next_pow2,
     _prepare_correlation,
     _quantile,
-    _range_cdf,
+    _secant,
     _sobol_stack,
     _trapezoidal_cholesky,
-    chi_square_quantile,
     equicoordinate_quantile,
     equicoordinate_rejects,
     mvn_rectangle_prob,
-    std_normal_cdf,
-    std_normal_quantile,
     studentized_range_quantile,
 )
 
@@ -151,33 +151,6 @@ def random_correlation(c, rng):
 # ---------------------------------------------------------------------------
 
 
-class TestUnivariate:
-    def test_cdf_at_zero(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_cdf_symmetry(self):
-        for z in (-5.5, -1.0, 0.3, 2.0, 7.7):
-            assert std_normal_cdf(z) + std_normal_cdf(-z) == pytest.approx(1.0, abs=1e-14)
-
-    def test_quantile_0975(self):
-        assert std_normal_quantile(0.975) == pytest.approx(phi_inv_oracle(0.975), abs=1e-6)
-        assert std_normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-
-    def test_cdf_quantile_roundtrip(self):
-        for p in (1e-10, 0.001, 0.3, 0.5, 0.999, 1 - 1e-12):
-            assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, rel=1e-12)
-
-    def test_tail_no_underflow(self):
-        assert std_normal_cdf(-37.0) > 0.0
-        assert std_normal_cdf(37.0) < 1.0 or std_normal_cdf(-37.0) > 0.0
-
-    def test_quantile_domain(self):
-        with pytest.raises(ValueError):
-            std_normal_quantile(0.0)
-        with pytest.raises(ValueError):
-            std_normal_quantile(1.0)
-
-
 class TestRectangleProb:
     def test_univariate_interval(self):
         est = mvn_rectangle_prob([-1.96], [1.96], [[1.0]], FAST)
@@ -283,7 +256,7 @@ class TestEquicoordinateQuantile:
             c = int(rng.integers(2, 8))
             corr = random_correlation(c, rng)
             q = equicoordinate_quantile(corr, 0.05, FAST)
-            bonf = std_normal_quantile(1.0 - 0.05 / (2 * c))
+            bonf = ndtri(1.0 - 0.05 / (2 * c))
             assert q <= bonf + 1e-9
 
     def test_quantile_inverts_rectangle_probability(self):
@@ -297,24 +270,25 @@ class TestEquicoordinateQuantile:
             equicoordinate_quantile(np.eye(2), 0.0, FAST)
 
 
-class TestChiSquareQuantile:
-    def test_df1_is_squared_normal(self):
-        assert chi_square_quantile(1, 0.95) == pytest.approx(1.959963985**2, abs=1e-6)
+class TestScheffeCutoff:
+    # the Scheffe cut is sqrt of the chi-square quantile at the contrasts' rank;
+    # all-pairwise contrasts of p coefficients have rank p - 1
+    @staticmethod
+    def cut(rank: int, alpha: float) -> float:
+        cf = build_contrasts("all_pairwise", rank + 1)
+        return adjust("scheffe", np.zeros(cf.c), np.eye(cf.c), alpha, cf, FAST).threshold
 
-    def test_df2_closed_form(self):
-        assert chi_square_quantile(2, 0.95) == pytest.approx(-2.0 * math.log(0.05), rel=1e-10)
+    def test_rank1_is_the_two_sided_normal_cutoff(self):
+        assert self.cut(1, 0.05) == pytest.approx(phi_inv_oracle(0.975), abs=1e-9)
 
-    @pytest.mark.parametrize("df,p", [(9, 0.95), (3, 0.5), (17, 0.99)])
-    def test_matches_series_oracle(self, df, p):
-        assert chi_square_quantile(df, p) == pytest.approx(
-            chi2_quantile_oracle(df, p), rel=1e-8
+    def test_rank2_closed_form(self):
+        assert self.cut(2, 0.05) ** 2 == pytest.approx(-2.0 * math.log(0.05), rel=1e-10)
+
+    @pytest.mark.parametrize("rank,alpha", [(9, 0.05), (3, 0.5), (17, 0.01)])
+    def test_matches_series_oracle(self, rank, alpha):
+        assert self.cut(rank, alpha) ** 2 == pytest.approx(
+            chi2_quantile_oracle(rank, 1.0 - alpha), rel=1e-8
         )
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            chi_square_quantile(0, 0.5)
-        with pytest.raises(ValueError):
-            chi_square_quantile(3, 1.0)
 
 
 class TestStudentizedRange:
@@ -334,14 +308,20 @@ class TestStudentizedRange:
         with pytest.raises(ValueError):
             studentized_range_quantile(1, 0.05)
 
+    @pytest.mark.parametrize("k", [20, 30, 40])
+    def test_matches_range_law(self, k):
+        # 1e-10 is far above the oracle's own error of about 5e-13
+        q = studentized_range_quantile(k, 0.05)
+        assert abs(range_cdf_oracle(q, k) - 0.95) <= 1e-10
+
     @pytest.mark.parametrize("k", [3, 10])
-    def test_cached_value_is_the_bracketed_root(self, k):
+    def test_cached_value_is_the_range_quantile(self, k):
         fresh = studentized_range_quantile.__wrapped__(k, 0.05)
         assert studentized_range_quantile(k, 0.05) == fresh
         hits = studentized_range_quantile.cache_info().hits
         assert studentized_range_quantile(k, 0.05) == fresh
         assert studentized_range_quantile.cache_info().hits == hits + 1
-        assert _range_cdf(fresh, k) == pytest.approx(0.95, abs=1e-9)
+        assert range_cdf_oracle(fresh, k) == pytest.approx(0.95, abs=1e-9)
 
 
 def test_qmc_config_validation():
@@ -436,7 +416,7 @@ class TestRankDeficient:
     def test_all_pairwise_cutoff_has_exact_coverage(self, qmc):
         # max |b_i - b_j| / sqrt(2) over 10 iid coefficients is a scaled normal range
         q = equicoordinate_quantile(family_corr("all_pairwise", 10), 0.05, qmc)
-        assert _range_cdf(q * math.sqrt(2.0), 10) == pytest.approx(0.95, abs=1e-3)
+        assert range_cdf_oracle(q * math.sqrt(2.0), 10) == pytest.approx(0.95, abs=1e-3)
 
     def test_eigenvalue_noise_below_zero_is_accepted(self):
         # the exact all-pairwise V of 5 coefficients (rank 4) with one null
@@ -448,12 +428,12 @@ class TestRankDeficient:
         np.fill_diagonal(v, 1.0)
         assert -1e-10 < np.linalg.eigvalsh(v)[0] < 0.0
         q = equicoordinate_quantile(v, 0.05, FAST)
-        assert _range_cdf(q * math.sqrt(2.0), 5) == pytest.approx(0.95, abs=1e-3)
+        assert range_cdf_oracle(q * math.sqrt(2.0), 5) == pytest.approx(0.95, abs=1e-3)
 
     def test_large_all_pairwise_family(self):
         # c = 190 contrasts of rank 19 at the CLI's QMC settings
         q = equicoordinate_quantile(family_corr("all_pairwise", 20), 0.05, QmcConfig())
-        assert _range_cdf(q * math.sqrt(2.0), 20) == pytest.approx(0.95, abs=1e-3)
+        assert range_cdf_oracle(q * math.sqrt(2.0), 20) == pytest.approx(0.95, abs=1e-3)
 
     @pytest.mark.parametrize("qmc", QMC_CONFIGS.values(), ids=QMC_CONFIGS.keys())
     def test_rectangle_at_tukey_cutoff(self, qmc):
@@ -647,6 +627,54 @@ class TestQuantileRoot:
         res = _quantile(_exchangeable(10, 0.9999), 0.05, qmc)
         assert ndtri(0.975) <= res.q < ndtri(1.0 - 0.05 / 20)
         assert res.q == pytest.approx(ndtri(0.975), abs=0.05)
+
+
+class TestSecantSafeguards:
+    """`_secant` on synthetic laws P(q): the steps that leave the bracket."""
+
+    LO, HI, TARGET, TOL = 2.0, 3.0, 0.95, 1e-6
+
+    def search(self, law, q, slope):
+        calls = []
+
+        def prob_at(q):
+            calls.append(q)
+            return law(q), 0.0
+
+        q, p, _, _ = _secant(prob_at, q, law(q), 0.0, slope, self.LO, self.HI, self.TARGET, self.TOL)
+        return q, p, calls
+
+    def test_step_below_the_bracket_evaluates_lo(self):
+        # from hi with P > target, a near-flat slope steps far below lo
+        q, p, calls = self.search(lambda q: 0.99, self.HI, slope=1e-9)
+        assert calls == [self.LO]
+        assert (q, p) == (self.LO, 0.99)
+
+    def test_step_above_the_bracket_evaluates_hi(self):
+        # from inside with P < target, a near-flat slope steps far above hi
+        q, p, calls = self.search(lambda q: 0.9, 2.5, slope=1e-9)
+        assert calls == [self.HI]
+        assert (q, p) == (self.HI, 0.9)
+
+    def test_step_outside_evaluated_ends_bisects(self):
+        # no usable slope from hi, whose end is known: bisect, then secant steps
+        law = lambda q: float(ndtr(4.0 * (q - 2.2) + ndtri(self.TARGET)))
+        q, p, calls = self.search(law, self.HI, slope=-1.0)
+        assert calls[0] == 0.5 * (self.LO + self.HI)
+        assert abs(p - self.TARGET) <= self.TOL
+        assert q == pytest.approx(2.2, abs=1e-5)
+
+    def test_stalled_search_raises_after_max_steps(self):
+        # P jumps over the target at 2.5: no q gets within the tolerance
+        calls = []
+
+        def prob_at(q):
+            calls.append(q)
+            return (0.9 if q < 2.5 else 0.99), 0.0
+
+        with pytest.raises(QuantileConvergenceError, match=f"after {_MAX_STEPS} steps"):
+            _secant(prob_at, self.HI, 0.99, 0.0, 1.0, self.LO, self.HI, self.TARGET, self.TOL)
+        assert len(calls) == _MAX_STEPS
 
 
 # ---------------------------------------------------------------------------

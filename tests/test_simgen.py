@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import chi2
 
 from clmc.simgen import (
@@ -204,9 +205,7 @@ class TestGenQuadexp:
         ys = by_cluster(d, d.y)
         codes1 = (ys * (2 ** np.arange(3))).sum(axis=1).astype(int)
         rng = np.random.default_rng(15)
-        from clmc.mvnprob import std_normal_cdf
-
-        pr = std_normal_cdf(fx @ beta)
+        pr = ndtr(fx @ beta)
         bern = (rng.random((n, 3)) < pr).astype(float)
         codes2 = (bern * (2 ** np.arange(3))).sum(axis=1).astype(int)
         c1 = np.bincount(codes1, minlength=8)
