@@ -154,9 +154,7 @@ def write_clustered_csv(d: ClusteredDataset, path: str) -> None:
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
-    """Render a list of flat records as aligned text, CSV, or JSON."""
-    if not rows:
-        return
+    """Render a nonempty list of flat records as aligned text, CSV, or JSON."""
     if fmt == "json":
         json.dump(rows, out, indent=2, default=str)
         out.write("\n")
@@ -265,6 +263,8 @@ def _parse_contrasts(spec: str, p: int) -> ContrastFamily:
                 rows.append([float(v) for v in row[1:]])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed contrast weight") from None
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"{path}:{lineno}: contrast weights must be finite")
         if not rows:
             raise ValueError(f"{path}: contrast rows must have {p} weights")
         return ContrastFamily(np.array(rows), tuple(labels), "custom")
@@ -280,6 +280,8 @@ def cmd_test(args) -> int:
     if unknown:
         print(f"error: unknown methods {unknown}; choose from {METHODS}", file=sys.stderr)
         return 1
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"--methods names a method twice: {args.methods}")
     cf = _parse_contrasts(args.contrasts, data.p)
     fit = _fit(args, data)
     if not fit.converged:

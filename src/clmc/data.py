@@ -113,6 +113,8 @@ class ContrastFamily:
             raise ValueError("one label per contrast row required")
         if m.shape[0] < 1:
             raise ValueError("need at least one contrast")
+        if not np.isfinite(m).all():
+            raise ValueError("contrast weights must be finite")
         if np.any(np.all(m == 0.0, axis=1)):
             raise ValueError("all-zero contrast row")
 

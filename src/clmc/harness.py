@@ -80,6 +80,8 @@ class ExperimentConfig:
         unknown = [m for m in self.procedures if m not in METHODS and m != "naive"]
         if unknown:
             raise ValueError(f"unknown procedures {unknown}")
+        if not self.procedures or len(set(self.procedures)) < len(self.procedures):
+            raise ValueError(f"need at least one procedure, each named once, got {list(self.procedures)}")
         if "tukey" in self.procedures and self.contrasts.kind != "all_pairwise":
             raise ValueError("tukey applies to all-pairwise families only")
         if self.contrasts.p > self.scenario.p:
@@ -89,7 +91,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ProcedureSummary:
-    procedure: str
+    """One procedure's global reject rate (the `metric`) with its Monte Carlo
+    SE, summed reject rate of the nonzero contrasts and rate per contrast."""
+
     metric: str
     estimate: float
     mc_std_error: float
@@ -99,19 +103,14 @@ class ProcedureSummary:
 
 @dataclass(frozen=True)
 class SimSummary:
-    model: str
+    """Replicate counts, ProcedureSummary by procedure, MLE efficiency, ordering violations."""
+
     replicates_completed: int
     failures: int
     per_procedure: dict
     efficiency: float | None = None
     efficiency_se: float | None = None
     ordering_violations: dict = field(default_factory=dict)
-
-    def estimate(self, procedure: str) -> float:
-        return self.per_procedure[procedure].estimate
-
-    def mc_se(self, procedure: str) -> float:
-        return self.per_procedure[procedure].mc_std_error
 
 
 def _rejects(cfg: ExperimentConfig, fit, n: int) -> np.ndarray:
@@ -202,7 +201,6 @@ def run_experiment(cfg: ExperimentConfig) -> SimSummary:
     for k, m in enumerate(cfg.procedures):
         p_hat = float(global_rates[k])
         per_proc[m] = ProcedureSummary(
-            procedure=m,
             metric=metric,
             estimate=p_hat,
             mc_std_error=float(np.sqrt(p_hat * (1.0 - p_hat) / completed)),
@@ -217,7 +215,6 @@ def run_experiment(cfg: ExperimentConfig) -> SimSummary:
         efficiency_se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
 
     return SimSummary(
-        model=cfg.scenario.model,
         replicates_completed=completed,
         failures=cfg.replicates - completed,
         per_procedure=per_proc,

@@ -80,14 +80,13 @@ def correlation_matrix_V(gamma_hat: np.ndarray, cf: ContrastFamily) -> np.ndarra
 
 @dataclass(frozen=True)
 class MethodDecision:
-    method: str
+    """Reject per hypothesis, the cutoff on |T| (None for Holm) and adjusted p-values."""
+
     reject: np.ndarray
     threshold: float | None = None
     adjusted_p: np.ndarray | None = None
 
-    @property
-    def global_reject(self) -> bool:
-        return bool(np.any(self.reject))
+    global_reject = property(lambda self: bool(np.any(self.reject)), doc="Some hypothesis rejected.")
 
 
 def _two_sided_p(t: np.ndarray) -> np.ndarray:
@@ -105,7 +104,7 @@ def _holm(t: np.ndarray, alpha: float) -> MethodDecision:
     reject[order] = np.logical_and.accumulate(p[order] <= alpha / remaining)
     adj = np.empty(c)
     adj[order] = np.maximum.accumulate(np.minimum(1.0, remaining * p[order]))
-    return MethodDecision(method="holm", reject=reject, adjusted_p=adj)
+    return MethodDecision(reject, adjusted_p=adj)
 
 
 def adjust(
@@ -127,40 +126,35 @@ def adjust(
 
     if method == "bonferroni":
         cut = float(ndtri(1.0 - alpha / (2.0 * c)))
-        return MethodDecision("bonferroni", abs_t > cut, cut,
-                              adjusted_p=np.minimum(1.0, c * _two_sided_p(t)))
+        return MethodDecision(abs_t > cut, cut, adjusted_p=np.minimum(1.0, c * _two_sided_p(t)))
     if method == "sidak":
         cut = float(ndtri(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / c)) / 2.0))
-        return MethodDecision("sidak", abs_t > cut, cut,
-                              adjusted_p=1.0 - (1.0 - _two_sided_p(t)) ** c)
+        return MethodDecision(abs_t > cut, cut, adjusted_p=1.0 - (1.0 - _two_sided_p(t)) ** c)
     if method == "holm":
         return _holm(t, alpha)
     if method == "scheffe":
         cut = float(np.sqrt(chdtri(np.linalg.matrix_rank(cf.matrix), alpha)))
-        return MethodDecision("scheffe", abs_t > cut, cut)
+        return MethodDecision(abs_t > cut, cut)
     if method == "tukey":
         if cf.kind != "all_pairwise":
             raise ValueError("tukey applies to all-pairwise families only")
         cut = studentized_range_quantile(cf.p, alpha) / np.sqrt(2.0)
-        return MethodDecision("tukey", abs_t > cut, cut)
+        return MethodDecision(abs_t > cut, cut)
     if method == "mnq":
         cut, adj = equicoordinate_quantile(v_hat, alpha, cfg, p_values_at=abs_t)
-        return MethodDecision("mnq", abs_t > cut, cut, adjusted_p=adj)
+        return MethodDecision(abs_t > cut, cut, adjusted_p=adj)
     raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
 class TestReport:
-    """Joint test of one contrast family under one fitted model."""
+    """Joint test of one contrast family under one fitted model: T, V,
+    the contrast labels and a MethodDecision per procedure."""
 
     t_stats: np.ndarray
     v_hat: np.ndarray
-    alpha: float
     labels: tuple[str, ...]
     decisions: dict = field(default_factory=dict)
-
-    def global_reject(self, method: str) -> bool:
-        return self.decisions[method].global_reject
 
 
 def evaluate_tests(
@@ -175,4 +169,4 @@ def evaluate_tests(
     t = test_statistics(fit, cf, n)
     v = correlation_matrix_V(fit.gamma_hat, cf)
     decisions = {m: adjust(m, t, v, alpha, cf, cfg) for m in methods}
-    return TestReport(t_stats=t, v_hat=v, alpha=alpha, labels=cf.labels, decisions=decisions)
+    return TestReport(t_stats=t, v_hat=v, labels=cf.labels, decisions=decisions)

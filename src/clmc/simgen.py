@@ -9,11 +9,10 @@ one's response draw (spec, x, sizes, rng) -> y and the model-specific
 `ScenarioSpec` fields it reads.  A `ScenarioSpec` refuses on construction
 every scenario its model cannot draw, whose fields it would not read, or
 with a non-finite value, so generation never fails on a configuration.
-Covariate matrices are freshly sampled standard normals per cluster unless
-`fixed_x` pins one design matrix for every cluster (useful for
-distributional tests).  Rows are built stacked: each random quantity is one
-batched draw in the order of a loop over clusters, and the within-cluster
-algebra runs once per distinct size.
+Covariates are freshly sampled standard normals for every cluster.  Rows
+are built stacked: each random quantity is one batched draw in the order
+of a loop over clusters, and the within-cluster algebra runs once per
+distinct size.
 """
 
 from __future__ import annotations
@@ -120,7 +119,6 @@ class ScenarioSpec:
     seed: int = 0
     x_row_corr: float = 0.0
     x_scale: float = 1.0
-    fixed_x: np.ndarray | None = None
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -144,8 +142,6 @@ class ScenarioSpec:
             raise ValueError("x_row_corr must lie in [0, 1]")
         if self.x_scale <= 0.0:
             raise ValueError("x_scale must be positive")
-        if self.fixed_x is not None:
-            object.__setattr__(self, "fixed_x", np.asarray(self.fixed_x, dtype=float))
         _check_drawable(self)
 
     def sizes(self, rng: np.random.Generator) -> np.ndarray:
@@ -167,8 +163,6 @@ def _check_drawable(spec: ScenarioSpec) -> None:
     corr = spec.correlation
     if spec.model == "quadexp" and max(sizes) > _MAX_ENUMERATED_M:
         raise ValueError(f"enumeration sampler limited to cluster sizes <= {_MAX_ENUMERATED_M}")
-    if spec.fixed_x is not None and sizes != {len(spec.fixed_x)}:
-        raise ValueError("fixed_x rows must equal every cluster size")
     if spec.model == "gamma" and spec.nu <= 0.0:
         raise ValueError("the gamma shape nu must be positive")
     if corr is None:
@@ -190,8 +184,6 @@ def _check_drawable(spec: ScenarioSpec) -> None:
 def _covariates(spec: ScenarioSpec, sizes: np.ndarray, rng) -> np.ndarray:
     """Stacked (N, p) covariates; for x_row_corr > 0 one draw holds each
     cluster's shared-factor row followed by its m rows."""
-    if spec.fixed_x is not None:
-        return np.tile(spec.fixed_x, (len(sizes), 1))
     r = spec.x_row_corr
     if r == 0.0:
         return spec.x_scale * rng.standard_normal((sizes.sum(), spec.p))

@@ -266,7 +266,7 @@ def test_criterion_04_nominal_fwer_all_models(mvn_rho0, probit_rho0, quadexp_w0)
         )
         notes = []
         for name, (summary, elapsed), target in checks:
-            est = summary.estimate("mnq")
+            est = summary.per_procedure["mnq"].estimate
             assert abs(est - target) <= 0.015, f"{name}: {est} vs {target}"
             notes.append(f"{name} {est:.4f} (ref {target}, {elapsed:.0f}s)")
         d["note"] = "; ".join(notes)
@@ -275,8 +275,8 @@ def test_criterion_04_nominal_fwer_all_models(mvn_rho0, probit_rho0, quadexp_w0)
 def test_criterion_05_naive_inflates_under_strong_correlation(mvn_rho05_m10):
     with criterion(5, "sandwich holds FWER where ignoring correlation fails") as d:
         summary, elapsed = mvn_rho05_m10
-        mnq = summary.estimate("mnq")
-        naive = summary.estimate("naive")
+        mnq = summary.per_procedure["mnq"].estimate
+        naive = summary.per_procedure["naive"].estimate
         assert abs(mnq - 0.0520) <= 0.015, mnq
         assert naive >= 0.15, naive
         d["note"] = f"mnq {mnq:.4f}, naive {naive:.4f}, {elapsed:.0f}s"
@@ -285,8 +285,8 @@ def test_criterion_05_naive_inflates_under_strong_correlation(mvn_rho05_m10):
 def test_criterion_06_association_model_naive_collapse(quadexp_w05):
     with criterion(6, "positive association drives naive error to zero") as d:
         summary, elapsed = quadexp_w05
-        mnq = summary.estimate("mnq")
-        naive = summary.estimate("naive")
+        mnq = summary.per_procedure["mnq"].estimate
+        naive = summary.per_procedure["naive"].estimate
         assert naive <= 0.005, naive
         assert abs(mnq - 0.0521) <= 0.02, mnq
         d["note"] = f"mnq {mnq:.4f}, naive {naive:.4f}, {elapsed:.0f}s"
@@ -299,14 +299,13 @@ def test_criterion_07_procedure_orderings(
         runs = (mvn_rho0, mvn_rho05_m4, mvn_rho05_m10, probit_rho0, quadexp_w0, quadexp_w05)
         for summary, _ in runs:
             assert all(v == 0 for v in summary.ordering_violations.values()), (
-                summary.model,
-                summary.ordering_violations,
+                summary.ordering_violations
             )
-            scheffe = summary.estimate("scheffe")
-            bonf = summary.estimate("bonferroni")
-            mnq = summary.estimate("mnq")
+            scheffe = summary.per_procedure["scheffe"].estimate
+            bonf = summary.per_procedure["bonferroni"].estimate
+            mnq = summary.per_procedure["mnq"].estimate
             assert scheffe <= bonf
-            assert bonf <= mnq + 2.0 * summary.mc_se("mnq")
+            assert bonf <= mnq + 2.0 * summary.per_procedure["mnq"].mc_std_error
         d["note"] = f"{len(runs)} runs, zero violations"
 
 
@@ -324,8 +323,8 @@ def test_criterion_09_gamma_model(gamma_indep, gamma_corr):
     with criterion(9, "skewed-model error control and naive breakdown") as d:
         indep, el1 = gamma_indep
         corr, el2 = gamma_corr
-        mnq = indep.estimate("mnq")
-        naive = corr.estimate("naive")
+        mnq = indep.per_procedure["mnq"].estimate
+        naive = corr.per_procedure["naive"].estimate
         assert abs(mnq - 0.0554) <= 0.03, mnq
         assert naive >= 0.15, naive
         d["note"] = f"independent mnq {mnq:.4f}, correlated naive {naive:.4f}, {el1 + el2:.0f}s"

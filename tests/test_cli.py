@@ -366,7 +366,11 @@ class TestTestCommand:
         (b"a,1,-1,0\nb,1,0\n", ":2: contrast rows must have 3 weights"),
         (b"a,1,x,0\n", ":1: malformed contrast weight"),
         (b"", ": contrast rows must have 3 weights"),
-    ], ids=["oversized-field", "non-utf8", "ragged-row", "malformed-weight", "empty"])
+        # nan once printed t = nan and accepted every hypothesis; inf leaked a RuntimeWarning
+        (b"a,1,-1,0\nb,1,nan,-1\n", ":2: contrast weights must be finite"),
+        (b"a,1,-inf,0\n", ":1: contrast weights must be finite"),
+    ], ids=["oversized-field", "non-utf8", "ragged-row", "malformed-weight", "empty",
+            "nan-weight", "inf-weight"])
     def test_bad_contrast_file_is_one_line_naming_it(self, mvn_csv, tmp_path, capsys, text, where):
         cpath = tmp_path / "contrasts.csv"
         cpath.write_bytes(text)
@@ -398,6 +402,15 @@ class TestTestCommand:
         assert rc == 1
         assert "unknown methods" in capsys.readouterr().err
 
+    def test_repeated_method_is_one_error_line(self, mvn_csv, capsys):
+        # mnq was once computed twice and listed twice
+        rc = main(["test", "--model", "mvn", "--data", mvn_csv,
+                   "--contrasts", "many-to-one:1", "--methods", "mnq,mnq,holm"])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err == "error: --methods names a method twice: mnq,mnq,holm\n"
+
     def test_tukey_requires_all_pairwise(self, mvn_csv, capsys):
         rc = main(["test", "--model", "mvn", "--data", mvn_csv,
                    "--contrasts", "many-to-one:1", "--methods", "tukey"])
@@ -428,6 +441,12 @@ class TestErrorPath:
         assert rc == 1
         assert out.err == "error: fit did not converge\n"
         assert "converged=False" in out.out
+
+    def test_binary_fitter_refuses_continuous_responses(self, mvn_csv, capsys):
+        assert main(["fit", "--model", "probit", "--data", mvn_csv]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: probit fitter needs binary responses in {0,1} or {-1,+1}\n"
 
     def test_test_command_refuses_non_finite_cell(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
@@ -559,14 +578,25 @@ class TestSimulateCommand:
         ({"correlation": {"type": "unstructured", "sigma": np.eye(4).tolist(), "rho": 0.2}},
          "unknown key 'correlation.rho'"),
         ({"truth_kind": "a1"}, "unknown key 'truth_kind'"),
+        ({"alpha": 1.5}, "alpha must be in (0, 1)"),
+        ({"x_row_corr": 2}, "x_row_corr must lie in [0, 1]"),
+        ({"x_scale": -1}, "x_scale must be positive"),
+        ({"model": "gamma", "nu": 0}, "the gamma shape nu must be positive"),
+        ({"correlation": {"type": "unstructured", "sigma": [[1.0, 0.0]]}}, "covariance must be square"),
+        # [] once ran every replicate, then failed; a repeated name ran twice for one row
+        ({"procedures": []}, "need at least one procedure, each named once, got []"),
+        ({"procedures": ["mnq", "holm", "mnq"]},
+         "need at least one procedure, each named once, got ['mnq', 'holm', 'mnq']"),
     ], ids=["top-level-list", "correlation-number", "contrasts-number", "procedures-number",
             "unknown-contrast-kind", "n-list", "m-object", "beta-object", "rho-text",
             "baseline-text", "procedure-list", "not-json", "n-fraction", "m-fraction",
             "p-fraction", "seed-fraction", "replicates-fraction", "baseline-fraction",
             "m-empty", "seed-negative", "mvn-mixed-sizes", "unknown-key", "misspelt-correlation",
             "correlation-unknown-key", "contrasts-unknown-key", "unstructured-rho",
-            "removed-truth-kind"])
-    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, change, message):
+            "removed-truth-kind", "alpha-above-one", "x_row_corr-above-one", "x_scale-negative",
+            "gamma-nu-zero", "unstructured-non-square", "procedures-empty", "procedures-repeated"])
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, change, message):
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a replicate ran"))
         cfg = {"model": "mvn", "n": 50, "m": 4, "p": 3, "beta": [0, 0, 0], "replicates": 2}
         path = tmp_path / "cfg.json"
         path.write_text(change if isinstance(change, str) else json.dumps({**cfg, **change}))

@@ -98,6 +98,8 @@ class TestBuildContrasts:
             build_contrasts("many_to_one", 3, baseline=0)
         with pytest.raises(ValueError):
             build_contrasts("custom", 3)
+        with pytest.raises(ValueError, match="^all_pairwise takes no baseline"):
+            build_contrasts("all_pairwise", 3, baseline=1)
 
 
 class TestContrastFamily:
@@ -108,6 +110,17 @@ class TestContrastFamily:
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
             ContrastFamily(np.array([[1.0, -1.0]]), ("a", "b"))
+
+    @pytest.mark.parametrize("matrix, labels, kind, message", [
+        ([[1.0, -1.0]], ("a",), "dunnett", "unknown contrast kind 'dunnett'"),
+        (np.zeros((0, 2)), (), "custom", "need at least one contrast"),
+        # a nan weight once gave t = nan and accepted every hypothesis
+        ([[1.0, np.nan]], ("a",), "custom", "contrast weights must be finite"),
+        ([[1.0, -np.inf]], ("a",), "custom", "contrast weights must be finite"),
+    ], ids=["unknown-kind", "no-rows", "nan-weight", "inf-weight"])
+    def test_malformed_family_is_refused_by_name(self, matrix, labels, kind, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ContrastFamily(np.array(matrix), labels, kind)
 
 
 class TestValidateDataset:

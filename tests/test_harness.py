@@ -220,6 +220,11 @@ class TestRunExperiment:
             scenario = ScenarioSpec("probit", 20, 2, 4, np.zeros(4), seed=1)
             small_config(scenario=scenario)  # efficiency only for mvn
 
+    @pytest.mark.parametrize("procedures", [(), ("mnq", "holm", "mnq")], ids=["empty", "repeated"])
+    def test_empty_or_repeated_procedures_are_refused(self, procedures):
+        with pytest.raises(ValueError, match="^need at least one procedure, each named once"):
+            small_config(procedures=procedures)
+
     def test_gaussian_model_refuses_mixed_cluster_sizes(self):
         # mvn_cl_fit needs one cluster size, so every replicate would be dropped
         mixed = ScenarioSpec("mvn", 60, (4, 3), 4, np.zeros(4), seed=77)
@@ -362,6 +367,11 @@ def test_preset_is_a_config_object(name):
     raw = json.loads(json.dumps(PRESETS[name]))
     got = experiment_config(raw, replicates=7, seed=5, workers=2)
     assert comparable(got) == comparable(preset_config(name, replicates=7, seed=5, workers=2))
+
+
+def test_null_correlation_is_an_absent_key():
+    raw = {"model": "probit", "n": 50, "m": 4, "p": 3, "beta": [0, 0, 0]}
+    assert comparable(experiment_config({**raw, "correlation": None})) == comparable(experiment_config(raw))
 
 
 def test_readme_lists_exactly_the_config_keys():

@@ -78,6 +78,11 @@ class TestTestStatistics:
         with pytest.raises(ValueError):
             t_statistics(make_fit([1.0, 0.0], gamma), cf, 10)
 
+    def test_fit_narrower_than_the_contrasts_is_refused(self):
+        cf = build_contrasts("many_to_one", 3, baseline=1)
+        with pytest.raises(ValueError, match="^theta: contrasts address 3 parameters, fit has 2"):
+            t_statistics(make_fit([1.0, 0.0], np.eye(2)), cf, 10)
+
 
 class TestCorrelationMatrixV:
     def test_identity_gamma_orthogonal_contrasts(self):
@@ -98,6 +103,11 @@ class TestCorrelationMatrixV:
         v2 = correlation_matrix_V(7.3 * gamma, cf)
         np.testing.assert_allclose(v1, v2, rtol=1e-12)
         np.testing.assert_allclose(np.diag(v1), 1.0, atol=1e-12)
+
+    def test_zero_contrast_variance_is_refused(self):
+        cf = ContrastFamily(np.array([[1.0, -1.0]]), ("h",))
+        with pytest.raises(ValueError, match="^zero contrast variance in D"):
+            correlation_matrix_V(np.ones((2, 2)), cf)
 
 
 class TestAdjust:
@@ -257,6 +267,15 @@ class TestAdjust:
         with pytest.raises(ValueError):
             adjust("fdr", np.zeros(2), np.eye(2), 0.05, cf, FAST)
 
+    @pytest.mark.parametrize("t, alpha, message", [
+        (np.zeros(2), 1.5, r"alpha must be in \(0, 1\)"),
+        (np.zeros(3), 0.05, "statistics and contrast family sizes differ"),
+    ], ids=["alpha", "size-mismatch"])
+    def test_bad_call_is_refused_by_name(self, t, alpha, message):
+        cf = build_contrasts("many_to_one", 3, baseline=1)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            adjust("bonferroni", t, np.eye(2), alpha, cf, FAST)
+
 
 class TestEvaluateTests:
     def test_naive_equals_full_when_h_equals_j(self):
@@ -285,7 +304,7 @@ class TestEvaluateTests:
         report = evaluate_tests(fit, cf, 400, 0.05, ("bonferroni", "holm"), FAST)
         assert report.t_stats.shape == (2,)
         assert report.labels == cf.labels
-        assert report.global_reject("bonferroni")
+        assert report.decisions["bonferroni"].global_reject
         assert report.decisions["bonferroni"].reject[0]
 
     def test_mnq_threshold_below_bonferroni(self):

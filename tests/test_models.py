@@ -86,6 +86,13 @@ class TestSandwich:
 
 
 class TestMvnFit:
+    @pytest.mark.parametrize("y", [(0.0, 1.0), (-1.0, 1.0)], ids=["binary01", "binary_pm1"])
+    @pytest.mark.parametrize("fitter", [mvn_cl_fit, mvn_mle_fit], ids=["cl", "mle"])
+    def test_binary_responses_are_refused(self, fitter, y):
+        d = ClusteredDataset(np.ones((6, 1)), np.tile(y, 3), [2, 2, 2], ["a", "b", "c"])
+        with pytest.raises(FitError, match="^gaussian fitters need continuous responses"):
+            fitter(d)
+
     def test_pooled_ols_when_weights_constant(self):
         # m = 1 clusters: the residual covariance is a scalar, so the
         # weighting cancels and the fit must equal pooled least squares

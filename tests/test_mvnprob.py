@@ -218,6 +218,14 @@ class TestRectangleProb:
         with pytest.raises(ValueError):
             equicoordinate_quantile(corr, 0.05, FAST)
 
+    @pytest.mark.parametrize("corr, message", [
+        (np.ones((2, 3)), "square"),
+        ([[1.0, 0.5], [0.2, 1.0]], "symmetric"),
+    ], ids=["non-square", "asymmetric"])
+    def test_malformed_matrix_is_refused_by_name(self, corr, message):
+        with pytest.raises(ValueError, match=f"^correlation matrix must be {message}"):
+            equicoordinate_quantile(corr, 0.05, FAST)
+
     def test_rejects_nan_diagonal(self):
         # LAPACK can return finite eigenvalues for a NaN diagonal entry
         corr = np.array([[np.nan, 0.0], [0.0, 1.0]])
@@ -307,6 +315,8 @@ class TestStudentizedRange:
     def test_domain(self):
         with pytest.raises(ValueError):
             studentized_range_quantile(1, 0.05)
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\)"):
+            studentized_range_quantile(3, 1.0)
 
     @pytest.mark.parametrize("k", [20, 30, 40])
     def test_matches_range_law(self, k):

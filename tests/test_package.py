@@ -1,12 +1,15 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clmc
 import clmc.cli
 import clmc.inference
-from clmc.simgen import MODELS
+from clmc.simgen import MODELS, ScenarioSpec, generate
 
 MODULES = ["clmc"] + [m.name for m in pkgutil.walk_packages(clmc.__path__, "clmc.")]
 
@@ -40,3 +43,18 @@ def test_benchmark_hooks_exist(module):
 
 def test_cli_fitter_registry_has_probit():
     assert callable(clmc.cli.FITTERS["probit"])
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    spec = ScenarioSpec("quadexp", 300, (3, 4, 5), 3, np.array([0.4, 0.1, -0.2]), w=0.3,
+                        seed=32, x_row_corr=0.3)
+    clmc.cli.write_clustered_csv(generate(spec), str(tmp_path / "panel.csv"))
+    monkeypatch.chdir(tmp_path)  # the example reads panel.csv
+    exec(code, {})
+    out = capsys.readouterr().out
+    assert out.startswith("300 clusters of sizes")
+    rows = [line.split() for line in out.splitlines() if " T=" in line]
+    assert [(r[0], r[-1] in ("reject", "accept")) for r in rows] == [
+        (label, True) for label in clmc.build_contrasts("all_pairwise", 3).labels]

@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from scipy.stats import chi2
 
 from clmc.simgen import (
+    MODELS,
     UNSTRUCTURED_SIGMA_M4,
     Exchangeable,
     ScenarioSpec,
@@ -27,6 +28,15 @@ def datasets_equal(a, b):
 def by_cluster(d, values):
     """Rows of a constant-size dataset as an (n, m) array."""
     return values.reshape(d.n, -1)
+
+
+def draw_at(spec, fx):
+    """The (n, m) responses of spec.model with every cluster's design pinned
+    to fx, from the generator seeded with spec.seed: `generate`'s draw for
+    covariates fx, since a fixed size m consumes no random numbers."""
+    n, m = spec.n, len(fx)
+    draw = MODELS[spec.model][0]
+    return draw(spec, np.tile(fx, (n, 1)), np.full(n, m), np.random.default_rng(spec.seed)).reshape(n, m)
 
 
 class TestDeterminism:
@@ -141,40 +151,35 @@ class TestGenQuadexp:
         rng = np.random.default_rng(10)
         fx = rng.standard_normal((4, 2))
         beta = np.array([0.5, -0.3])
-        spec = ScenarioSpec("quadexp", 20000, 4, 2, beta, w=0.0, seed=10, fixed_x=fx)
-        d = generate(spec)
-        ys = by_cluster(d, d.y)
+        spec = ScenarioSpec("quadexp", 20000, 4, 2, beta, w=0.0, seed=10)
+        ys = draw_at(spec, fx)
         p_plus = 1.0 / (1.0 + np.exp(-fx @ beta))
         emp = (ys == 1.0).mean(axis=0)
-        se = np.sqrt(p_plus * (1 - p_plus) / d.n)
+        se = np.sqrt(p_plus * (1 - p_plus) / spec.n)
         assert np.all(np.abs(emp - p_plus) < 3.5 * se)
 
     def test_uniform_case_chi_square(self):
         m = 4
-        spec = ScenarioSpec("quadexp", 32000, m, 1, np.zeros(1), w=0.0, seed=11,
-                            fixed_x=np.zeros((m, 1)))
-        d = generate(spec)
-        ys = by_cluster(d, d.y)
+        spec = ScenarioSpec("quadexp", 32000, m, 1, np.zeros(1), w=0.0, seed=11)
+        ys = draw_at(spec, np.zeros((m, 1)))
         codes = ((ys + 1) / 2 * (2 ** np.arange(m))).sum(axis=1).astype(int)
         counts = np.bincount(codes, minlength=2**m)
-        expected = d.n / 2**m
+        expected = spec.n / 2**m
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat < chi2.ppf(0.99, 2**m - 1)
 
     def test_interaction_frequencies_match_z_form(self):
         m, w = 4, 0.5
-        spec = ScenarioSpec("quadexp", 40000, m, 1, np.zeros(1), w=w, seed=12,
-                            fixed_x=np.zeros((m, 1)))
-        d = generate(spec)
-        zs = (by_cluster(d, d.y) == 1.0).sum(axis=1)
+        spec = ScenarioSpec("quadexp", 40000, m, 1, np.zeros(1), w=w, seed=12)
+        zs = (draw_at(spec, np.zeros((m, 1))) == 1.0).sum(axis=1)
         # with zero main effects the cluster total z is sufficient:
         # P(z) ~ C(m, z) exp(-w z (m - z))
         weights = np.array(
             [math.comb(m, z) * math.exp(-w * z * (m - z)) for z in range(m + 1)]
         )
         pz = weights / weights.sum()
-        emp = np.bincount(zs, minlength=m + 1) / d.n
-        se = np.sqrt(pz * (1 - pz) / d.n)
+        emp = np.bincount(zs, minlength=m + 1) / spec.n
+        se = np.sqrt(pz * (1 - pz) / spec.n)
         assert np.all(np.abs(emp - pz) < 3.5 * se + 1e-12)
 
     def test_total_variation_against_oracle(self):
@@ -182,13 +187,12 @@ class TestGenQuadexp:
         fx = rng.standard_normal((4, 2)) * 0.5
         beta = np.array([0.4, -0.2])
         w = 0.3
-        spec = ScenarioSpec("quadexp", 100000, 4, 2, beta, w=w, seed=13, fixed_x=fx)
-        d = generate(spec)
+        spec = ScenarioSpec("quadexp", 100000, 4, 2, beta, w=w, seed=13)
+        ys = draw_at(spec, fx)
         configs, probs = quadexp_enumeration_oracle(fx, beta, w)
-        ys = by_cluster(d, d.y)
         codes = ((ys + 1) / 2 * (2 ** np.arange(4))).sum(axis=1).astype(int)
         oracle_codes = ((configs + 1) / 2 * (2 ** np.arange(4))).sum(axis=1).astype(int)
-        emp = np.bincount(codes, minlength=16) / d.n
+        emp = np.bincount(codes, minlength=16) / spec.n
         table = np.zeros(16)
         table[oracle_codes] = probs
         tv = 0.5 * np.abs(emp - table).sum()
@@ -199,10 +203,8 @@ class TestGenQuadexp:
         fx = np.array([[0.3], [-0.6], [1.0]])
         beta = np.array([0.8])
         n = 20000
-        spec = ScenarioSpec("probit", n, 3, 1, beta, Exchangeable(1.0, 0.0), seed=14,
-                            fixed_x=fx)
-        d = generate(spec)
-        ys = by_cluster(d, d.y)
+        spec = ScenarioSpec("probit", n, 3, 1, beta, Exchangeable(1.0, 0.0), seed=14)
+        ys = draw_at(spec, fx)
         codes1 = (ys * (2 ** np.arange(3))).sum(axis=1).astype(int)
         rng = np.random.default_rng(15)
         pr = ndtr(fx @ beta)
@@ -297,10 +299,6 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             build()
 
-    def test_fixed_x_needs_matching_m(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec("mvn", 5, 3, 1, np.zeros(1), seed=23, fixed_x=np.zeros((2, 1)))
-
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "simgen_golden.json").read_text())
 
@@ -311,9 +309,7 @@ def _golden_spec(params: dict) -> ScenarioSpec:
     if corr is not None:
         corr = (Exchangeable(corr["sigma2"], corr["rho"]) if corr["type"] == "exchangeable"
                 else Unstructured(np.array(corr["sigma"])))
-    for key in ("beta", "fixed_x"):
-        if key in kw:
-            kw[key] = np.array(kw[key])
+    kw["beta"] = np.array(kw["beta"])
     m = kw.pop("m")
     return ScenarioSpec(m=tuple(m) if isinstance(m, list) else m, correlation=corr, **kw)
 
