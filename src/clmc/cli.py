@@ -4,7 +4,8 @@ Data files are long-format CSV with header ``cluster_id,y,x1,...,xp``: one row
 per observation, rows of one cluster grouped by the shared cluster_id (in
 order of first appearance; file order within a cluster is preserved).
 Reports are emitted as aligned text, CSV, or JSON, and are byte-stable for a
-fixed seed.
+fixed seed.  The subcommands raise on every failure, and `main` alone reports
+it: one `error: ` line per problem on stderr, exit status 1.
 """
 
 from __future__ import annotations
@@ -192,13 +193,13 @@ def _coef_labels(model: str, p: int) -> list[str]:
     return labels
 
 
-def _read_valid(path: str) -> ClusteredDataset | None:
-    """The dataset in `path`, or None after printing each validation error."""
+def _read_valid(path: str) -> ClusteredDataset:
+    """The dataset in `path`; a ValueError with one line per validation error."""
     data = read_clustered_csv(path)
     errors = validate_dataset(data)
-    for msg in errors:
-        print(f"error: {msg}", file=sys.stderr)
-    return None if errors else data
+    if errors:
+        raise ValueError("\n".join(errors))
+    return data
 
 
 def _fit(args, data: ClusteredDataset):
@@ -212,8 +213,6 @@ def _fit(args, data: ClusteredDataset):
 
 def cmd_fit(args) -> int:
     data = _read_valid(args.data)
-    if data is None:
-        return 1
     fit = _fit(args, data)
     se = np.sqrt(np.diag(fit.gamma_hat) / data.n)
     rows = []
@@ -237,8 +236,7 @@ def cmd_fit(args) -> int:
         if args.format == "text":
             out.write(meta + "\n")
     if not fit.converged:
-        print("error: fit did not converge", file=sys.stderr)
-        return 1
+        raise RuntimeError("fit did not converge")
     return 0
 
 
@@ -273,20 +271,16 @@ def _parse_contrasts(spec: str, p: int) -> ContrastFamily:
 
 def cmd_test(args) -> int:
     data = _read_valid(args.data)
-    if data is None:
-        return 1
     methods = tuple(m.strip() for m in args.methods.split(","))
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
-        print(f"error: unknown methods {unknown}; choose from {METHODS}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
     if len(set(methods)) < len(methods):
         raise ValueError(f"--methods names a method twice: {args.methods}")
     cf = _parse_contrasts(args.contrasts, data.p)
     fit = _fit(args, data)
     if not fit.converged:
-        print("error: fit did not converge", file=sys.stderr)
-        return 1
+        raise RuntimeError("fit did not converge")
     qmc = QmcConfig(points_per_shift=args.qmc_points, shifts=args.qmc_shifts, seed=args.seed)
     result = evaluate_tests(fit, cf, data.n, args.alpha, methods, qmc)
     rows = []
@@ -325,14 +319,12 @@ def cmd_simulate(args) -> int:
             print(name)
         return 0
     if bool(args.preset) == bool(args.config):
-        print("error: give exactly one of --preset or --config", file=sys.stderr)
-        return 1
+        raise ValueError("give exactly one of --preset or --config")
     if args.preset:
         cfg = preset_config(args.preset, args.replicates, args.seed, args.workers,
                             args.contrast_kind or "many_to_one")
     elif args.contrast_kind:
-        print("error: --contrast-kind applies to --preset only", file=sys.stderr)
-        return 1
+        raise ValueError("--contrast-kind applies to --preset only")
     else:
         try:
             with open(args.config) as fh:
@@ -363,7 +355,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = preset_config(args.preset, seed=args.seed)
-    data = generate(cfg.scenario, args.seed)
+    data = generate(cfg.scenario)
     write_clustered_csv(data, args.output)
     return 0
 
@@ -378,27 +370,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = dict(default="text", choices=("text", "csv", "json"))
-
-    p_fit = sub.add_parser("fit", help="fit a model to a clustered CSV file")
-    p_fit.add_argument("--model", required=True, choices=tuple(FITTERS))
-    p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--naive", action="store_true",
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", default="text", choices=("text", "csv", "json"))
+    report.add_argument("--output")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True, choices=tuple(FITTERS))
+    model.add_argument("--data", required=True)
+    model.add_argument("--naive", action="store_true",
                        help="use the correlation-ignoring covariance H^-1")
+
+    p_fit = sub.add_parser("fit", parents=[model, report],
+                           help="fit a model to a clustered CSV file")
     p_fit.add_argument("--cluster-means", action="store_true",
                        help="association model: use cluster-mean covariates")
-    p_fit.add_argument("--format", **common)
-    p_fit.add_argument("--output")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_test = sub.add_parser("test", help="simultaneous contrast tests on a fitted model")
-    p_test.add_argument("--model", required=True, choices=tuple(FITTERS))
-    p_test.add_argument("--data", required=True)
+    p_test = sub.add_parser("test", parents=[model, report],
+                            help="simultaneous contrast tests on a fitted model")
     p_test.add_argument("--contrasts", required=True,
                         help="many-to-one:B | all-pairwise | file:PATH")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--methods", default="mnq,bonferroni,sidak,holm,scheffe")
-    p_test.add_argument("--naive", action="store_true")
     qmc = QmcConfig()
     target = np.format_float_scientific(qmc.target_abs_error, trim="-", exp_digits=1)
     p_test.add_argument("--seed", type=int, default=qmc.seed,
@@ -410,11 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--qmc-shifts", type=int, default=qmc.shifts,
                         help="independent scrambles; their spread is each estimate's SE "
                              f"(default {qmc.shifts})")
-    p_test.add_argument("--format", **common)
-    p_test.add_argument("--output")
     p_test.set_defaults(func=cmd_test)
 
-    p_sim = sub.add_parser("simulate", help="run a replicated experiment")
+    p_sim = sub.add_parser("simulate", parents=[report], help="run a replicated experiment")
     p_sim.add_argument("--preset")
     p_sim.add_argument("--config", help="JSON experiment description")
     p_sim.add_argument("--list-presets", action="store_true")
@@ -423,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--contrast-kind", choices=("many_to_one", "all_pairwise"),
                        help="the preset's contrast family (default many_to_one)")
-    p_sim.add_argument("--format", **common)
-    p_sim.add_argument("--output")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_gen = sub.add_parser("generate", help="write one simulated dataset as CSV")
@@ -443,7 +431,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for line in str(exc).splitlines() or [""]:
+            print(f"error: {line}", file=sys.stderr)
         return 1
 
 

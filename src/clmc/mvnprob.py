@@ -101,6 +101,8 @@ class QmcConfig:
             raise ValueError("need at least 3 shifts for an error estimate")
         if self.target_abs_error <= 0:
             raise ValueError("target_abs_error must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

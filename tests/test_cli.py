@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -448,6 +451,40 @@ class TestErrorPath:
         assert out.out == ""
         assert out.err == "error: probit fitter needs binary responses in {0,1} or {-1,+1}\n"
 
+    @pytest.mark.parametrize("command", [["fit"], ["test", "--contrasts", "all-pairwise"]])
+    def test_each_invalid_cluster_is_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "nan.csv"
+        path.write_text("cluster_id,y,x1,x2\nb,1,1,inf\nb,1,2,3\na,0.5,1,0\n"
+                        "c,2,3,1\nc,nan,0,1\n")
+        rc = main([command[0], "--model", "mvn", "--data", str(path), *command[1:]])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err == ("error: b: non-finite value in y or x\n"
+                           "error: c: non-finite value in y or x\n")
+
+    def test_error_without_a_message_is_one_line(self, mvn_csv, capsys, monkeypatch):
+        def silent(d):
+            raise FitError()
+
+        monkeypatch.setitem(FITTERS, "mvn", silent)
+        assert main(["fit", "--model", "mvn", "--data", mvn_csv]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: \n"
+
+    def test_module_run_sets_the_exit_status(self):
+        # `python -m clmc.cli` as a shell runs it; both processes start at once
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        runs = [subprocess.Popen([sys.executable, "-m", "clmc.cli", "simulate", *flags],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+                for flags in ([], ["--list-presets"])]
+        (refused_out, refused_err), (listed, listed_err) = (run.communicate(timeout=60) for run in runs)
+        assert runs[0].returncode == 1
+        assert (refused_out, refused_err) == ("", "error: give exactly one of --preset or --config\n")
+        assert runs[1].returncode == 0 and listed_err == ""
+        assert listed.splitlines() == list(PRESETS)
+
     def test_test_command_refuses_non_finite_cell(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
         path.write_text("cluster_id,y,x1,x2\n0,nan,1,2\n0,1,2,3\n1,0.5,1,0\n1,2,3,1\n")
@@ -619,16 +656,39 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--preset", "mvn-null-rho0-m4-p10", "--replicates", "2", "--seed", "-1"],
         ["generate", "--preset", "mvn-null-rho0-m4-p10", "--seed", "-3", "--output", "unused.csv"],
-    ], ids=["simulate", "generate"])
-    def test_negative_seed_is_one_error_line(self, argv, capsys):
+        # numpy's seeding once refused it without naming --seed or the value
+        ["test", "--model", "mvn", "--data", "{mvn_csv}", "--contrasts", "many-to-one:1",
+         "--seed", "-1"],
+    ], ids=["simulate", "generate", "test"])
+    def test_negative_seed_is_one_error_line(self, argv, mvn_csv, capsys):
+        argv = [a.format(mvn_csv=mvn_csv) for a in argv]
         assert main(argv) == 1
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: seed must be nonnegative, got {argv[argv.index('--seed') + 1]}\n"
 
     def test_preset_and_config_mutually_exclusive(self, capsys):
-        assert main(["simulate"]) == 1
-        assert main(["simulate", "--preset", "x", "--config", "y"]) == 1
+        for argv in (["simulate"], ["simulate", "--preset", "x", "--config", "y"]):
+            assert main(argv) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "error: give exactly one of --preset or --config\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("source", ["preset", "config"])
+    def test_workers_below_one_is_one_error_line(self, tmp_path, capsys, monkeypatch, source,
+                                                 workers):
+        # once accepted without a word and run serially
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a replicate ran"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(PRESETS["mvn-null-rho0-m4-p10"]))
+        given = ["--preset", "mvn-null-rho0-m4-p10"] if source == "preset" else ["--config", str(path)]
+        rc = main(["simulate", *given, "--replicates", "2", "--workers", workers])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert f"workers must be at least 1, got {workers}" in out.err
 
     def test_contrast_kind_is_refused_with_config(self, tmp_path, capsys):
         # the --config object names its own family; the flag was once ignored
@@ -730,6 +790,21 @@ class TestGenerateCommand:
             err = capsys.readouterr().err
             assert rc == 1
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_each_subcommand_keeps_its_option_strings():
+    # the shared options are argparse parents, so --help lists them first
+    expected = {
+        "fit": ["--model", "--data", "--naive", "--cluster-means", "--format", "--output"],
+        "test": ["--model", "--data", "--contrasts", "--alpha", "--methods", "--naive", "--seed",
+                 "--qmc-points", "--qmc-shifts", "--format", "--output"],
+        "simulate": ["--preset", "--config", "--list-presets", "--replicates", "--seed",
+                     "--workers", "--contrast-kind", "--format", "--output"],
+        "generate": ["--preset", "--seed", "--output"],
+    }
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    got = {name: sorted(s for a in p._actions for s in a.option_strings) for name, p in commands.items()}
+    assert got == {name: sorted(["-h", "--help", *opts]) for name, opts in expected.items()}
 
 
 # ---------------------------------------------------------------------------
