@@ -325,6 +325,9 @@ def cmd_simulate(args) -> int:
                             args.contrast_kind or "many_to_one")
     elif args.contrast_kind:
         raise ValueError("--contrast-kind applies to --preset only")
+    elif args.workers < 1 or args.seed < 0:  # before the file: an error naming it is the file's
+        raise ValueError(f"workers must be at least 1, got {args.workers}" if args.workers < 1
+                         else f"seed must be nonnegative, got {args.seed}")
     else:
         try:
             with open(args.config) as fh:

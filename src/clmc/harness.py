@@ -12,15 +12,16 @@ and the mean efficiency.  The pseudo-procedure "naive" is the equicoordinate
 (`models.naive_fit`) instead of the full sandwich; everything else uses the
 sandwich.  Both mnq rules read only which statistics exceed the cutoff, so
 they come from `mvnprob.equicoordinate_rejects`, which reads them off
-P(max|Z| <= |t_i|) on the cutoff search's points (the max-T identity): the
-decisions of the finished search, in 1-2 integrand passes per rule on
-average where it makes 3-4.
+P(max|Z| <= |t_i|) (the max-T identity) with no search for the cutoff: each
+statistic between the univariate and Bonferroni cutoffs, largest first, on
+as many QMC points as settle its side, often a 64-point prefix.  Every
+experiment runs at the CLI's QmcConfig() unless its config says otherwise.
 
 Replicate r draws its generator seed from SeedSequence(master, spawn_key=(r,)),
 and outcomes are collected in replicate order, so results are identical for
 any worker count and scheduling order.  A replicate whose fit fails or does
-not converge, or whose statistics, V or mnq cutoff cannot be computed
-(ValueError, QuantileConvergenceError), is dropped and counted, never retried.
+not converge, or whose statistics or V cannot be computed (ValueError), is
+dropped and counted, never retried.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .data import ContrastFamily, build_contrasts
 from .inference import METHODS, evaluate_tests
 from .models import FITTERS, FitError, mvn_mle_fit, naive_fit
-from .mvnprob import QmcConfig, QuantileConvergenceError, equicoordinate_rejects
+from .mvnprob import QmcConfig, equicoordinate_rejects
 from .simgen import Exchangeable, ScenarioSpec, Unstructured, UNSTRUCTURED_SIGMA_M4, generate
 
 __all__ = [
@@ -49,9 +50,6 @@ __all__ = [
     "preset_config",
 ]
 
-# quantile error well under the Monte Carlo resolution of the summaries
-_SIM_QMC = QmcConfig(points_per_shift=512, shifts=6, target_abs_error=1e-3, seed=90210)
-
 DEFAULT_PROCEDURES = ("mnq", "naive", "bonferroni", "sidak", "holm", "scheffe")
 
 
@@ -62,7 +60,7 @@ class ExperimentConfig:
     replicates: int = 2000
     alpha: float = 0.05
     procedures: tuple[str, ...] = DEFAULT_PROCEDURES
-    qmc: QmcConfig = _SIM_QMC
+    qmc: QmcConfig = QmcConfig()
     workers: int = 1
     compute_efficiency: bool = False
 
@@ -132,8 +130,8 @@ def _rejects(cfg: ExperimentConfig, fit, n: int) -> np.ndarray:
 
 def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[np.ndarray, float | None] | None:
     """Replicate `rep`: its reject matrix and MLE efficiency, or None for a
-    fit that fails or does not converge, or whose statistics, V or mnq cutoff
-    cannot be computed (a degenerate sandwich, a quantile search that stalls).
+    fit that fails or does not converge, or whose statistics or V cannot be
+    computed (a degenerate sandwich).
     An MLE that fails or does not converge leaves only the efficiency out.
     Generation cannot fail: the ScenarioSpec refused an undrawable scenario
     when the config was built."""
@@ -146,7 +144,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[np.ndarray, float | Non
         return None
     try:
         rejects = _rejects(cfg, fit, data.n)
-    except (ValueError, QuantileConvergenceError):
+    except ValueError:
         return None
 
     try:

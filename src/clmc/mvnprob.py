@@ -38,10 +38,12 @@ disagrees with the cutoff's decision, is taken on the quantile's points
 instead.  All estimates are deterministic functions of the configured seed.
 
 A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
-(Hothorn, Bretz & Westfall 2008), so `equicoordinate_rejects` takes P at
-the statistics between the univariate and Bonferroni cutoffs, on the points
-the search would use, and runs the search only for a P within its root
-tolerance of 1 - alpha: the decisions of the finished search.
+(Hothorn, Bretz & Westfall 2008), so `equicoordinate_rejects` runs no
+search: it takes P at each statistic between the univariate and Bonferroni
+cutoffs, largest first, from a 64-point prefix per shift doubled until 4
+standard errors settle the side of 1 - alpha (or 1 SE fits in the target on
+at least the whole stack).  Its contract: where the true P is at least
+twice the target from 1 - alpha, no decision is wrong.
 
 Tukey's cutoff is scipy.stats.studentized_range at infinite degrees of
 freedom; the normal and chi-square cutoffs are scipy.special's, at the caller.
@@ -85,8 +87,10 @@ class QmcConfig:
     rectangle probability or an adjusted p-value is accepted when 3 standard
     errors fit in `target_abs_error`, so a printed 4-digit mnq p-value
     carries up to `target_abs_error` of QMC error; the quantile's points are
-    sized at 1 standard error.  An estimate that misses doubles its stack,
-    up to 64 times the starting one.
+    sized at 1 standard error, and the mnq decisions (`equicoordinate_rejects`,
+    from 64 points) once 4 standard errors settle a side or 1 SE fits on the
+    whole stack.  An estimate that misses doubles its stack, up to 64 times
+    the starting one.  The simulations and `clmc test` run at the defaults.
     """
 
     points_per_shift: int = 4096
@@ -269,18 +273,17 @@ def _mean_se(means: np.ndarray) -> tuple[float, float]:
     return float(means.mean()), float(means.std(ddof=1) / np.sqrt(len(means)))
 
 
-def _estimate(per_shift_means, stack: np.ndarray, n: int, cfg: QmcConfig, ses: int = 3,
-              final=lambda n, value: False):
+def _estimate(per_shift_means, stack: np.ndarray, n: int, cfg: QmcConfig, done=None):
     """per_shift_means on the first n points per shift of `stack`, doubled
-    (within `stack`, then on a fresh stack beyond it) until `ses` standard
-    errors fit in cfg.target_abs_error, `final(n, estimate)` holds, or the
-    points reach _MAX_DOUBLINGS doublings of cfg.points_per_shift.  Returns
-    the points, the estimate and its SE."""
+    (within `stack`, then on a fresh stack beyond it) until `done(n, estimate,
+    SE)` holds, by default when 3 standard errors fit in cfg.target_abs_error,
+    or the points reach _MAX_DOUBLINGS doublings of cfg.points_per_shift.
+    Returns the points, the estimate and its SE."""
     cap = _next_pow2(cfg.points_per_shift) << _MAX_DOUBLINGS
     while True:
         pts = stack[:, :n] if n <= stack.shape[1] else _sobol_stack(stack.shape[2], n, cfg.shifts, cfg.seed)
         value, se = _mean_se(per_shift_means(pts))
-        if ses * se <= cfg.target_abs_error or n >= cap or final(n, value):
+        if n >= cap or (done(n, value, se) if done else 3 * se <= cfg.target_abs_error):
             return pts, value, se
         n *= 2
 
@@ -393,7 +396,26 @@ def _secant(prob_at, q: float, p: float, se: float, slope: float,
     return q, p, se, slope
 
 
-def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=(), decide=None) -> _Quantile:
+def _max_abs_law(corr, alpha: float):
+    """lo, the two-sided univariate cutoff, hi, the Bonferroni cutoff, the QMC
+    dimension and means_at(q, pts), the per-shift means of
+    P(max_i |Z_i| <= q) for Z ~ N(0, corr) on a point stack."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    r = _prepare_correlation(corr)
+    c = len(r)
+    # the bounds are the same for every row, so the factor's row order does not matter
+    chol, stage, _ = _trapezoidal_cholesky(r)
+
+    def means_at(q: float, pts: np.ndarray) -> np.ndarray:
+        bound = np.full(c, q)
+        return _conditioned_means(-bound, bound, chol, stage, pts)
+
+    lo, hi = float(ndtri(1.0 - alpha / 2.0)), float(ndtri(1.0 - alpha / (2.0 * c)))
+    return lo, hi, chol.shape[1] - 1, means_at
+
+
+def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=()) -> _Quantile:
     """Solve P(max_i |Z_i| <= q) = 1 - alpha for Z ~ N(0, corr), with diagnostics.
 
     The search runs `_secant` inside [lo, hi], lo the two-sided univariate
@@ -410,35 +432,8 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=(), decide=None) -> 
     within the target of alpha, or that disagrees on (p <= alpha) with t > q,
     is taken on the quantile's points instead; an estimate already on them is
     kept as it is.
-
-    Given the absolute statistics `decide`, q only separates the decisions
-    t > q: lo, with no pass, when no t lies in (lo, hi].  Otherwise, on the
-    points chosen as above, P is taken at the t in (lo, hi], largest first:
-    P(t) > 1 - alpha + tol rejects t, P(t) < 1 - alpha - tol accepts t and
-    every smaller one, and a P(t) within tol, the root tolerance, leaves q to
-    the full-stack search.  `decide` is not combined with `exceed_at`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    r = _prepare_correlation(corr)
-    c = len(r)
-    lo = float(ndtri(1.0 - alpha / 2.0))
-    hi = float(ndtri(1.0 - alpha / (2.0 * c)))
-    if decide is not None:
-        if len(decide) != c:
-            raise ValueError("statistics and correlation dimension differ")
-        # largest first; every t outside (lo, hi] is on a known side of q
-        decide = np.unique(decide[(decide > lo) & (decide <= hi)])[::-1]
-        if not len(decide):
-            return _Quantile(lo, np.nan, np.nan, 0, 0, 0, np.empty(0))
-    # the bounds are the same for every row, so the factor's row order does not matter
-    chol, stage, _ = _trapezoidal_cholesky(r)
-    dim = chol.shape[1] - 1  # QMC dimensions
-
-    def means_at(q: float, pts: np.ndarray) -> np.ndarray:
-        bound = np.full(c, q)
-        return _conditioned_means(-bound, bound, chol, stage, pts)
-
+    lo, hi, dim, means_at = _max_abs_law(corr, alpha)
     if dim == 0:
         # rank one: every |Z_i| equals |Z_1|, and P(t) needs no QMC points
         probs = [means_at(t, np.empty((1, 1, 0)))[0] for t in exceed_at]
@@ -467,21 +462,12 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=(), decide=None) -> 
         q, _, _, slope = _secant(prefix_prob, hi, p, se, _independence_slope(hi, p), lo, hi,
                                  target, cfg.target_abs_error / _PREFIX_ROOT_FRACTION)
     # the point count is chosen from the SE at the first full-stack q
-    pts, p, se = _estimate(functools.partial(full_pass, q), stack, n, cfg, ses=1)
+    pts, p, se = _estimate(functools.partial(full_pass, q), stack, n, cfg,
+                           done=lambda m, p, se: se <= cfg.target_abs_error)
     if slope is None:
         slope = _independence_slope(hi, p)
-    tol = cfg.target_abs_error / _ROOT_FRACTION
-    if decide is not None:
-        for t in decide:
-            t_p, t_se = _mean_se(full_pass(t, pts))
-            if t_p < target - tol:
-                return _Quantile(t, t_p, t_se, passes, prefix_passes, pts.shape[1], np.empty(0))
-            if t_p <= target + tol:
-                break
-        else:
-            return _Quantile(lo, np.nan, np.nan, passes, prefix_passes, pts.shape[1], np.empty(0))
     q, p, se, _ = _secant(lambda q: _mean_se(full_pass(q, pts)), q, p, se, slope, lo, hi,
-                          target, tol)
+                          target, cfg.target_abs_error / _ROOT_FRACTION)
 
     def exceed_prob(t: float) -> float:
         means = functools.partial(means_at, t)
@@ -491,7 +477,8 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=(), decide=None) -> 
             return abs(1.0 - p - alpha) <= cfg.target_abs_error or (1.0 - p <= alpha) != (t > q)
 
         used, t_p, _ = _estimate(means, pts, prefix_n if with_prefix else pts.shape[1], cfg,
-                                 final=lambda m, p: m == pts.shape[1] and on_q_points(p))
+                                 done=lambda m, p, se: 3 * se <= cfg.target_abs_error
+                                 or (m == pts.shape[1] and on_q_points(p)))
         if on_q_points(t_p) and used.shape[1] != pts.shape[1]:
             return _mean_se(means(pts))[0]
         return t_p
@@ -522,22 +509,42 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig(), p_
     return res.q if p_values_at is None else (res.q, res.exceed)
 
 
-def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) -> np.ndarray:
-    """The single-step max-T decisions |t_i| > q, q = equicoordinate_quantile(corr, alpha, cfg).
+# a P(|t_i|) starts on _FIRST_PREFIX points per shift; _SIDE_SES SEs settle its side
+_FIRST_PREFIX = 64
+_SIDE_SES = 4
 
-    Element for element the same booleans, read from the max-T identity
-    |t_i| > q iff P(max_j |Z_j| <= |t_i|) > 1 - alpha (Hothorn, Bretz &
-    Westfall 2008) on the points that give q.  A |t_i| outside the univariate
-    and Bonferroni cutoffs needs no pass.  The others are taken largest
-    first, until one is accepted; a P within the root tolerance of 1 - alpha
-    falls back to the search.  Under the null most statistics lie far below
-    q: on the simulation presets a call takes 0.9-2 full-stack passes on
-    average where the search takes 3-4.  Where the search would raise
-    QuantileConvergenceError and no fallback is needed, this returns the
-    decisions.
+
+def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) -> np.ndarray:
+    """The single-step max-T decisions |t_i| > q, q the 1 - alpha quantile of
+    max_j |Z_j| for Z ~ N(0, corr), with no search for q.
+
+    |t_i| > q iff P(|t_i|) = P(max_j |Z_j| <= |t_i|) > 1 - alpha (Hothorn,
+    Bretz & Westfall 2008).  A |t_i| at most the univariate cutoff is
+    accepted, one above the Bonferroni cutoff rejected, and at rank one the
+    univariate cutoff is q.  The others are taken largest first: P is
+    estimated on a 64-point prefix per shift of the cfg stack, doubled by
+    `_estimate` until 4 SEs separate it from 1 - alpha, 1 SE fits in
+    cfg.target_abs_error on at least the whole stack, or the cap is reached.
+    The first estimate at most 1 - alpha accepts that statistic and every
+    smaller one.  Contract, checked at QmcConfig() against fine references:
+    where the true P(|t_i|) is at least 2 * cfg.target_abs_error from
+    1 - alpha, no decision is wrong.
     """
+    lo, hi, dim, means_at = _max_abs_law(corr, alpha)
     abs_t = np.abs(np.asarray(t, dtype=float)).ravel()
-    return abs_t > _quantile(corr, alpha, cfg, decide=abs_t).q
+    if len(abs_t) != len(np.asarray(corr)):
+        raise ValueError("statistics and correlation dimension differ")
+    n = _next_pow2(cfg.points_per_shift)
+
+    def settled(m: int, p: float, se: float) -> bool:
+        return abs(p - 1.0 + alpha) > _SIDE_SES * se or (m >= n and se <= cfg.target_abs_error)
+
+    for x in np.unique(abs_t[(abs_t > lo) & (abs_t <= hi)])[::-1] if dim else ():
+        _, p, _ = _estimate(functools.partial(means_at, x), _sobol_stack(dim, n, cfg.shifts, cfg.seed),
+                            min(_FIRST_PREFIX, n), cfg, done=settled)
+        if p <= 1.0 - alpha:
+            return abs_t > x
+    return abs_t > lo
 
 
 @functools.lru_cache(maxsize=64)

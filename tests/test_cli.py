@@ -690,6 +690,20 @@ class TestSimulateCommand:
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert f"workers must be at least 1, got {workers}" in out.err
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--workers", "0"], "workers must be at least 1, got 0"),
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ], ids=["workers", "seed"])
+    def test_flag_error_does_not_name_the_config_file(self, tmp_path, capsys, monkeypatch, flag,
+                                                      message):
+        # the file is valid and has no seed; the error was once prefixed with its path
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a replicate ran"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "mvn", "n": 50, "m": 4, "p": 3, "beta": [0, 0, 0]}))
+        assert main(["simulate", "--config", str(path), *flag]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
+
     def test_contrast_kind_is_refused_with_config(self, tmp_path, capsys):
         # the --config object names its own family; the flag was once ignored
         path = tmp_path / "cfg.json"

@@ -10,7 +10,6 @@ import pytest
 from clmc.data import build_contrasts
 from clmc.harness import (
     _KEYS,
-    _SIM_QMC,
     ExperimentConfig,
     PRESETS,
     experiment_config,
@@ -18,7 +17,7 @@ from clmc.harness import (
     run_experiment,
 )
 from clmc.models import FitError
-from clmc.mvnprob import QmcConfig, QuantileConvergenceError
+from clmc.mvnprob import QmcConfig
 from clmc.simgen import Exchangeable, ScenarioSpec
 
 TINY_QMC = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=3e-3, seed=5)
@@ -175,17 +174,17 @@ class TestRunExperiment:
         assert (s.replicates_completed, s.failures) == (4, 0)
         assert s.efficiency is not None
 
-    @pytest.mark.parametrize("cause", ["contrast-variance", "indefinite-V", "quantile-stall"])
+    @pytest.mark.parametrize("cause", ["contrast-variance", "indefinite-V"])
     def test_degenerate_replicate_is_dropped_and_counted(self, monkeypatch, cause):
         import clmc.harness as mod
 
-        real_fit, real_rejects = mod.FITTERS["mvn"], mod.equicoordinate_rejects
-        calls = {"fits": 0, "rejects": 0}
+        real_fit = mod.FITTERS["mvn"]
+        calls = {"fits": 0}
 
         def fitter(d):
             fit = real_fit(d)
             calls["fits"] += 1
-            if calls["fits"] != 2 or cause == "quantile-stall":
+            if calls["fits"] != 2:
                 return fit
             # the contrasts are b_k - b_1: zero variances make test_statistics
             # raise; variances of 0.5 with covariances -0.5 give V = 2I - J,
@@ -194,14 +193,7 @@ class TestRunExperiment:
             gamma[:4, :4] = 0.0 if cause == "contrast-variance" else np.diag([-0.5, 1.0, 1.0, 1.0])
             return dataclasses.replace(fit, gamma_hat=gamma)
 
-        def rejects(v, t, alpha, qmc):
-            calls["rejects"] += 1
-            if calls["rejects"] == 3 and cause == "quantile-stall":  # replicate 1's mnq
-                raise QuantileConvergenceError("quantile search stalled")
-            return real_rejects(v, t, alpha, qmc)
-
         monkeypatch.setitem(mod.FITTERS, "mvn", fitter)
-        monkeypatch.setattr(mod, "equicoordinate_rejects", rejects)
         s = run_experiment(small_config(replicates=4, compute_efficiency=False))
         assert (s.replicates_completed, s.failures) == (3, 1)
 
@@ -340,12 +332,13 @@ SIM_GOLDEN = json.loads((Path(__file__).parent / "data" / "harness_sim_golden.js
 @pytest.mark.parametrize("case", SIM_GOLDEN,
                          ids=[f"{c['preset']}-{c['contrast_kind']}" for c in SIM_GOLDEN])
 def test_preset_summaries_reproduce_recorded_runs(case):
-    # recorded under the harness's own QMC settings (512 x 6 points) with the
-    # mnq and naive decisions |t| > equicoordinate_quantile(V); a decision
-    # that moves changes a reject rate
+    # recorded with the mnq and naive decisions |t| > equicoordinate_quantile(V)
+    # at 512 x 6 points; the decisions of equicoordinate_rejects at the
+    # harness's QmcConfig() give the same counts, and a decision that moves
+    # changes a reject rate
     cfg = preset_config(case["preset"], replicates=case["replicates"], seed=case["seed"],
                         contrast_kind=case["contrast_kind"])
-    assert cfg.qmc == _SIM_QMC
+    assert cfg.qmc == QmcConfig()
     assert summary_fields(run_experiment(cfg)) == case["summary"]
 
 

@@ -7,7 +7,6 @@ from scipy import integrate, linalg
 from scipy.special import ndtr, ndtri
 
 from clmc.data import build_contrasts
-from clmc.harness import _SIM_QMC, preset_config
 from clmc.inference import adjust
 from clmc.mvnprob import (
     _LOAD_TOL,
@@ -18,6 +17,7 @@ from clmc.mvnprob import (
     QmcConfig,
     QuantileConvergenceError,
     _conditioned_means,
+    _mean_se,
     _next_pow2,
     _prepare_correlation,
     _quantile,
@@ -353,7 +353,9 @@ def test_prob_estimate_validation():
 # ---------------------------------------------------------------------------
 # rank-deficient V: exact oracles, edge cases, and the full-rank golden values
 
-HARNESS = preset_config("mvn-null-rho0-m4-p10").qmc
+# the simulations' QMC settings before they moved to QmcConfig(): a stack too
+# small for a prefix stage, whose search cutoffs GOLDEN records
+HARNESS = QmcConfig(points_per_shift=512, shifts=6, target_abs_error=1e-3, seed=90210)
 QMC_CONFIGS = {"cli": QmcConfig(), "harness": HARNESS}
 
 
@@ -594,7 +596,7 @@ class TestQuantileRoot:
 
     def test_only_large_stacks_make_prefix_passes(self):
         v = family_corr("many_to_one", 10)
-        assert _quantile(v, 0.05, _SIM_QMC).prefix_passes == 0
+        assert _quantile(v, 0.05, HARNESS).prefix_passes == 0
         assert _quantile(v, 0.05, QmcConfig()).prefix_passes > 0
 
     @settings(max_examples=25, deadline=None)
@@ -688,10 +690,10 @@ class TestSecantSafeguards:
 
 
 # ---------------------------------------------------------------------------
-# decisions without the finished cutoff search
+# decisions without the cutoff search
 
 TINY = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=3e-3, seed=5)
-DECISION_CONFIGS = {"harness": _SIM_QMC, "cli": QmcConfig(), "tiny": TINY}
+DECISION_CONFIGS = {"cli": QmcConfig(), "tiny": TINY}
 
 
 def _rank_one(c, rng):
@@ -699,12 +701,52 @@ def _rank_one(c, rng):
     return np.outer(signs, signs)
 
 
+def _spy_passes(monkeypatch):
+    """A list that records (t, points per shift, P, SE) for every integrand
+    pass equicoordinate_rejects makes."""
+    import clmc.mvnprob as mod
+
+    calls, real = [], mod._conditioned_means
+
+    def spy(a, b, chol, stage, points):
+        means = real(a, b, chol, stage, points)
+        calls.append((float(b[0]), points.shape[1], *_mean_se(means)))
+        return means
+
+    monkeypatch.setattr(mod, "_conditioned_means", spy)
+    return calls
+
+
+# Six 12 x 12 factor-model V (the first three are FACTOR_V) and statistics
+# planted where P(max_i |Z_i| <= t) lies about 1.1e-3 and 2.2e-3 (just over
+# two and four QmcConfig() targets) either side of 0.95.  CONTRACT_P is the
+# fine reference at each t: the mean of 4 seeds (11-14) at 2^17 x 12 points,
+# SE at most 2e-5.
+_CONTRACT_RNG = np.random.default_rng(0)
+CONTRACT_V = [factor_model_corr(12, 3, _CONTRACT_RNG) for _ in range(6)]
+CONTRACT_T = [
+    (2.737316, 2.745051, 2.760963, 2.769137),
+    (2.780232, 2.787697, 2.80307, 2.810973),
+    (2.756633, 2.764238, 2.77989, 2.787934),
+    (2.743827, 2.751441, 2.76711, 2.77516),
+    (2.775849, 2.783342, 2.79877, 2.806701),
+    (2.793034, 2.800441, 2.815693, 2.823533),
+]
+CONTRACT_P = [
+    (0.9478337, 0.9489296, 0.9511229, 0.9522183),
+    (0.9477686, 0.9488693, 0.9510734, 0.9521743),
+    (0.9477576, 0.9488574, 0.9510589, 0.9521585),
+    (0.9478081, 0.9489076, 0.951108, 0.9522066),
+    (0.9477608, 0.948862, 0.9510668, 0.9521681),
+    (0.9478523, 0.9489494, 0.9511462, 0.9522434),
+]
+
+
 class TestEquicoordinateRejects:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(["factor", "all-pairwise", "rank-one"]), c=st.integers(2, 15),
-           seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 1e-3, 0.03, 0.3, 1.5]),
-           alpha=st.sampled_from([0.05, 0.1]), name=st.sampled_from(list(DECISION_CONFIGS)))
-    def test_same_decisions_as_the_cutoff(self, kind, c, seed, spread, alpha, name):
+           seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.05, 0.1]))
+    def test_same_decisions_as_the_cutoff_away_from_it(self, kind, c, seed, alpha):
         rng = np.random.default_rng(seed)
         if kind == "factor":
             v = factor_model_corr(c, rng.integers(0, 4), rng)
@@ -712,18 +754,56 @@ class TestEquicoordinateRejects:
             v = family_corr("all_pairwise", 3 + c % 4)  # singular, c = 3, 6, 10 or 15
         else:
             v = _rank_one(c, rng)
-        cfg = DECISION_CONFIGS[name]
         k = len(v)
-        q = equicoordinate_quantile(v, alpha, cfg)
-        # |t| around the cutoff (spread 0: all at 0, far below it), and the
-        # values where a decision could flip
+        q = equicoordinate_quantile(v, alpha, QmcConfig())
         lo, hi = ndtri(1.0 - alpha / 2.0), ndtri(1.0 - alpha / (2.0 * k))
-        special = [lo, hi, q, q - 1e-9, q + 1e-9]
-        t = np.abs(q + spread * rng.standard_normal(k)) if spread else np.zeros(k)
-        at = rng.choice(k, size=min(k, rng.integers(1, 4)), replace=False)
-        t[at] = rng.choice(special, size=len(at))
-        t *= rng.choice([-1.0, 1.0], size=k)
-        np.testing.assert_array_equal(equicoordinate_rejects(v, t, alpha, cfg), np.abs(t) > q)
+        t = rng.uniform(lo - 0.3, hi + 0.3, size=k) * rng.choice([-1.0, 1.0], size=k)
+        got = equicoordinate_rejects(v, t, alpha, QmcConfig())
+        # 0.05 from the cutoff in t moves P by several targets: both rules
+        # are that accurate, so they must agree there
+        far = np.abs(np.abs(t) - q) > 0.05
+        np.testing.assert_array_equal(got[far], (np.abs(t) > q)[far])
+
+    def test_no_wrong_decision_two_targets_from_the_level(self):
+        # the contract against the truth: where the true P is at least
+        # 2 * target_abs_error from 1 - alpha, no decision is wrong.  Over
+        # these 240 decisions a rule settling a side at 2 SEs makes 3 wrong,
+        # and |t| > q with q searched at 512 x 6 points (target 1e-3) makes 8
+        wrong = []
+        for v, ts, refs in zip(CONTRACT_V, CONTRACT_T, CONTRACT_P):
+            for t, ref in zip(ts, refs):
+                assert abs(ref - 0.95) >= 2 * QmcConfig().target_abs_error
+                for seed in range(10):
+                    stats = np.zeros(12)
+                    stats[seed % 12] = t
+                    got = equicoordinate_rejects(v, stats, 0.05, QmcConfig(seed=seed))
+                    if got.any() != (ref > 0.95):
+                        wrong.append((t, ref, seed))
+        assert wrong == []
+
+    def test_far_statistics_are_settled_on_the_first_prefix(self, monkeypatch):
+        # exchangeable rho = 0.9: the cutoff lies near the univariate 1.96,
+        # far from both statistics; the larger one is taken first
+        calls = _spy_passes(monkeypatch)
+        t = np.array([0.0, 2.0, -2.7, 0.5, 0.0, 0.0, 0.0, 0.0])
+        got = equicoordinate_rejects(_exchangeable(8, 0.9), t, 0.05, QmcConfig())
+        np.testing.assert_array_equal(got, np.abs(t) > 2.5)
+        assert [(x, n) for x, n, _, _ in calls] == [(2.7, 64), (2.0, 64)]
+
+    @pytest.mark.parametrize("name", DECISION_CONFIGS)
+    def test_statistic_at_the_cutoff_is_sized_on_the_whole_stack(self, name, monkeypatch):
+        # P at the search's root is within its root tolerance of 1 - alpha,
+        # so no prefix settles its side: the prefix doubles to the whole
+        # stack, where 1 SE fits in the target
+        cfg = DECISION_CONFIGS[name]
+        v = family_corr("many_to_one", 20)
+        t = np.zeros(19)
+        t[4] = equicoordinate_quantile(v, 0.05, cfg)
+        calls = _spy_passes(monkeypatch)
+        equicoordinate_rejects(v, t, 0.05, cfg)
+        assert [n for _, n, _, _ in calls] == [64 << k for k in range(len(calls))]
+        assert all(abs(p - 0.95) <= 4 * se for _, _, p, se in calls)
+        assert calls[-1][1] >= cfg.points_per_shift and calls[-1][3] <= cfg.target_abs_error
 
     @pytest.mark.parametrize("name", DECISION_CONFIGS)
     def test_no_pass_when_every_statistic_is_outside_the_bounds(self, name, monkeypatch):
@@ -739,33 +819,14 @@ class TestEquicoordinateRejects:
         np.testing.assert_array_equal(equicoordinate_rejects(v, t, 0.05, DECISION_CONFIGS[name]),
                                       np.abs(t) > lo)
 
-    @pytest.mark.parametrize("offset", [None, -0.05, 0.05])
-    def test_fewer_full_passes_than_the_finished_search(self, offset):
-        # the many-to-one p = 20 family's V, as in the mvn-null-rho05-m10-p20
-        # preset (cutoff about 2.89, lo 1.96); one statistic in (lo, 2.6] or
-        # near the cutoff, the rest at 0
-        v = family_corr("many_to_one", 20)
-        full = _quantile(v, 0.05, _SIM_QMC)
-        t = np.zeros(19)
-        t[4] = 2.3 if offset is None else full.q + offset
-        res = _quantile(v, 0.05, _SIM_QMC, decide=t)
-        assert res.passes < full.passes
-        np.testing.assert_array_equal(t > res.q, t > full.q)
-
-    @pytest.mark.parametrize("name", DECISION_CONFIGS)
-    def test_statistic_at_the_cutoff_falls_back_to_the_search(self, name):
-        # P at the finished search's root lies within the root tolerance of
-        # 1 - alpha, so the identity cannot place it; the search then runs on
-        # the same points after the pass at the statistic, and its root decides
-        cfg = DECISION_CONFIGS[name]
-        v = family_corr("many_to_one", 20)
-        full = _quantile(v, 0.05, cfg)
-        assert abs(full.prob - 0.95) <= cfg.target_abs_error / _ROOT_FRACTION
-        t = np.zeros(19)
-        t[4] = full.q
-        res = _quantile(v, 0.05, cfg, decide=t)
-        assert (res.q, res.passes, res.prefix_passes) == (full.q, full.passes + 1, full.prefix_passes)
-        assert not equicoordinate_rejects(v, -t, 0.05, cfg).any()
+    def test_rank_one_cutoff_is_the_univariate_one_without_a_pass(self, monkeypatch):
+        # every |Z_i| equals |Z_1|, so P(t) > 1 - alpha exactly when t > lo
+        calls = _spy_passes(monkeypatch)
+        lo = ndtri(0.975)
+        t = np.array([lo, -np.nextafter(lo, 3.0), 2.2, -1.0, 2.5, lo - 1e-12])
+        got = equicoordinate_rejects(_rank_one(6, np.random.default_rng(3)), t, 0.05, QmcConfig())
+        np.testing.assert_array_equal(got, np.abs(t) > lo)
+        assert calls == []
 
     def test_statistics_must_match_the_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
