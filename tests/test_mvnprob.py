@@ -693,7 +693,7 @@ class TestSecantSafeguards:
 # decisions without the cutoff search
 
 TINY = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=3e-3, seed=5)
-DECISION_CONFIGS = {"cli": QmcConfig(), "tiny": TINY}
+DECISION_CONFIGS = {"harness": HARNESS, "cli": QmcConfig(), "tiny": TINY}
 
 
 def _rank_one(c, rng):
