@@ -13,9 +13,10 @@ and the mean efficiency.  The pseudo-procedure "naive" is the equicoordinate
 sandwich.  Both mnq rules read only which statistics exceed the cutoff, so
 they come from `mvnprob.equicoordinate_rejects`, which reads them off
 P(max|Z| <= |t_i|) (the max-T identity) with no search for the cutoff: each
-statistic between the univariate and Bonferroni cutoffs, largest first, on
-as many QMC points as settle its side, often a 64-point prefix.  Every
-experiment runs at the CLI's QmcConfig() unless its config says otherwise.
+statistic between the univariate and Bonferroni cutoffs, largest first, by
+closed-form bounds where they settle its side, else on as many QMC points as
+settle it, often a 64-point prefix.  Every experiment runs at the CLI's
+QmcConfig() unless its config says otherwise.
 
 Replicate r draws its generator seed from SeedSequence(master, spawn_key=(r,)),
 and outcomes are collected in replicate order, so results are identical for

@@ -15,7 +15,8 @@ The cube integral is evaluated with randomized quasi-Monte Carlo (scrambled
 Sobol points); independent scrambles ("shifts") give an empirical standard
 error.  One rule sizes every estimate: it is accepted when 3 standard errors
 fit in the requested absolute error, a bound on its true error, and a miss
-doubles the point count per shift (Genz & Bretz 2009, Ch. 4).  Variables are
+doubles the point count per shift (Genz & Bretz 2009, Ch. 4), integrating
+only the new points while they lie within the stack.  Variables are
 pre-ordered by ascending univariate interval probability, which reduces the
 variance of the conditioned integrand.
 R is validated, never repaired: the semidefinite Cholesky's rank tolerance
@@ -39,11 +40,15 @@ instead.  All estimates are deterministic functions of the configured seed.
 
 A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
 (Hothorn, Bretz & Westfall 2008), so `equicoordinate_rejects` runs no
-search: it takes P at each statistic between the univariate and Bonferroni
-cutoffs, largest first, from a 64-point prefix per shift doubled until 4
-standard errors settle the side of 1 - alpha (or 1 SE fits in the target on
-at least the whole stack).  Its contract: where the true P is at least
-twice the target from 1 - alpha, no decision is wrong.
+search: it takes each statistic between the univariate and Bonferroni
+cutoffs, largest first.  Closed-form bounds on 1 - P from the union's
+single and pairwise terms (Dawson & Sankoff 1967 below, Kounias 1968 above;
+the pairs by Owen's T) settle its side first when they clear alpha; such a
+decision is exact and costs no factor and no QMC point.  Otherwise P is
+taken from a 64-point prefix per shift, doubled until 4 standard errors
+settle the side of 1 - alpha (or 1 SE fits in the target on at least the
+whole stack).  Its contract: where the true P is at least twice the target
+from 1 - alpha, no decision is wrong.
 
 Tukey's cutoff is scipy.stats.studentized_range at infinite degrees of
 freedom; the normal and chi-square cutoffs are scipy.special's, at the caller.
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 from scipy.stats import qmc, studentized_range
 
 __all__ = [
@@ -89,7 +94,8 @@ class QmcConfig:
     carries up to `target_abs_error` of QMC error; the quantile's points are
     sized at 1 standard error, and the mnq decisions (`equicoordinate_rejects`,
     from 64 points) once 4 standard errors settle a side or 1 SE fits on the
-    whole stack.  An estimate that misses doubles its stack, up to 64 times
+    whole stack; a decision that a closed-form bound settles uses no point
+    and is exact.  An estimate that misses doubles its stack, up to 64 times
     the starting one.  The simulations and `clmc test` run at the defaults.
     """
 
@@ -278,11 +284,21 @@ def _estimate(per_shift_means, stack: np.ndarray, n: int, cfg: QmcConfig, done=N
     (within `stack`, then on a fresh stack beyond it) until `done(n, estimate,
     SE)` holds, by default when 3 standard errors fit in cfg.target_abs_error,
     or the points reach _MAX_DOUBLINGS doublings of cfg.points_per_shift.
+    Within `stack` a doubling integrates only its new points and averages
+    their per-shift means with those of the points before them; a fresh
+    stack, whose points differ, is integrated whole.
     Returns the points, the estimate and its SE."""
     cap = _next_pow2(cfg.points_per_shift) << _MAX_DOUBLINGS
+    means, have = 0.0, 0
     while True:
-        pts = stack[:, :n] if n <= stack.shape[1] else _sobol_stack(stack.shape[2], n, cfg.shifts, cfg.seed)
-        value, se = _mean_se(per_shift_means(pts))
+        if n <= stack.shape[1]:
+            pts = stack[:, :n]
+            means = (have * means + (n - have) * per_shift_means(stack[:, have:n])) / n
+            have = n
+        else:
+            pts = _sobol_stack(stack.shape[2], n, cfg.shifts, cfg.seed)
+            means = per_shift_means(pts)
+        value, se = _mean_se(means)
         if n >= cap or (done(n, value, se) if done else 3 * se <= cfg.target_abs_error):
             return pts, value, se
         n *= 2
@@ -396,13 +412,18 @@ def _secant(prob_at, q: float, p: float, se: float, slope: float,
     return q, p, se, slope
 
 
-def _max_abs_law(corr, alpha: float):
-    """lo, the two-sided univariate cutoff, hi, the Bonferroni cutoff, the QMC
-    dimension and means_at(q, pts), the per-shift means of
-    P(max_i |Z_i| <= q) for Z ~ N(0, corr) on a point stack."""
+def _cutoff_bracket(corr, alpha: float) -> tuple[np.ndarray, float, float]:
+    """The validated correlation, lo, the two-sided univariate cutoff, and
+    hi, the Bonferroni cutoff, of max_i |Z_i| for Z ~ N(0, corr)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     r = _prepare_correlation(corr)
+    return r, float(ndtri(1.0 - alpha / 2.0)), float(ndtri(1.0 - alpha / (2.0 * len(r))))
+
+
+def _max_abs_law(r: np.ndarray):
+    """The QMC dimension and means_at(q, pts), the per-shift means of
+    P(max_i |Z_i| <= q) for Z ~ N(0, r) on a point stack; r validated."""
     c = len(r)
     # the bounds are the same for every row, so the factor's row order does not matter
     chol, stage, _ = _trapezoidal_cholesky(r)
@@ -411,8 +432,7 @@ def _max_abs_law(corr, alpha: float):
         bound = np.full(c, q)
         return _conditioned_means(-bound, bound, chol, stage, pts)
 
-    lo, hi = float(ndtri(1.0 - alpha / 2.0)), float(ndtri(1.0 - alpha / (2.0 * c)))
-    return lo, hi, chol.shape[1] - 1, means_at
+    return chol.shape[1] - 1, means_at
 
 
 def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=()) -> _Quantile:
@@ -433,7 +453,8 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=()) -> _Quantile:
     is taken on the quantile's points instead; an estimate already on them is
     kept as it is.
     """
-    lo, hi, dim, means_at = _max_abs_law(corr, alpha)
+    r, lo, hi = _cutoff_bracket(corr, alpha)
+    dim, means_at = _max_abs_law(r)
     if dim == 0:
         # rank one: every |Z_i| equals |Z_1|, and P(t) needs no QMC points
         probs = [means_at(t, np.empty((1, 1, 0)))[0] for t in exceed_at]
@@ -512,6 +533,39 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig(), p_
 # a P(|t_i|) starts on _FIRST_PREFIX points per shift; _SIDE_SES SEs settle its side
 _FIRST_PREFIX = 64
 _SIDE_SES = 4
+# a closed-form bound settles a side when it clears alpha by this relative margin
+_BOUND_MARGIN = 1e-9
+
+
+def _union_bounds(r: np.ndarray):
+    """bounds(x): a lower and an upper bound on E(x) = P(max_i |Z_i| > x),
+    Z ~ N(0, r), x > 0, from S1 = sum_i P(|Z_i| > x) and the pair terms
+    p_ij = P(|Z_i| > x, |Z_j| > x) = 4 [Phi(-x) - T(x, a) - T(x, 1/a)],
+    a = sqrt((1 - |r_ij|) / (1 + |r_ij|)), T Owen's function (Owen 1956).
+
+    The lower bound is Dawson & Sankoff's (1967), the upper Kounias's (1968),
+    S1 - max_j sum_{i != j} p_ij.  Both are exact at c = 2 and at rank one.
+    """
+    c = len(r)
+    i, j = np.triu_indices(c, 1)
+    rho = np.minimum(np.abs(r[i, j]), 1.0)
+    a = np.sqrt((1.0 - rho) / (1.0 + rho))
+    tied = a == 0.0
+    # 1/a is infinite at |r_ij| = 1: such a pair takes T(x, 0) = 0 and adds
+    # T(x, inf) = Phi(-x) / 2 itself, so owens_t never sees an infinite slope
+    slopes = np.concatenate([a, np.divide(1.0, a, out=np.zeros_like(a), where=~tied)])
+
+    def bounds(x: float) -> tuple[float, float]:
+        tail = float(ndtr(-x))
+        owen = owens_t(x, slopes)
+        pair = 4.0 * (tail * (1.0 - 0.5 * tied) - owen[: len(a)] - owen[len(a):])
+        s1, s2 = 2.0 * tail * c, float(pair.sum())
+        k = 1.0 + np.floor(2.0 * s2 / s1)
+        lower = 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0))
+        upper = s1 - float((np.bincount(i, pair, c) + np.bincount(j, pair, c)).max())
+        return lower, upper
+
+    return bounds
 
 
 def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) -> np.ndarray:
@@ -520,26 +574,41 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
 
     |t_i| > q iff P(|t_i|) = P(max_j |Z_j| <= |t_i|) > 1 - alpha (Hothorn,
     Bretz & Westfall 2008).  A |t_i| at most the univariate cutoff is
-    accepted, one above the Bonferroni cutoff rejected, and at rank one the
-    univariate cutoff is q.  The others are taken largest first: P is
-    estimated on a 64-point prefix per shift of the cfg stack, doubled by
-    `_estimate` until 4 SEs separate it from 1 - alpha, 1 SE fits in
-    cfg.target_abs_error on at least the whole stack, or the cap is reached.
-    The first estimate at most 1 - alpha accepts that statistic and every
-    smaller one.  Contract, checked at QmcConfig() against fine references:
-    where the true P(|t_i|) is at least 2 * cfg.target_abs_error from
-    1 - alpha, no decision is wrong.
+    accepted, one above the Bonferroni cutoff rejected.  The others are taken
+    largest first.  Closed-form bounds on 1 - P(|t_i|) (`_union_bounds`)
+    settle a side first when they clear alpha: such a decision is exact, and
+    needs neither the factor of corr nor any QMC point.  Otherwise, at rank
+    one the univariate cutoff is q, and P is estimated on a 64-point prefix
+    per shift of the cfg stack, doubled by `_estimate` until 4 SEs separate
+    it from 1 - alpha, 1 SE fits in cfg.target_abs_error on at least the
+    whole stack, or the cap is reached.  The first statistic found at most
+    1 - alpha accepts that statistic and every smaller one.  Contract,
+    checked at QmcConfig() against fine references: where the true P(|t_i|)
+    is at least 2 * cfg.target_abs_error from 1 - alpha, no decision is
+    wrong.
     """
-    lo, hi, dim, means_at = _max_abs_law(corr, alpha)
+    r, lo, hi = _cutoff_bracket(corr, alpha)
     abs_t = np.abs(np.asarray(t, dtype=float)).ravel()
-    if len(abs_t) != len(np.asarray(corr)):
+    if len(abs_t) != len(r):
         raise ValueError("statistics and correlation dimension differ")
+    between = np.unique(abs_t[(abs_t > lo) & (abs_t <= hi)])[::-1]
+    if not len(between):
+        return abs_t > lo
+    bounds, law = _union_bounds(r), None
     n = _next_pow2(cfg.points_per_shift)
 
     def settled(m: int, p: float, se: float) -> bool:
         return abs(p - 1.0 + alpha) > _SIDE_SES * se or (m >= n and se <= cfg.target_abs_error)
 
-    for x in np.unique(abs_t[(abs_t > lo) & (abs_t <= hi)])[::-1] if dim else ():
+    for x in between:
+        lower, upper = bounds(x)
+        if lower > alpha * (1.0 + _BOUND_MARGIN):
+            return abs_t > x
+        if upper < alpha * (1.0 - _BOUND_MARGIN):
+            continue
+        dim, means_at = law = law or _max_abs_law(r)
+        if dim == 0:
+            return abs_t > lo
         _, p, _ = _estimate(functools.partial(means_at, x), _sobol_stack(dim, n, cfg.shifts, cfg.seed),
                             min(_FIRST_PREFIX, n), cfg, done=settled)
         if p <= 1.0 - alpha:

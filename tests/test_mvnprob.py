@@ -17,6 +17,7 @@ from clmc.mvnprob import (
     QmcConfig,
     QuantileConvergenceError,
     _conditioned_means,
+    _estimate,
     _mean_se,
     _next_pow2,
     _prepare_correlation,
@@ -24,6 +25,7 @@ from clmc.mvnprob import (
     _secant,
     _sobol_stack,
     _trapezoidal_cholesky,
+    _union_bounds,
     equicoordinate_quantile,
     equicoordinate_rejects,
     mvn_rectangle_prob,
@@ -702,19 +704,38 @@ def _rank_one(c, rng):
 
 
 def _spy_passes(monkeypatch):
-    """A list that records (t, points per shift, P, SE) for every integrand
-    pass equicoordinate_rejects makes."""
+    """A list that records (t, points per shift, per-shift means) for every
+    integrand pass equicoordinate_rejects makes."""
     import clmc.mvnprob as mod
 
     calls, real = [], mod._conditioned_means
 
     def spy(a, b, chol, stage, points):
         means = real(a, b, chol, stage, points)
-        calls.append((float(b[0]), points.shape[1], *_mean_se(means)))
+        calls.append((float(b[0]), points.shape[1], means))
         return means
 
     monkeypatch.setattr(mod, "_conditioned_means", spy)
     return calls
+
+
+def _no_factor_nor_pass(monkeypatch):
+    """Make equicoordinate_rejects fail if it factors V or integrates."""
+    import clmc.mvnprob as mod
+
+    def never(*args):
+        raise AssertionError("factored or integrated")
+
+    monkeypatch.setattr(mod, "_conditioned_means", never)
+    monkeypatch.setattr(mod, "_trapezoidal_cholesky", never)
+
+
+def _with_duplicate_row(v, k, sign):
+    """v with variable k replaced by sign * variable 0 (singular)."""
+    v = v.copy()
+    v[k, :] = sign * v[0, :]
+    v[:, k] = sign * v[:, 0]
+    return v
 
 
 # Six 12 x 12 factor-model V (the first three are FACTOR_V) and statistics
@@ -781,41 +802,53 @@ class TestEquicoordinateRejects:
                         wrong.append((t, ref, seed))
         assert wrong == []
 
-    def test_far_statistics_are_settled_on_the_first_prefix(self, monkeypatch):
+    def test_far_statistics_are_settled_by_the_bounds(self, monkeypatch):
         # exchangeable rho = 0.9: the cutoff lies near the univariate 1.96,
-        # far from both statistics; the larger one is taken first
-        calls = _spy_passes(monkeypatch)
+        # far from both statistics; the closed-form bounds settle both
+        _no_factor_nor_pass(monkeypatch)
         t = np.array([0.0, 2.0, -2.7, 0.5, 0.0, 0.0, 0.0, 0.0])
         got = equicoordinate_rejects(_exchangeable(8, 0.9), t, 0.05, QmcConfig())
         np.testing.assert_array_equal(got, np.abs(t) > 2.5)
-        assert [(x, n) for x, n, _, _ in calls] == [(2.7, 64), (2.0, 64)]
+
+    @pytest.mark.parametrize("kind", ["not psd", "asymmetric"])
+    def test_refused_v_raises_where_the_bounds_would_settle(self, kind):
+        v = _exchangeable(8, 0.9)
+        if kind == "not psd":
+            v[0, 1] = v[1, 0] = -0.9
+        else:
+            v[0, 1] += 1e-3
+        t = np.array([0.0, 2.0, -2.7, 0.5, 0.0, 0.0, 0.0, 0.0])
+        # both statistics would be settled by the bounds
+        assert _union_bounds(v)(2.7)[1] < 0.05 < _union_bounds(v)(2.0)[0]
+        with pytest.raises(ValueError, match="positive semidefinite|symmetric"):
+            equicoordinate_rejects(v, t, 0.05, QmcConfig())
 
     @pytest.mark.parametrize("name", DECISION_CONFIGS)
     def test_statistic_at_the_cutoff_is_sized_on_the_whole_stack(self, name, monkeypatch):
         # P at the search's root is within its root tolerance of 1 - alpha,
-        # so no prefix settles its side: the prefix doubles to the whole
-        # stack, where 1 SE fits in the target
+        # so neither a bound nor a prefix settles its side: the prefix
+        # doubles to the whole stack, where 1 SE fits in the target.  Each
+        # doubling integrates only its new points
         cfg = DECISION_CONFIGS[name]
         v = family_corr("many_to_one", 20)
         t = np.zeros(19)
         t[4] = equicoordinate_quantile(v, 0.05, cfg)
         calls = _spy_passes(monkeypatch)
         equicoordinate_rejects(v, t, 0.05, cfg)
-        assert [n for _, n, _, _ in calls] == [64 << k for k in range(len(calls))]
-        assert all(abs(p - 0.95) <= 4 * se for _, _, p, se in calls)
-        assert calls[-1][1] >= cfg.points_per_shift and calls[-1][3] <= cfg.target_abs_error
+        assert [n for _, n, _ in calls] == [64] + [64 << k for k in range(len(calls) - 1)]
+        estimates, total, sums = [], 0, 0.0
+        for _, n, means in calls:
+            total, sums = total + n, sums + n * means
+            estimates.append((total, *_mean_se(sums / total)))
+        assert all(abs(p - 0.95) <= 4 * se for _, p, se in estimates)
+        assert estimates[-1][0] >= cfg.points_per_shift and estimates[-1][2] <= cfg.target_abs_error
 
     @pytest.mark.parametrize("name", DECISION_CONFIGS)
     def test_no_pass_when_every_statistic_is_outside_the_bounds(self, name, monkeypatch):
-        import clmc.mvnprob as mod
-
-        def never(*args):
-            raise AssertionError("integrand evaluated")
-
+        _no_factor_nor_pass(monkeypatch)
         v = family_corr("many_to_one", 10)
         lo, hi = ndtri(0.975), ndtri(1.0 - 0.05 / 18)
         t = np.array([0.0, -lo, lo, hi + 1e-12, -4.0, 1.0, -0.5, 10.0, 0.1])
-        monkeypatch.setattr(mod, "_conditioned_means", never)
         np.testing.assert_array_equal(equicoordinate_rejects(v, t, 0.05, DECISION_CONFIGS[name]),
                                       np.abs(t) > lo)
 
@@ -831,3 +864,82 @@ class TestEquicoordinateRejects:
     def test_statistics_must_match_the_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
             equicoordinate_rejects(np.eye(3), np.zeros(4), 0.05, TINY)
+
+    @pytest.mark.parametrize("rho", [-0.95, -0.5, 0.0, 0.3, 0.8, 0.95])
+    @pytest.mark.parametrize("x", [1.5, 2.2, 3.0])
+    def test_bounds_are_exact_for_two_statistics(self, rho, x):
+        # P(max(|Z1|, |Z2|) > x) = 1 - P(|Z1| <= x, |Z2| <= x)
+        exact = 1.0 - bvn_rect_oracle(-x, x, -x, x, rho)
+        lower, upper = _union_bounds(np.array([[1.0, rho], [rho, 1.0]]))(x)
+        assert lower == pytest.approx(exact, abs=1e-10)
+        assert upper == pytest.approx(exact, abs=1e-10)
+
+    def test_bounds_match_their_definitions(self):
+        # by plain loops: each pair from the bivariate oracle, the
+        # Dawson-Sankoff bound at its best k, the Kounias bound at its best j
+        c, x = 5, 2.3
+        v = factor_model_corr(c, 1, np.random.default_rng(8))
+        tail = 2.0 * ndtr(-x)
+        pair = np.zeros((c, c))
+        for i in range(c):
+            for j in range(i + 1, c):
+                pair[i, j] = pair[j, i] = 2.0 * tail - 1.0 + bvn_rect_oracle(-x, x, -x, x, v[i, j])
+        s1, s2 = c * tail, pair.sum() / 2.0
+        lower = max(2.0 * s1 / (k + 1) - 2.0 * s2 / (k * (k + 1)) for k in range(1, c + 1))
+        upper = min(s1 - pair[j].sum() for j in range(c))
+        assert np.ptp(pair.sum(axis=1)) > 1e-3  # the choice of j matters
+        assert _union_bounds(v)(x) == pytest.approx((lower, upper), abs=1e-10)
+
+    @pytest.mark.parametrize("c", [2, 3, 7, 24])
+    @pytest.mark.parametrize("x", [1.5, 2.6, 3.5])
+    def test_bounds_are_exact_at_rank_one(self, c, x):
+        # every |Z_i| equals |Z_1|: P(max_i |Z_i| > x) = 2 Phi(-x)
+        with np.errstate(all="raise"):
+            lower, upper = _union_bounds(_rank_one(c, np.random.default_rng(c)))(x)
+        assert lower == pytest.approx(2.0 * ndtr(-x), rel=1e-12)
+        assert upper == pytest.approx(2.0 * ndtr(-x), rel=1e-12)
+
+    @settings(max_examples=8, deadline=None)
+    @given(kind=st.sampled_from(["factor", "all-pairwise", "duplicated", "sign-flipped"]),
+           c=st.integers(3, 12), seed=st.integers(0, 2**32 - 1), x=st.floats(1.5, 3.5))
+    @example(kind="duplicated", c=12, seed=1, x=2.5)
+    @example(kind="sign-flipped", c=12, seed=2, x=2.5)
+    def test_bounds_contain_a_fine_reference(self, kind, c, seed, x):
+        rng = np.random.default_rng(seed)
+        if kind == "all-pairwise":
+            v = family_corr("all_pairwise", 3 + c % 4)  # singular, c = 3, 6, 10 or 15
+        else:
+            v = factor_model_corr(c, rng.integers(0, 4), rng)
+            if kind != "factor":
+                v = _with_duplicate_row(v, rng.integers(1, c), -1.0 if kind == "sign-flipped" else 1.0)
+        lower, upper = _union_bounds(v)(x)
+        bound = np.full(len(v), x)
+        ref = mvn_rectangle_prob(-bound, bound, v, QmcConfig(points_per_shift=16384, shifts=12,
+                                                             target_abs_error=1.0, seed=11))
+        slack = 4 * ref.std_error + 1e-12
+        assert lower <= upper
+        assert lower <= 1.0 - ref.value + slack
+        assert 1.0 - ref.value - slack <= upper
+
+
+def test_estimate_doubling_integrates_only_the_new_points():
+    # within the stack the blocks are 16, 16, 32; beyond it a fresh stack of
+    # 128 points is integrated whole.  The block means combine into the
+    # means of the whole prefix
+    cfg = QmcConfig(points_per_shift=64, shifts=4, seed=3)
+    stack = _sobol_stack(2, 64, 4, 3)
+    blocks = []
+
+    def means(pts):
+        blocks.append(pts)
+        return (pts ** 2).sum(axis=2).mean(axis=1)
+
+    pts, value, se = _estimate(means, stack, 16, cfg, done=lambda n, p, se: n == 64)
+    assert [b.shape[1] for b in blocks] == [16, 16, 32]
+    np.testing.assert_array_equal(np.concatenate(blocks, axis=1), stack)
+    assert pts.shape[1] == 64
+    assert (value, se) == pytest.approx(_mean_se(means(stack)), rel=1e-12)
+    blocks.clear()
+    pts, _, _ = _estimate(means, stack, 16, cfg, done=lambda n, p, se: n == 128)
+    assert [b.shape[1] for b in blocks] == [16, 16, 32, 128]
+    assert pts is blocks[-1] and pts.shape[1] == 128
