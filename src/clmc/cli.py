@@ -270,18 +270,21 @@ def _parse_contrasts(spec: str, p: int) -> ContrastFamily:
 
 
 def cmd_test(args) -> int:
-    data = _read_valid(args.data)
+    # the flags first: an error naming one of them is not the data file's
     methods = tuple(m.strip() for m in args.methods.split(","))
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
     if len(set(methods)) < len(methods):
         raise ValueError(f"--methods names a method twice: {args.methods}")
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    qmc = QmcConfig(points_per_shift=args.qmc_points, shifts=args.qmc_shifts, seed=args.seed)
+    data = _read_valid(args.data)
     cf = _parse_contrasts(args.contrasts, data.p)
     fit = _fit(args, data)
     if not fit.converged:
         raise RuntimeError("fit did not converge")
-    qmc = QmcConfig(points_per_shift=args.qmc_points, shifts=args.qmc_shifts, seed=args.seed)
     result = evaluate_tests(fit, cf, data.n, args.alpha, methods, qmc)
     rows = []
     for i, label in enumerate(result.labels):
@@ -401,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--qmc-points", type=int, default=qmc.points_per_shift,
                         help="starting Sobol points per shift, rounded up to a power of two; "
                              f"an mnq p-value grows them until 3 SEs fit in {target}, the cutoff "
-                             f"until 1 SE does (default {qmc.points_per_shift})")
+                             "until 1 SE does; the mnq decisions are the simulations' rule, "
+                             f"from 64 points until 4 SEs settle each (default {qmc.points_per_shift})")
     p_test.add_argument("--qmc-shifts", type=int, default=qmc.shifts,
                         help="independent scrambles; their spread is each estimate's SE "
                              f"(default {qmc.shifts})")

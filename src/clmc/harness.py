@@ -21,8 +21,9 @@ QmcConfig() unless its config says otherwise.
 Replicate r draws its generator seed from SeedSequence(master, spawn_key=(r,)),
 and outcomes are collected in replicate order, so results are identical for
 any worker count and scheduling order.  A replicate whose fit fails or does
-not converge, or whose statistics or V cannot be computed (ValueError), is
-dropped and counted, never retried.
+not converge, or whose statistics, V or mnq decisions raise ValueError (a
+degenerate sandwich, a statistic that is not finite), is dropped and
+counted, never retried.
 """
 
 from __future__ import annotations

@@ -25,7 +25,9 @@ from .data import ContrastFamily
 from .models.base import FitResult
 from .mvnprob import (
     QmcConfig,
+    _abs_statistics,
     equicoordinate_quantile,
+    equicoordinate_rejects,
     mvn_rectangle_prob,  # not called here; perfbench/workloads.py wraps it by this name
     studentized_range_quantile,
 )
@@ -122,7 +124,7 @@ def adjust(
         raise ValueError("alpha must be in (0, 1)")
     if cf.c != c:
         raise ValueError("statistics and contrast family sizes differ")
-    abs_t = np.abs(t)
+    abs_t = _abs_statistics(t)
 
     if method == "bonferroni":
         cut = float(ndtri(1.0 - alpha / (2.0 * c)))
@@ -141,8 +143,14 @@ def adjust(
         cut = studentized_range_quantile(cf.p, alpha) / np.sqrt(2.0)
         return MethodDecision(abs_t > cut, cut)
     if method == "mnq":
+        # the simulations' rule decides; the searched cutoff is clipped between the accepted
+        # and the rejected |t_i|, and each p-value onto its decision's side of alpha
+        reject = equicoordinate_rejects(v_hat, abs_t, alpha, cfg)
         cut, adj = equicoordinate_quantile(v_hat, alpha, cfg, p_values_at=abs_t)
-        return MethodDecision(abs_t > cut, cut, adjusted_p=adj)
+        cut = np.clip(cut, abs_t[~reject].max(initial=-np.inf),
+                      np.nextafter(abs_t[reject].min(initial=np.inf), 0.0))
+        adj = np.where(reject, np.minimum(adj, alpha), np.maximum(adj, np.nextafter(alpha, 1.0)))
+        return MethodDecision(reject, float(cut), adjusted_p=adj)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -33,22 +33,22 @@ shift it runs in two stages: first on the stack's first 1/16 points per
 shift (a power-of-two prefix of a scrambled Sobol sequence is itself a
 randomized net) to target_abs_error / 20, then on the full stack from that
 root; the point count is sized there at 1 standard error.  Adjusted p-values
-start on the same prefix, or on the quantile's points without a prefix
-stage, and follow the 3-SE rule; one near alpha, or whose side of alpha
-disagrees with the cutoff's decision, is taken on the quantile's points
-instead.  All estimates are deterministic functions of the configured seed.
+read neither q nor its points: each starts on the same prefix (the whole
+stack without a prefix stage) and follows the 3-SE rule, but one within the
+target of alpha stops as the decisions do.  All estimates are deterministic
+functions of the configured seed.
 
 A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
-(Hothorn, Bretz & Westfall 2008), so `equicoordinate_rejects` runs no
-search: it takes each statistic between the univariate and Bonferroni
-cutoffs, largest first.  Closed-form bounds on 1 - P from the union's
-single and pairwise terms (Dawson & Sankoff 1967 below, Kounias 1968 above;
-the pairs by Owen's T) settle its side first when they clear alpha; such a
-decision is exact and costs no factor and no QMC point.  Otherwise P is
-taken from a 64-point prefix per shift, doubled until 4 standard errors
-settle the side of 1 - alpha (or 1 SE fits in the target on at least the
-whole stack).  Its contract: where the true P is at least twice the target
-from 1 - alpha, no decision is wrong.
+(Hothorn, Bretz & Westfall 2008), so `equicoordinate_rejects`, the one mnq
+decision rule, runs no search: it takes each statistic between the
+univariate and Bonferroni cutoffs, largest first.  Closed-form bounds on
+1 - P from the union's single and pairwise terms (Dawson & Sankoff 1967
+below, Kounias 1968 above; the pairs by Owen's T) settle its side first
+when they clear alpha, exactly and with no factor or QMC point.  Otherwise
+P is taken from a 64-point prefix per shift, doubled until 4 standard
+errors settle the side of 1 - alpha (or 1 SE fits in the target on at
+least the whole stack).  Its contract: where the true P is at least twice
+the target from 1 - alpha, no decision is wrong.
 
 Tukey's cutoff is scipy.stats.studentized_range at infinite degrees of
 freedom; the normal and chi-square cutoffs are scipy.special's, at the caller.
@@ -57,6 +57,7 @@ freedom; the normal and chi-square cutoffs are scipy.special's, at the caller.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,16 +88,13 @@ class QmcConfig:
     """Settings for the randomized quasi-Monte Carlo integrator.
 
     `points_per_shift`, rounded up to a power of two, is the starting Sobol
-    stack per shift.  From 4096 points the quantile search and the adjusted
-    p-values start on its first 1/16; a smaller stack is used whole.  A
-    rectangle probability or an adjusted p-value is accepted when 3 standard
-    errors fit in `target_abs_error`, so a printed 4-digit mnq p-value
-    carries up to `target_abs_error` of QMC error; the quantile's points are
-    sized at 1 standard error, and the mnq decisions (`equicoordinate_rejects`,
-    from 64 points) once 4 standard errors settle a side or 1 SE fits on the
-    whole stack; a decision that a closed-form bound settles uses no point
-    and is exact.  An estimate that misses doubles its stack, up to 64 times
-    the starting one.  The simulations and `clmc test` run at the defaults.
+    stack per shift; from 4096 points the quantile search and the adjusted
+    p-values start on its first 1/16.  A rectangle probability or a p-value
+    is accepted when 3 standard errors fit in `target_abs_error`, the
+    quantile's points at 1 SE, and an mnq decision (from 64 points) once 4
+    SEs settle its side; near the level, decisions and p-values alike stop
+    at 1 SE on at least the whole stack.  A miss doubles the stack, up to 64
+    times.  The simulations and `clmc test` run at the defaults.
     """
 
     points_per_shift: int = 4096
@@ -105,12 +103,15 @@ class QmcConfig:
     target_abs_error: float = 5e-4
 
     def __post_init__(self):
+        for name in ("points_per_shift", "shifts", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.points_per_shift < 16:
             raise ValueError("points_per_shift must be at least 16")
         if self.shifts < 3:
             raise ValueError("need at least 3 shifts for an error estimate")
-        if self.target_abs_error <= 0:
-            raise ValueError("target_abs_error must be positive")
+        if not 0.0 < self.target_abs_error < np.inf:
+            raise ValueError(f"target_abs_error must be positive and finite, got {self.target_abs_error}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -412,6 +413,15 @@ def _secant(prob_at, q: float, p: float, se: float, slope: float,
     return q, p, se, slope
 
 
+def _abs_statistics(t) -> np.ndarray:
+    """|t_i| of the statistics, flat; one that is not finite is a ValueError naming it."""
+    flat = np.asarray(t, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if len(bad):
+        raise ValueError(f"statistic {bad[0]} is {flat[bad[0]]}; statistics must be finite")
+    return np.abs(flat)
+
+
 def _cutoff_bracket(corr, alpha: float) -> tuple[np.ndarray, float, float]:
     """The validated correlation, lo, the two-sided univariate cutoff, and
     hi, the Bonferroni cutoff, of max_i |Z_i| for Z ~ N(0, corr)."""
@@ -447,11 +457,9 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=()) -> _Quantile:
     `_estimate` at 1 SE at the first full-stack q (the prefix root, or hi
     without a prefix stage) and every later trial q reuses those points.
 
-    `exceed` is 1 - P(t) at each t of `exceed_at`, sized by `_estimate` from
-    the prefix, or from the quantile's points without a prefix stage.  A value
-    within the target of alpha, or that disagrees on (p <= alpha) with t > q,
-    is taken on the quantile's points instead; an estimate already on them is
-    kept as it is.
+    `exceed` is 1 - P(t) at each t of `exceed_at`, sized by `_estimate` on
+    the cfg stack from its prefix (or whole, without a prefix stage) at 3 SEs;
+    within the target of alpha, at 1 SE on at least the whole stack.
     """
     r, lo, hi = _cutoff_bracket(corr, alpha)
     dim, means_at = _max_abs_law(r)
@@ -490,21 +498,14 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=()) -> _Quantile:
     q, p, se, _ = _secant(lambda q: _mean_se(full_pass(q, pts)), q, p, se, slope, lo, hi,
                           target, cfg.target_abs_error / _ROOT_FRACTION)
 
-    def exceed_prob(t: float) -> float:
-        means = functools.partial(means_at, t)
+    def done(m: int, p: float, se: float) -> bool:
+        # 3 SEs in the target; near 1 - alpha, the decisions' stop: 1 SE on at least the whole stack
+        if abs(p - target) <= cfg.target_abs_error:
+            return m >= n and se <= cfg.target_abs_error
+        return 3 * se <= cfg.target_abs_error
 
-        def on_q_points(p: float) -> bool:
-            # near alpha, or on the other side of alpha from the decision t > q
-            return abs(1.0 - p - alpha) <= cfg.target_abs_error or (1.0 - p <= alpha) != (t > q)
-
-        used, t_p, _ = _estimate(means, pts, prefix_n if with_prefix else pts.shape[1], cfg,
-                                 done=lambda m, p, se: 3 * se <= cfg.target_abs_error
-                                 or (m == pts.shape[1] and on_q_points(p)))
-        if on_q_points(t_p) and used.shape[1] != pts.shape[1]:
-            return _mean_se(means(pts))[0]
-        return t_p
-
-    probs = [exceed_prob(t) for t in exceed_at]
+    start = prefix_n if with_prefix else n
+    probs = [_estimate(functools.partial(means_at, t), stack, start, cfg, done=done)[1] for t in exceed_at]
     return _Quantile(q, p, se, passes, prefix_passes, pts.shape[1], 1.0 - np.clip(probs, 0.0, 1.0))
 
 
@@ -518,15 +519,16 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig(), p_
     QuantileConvergenceError if it cannot get there.  cfg.points_per_shift is
     the full stack; from 4096 points the search first runs on its first 1/16
     to cfg.target_abs_error / 20, and the full stack continues from there.
+    Contract, checked at QmcConfig() against fine references on 12
+    factor-model V: the true P(max_i |Z_i| <= q) is within
+    cfg.target_abs_error of 1 - alpha.
 
-    Given statistics `p_values_at`, returns (q, p), p_i = P(max_j |Z_j| > |t_i|).
-    p_i starts on the prefix (on the points that gave q without a prefix
-    stage) and is accepted when 3 standard errors fit in cfg.target_abs_error.
-    A p_i within the target of alpha, or whose side of alpha disagrees with
-    |t_i| > q, is estimated on the points that gave q; on those points
-    p_i <= alpha exactly where P(|t_i|) >= 1 - alpha.
+    Given statistics `p_values_at`, returns (q, p), p_i = P(max_j |Z_j| > |t_i|),
+    estimated apart from q from the search's prefix: accepted at 3 SEs in
+    the target or, within the target of alpha, at 1 SE on at least the whole
+    stack, as `equicoordinate_rejects` stops.
     """
-    res = _quantile(corr, alpha, cfg, () if p_values_at is None else np.abs(p_values_at))
+    res = _quantile(corr, alpha, cfg, () if p_values_at is None else _abs_statistics(p_values_at))
     return res.q if p_values_at is None else (res.q, res.exceed)
 
 
@@ -588,7 +590,7 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
     wrong.
     """
     r, lo, hi = _cutoff_bracket(corr, alpha)
-    abs_t = np.abs(np.asarray(t, dtype=float)).ravel()
+    abs_t = _abs_statistics(t)
     if len(abs_t) != len(r):
         raise ValueError("statistics and correlation dimension differ")
     between = np.unique(abs_t[(abs_t > lo) & (abs_t <= hi)])[::-1]

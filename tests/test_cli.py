@@ -419,6 +419,20 @@ class TestTestCommand:
                    "--contrasts", "many-to-one:1", "--methods", "tukey"])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--alpha", "1.5"], "alpha must be in (0, 1)"),
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["--qmc-points", "8"], "points_per_shift must be at least 16"),
+        (["--qmc-shifts", "2"], "need at least 3 shifts for an error estimate"),
+    ], ids=["alpha", "seed", "qmc-points", "qmc-shifts"])
+    def test_flags_are_checked_before_the_data(self, tmp_path, capsys, flag, message):
+        # the error once named the missing file, and a readable file was
+        # read and fitted before a bad flag was reported
+        rc = main(["test", "--model", "mvn", "--data", str(tmp_path / "missing.csv"),
+                   "--contrasts", "many-to-one:1", *flag])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestErrorPath:
     """Every failure ends in exit status 1 and one `error:` line on stderr."""

@@ -5,10 +5,10 @@ import pytest
 from scipy.special import chdtri, ndtr
 
 from clmc.data import ContrastFamily, build_contrasts
-from clmc.inference import adjust, correlation_matrix_V, evaluate_tests
+from clmc.inference import METHODS, adjust, correlation_matrix_V, evaluate_tests
 from clmc.inference import test_statistics as t_statistics
 from clmc.models import FitResult
-from clmc.mvnprob import QmcConfig, mvn_rectangle_prob
+from clmc.mvnprob import QmcConfig, equicoordinate_rejects, mvn_rectangle_prob
 
 FAST = QmcConfig(points_per_shift=1024, shifts=8, target_abs_error=1e-3, seed=42)
 
@@ -221,19 +221,23 @@ class TestAdjust:
     ], ids=["exchangeable", "all-pairwise-rank-3", "rank-1",
             "exchangeable-cli", "all-pairwise-rank-3-cli", "rank-1-cli"])
     def test_mnq_adjusted_p_is_below_alpha_exactly_above_the_cutoff(self, v, cfg):
-        # the cutoff solves P(q) = 1 - alpha only to target_abs_error / 200, about
-        # 5e-5 in q, so the statistics keep at least 1e-4 from it; within 1e-3 a
-        # p-value taken on a prefix can fall on the wrong side of alpha
+        # the decisions are equicoordinate_rejects', and the printed cutoff
+        # and p-values agree with them exactly.  The cutoff solves P(q) =
+        # 1 - alpha only to target_abs_error / 200, about 5e-5 in q, so off
+        # the root both rules agree with |t| > cut; at the root (the last
+        # row) the printed cutoff may move below it
         c = len(v)
         cf = ContrastFamily(np.eye(c), tuple(f"h{i}" for i in range(c)))
         cut = adjust("mnq", np.zeros(c), v, 0.05, cf, cfg).threshold
         for offsets in ([-0.5, -0.05, -1e-3, 1e-3, 0.05, 0.5], [-2.0, -5e-3, 2e-3, -2e-3, 5e-3, 3.0],
-                        [-1e-4, 1e-4, -2e-4, 2e-4, -4e-4, 4e-4]):
+                        [-1e-4, 1e-4, -2e-4, 2e-4, -4e-4, 4e-4], [0.0, -1e-4, 1e-4, -1.0, 1.0, -3.0]):
             t = (cut + np.array(offsets)) * np.array([1, -1, 1, -1, 1, -1])
             dec = adjust("mnq", t, v, 0.05, cf, cfg)
-            assert dec.threshold == cut
-            np.testing.assert_array_equal(dec.adjusted_p <= 0.05, np.abs(t) > cut)
-            np.testing.assert_array_equal(dec.reject, np.abs(t) > cut)
+            np.testing.assert_array_equal(dec.reject, equicoordinate_rejects(v, t, 0.05, cfg))
+            np.testing.assert_array_equal(dec.reject, np.abs(t) > dec.threshold)
+            np.testing.assert_array_equal(dec.reject, dec.adjusted_p <= 0.05)
+            if offsets[0] != 0.0:
+                assert dec.threshold == cut
 
     def test_mnq_adjusted_p_is_the_rectangle_estimate(self):
         # with a target no SE misses, neither the quantile nor the rectangle
@@ -270,11 +274,15 @@ class TestAdjust:
     @pytest.mark.parametrize("t, alpha, message", [
         (np.zeros(2), 1.5, r"alpha must be in \(0, 1\)"),
         (np.zeros(3), 0.05, "statistics and contrast family sizes differ"),
-    ], ids=["alpha", "size-mismatch"])
+        # mnq once doubled a NaN p-value to the cap and returned it; the
+        # other methods accepted the row
+        (np.array([np.nan, 1.0]), 0.05, "statistic 0 is nan; statistics must be finite"),
+    ], ids=["alpha", "size-mismatch", "not-finite"])
     def test_bad_call_is_refused_by_name(self, t, alpha, message):
         cf = build_contrasts("many_to_one", 3, baseline=1)
-        with pytest.raises(ValueError, match=f"^{message}"):
-            adjust("bonferroni", t, np.eye(2), alpha, cf, FAST)
+        for method in METHODS:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                adjust(method, t, np.eye(2), alpha, cf, FAST)
 
 
 class TestEvaluateTests:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, linalg
 from scipy.special import ndtr, ndtri
 
-from clmc.data import build_contrasts
+from clmc.data import ContrastFamily, build_contrasts
 from clmc.inference import adjust
 from clmc.mvnprob import (
     _LOAD_TOL,
@@ -336,13 +337,29 @@ class TestStudentizedRange:
         assert range_cdf_oracle(fresh, k) == pytest.approx(0.95, abs=1e-9)
 
 
-def test_qmc_config_validation():
-    with pytest.raises(ValueError):
-        QmcConfig(points_per_shift=8)
-    with pytest.raises(ValueError):
-        QmcConfig(shifts=2)
-    with pytest.raises(ValueError):
-        QmcConfig(target_abs_error=0.0)
+@pytest.mark.parametrize("field, value, message", [
+    ("points_per_shift", 8, "points_per_shift must be at least 16"),
+    ("shifts", 2, "need at least 3 shifts"),
+    ("target_abs_error", 0.0, "target_abs_error must be positive"),
+    ("seed", -1, "seed must be nonnegative, got -1"),
+    # a NaN target once doubled every estimate to the cap, and a float count
+    # raised TypeError inside the first estimate
+    ("target_abs_error", np.nan, "target_abs_error must be positive and finite, got nan"),
+    ("target_abs_error", np.inf, "target_abs_error must be positive and finite, got inf"),
+    ("points_per_shift", 4096.0, "points_per_shift must be an integer, got 4096.0"),
+    ("shifts", 12.5, "shifts must be an integer, got 12.5"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+])
+def test_qmc_config_validation(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        QmcConfig(**{field: value})
+
+
+def test_qmc_config_takes_numpy_integers():
+    cfg = QmcConfig(points_per_shift=np.int64(256), shifts=np.int32(4), seed=np.uint32(3))
+    est = mvn_rectangle_prob([-2.0, -2.0], [2.0, 2.0], [[1.0, 0.5], [0.5, 1.0]], cfg)
+    assert est == mvn_rectangle_prob([-2.0, -2.0], [2.0, 2.0], [[1.0, 0.5], [0.5, 1.0]],
+                                     QmcConfig(points_per_shift=256, shifts=4, seed=3))
 
 
 def test_prob_estimate_validation():
@@ -519,7 +536,8 @@ def _gamma_null_corr():
 
 # hard V for the QMC error: 12 x 12 factor-model correlations, three strong columns
 _FACTOR_RNG = np.random.default_rng(0)
-FACTOR_V = [factor_model_corr(12, 3, _FACTOR_RNG) for _ in range(3)]
+FACTOR_V12 = [factor_model_corr(12, 3, _FACTOR_RNG) for _ in range(12)]
+FACTOR_V = FACTOR_V12[:3]
 
 
 def _exchangeable(c, rho):
@@ -579,6 +597,29 @@ def test_rectangle_prob_meets_the_target_against_a_fine_reference(name):
     for (lower, upper), ref in zip(FINE_RECT_BOUNDS, FINE_RECT[name]):
         est = mvn_rectangle_prob(np.full(c, lower), np.full(c, upper), v, QmcConfig())
         assert abs(est.value - ref) <= QmcConfig().target_abs_error
+
+
+# The QmcConfig() cutoff q of each FACTOR_V12 and the fine reference
+# P(max_i |Z_i| <= q): the mean of mvn_rectangle_prob over seeds 11-14 at
+# 2^17 x 12 points, SE at most 2e-5.  A change that moves a cutoff re-records
+# its reference.
+FINE_CUTOFF = [
+    (2.7532245627408565, 0.9500663), (2.797048121729855, 0.9502199),
+    (2.7724764175104966, 0.9500264), (2.7580816829641788, 0.9498503),
+    (2.7904110069241903, 0.9498825), (2.8077617084114834, 0.9500142),
+    (2.7791028612879507, 0.9501492), (2.7948363444549926, 0.9498936),
+    (2.7683382707103785, 0.9500832), (2.769578501547057, 0.9499193),
+    (2.7774784770945415, 0.9502698), (2.773277571589385, 0.9502362),
+]
+
+
+@pytest.mark.parametrize("k", range(len(FACTOR_V12)))
+def test_cutoff_coverage_meets_the_target_against_a_fine_reference(k):
+    # equicoordinate_quantile's contract: the true P(max_i |Z_i| <= q) is
+    # within target_abs_error of 1 - alpha
+    cut, ref = FINE_CUTOFF[k]
+    assert equicoordinate_quantile(FACTOR_V12[k], 0.05, QmcConfig()) == pytest.approx(cut, abs=1e-12)
+    assert abs(ref - 0.95) <= QmcConfig().target_abs_error
 
 
 class TestQuantileRoot:
@@ -730,6 +771,10 @@ def _no_factor_nor_pass(monkeypatch):
     monkeypatch.setattr(mod, "_trapezoidal_cholesky", never)
 
 
+def _identity_family(c):
+    return ContrastFamily(np.eye(c), tuple(f"h{i}" for i in range(c)))
+
+
 def _with_duplicate_row(v, k, sign):
     """v with variable k replaced by sign * variable 0 (singular)."""
     v = v.copy()
@@ -738,13 +783,11 @@ def _with_duplicate_row(v, k, sign):
     return v
 
 
-# Six 12 x 12 factor-model V (the first three are FACTOR_V) and statistics
-# planted where P(max_i |Z_i| <= t) lies about 1.1e-3 and 2.2e-3 (just over
-# two and four QmcConfig() targets) either side of 0.95.  CONTRACT_P is the
-# fine reference at each t: the mean of 4 seeds (11-14) at 2^17 x 12 points,
-# SE at most 2e-5.
-_CONTRACT_RNG = np.random.default_rng(0)
-CONTRACT_V = [factor_model_corr(12, 3, _CONTRACT_RNG) for _ in range(6)]
+# The first six FACTOR_V12 and statistics planted where P(max_i |Z_i| <= t)
+# lies about 1.1e-3 and 2.2e-3 (just over two and four QmcConfig() targets)
+# either side of 0.95.  CONTRACT_P is the fine reference at each t: the mean
+# of 4 seeds (11-14) at 2^17 x 12 points, SE at most 2e-5.
+CONTRACT_V = FACTOR_V12[:6]
 CONTRACT_T = [
     (2.737316, 2.745051, 2.760963, 2.769137),
     (2.780232, 2.787697, 2.80307, 2.810973),
@@ -864,6 +907,43 @@ class TestEquicoordinateRejects:
     def test_statistics_must_match_the_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
             equicoordinate_rejects(np.eye(3), np.zeros(4), 0.05, TINY)
+
+    @pytest.mark.parametrize("name", ["factor 0", "many-to-one p10"])
+    def test_adjust_decides_a_statistic_at_the_root_as_the_simulations_do(self, name):
+        # P(q) at the searched root is within the root tolerance of 1 - alpha,
+        # and here above it: equicoordinate_rejects rejects t = (q, 0, ...),
+        # which adjust("mnq") once accepted because |t| > q is false
+        v = P_VALUE_V[name]
+        c = len(v)
+        q = equicoordinate_quantile(v, 0.05, QmcConfig())
+        t = np.zeros(c)
+        t[0] = q
+        dec = adjust("mnq", t, v, 0.05, _identity_family(c), QmcConfig())
+        np.testing.assert_array_equal(dec.reject, equicoordinate_rejects(v, t, 0.05, QmcConfig()))
+        assert dec.reject.tolist() == [True] + [False] * (c - 1)
+        assert dec.threshold < q and dec.adjusted_p[0] <= 0.05 < dec.adjusted_p[1:].min()
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(c=st.integers(2, 12), strong=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           cfg=st.sampled_from([QmcConfig(), FAST]))
+    def test_adjust_agrees_with_its_cutoff_and_p_values_near_the_root(self, c, strong, seed, cfg):
+        rng = np.random.default_rng(seed)
+        v = factor_model_corr(c, strong, rng)
+        q = equicoordinate_quantile(v, 0.05, cfg)
+        t = (q + rng.uniform(-3e-3, 3e-3, size=c)) * rng.choice([-1.0, 1.0], size=c)
+        dec = adjust("mnq", t, v, 0.05, _identity_family(c), cfg)
+        np.testing.assert_array_equal(dec.reject, equicoordinate_rejects(v, t, 0.05, cfg))
+        np.testing.assert_array_equal(dec.reject, np.abs(t) > dec.threshold)
+        np.testing.assert_array_equal(dec.reject, dec.adjusted_p <= 0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_statistics_must_be_finite(self, bad):
+        # a NaN p-value once doubled its points to the cap
+        message = f"^statistic 1 is {bad}; statistics must be finite$"
+        with pytest.raises(ValueError, match=message):
+            equicoordinate_rejects(np.eye(3), [2.5, bad, 1.0], 0.05, TINY)
+        with pytest.raises(ValueError, match=message):
+            equicoordinate_quantile(np.eye(3), 0.05, TINY, p_values_at=[2.5, bad, 1.0])
 
     @pytest.mark.parametrize("rho", [-0.95, -0.5, 0.0, 0.3, 0.8, 0.95])
     @pytest.mark.parametrize("x", [1.5, 2.2, 3.0])
