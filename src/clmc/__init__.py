@@ -38,6 +38,7 @@ from .models import (
 from .mvnprob import (
     ProbEstimate,
     QmcConfig,
+    equicoordinate_p_values,
     equicoordinate_quantile,
     equicoordinate_rejects,
     mvn_rectangle_prob,

@@ -26,6 +26,7 @@ from .models.base import FitResult
 from .mvnprob import (
     QmcConfig,
     _abs_statistics,
+    equicoordinate_p_values,
     equicoordinate_quantile,
     equicoordinate_rejects,
     mvn_rectangle_prob,  # not called here; perfbench/workloads.py wraps it by this name
@@ -146,9 +147,9 @@ def adjust(
         # the simulations' rule decides; the searched cutoff is clipped between the accepted
         # and the rejected |t_i|, and each p-value onto its decision's side of alpha
         reject = equicoordinate_rejects(v_hat, abs_t, alpha, cfg)
-        cut, adj = equicoordinate_quantile(v_hat, alpha, cfg, p_values_at=abs_t)
-        cut = np.clip(cut, abs_t[~reject].max(initial=-np.inf),
+        cut = np.clip(equicoordinate_quantile(v_hat, alpha, cfg), abs_t[~reject].max(initial=-np.inf),
                       np.nextafter(abs_t[reject].min(initial=np.inf), 0.0))
+        adj = equicoordinate_p_values(v_hat, abs_t, alpha, cfg)
         adj = np.where(reject, np.minimum(adj, alpha), np.maximum(adj, np.nextafter(alpha, 1.0)))
         return MethodDecision(reject, float(cut), adjusted_p=adj)
     raise ValueError(f"unknown method {method!r}")

@@ -32,11 +32,12 @@ target_abs_error / 200 of 1 - alpha.  On a stack of at least 4096 points per
 shift it runs in two stages: first on the stack's first 1/16 points per
 shift (a power-of-two prefix of a scrambled Sobol sequence is itself a
 randomized net) to target_abs_error / 20, then on the full stack from that
-root; the point count is sized there at 1 standard error.  Adjusted p-values
-read neither q nor its points: each starts on the same prefix (the whole
-stack without a prefix stage) and follows the 3-SE rule, but one within the
-target of alpha stops as the decisions do.  All estimates are deterministic
-functions of the configured seed.
+root; the point count is sized there at 1 standard error.  The max-T
+adjusted p-values P(max_j |Z_j| > |t_i|) need no q: `equicoordinate_p_values`
+starts each on the same prefix (the whole stack without a prefix stage) and
+follows the 3-SE rule, but one within the target of alpha stops as the
+decisions do.  All estimates are deterministic functions of the configured
+seed.
 
 A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
 (Hothorn, Bretz & Westfall 2008), so `equicoordinate_rejects`, the one mnq
@@ -71,6 +72,7 @@ __all__ = [
     "mvn_rectangle_prob",
     "equicoordinate_quantile",
     "equicoordinate_rejects",
+    "equicoordinate_p_values",
     "studentized_range_quantile",
     "QuantileConvergenceError",
 ]
@@ -88,13 +90,14 @@ class QmcConfig:
     """Settings for the randomized quasi-Monte Carlo integrator.
 
     `points_per_shift`, rounded up to a power of two, is the starting Sobol
-    stack per shift; from 4096 points the quantile search and the adjusted
-    p-values start on its first 1/16.  A rectangle probability or a p-value
-    is accepted when 3 standard errors fit in `target_abs_error`, the
-    quantile's points at 1 SE, and an mnq decision (from 64 points) once 4
-    SEs settle its side; near the level, decisions and p-values alike stop
-    at 1 SE on at least the whole stack.  A miss doubles the stack, up to 64
-    times.  The simulations and `clmc test` run at the defaults.
+    stack per shift; from 4096 points the quantile search and
+    `equicoordinate_p_values`, which reads no cutoff, start on its first
+    1/16.  A rectangle probability or a p-value is accepted when 3 standard
+    errors fit in `target_abs_error`, the quantile's points at 1 SE, and an
+    mnq decision (from 64 points) once 4 SEs settle its side; near the
+    level, decisions and p-values alike stop at 1 SE on at least the whole
+    stack.  A miss doubles the stack, up to 64 times.  The simulations and
+    `clmc test` run at the defaults.
     """
 
     points_per_shift: int = 4096
@@ -308,7 +311,7 @@ def _estimate(per_shift_means, stack: np.ndarray, n: int, cfg: QmcConfig, done=N
 def mvn_rectangle_prob(lower, upper, corr, cfg: QmcConfig = QmcConfig()) -> ProbEstimate:
     """P(lower < Z < upper) for Z ~ N(0, corr), with a QMC standard error.
 
-    Infinite bounds are allowed.  The result is a deterministic function of
+    Infinite bounds are allowed, NaN bounds are not.  The result is a deterministic function of
     (lower, upper, corr, cfg).
     """
     a = np.asarray(lower, dtype=float).ravel()
@@ -317,6 +320,9 @@ def mvn_rectangle_prob(lower, upper, corr, cfg: QmcConfig = QmcConfig()) -> Prob
     c = len(r)
     if len(a) != c or len(b) != c:
         raise ValueError("bound lengths do not match the correlation dimension")
+    for name, bound in (("lower", a), ("upper", b)):
+        if np.isnan(bound).any():
+            raise ValueError(f"{name} bound {np.flatnonzero(np.isnan(bound))[0]} is nan; bounds must not be NaN")
     if np.any(a >= b):
         raise ValueError("need lower < upper elementwise")
 
@@ -340,19 +346,18 @@ class _Quantile(NamedTuple):
     q: float
     prob: float  # the estimate of P(max_i |Z_i| <= q) on the quantile's own points
     std_error: float  # its QMC standard error
-    passes: int  # integrand passes over the full Sobol stack, point doublings included
-    prefix_passes: int  # passes of the search over the stack's prefix
     points_per_shift: int
-    exceed: np.ndarray  # P(max_i |Z_i| > t) for each t asked for, on the same factor
 
 
 # The root is accepted when |P(q) - (1 - alpha)| <= target_abs_error / _ROOT_FRACTION.
 # On a stack of at least _PREFIX_SHARE * _MIN_PREFIX points per shift a search
 # on its first 1/_PREFIX_SHARE (a power-of-two prefix of a scrambled Sobol
 # sequence, itself a randomized net) first stops at target_abs_error /
-# _PREFIX_ROOT_FRACTION, and the full stack then takes 1-2 secant steps.  A
-# smaller stack has no prefix stage: on the harness's 512 points per shift,
-# prefixes of 32-128 saved no passes.  _MAX_STEPS is only a safeguard.
+# _PREFIX_ROOT_FRACTION, and the full stack then takes 1-2 secant steps; the
+# adjusted p-values start on the same prefix.  A smaller stack, which only a
+# `points_per_shift` below 4096 (`clmc test --qmc-points`) asks for, has no
+# prefix stage: on 512 points per shift, prefixes of 32-128 saved no passes.
+# _MAX_STEPS is only a safeguard.
 _ROOT_FRACTION = 200
 _PREFIX_ROOT_FRACTION = 20
 _PREFIX_SHARE = 16
@@ -431,9 +436,9 @@ def _cutoff_bracket(corr, alpha: float) -> tuple[np.ndarray, float, float]:
     return r, float(ndtri(1.0 - alpha / 2.0)), float(ndtri(1.0 - alpha / (2.0 * len(r))))
 
 
-def _max_abs_law(r: np.ndarray):
-    """The QMC dimension and means_at(q, pts), the per-shift means of
-    P(max_i |Z_i| <= q) for Z ~ N(0, r) on a point stack; r validated."""
+def _max_abs_law(r: np.ndarray, cfg: QmcConfig):
+    """The cfg Sobol stack, None at rank one, and means_at(q, pts), the per-shift
+    means of P(max_i |Z_i| <= q) for Z ~ N(0, r) on a point stack; r validated."""
     c = len(r)
     # the bounds are the same for every row, so the factor's row order does not matter
     chol, stage, _ = _trapezoidal_cholesky(r)
@@ -442,10 +447,12 @@ def _max_abs_law(r: np.ndarray):
         bound = np.full(c, q)
         return _conditioned_means(-bound, bound, chol, stage, pts)
 
-    return chol.shape[1] - 1, means_at
+    dim = chol.shape[1] - 1
+    stack = _sobol_stack(dim, _next_pow2(cfg.points_per_shift), cfg.shifts, cfg.seed) if dim else None
+    return stack, means_at
 
 
-def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=()) -> _Quantile:
+def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
     """Solve P(max_i |Z_i| <= q) = 1 - alpha for Z ~ N(0, corr), with diagnostics.
 
     The search runs `_secant` inside [lo, hi], lo the two-sided univariate
@@ -456,60 +463,34 @@ def _quantile(corr, alpha: float, cfg: QmcConfig, exceed_at=()) -> _Quantile:
     prefix root with the prefix's last slope.  The point count is sized by
     `_estimate` at 1 SE at the first full-stack q (the prefix root, or hi
     without a prefix stage) and every later trial q reuses those points.
-
-    `exceed` is 1 - P(t) at each t of `exceed_at`, sized by `_estimate` on
-    the cfg stack from its prefix (or whole, without a prefix stage) at 3 SEs;
-    within the target of alpha, at 1 SE on at least the whole stack.
     """
     r, lo, hi = _cutoff_bracket(corr, alpha)
-    dim, means_at = _max_abs_law(r)
-    if dim == 0:
-        # rank one: every |Z_i| equals |Z_1|, and P(t) needs no QMC points
-        probs = [means_at(t, np.empty((1, 1, 0)))[0] for t in exceed_at]
-        return _Quantile(lo, 1.0 - alpha, 0.0, 0, 0, 0, 1.0 - np.clip(probs, 0.0, 1.0))
-    target = 1.0 - alpha
-    n = _next_pow2(cfg.points_per_shift)
-    prefix_n = n // _PREFIX_SHARE
-    with_prefix = prefix_n >= _MIN_PREFIX
-    passes = prefix_passes = 0
-
-    def full_pass(q: float, pts: np.ndarray) -> np.ndarray:
-        nonlocal passes
-        passes += 1
-        return means_at(q, pts)
-
-    q, slope, stack = hi, None, _sobol_stack(dim, n, cfg.shifts, cfg.seed)
-    if with_prefix:
+    stack, means_at = _max_abs_law(r, cfg)
+    if stack is None:
+        # rank one: every |Z_i| equals |Z_1|, so the univariate cutoff is exact
+        return _Quantile(lo, 1.0 - alpha, 0.0, 0)
+    target, n = 1.0 - alpha, stack.shape[1]
+    prefix_n, q, slope = n // _PREFIX_SHARE, hi, None
+    if prefix_n >= _MIN_PREFIX:
         prefix = np.ascontiguousarray(stack[:, :prefix_n])
 
         def prefix_prob(q: float) -> tuple[float, float]:
-            nonlocal prefix_passes
-            prefix_passes += 1
             return _mean_se(means_at(q, prefix))
 
         p, se = prefix_prob(hi)
         q, _, _, slope = _secant(prefix_prob, hi, p, se, _independence_slope(hi, p), lo, hi,
                                  target, cfg.target_abs_error / _PREFIX_ROOT_FRACTION)
     # the point count is chosen from the SE at the first full-stack q
-    pts, p, se = _estimate(functools.partial(full_pass, q), stack, n, cfg,
+    pts, p, se = _estimate(functools.partial(means_at, q), stack, n, cfg,
                            done=lambda m, p, se: se <= cfg.target_abs_error)
     if slope is None:
         slope = _independence_slope(hi, p)
-    q, p, se, _ = _secant(lambda q: _mean_se(full_pass(q, pts)), q, p, se, slope, lo, hi,
+    q, p, se, _ = _secant(lambda q: _mean_se(means_at(q, pts)), q, p, se, slope, lo, hi,
                           target, cfg.target_abs_error / _ROOT_FRACTION)
-
-    def done(m: int, p: float, se: float) -> bool:
-        # 3 SEs in the target; near 1 - alpha, the decisions' stop: 1 SE on at least the whole stack
-        if abs(p - target) <= cfg.target_abs_error:
-            return m >= n and se <= cfg.target_abs_error
-        return 3 * se <= cfg.target_abs_error
-
-    start = prefix_n if with_prefix else n
-    probs = [_estimate(functools.partial(means_at, t), stack, start, cfg, done=done)[1] for t in exceed_at]
-    return _Quantile(q, p, se, passes, prefix_passes, pts.shape[1], 1.0 - np.clip(probs, 0.0, 1.0))
+    return _Quantile(q, p, se, pts.shape[1])
 
 
-def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig(), p_values_at=None):
+def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) -> float:
     """Solve P(max_i |Z_i| <= q) = 1 - alpha for Z ~ N(0, corr).
 
     q lies between the two-sided univariate cutoff and the Bonferroni cutoff.
@@ -521,15 +502,35 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig(), p_
     to cfg.target_abs_error / 20, and the full stack continues from there.
     Contract, checked at QmcConfig() against fine references on 12
     factor-model V: the true P(max_i |Z_i| <= q) is within
-    cfg.target_abs_error of 1 - alpha.
-
-    Given statistics `p_values_at`, returns (q, p), p_i = P(max_j |Z_j| > |t_i|),
-    estimated apart from q from the search's prefix: accepted at 3 SEs in
-    the target or, within the target of alpha, at 1 SE on at least the whole
-    stack, as `equicoordinate_rejects` stops.
+    cfg.target_abs_error of 1 - alpha.  The mnq decisions and p-values need no q.
     """
-    res = _quantile(corr, alpha, cfg, () if p_values_at is None else _abs_statistics(p_values_at))
-    return res.q if p_values_at is None else (res.q, res.exceed)
+    return _quantile(corr, alpha, cfg).q
+
+
+def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) -> np.ndarray:
+    """Single-step max-T adjusted p-values P(max_j |Z_j| > |t_i|) for
+    Z ~ N(0, corr), read off no cutoff.  Exact at rank one; otherwise each
+    is estimated by `_estimate` on the cfg stack from its first 1/16 (the
+    whole stack below 4096 points per shift) and accepted when 3 SEs fit in
+    cfg.target_abs_error, a bound on its true error, or, within the target
+    of alpha, at 1 SE on at least the whole stack, as the decisions stop."""
+    abs_t = _abs_statistics(t)
+    r, _, _ = _cutoff_bracket(corr, alpha)
+    stack, means_at = _max_abs_law(r, cfg)
+    if stack is None:
+        # rank one: every |Z_i| equals |Z_1|, and P(t) needs no QMC points
+        return 1.0 - np.clip([means_at(x, np.empty((1, 1, 0)))[0] for x in abs_t], 0.0, 1.0)
+    target, n = 1.0 - alpha, stack.shape[1]
+    start = n // _PREFIX_SHARE if n // _PREFIX_SHARE >= _MIN_PREFIX else n
+
+    def done(m: int, p: float, se: float) -> bool:
+        # 3 SEs in the target; near 1 - alpha, the decisions' stop: 1 SE on at least the whole stack
+        if abs(p - target) <= cfg.target_abs_error:
+            return m >= n and se <= cfg.target_abs_error
+        return 3 * se <= cfg.target_abs_error
+
+    probs = [_estimate(functools.partial(means_at, x), stack, start, cfg, done=done)[1] for x in abs_t]
+    return 1.0 - np.clip(probs, 0.0, 1.0)
 
 
 # a P(|t_i|) starts on _FIRST_PREFIX points per shift; _SIDE_SES SEs settle its side
@@ -597,10 +598,10 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
     if not len(between):
         return abs_t > lo
     bounds, law = _union_bounds(r), None
-    n = _next_pow2(cfg.points_per_shift)
 
     def settled(m: int, p: float, se: float) -> bool:
-        return abs(p - 1.0 + alpha) > _SIDE_SES * se or (m >= n and se <= cfg.target_abs_error)
+        # `stack` is the law's, built before the first QMC pass
+        return abs(p - 1.0 + alpha) > _SIDE_SES * se or (m >= stack.shape[1] and se <= cfg.target_abs_error)
 
     for x in between:
         lower, upper = bounds(x)
@@ -608,11 +609,11 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
             return abs_t > x
         if upper < alpha * (1.0 - _BOUND_MARGIN):
             continue
-        dim, means_at = law = law or _max_abs_law(r)
-        if dim == 0:
+        stack, means_at = law = law or _max_abs_law(r, cfg)
+        if stack is None:
             return abs_t > lo
-        _, p, _ = _estimate(functools.partial(means_at, x), _sobol_stack(dim, n, cfg.shifts, cfg.seed),
-                            min(_FIRST_PREFIX, n), cfg, done=settled)
+        _, p, _ = _estimate(functools.partial(means_at, x), stack, min(_FIRST_PREFIX, stack.shape[1]), cfg,
+                            done=settled)
         if p <= 1.0 - alpha:
             return abs_t > x
     return abs_t > lo

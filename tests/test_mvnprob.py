@@ -27,6 +27,7 @@ from clmc.mvnprob import (
     _sobol_stack,
     _trapezoidal_cholesky,
     _union_bounds,
+    equicoordinate_p_values,
     equicoordinate_quantile,
     equicoordinate_rejects,
     mvn_rectangle_prob,
@@ -228,6 +229,19 @@ class TestRectangleProb:
     def test_malformed_matrix_is_refused_by_name(self, corr, message):
         with pytest.raises(ValueError, match=f"^correlation matrix must be {message}"):
             equicoordinate_quantile(corr, 0.05, FAST)
+
+    @pytest.mark.parametrize("lower, upper, message", [
+        ([-1.0, np.nan, -1.0], [1.0, 1.0, 1.0], "lower bound 1 is nan"),
+        ([-1.0, -1.0, -1.0], [1.0, 1.0, np.nan], "upper bound 2 is nan"),
+    ], ids=["lower", "upper"])
+    def test_nan_bound_is_refused_before_any_pass(self, lower, upper, message, monkeypatch):
+        # a NaN bound once doubled its points to the cap, whose SE never met
+        # the target, and then failed as an out-of-range probability
+        calls = _spy_passes(monkeypatch)
+        corr = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.0]])
+        with pytest.raises(ValueError, match=f"^{message}; bounds must not be NaN$"):
+            mvn_rectangle_prob(lower, upper, corr, FAST)
+        assert calls == []
 
     def test_rejects_nan_diagonal(self):
         # LAPACK can return finite eigenvalues for a NaN diagonal entry
@@ -477,9 +491,10 @@ class TestRankDeficient:
         q = equicoordinate_quantile(family_corr("many_to_one", 10), 0.05, qmc)
         assert dunnett_coverage(q, 9, 0.5) == pytest.approx(0.95, abs=1e-3)
 
-    def test_rank_one_is_the_univariate_cutoff(self):
+    def test_rank_one_is_the_univariate_cutoff(self, monkeypatch):
+        calls = _spy_passes(monkeypatch)
         assert equicoordinate_quantile(np.ones((3, 3)), 0.05, FAST) == ndtri(0.975)
-        assert _quantile(np.ones((3, 3)), 0.05, FAST).passes == 0
+        assert calls == []
 
     def test_rank_one_rectangle_is_the_interval_intersection(self):
         corr = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
@@ -546,8 +561,8 @@ def _exchangeable(c, rho):
     return v
 
 
-# cutoffs of the secant root on the QMC estimate, at the CLI's and the
-# harness's settings (the CLI's after its prefix stage); a change of engine
+# cutoffs of the secant root on the QMC estimate, at QmcConfig() (after its
+# prefix stage) and at the literal 512 x 6 HARNESS config; a change of engine
 # that moves them records the move
 GOLDEN = [
     ("many-to-one p10", lambda: family_corr("many_to_one", 10), 2.6862211031950256, 2.686099242399252),
@@ -629,18 +644,25 @@ class TestQuantileRoot:
         [g[1] for g in GOLDEN] + [lambda: family_corr("all_pairwise", 10)],
         ids=[g[0] for g in GOLDEN] + ["all-pairwise p10"],
     )
-    def test_at_most_four_passes(self, make, name):
+    def test_at_most_four_passes(self, make, name, monkeypatch):
         # passes over the full stack; the CLI's stack is large enough for a
         # prefix stage, after which the full stack takes one or two steps
         qmc = QMC_CONFIGS[name]
+        calls = _spy_passes(monkeypatch)
         res = _quantile(make(), 0.05, qmc)
-        doublings = (res.points_per_shift // _next_pow2(qmc.points_per_shift)).bit_length() - 1
-        assert res.passes - doublings <= {"cli": 3, "harness": 4}[name]
+        n = _next_pow2(qmc.points_per_shift)
+        doublings = (res.points_per_shift // n).bit_length() - 1
+        assert len([m for _, m, _ in calls if m >= n]) - doublings <= {"cli": 3, "harness": 4}[name]
 
-    def test_only_large_stacks_make_prefix_passes(self):
+    def test_only_large_stacks_make_prefix_passes(self, monkeypatch):
+        # a prefix pass integrates fewer points per shift than the stack holds
         v = family_corr("many_to_one", 10)
-        assert _quantile(v, 0.05, HARNESS).prefix_passes == 0
-        assert _quantile(v, 0.05, QmcConfig()).prefix_passes > 0
+        calls = _spy_passes(monkeypatch)
+        _quantile(v, 0.05, HARNESS)
+        assert [m for _, m, _ in calls if m < HARNESS.points_per_shift] == []
+        calls.clear()
+        _quantile(v, 0.05, QmcConfig())
+        assert [m for _, m, _ in calls if m < QmcConfig().points_per_shift] != []
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.integers(2, 12), strong=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
@@ -663,18 +685,6 @@ class TestQuantileRoot:
             assert res.prob <= 0.95 + tol
         else:
             assert res.prob >= 0.95 - tol
-
-    @pytest.mark.parametrize("name, points", [
-        *(pytest.param(name, 4096, id=name) for name in P_VALUE_V),
-        *(pytest.param(name, 1024, id=f"{name} at 1024 points") for name in P_VALUE_V),
-    ])
-    def test_cli_adjusted_p_meets_the_target_against_a_fine_reference(self, name, points):
-        # the p-values start on a prefix of the quantile's stack, or on the
-        # whole of a 1024-point stack, which has no prefix stage; the target is
-        # a bound on their true error
-        cfg = QmcConfig(points_per_shift=points)
-        _, p = equicoordinate_quantile(P_VALUE_V[name], 0.05, cfg, p_values_at=P_VALUE_T)
-        np.testing.assert_allclose(p, FINE_EXCEED[name], rtol=0.0, atol=cfg.target_abs_error)
 
     @pytest.mark.parametrize("qmc", QMC_CONFIGS.values(), ids=QMC_CONFIGS.keys())
     def test_near_rank_one_exchangeable(self, qmc):
@@ -745,8 +755,8 @@ def _rank_one(c, rng):
 
 
 def _spy_passes(monkeypatch):
-    """A list that records (t, points per shift, per-shift means) for every
-    integrand pass equicoordinate_rejects makes."""
+    """A list that records (upper bound of the first row, points per shift,
+    per-shift means) for every integrand pass of `_conditioned_means`."""
     import clmc.mvnprob as mod
 
     calls, real = [], mod._conditioned_means
@@ -938,12 +948,8 @@ class TestEquicoordinateRejects:
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_statistics_must_be_finite(self, bad):
-        # a NaN p-value once doubled its points to the cap
-        message = f"^statistic 1 is {bad}; statistics must be finite$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^statistic 1 is {bad}; statistics must be finite$"):
             equicoordinate_rejects(np.eye(3), [2.5, bad, 1.0], 0.05, TINY)
-        with pytest.raises(ValueError, match=message):
-            equicoordinate_quantile(np.eye(3), 0.05, TINY, p_values_at=[2.5, bad, 1.0])
 
     @pytest.mark.parametrize("rho", [-0.95, -0.5, 0.0, 0.3, 0.8, 0.95])
     @pytest.mark.parametrize("x", [1.5, 2.2, 3.0])
@@ -1000,6 +1006,42 @@ class TestEquicoordinateRejects:
         assert lower <= upper
         assert lower <= 1.0 - ref.value + slack
         assert 1.0 - ref.value - slack <= upper
+
+
+class TestAdjustedPValues:
+    @pytest.mark.parametrize("name, points", [
+        *(pytest.param(name, 4096, id=name) for name in P_VALUE_V),
+        *(pytest.param(name, 1024, id=f"{name} at 1024 points") for name in P_VALUE_V),
+    ])
+    def test_cli_adjusted_p_meets_the_target_against_a_fine_reference(self, name, points):
+        # the p-values start on a prefix of the cfg stack, or on the whole of
+        # a 1024-point stack, which has no prefix stage; the target is a bound
+        # on their true error
+        cfg = QmcConfig(points_per_shift=points)
+        p = equicoordinate_p_values(P_VALUE_V[name], P_VALUE_T, 0.05, cfg)
+        np.testing.assert_allclose(p, FINE_EXCEED[name], rtol=0.0, atol=cfg.target_abs_error)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_statistics_must_be_finite(self, bad, monkeypatch):
+        # a NaN p-value once doubled its points to the cap; V is not factored
+        _no_factor_nor_pass(monkeypatch)
+        with pytest.raises(ValueError, match=f"^statistic 1 is {bad}; statistics must be finite$"):
+            equicoordinate_p_values(np.eye(3), [2.5, bad, 1.0], 0.05, TINY)
+
+    def test_rank_one_p_values_are_exact_without_a_pass(self, monkeypatch):
+        # every |Z_i| equals |Z_1|: P(max_i |Z_i| > t) = 2 Phi(-|t|), evaluated
+        # once per statistic on an empty point set, with no Sobol point drawn
+        import clmc.mvnprob as mod
+
+        def never(*args):
+            raise AssertionError("drew Sobol points")
+
+        monkeypatch.setattr(mod, "_sobol_stack", never)
+        calls = _spy_passes(monkeypatch)
+        t = np.array([0.3, -1.9, 2.2, 2.8, -3.5])
+        p = equicoordinate_p_values(np.ones((3, 3)), t, 0.05, QmcConfig())
+        np.testing.assert_allclose(p, 2.0 * ndtr(-np.abs(t)), rtol=0.0, atol=1e-15)
+        assert [m for _, m, _ in calls] == [1] * len(t)
 
 
 def test_estimate_doubling_integrates_only_the_new_points():
