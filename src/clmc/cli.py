@@ -22,7 +22,7 @@ from scipy.special import ndtr
 
 from .data import ClusteredDataset, ContrastFamily, build_contrasts, validate_dataset
 from .harness import PRESETS, experiment_config, preset_config, run_experiment
-from .inference import METHODS, evaluate_tests
+from .inference import DEFAULT_METHODS, METHODS, evaluate_tests
 from .models import FITTERS, naive_fit
 from .mvnprob import QmcConfig
 from .simgen import generate
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--contrasts", required=True,
                         help="many-to-one:B | all-pairwise | file:PATH")
     p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--methods", default="mnq,bonferroni,sidak,holm,scheffe")
+    p_test.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     qmc = QmcConfig()
     target = np.format_float_scientific(qmc.target_abs_error, trim="-", exp_digits=1)
     p_test.add_argument("--seed", type=int, default=qmc.seed,

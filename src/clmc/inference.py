@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 METHODS = ("bonferroni", "sidak", "holm", "scheffe", "tukey", "mnq")
+DEFAULT_METHODS = ("mnq", "bonferroni", "sidak", "holm", "scheffe")
 
 
 def _beta_block(fit_or_matrix, cf: ContrastFamily, what: str) -> np.ndarray:
@@ -125,7 +126,7 @@ def adjust(
         raise ValueError("alpha must be in (0, 1)")
     if cf.c != c:
         raise ValueError("statistics and contrast family sizes differ")
-    abs_t = _abs_statistics(t)
+    abs_t = _abs_statistics(t, c)
 
     if method == "bonferroni":
         cut = float(ndtri(1.0 - alpha / (2.0 * c)))
@@ -171,7 +172,7 @@ def evaluate_tests(
     cf: ContrastFamily,
     n: int,
     alpha: float = 0.05,
-    methods: tuple[str, ...] = ("mnq", "bonferroni", "sidak", "holm", "scheffe"),
+    methods: tuple[str, ...] = DEFAULT_METHODS,
     cfg: QmcConfig = QmcConfig(),
 ) -> TestReport:
     """Compute T, estimate V, and run each requested procedure."""

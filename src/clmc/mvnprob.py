@@ -28,16 +28,14 @@ stack so the estimate is a smooth function of q.  The root lies between the
 naive two-sided normal cutoff (a lower bound) and the Bonferroni cutoff (an
 upper bound, by the union bound; Sidak 1967, JASA 62:626); the search starts
 at the Bonferroni end and stops when the estimate is within
-target_abs_error / 200 of 1 - alpha.  On a stack of at least 4096 points per
-shift it runs in two stages: first on the stack's first 1/16 points per
-shift (a power-of-two prefix of a scrambled Sobol sequence is itself a
-randomized net) to target_abs_error / 20, then on the full stack from that
-root; the point count is sized there at 1 standard error.  The max-T
-adjusted p-values P(max_j |Z_j| > |t_i|) need no q: `equicoordinate_p_values`
-starts each on the same prefix (the whole stack without a prefix stage) and
-follows the 3-SE rule, but one within the target of alpha stops as the
-decisions do.  All estimates are deterministic functions of the configured
-seed.
+target_abs_error / 200 of 1 - alpha.  It runs in two stages: first on the
+stack's first 1/16 points per shift (a power-of-two prefix of a scrambled
+Sobol sequence is itself a randomized net) to target_abs_error / 20, then
+on the full stack from that root; the point count is sized there at 1
+standard error.  The max-T adjusted p-values P(max_j |Z_j| > |t_i|) need no
+q: `equicoordinate_p_values` starts each on the same prefix and follows the
+3-SE rule, but one within the target of alpha stops as the decisions do.
+All estimates are deterministic functions of the configured seed.
 
 A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
 (Hothorn, Bretz & Westfall 2008), so `equicoordinate_rejects`, the one mnq
@@ -89,8 +87,8 @@ class QuantileConvergenceError(RuntimeError):
 class QmcConfig:
     """Settings for the randomized quasi-Monte Carlo integrator.
 
-    `points_per_shift`, rounded up to a power of two, is the starting Sobol
-    stack per shift; from 4096 points the quantile search and
+    `points_per_shift`, rounded up to a power of two on construction, is the
+    starting Sobol stack per shift; the quantile search and
     `equicoordinate_p_values`, which reads no cutoff, start on its first
     1/16.  A rectangle probability or a p-value is accepted when 3 standard
     errors fit in `target_abs_error`, the quantile's points at 1 SE, and an
@@ -117,6 +115,7 @@ class QmcConfig:
             raise ValueError(f"target_abs_error must be positive and finite, got {self.target_abs_error}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "points_per_shift", 1 << (int(self.points_per_shift) - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -140,6 +139,8 @@ def _prepare_correlation(corr: np.ndarray) -> np.ndarray:
     r = np.asarray(corr, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("correlation matrix must be square")
+    if not len(r):
+        raise ValueError("correlation matrix must not be empty")
     if not np.isfinite(r).all():
         raise ValueError("correlation matrix must be finite")
     if np.max(np.abs(r - r.T)) > 1e-8:
@@ -233,10 +234,6 @@ def _sobol_stack(dim: int, n: int, shifts: int, seed: int) -> np.ndarray:
     return out
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n) - 1).bit_length()
-
-
 def _conditioned_means(a, b, chol, stage, points):
     """Sequential-conditioning estimate of the rectangle probability.
 
@@ -292,7 +289,7 @@ def _estimate(per_shift_means, stack: np.ndarray, n: int, cfg: QmcConfig, done=N
     their per-shift means with those of the points before them; a fresh
     stack, whose points differ, is integrated whole.
     Returns the points, the estimate and its SE."""
-    cap = _next_pow2(cfg.points_per_shift) << _MAX_DOUBLINGS
+    cap = cfg.points_per_shift << _MAX_DOUBLINGS
     means, have = 0.0, 0
     while True:
         if n <= stack.shape[1]:
@@ -334,7 +331,7 @@ def mvn_rectangle_prob(lower, upper, corr, cfg: QmcConfig = QmcConfig()) -> Prob
         value = _conditioned_means(a, b, chol, stage, np.empty((1, 1, 0)))[0]
         return ProbEstimate(float(np.clip(value, 0.0, 1.0)), 0.0)
 
-    n = _next_pow2(cfg.points_per_shift)
+    n = cfg.points_per_shift
     _, value, se = _estimate(lambda pts: _conditioned_means(a, b, chol, stage, pts),
                              _sobol_stack(chol.shape[1] - 1, n, cfg.shifts, cfg.seed), n, cfg)
     return ProbEstimate(float(np.clip(value, 0.0, 1.0)), se)
@@ -350,18 +347,14 @@ class _Quantile(NamedTuple):
 
 
 # The root is accepted when |P(q) - (1 - alpha)| <= target_abs_error / _ROOT_FRACTION.
-# On a stack of at least _PREFIX_SHARE * _MIN_PREFIX points per shift a search
-# on its first 1/_PREFIX_SHARE (a power-of-two prefix of a scrambled Sobol
-# sequence, itself a randomized net) first stops at target_abs_error /
-# _PREFIX_ROOT_FRACTION, and the full stack then takes 1-2 secant steps; the
-# adjusted p-values start on the same prefix.  A smaller stack, which only a
-# `points_per_shift` below 4096 (`clmc test --qmc-points`) asks for, has no
-# prefix stage: on 512 points per shift, prefixes of 32-128 saved no passes.
-# _MAX_STEPS is only a safeguard.
+# A search on the stack's first 1/_PREFIX_SHARE (a power-of-two prefix of a
+# scrambled Sobol sequence, itself a randomized net) first stops at
+# target_abs_error / _PREFIX_ROOT_FRACTION, and the full stack then takes 1-2
+# secant steps; the adjusted p-values start on the same prefix.  _MAX_STEPS
+# is only a safeguard.
 _ROOT_FRACTION = 200
 _PREFIX_ROOT_FRACTION = 20
 _PREFIX_SHARE = 16
-_MIN_PREFIX = 256
 _MAX_STEPS = 40
 
 
@@ -418,12 +411,14 @@ def _secant(prob_at, q: float, p: float, se: float, slope: float,
     return q, p, se, slope
 
 
-def _abs_statistics(t) -> np.ndarray:
-    """|t_i| of the statistics, flat; one that is not finite is a ValueError naming it."""
+def _abs_statistics(t, c: int) -> np.ndarray:
+    """|t_i| of c statistics, flat; one that is not finite is a ValueError naming it."""
     flat = np.asarray(t, dtype=float).ravel()
     bad = np.flatnonzero(~np.isfinite(flat))
     if len(bad):
         raise ValueError(f"statistic {bad[0]} is {flat[bad[0]]}; statistics must be finite")
+    if len(flat) != c:
+        raise ValueError("statistics and correlation dimension differ")
     return np.abs(flat)
 
 
@@ -448,7 +443,7 @@ def _max_abs_law(r: np.ndarray, cfg: QmcConfig):
         return _conditioned_means(-bound, bound, chol, stage, pts)
 
     dim = chol.shape[1] - 1
-    stack = _sobol_stack(dim, _next_pow2(cfg.points_per_shift), cfg.shifts, cfg.seed) if dim else None
+    stack = _sobol_stack(dim, cfg.points_per_shift, cfg.shifts, cfg.seed) if dim else None
     return stack, means_at
 
 
@@ -457,12 +452,11 @@ def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
 
     The search runs `_secant` inside [lo, hi], lo the two-sided univariate
     cutoff and hi the Bonferroni cutoff, from hi, with a first slope from the
-    law of independent coordinates fitted through P(hi).  On a stack of
-    cfg.points_per_shift >= _PREFIX_SHARE * _MIN_PREFIX points it first runs on
-    the stack's prefix to a loose tolerance, then on the full stack from the
+    law of independent coordinates fitted through P(hi).  It first runs on the
+    stack's prefix to a loose tolerance, then on the full stack from the
     prefix root with the prefix's last slope.  The point count is sized by
-    `_estimate` at 1 SE at the first full-stack q (the prefix root, or hi
-    without a prefix stage) and every later trial q reuses those points.
+    `_estimate` at 1 SE at the prefix root and every later trial q reuses
+    those points.
     """
     r, lo, hi = _cutoff_bracket(corr, alpha)
     stack, means_at = _max_abs_law(r, cfg)
@@ -470,21 +464,17 @@ def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
         # rank one: every |Z_i| equals |Z_1|, so the univariate cutoff is exact
         return _Quantile(lo, 1.0 - alpha, 0.0, 0)
     target, n = 1.0 - alpha, stack.shape[1]
-    prefix_n, q, slope = n // _PREFIX_SHARE, hi, None
-    if prefix_n >= _MIN_PREFIX:
-        prefix = np.ascontiguousarray(stack[:, :prefix_n])
+    prefix = np.ascontiguousarray(stack[:, :n // _PREFIX_SHARE])
 
-        def prefix_prob(q: float) -> tuple[float, float]:
-            return _mean_se(means_at(q, prefix))
+    def prefix_prob(q: float) -> tuple[float, float]:
+        return _mean_se(means_at(q, prefix))
 
-        p, se = prefix_prob(hi)
-        q, _, _, slope = _secant(prefix_prob, hi, p, se, _independence_slope(hi, p), lo, hi,
-                                 target, cfg.target_abs_error / _PREFIX_ROOT_FRACTION)
-    # the point count is chosen from the SE at the first full-stack q
+    p, se = prefix_prob(hi)
+    q, _, _, slope = _secant(prefix_prob, hi, p, se, _independence_slope(hi, p), lo, hi,
+                             target, cfg.target_abs_error / _PREFIX_ROOT_FRACTION)
+    # the point count is chosen from the SE at the prefix root
     pts, p, se = _estimate(functools.partial(means_at, q), stack, n, cfg,
                            done=lambda m, p, se: se <= cfg.target_abs_error)
-    if slope is None:
-        slope = _independence_slope(hi, p)
     q, p, se, _ = _secant(lambda q: _mean_se(means_at(q, pts)), q, p, se, slope, lo, hi,
                           target, cfg.target_abs_error / _ROOT_FRACTION)
     return _Quantile(q, p, se, pts.shape[1])
@@ -498,8 +488,8 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) ->
     set reused for every trial q, stops when the estimate of P(q) is within
     cfg.target_abs_error / 200 of 1 - alpha, and raises
     QuantileConvergenceError if it cannot get there.  cfg.points_per_shift is
-    the full stack; from 4096 points the search first runs on its first 1/16
-    to cfg.target_abs_error / 20, and the full stack continues from there.
+    the full stack; the search first runs on its first 1/16 to
+    cfg.target_abs_error / 20, and the full stack continues from there.
     Contract, checked at QmcConfig() against fine references on 12
     factor-model V: the true P(max_i |Z_i| <= q) is within
     cfg.target_abs_error of 1 - alpha.  The mnq decisions and p-values need no q.
@@ -510,18 +500,17 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) ->
 def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) -> np.ndarray:
     """Single-step max-T adjusted p-values P(max_j |Z_j| > |t_i|) for
     Z ~ N(0, corr), read off no cutoff.  Exact at rank one; otherwise each
-    is estimated by `_estimate` on the cfg stack from its first 1/16 (the
-    whole stack below 4096 points per shift) and accepted when 3 SEs fit in
-    cfg.target_abs_error, a bound on its true error, or, within the target
-    of alpha, at 1 SE on at least the whole stack, as the decisions stop."""
-    abs_t = _abs_statistics(t)
+    is estimated by `_estimate` on the cfg stack from its first 1/16 and
+    accepted when 3 SEs fit in cfg.target_abs_error, a bound on its true
+    error, or, within the target of alpha, at 1 SE on at least the whole
+    stack, as the decisions stop."""
     r, _, _ = _cutoff_bracket(corr, alpha)
+    abs_t = _abs_statistics(t, len(r))
     stack, means_at = _max_abs_law(r, cfg)
     if stack is None:
         # rank one: every |Z_i| equals |Z_1|, and P(t) needs no QMC points
         return 1.0 - np.clip([means_at(x, np.empty((1, 1, 0)))[0] for x in abs_t], 0.0, 1.0)
     target, n = 1.0 - alpha, stack.shape[1]
-    start = n // _PREFIX_SHARE if n // _PREFIX_SHARE >= _MIN_PREFIX else n
 
     def done(m: int, p: float, se: float) -> bool:
         # 3 SEs in the target; near 1 - alpha, the decisions' stop: 1 SE on at least the whole stack
@@ -529,7 +518,8 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
             return m >= n and se <= cfg.target_abs_error
         return 3 * se <= cfg.target_abs_error
 
-    probs = [_estimate(functools.partial(means_at, x), stack, start, cfg, done=done)[1] for x in abs_t]
+    probs = [_estimate(functools.partial(means_at, x), stack, n // _PREFIX_SHARE, cfg, done=done)[1]
+             for x in abs_t]
     return 1.0 - np.clip(probs, 0.0, 1.0)
 
 
@@ -591,9 +581,7 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
     wrong.
     """
     r, lo, hi = _cutoff_bracket(corr, alpha)
-    abs_t = _abs_statistics(t)
-    if len(abs_t) != len(r):
-        raise ValueError("statistics and correlation dimension differ")
+    abs_t = _abs_statistics(t, len(r))
     between = np.unique(abs_t[(abs_t > lo) & (abs_t <= hi)])[::-1]
     if not len(between):
         return abs_t > lo

@@ -20,7 +20,6 @@ from clmc.mvnprob import (
     _conditioned_means,
     _estimate,
     _mean_se,
-    _next_pow2,
     _prepare_correlation,
     _quantile,
     _secant,
@@ -230,6 +229,17 @@ class TestRectangleProb:
         with pytest.raises(ValueError, match=f"^correlation matrix must be {message}"):
             equicoordinate_quantile(corr, 0.05, FAST)
 
+    @pytest.mark.parametrize("call", [
+        lambda v: mvn_rectangle_prob([], [], v, FAST),
+        lambda v: equicoordinate_quantile(v, 0.05, FAST),
+        lambda v: equicoordinate_rejects(v, [], 0.05, FAST),
+        lambda v: equicoordinate_p_values(v, [], 0.05, FAST),
+    ], ids=["rectangle", "quantile", "rejects", "p-values"])
+    def test_empty_matrix_is_refused_by_name(self, call):
+        # a 0 x 0 matrix once failed inside numpy's maximum of an empty array
+        with pytest.raises(ValueError, match="^correlation matrix must not be empty$"):
+            call(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("lower, upper, message", [
         ([-1.0, np.nan, -1.0], [1.0, 1.0, 1.0], "lower bound 1 is nan"),
         ([-1.0, -1.0, -1.0], [1.0, 1.0, np.nan], "upper bound 2 is nan"),
@@ -376,6 +386,14 @@ def test_qmc_config_takes_numpy_integers():
                                      QmcConfig(points_per_shift=256, shifts=4, seed=3))
 
 
+def test_qmc_config_rounds_points_up_to_a_power_of_two():
+    cfg = QmcConfig(points_per_shift=1000)
+    assert cfg.points_per_shift == 1024
+    v = family_corr("many_to_one", 10)
+    same = QmcConfig(points_per_shift=1024)
+    assert equicoordinate_quantile(v, 0.05, cfg) == equicoordinate_quantile(v, 0.05, same)
+
+
 def test_prob_estimate_validation():
     with pytest.raises(ValueError):
         ProbEstimate(1.5, 0.0)
@@ -386,8 +404,8 @@ def test_prob_estimate_validation():
 # ---------------------------------------------------------------------------
 # rank-deficient V: exact oracles, edge cases, and the full-rank golden values
 
-# the simulations' QMC settings before they moved to QmcConfig(): a stack too
-# small for a prefix stage, whose search cutoffs GOLDEN records
+# the simulations' QMC settings before they moved to QmcConfig(): a small
+# stack, whose search cutoffs GOLDEN records
 HARNESS = QmcConfig(points_per_shift=512, shifts=6, target_abs_error=1e-3, seed=90210)
 QMC_CONFIGS = {"cli": QmcConfig(), "harness": HARNESS}
 
@@ -561,14 +579,14 @@ def _exchangeable(c, rho):
     return v
 
 
-# cutoffs of the secant root on the QMC estimate, at QmcConfig() (after its
-# prefix stage) and at the literal 512 x 6 HARNESS config; a change of engine
-# that moves them records the move
+# cutoffs of the secant root on the QMC estimate, at QmcConfig() and at the
+# literal 512 x 6 HARNESS config, each after its prefix stage; a change of
+# engine that moves them records the move
 GOLDEN = [
-    ("many-to-one p10", lambda: family_corr("many_to_one", 10), 2.6862211031950256, 2.686099242399252),
-    ("many-to-one p20", lambda: family_corr("many_to_one", 20), 2.891573580187471, 2.8897976010618436),
-    ("exchangeable 0.3 c8", lambda: _exchangeable(8, 0.3), 2.7029435698223536, 2.7028890323046393),
-    ("gamma-null-correlated", _gamma_null_corr, 2.6870630293781854, 2.68719459802257),
+    ("many-to-one p10", lambda: family_corr("many_to_one", 10), 2.6862211031950256, 2.6861311134150565),
+    ("many-to-one p20", lambda: family_corr("many_to_one", 20), 2.891573580187471, 2.889797476342429),
+    ("exchangeable 0.3 c8", lambda: _exchangeable(8, 0.3), 2.7029435698223536, 2.702891247013274),
+    ("gamma-null-correlated", _gamma_null_corr, 2.6870630293781854, 2.687225719182268),
 ]
 
 
@@ -645,24 +663,23 @@ class TestQuantileRoot:
         ids=[g[0] for g in GOLDEN] + ["all-pairwise p10"],
     )
     def test_at_most_four_passes(self, make, name, monkeypatch):
-        # passes over the full stack; the CLI's stack is large enough for a
-        # prefix stage, after which the full stack takes one or two steps
+        # passes over the full stack; after the prefix stage the full stack
+        # takes one or two steps
         qmc = QMC_CONFIGS[name]
         calls = _spy_passes(monkeypatch)
         res = _quantile(make(), 0.05, qmc)
-        n = _next_pow2(qmc.points_per_shift)
+        n = qmc.points_per_shift
         doublings = (res.points_per_shift // n).bit_length() - 1
         assert len([m for _, m, _ in calls if m >= n]) - doublings <= {"cli": 3, "harness": 4}[name]
 
-    def test_only_large_stacks_make_prefix_passes(self, monkeypatch):
-        # a prefix pass integrates fewer points per shift than the stack holds
-        v = family_corr("many_to_one", 10)
+    @pytest.mark.parametrize("name", QMC_CONFIGS)
+    def test_every_stack_makes_prefix_passes(self, name, monkeypatch):
+        # the search starts on the stack's first 1/16, whatever its size
+        qmc = QMC_CONFIGS[name]
         calls = _spy_passes(monkeypatch)
-        _quantile(v, 0.05, HARNESS)
-        assert [m for _, m, _ in calls if m < HARNESS.points_per_shift] == []
-        calls.clear()
-        _quantile(v, 0.05, QmcConfig())
-        assert [m for _, m, _ in calls if m < QmcConfig().points_per_shift] != []
+        _quantile(family_corr("many_to_one", 10), 0.05, qmc)
+        prefix = [m for _, m, _ in calls if m < qmc.points_per_shift]
+        assert prefix and set(prefix) == {qmc.points_per_shift // 16}
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.integers(2, 12), strong=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
@@ -1014,12 +1031,16 @@ class TestAdjustedPValues:
         *(pytest.param(name, 1024, id=f"{name} at 1024 points") for name in P_VALUE_V),
     ])
     def test_cli_adjusted_p_meets_the_target_against_a_fine_reference(self, name, points):
-        # the p-values start on a prefix of the cfg stack, or on the whole of
-        # a 1024-point stack, which has no prefix stage; the target is a bound
-        # on their true error
+        # the p-values start on the first 1/16 of the cfg stack; the target is
+        # a bound on their true error.  The statistics after P_VALUE_T are 0,
+        # whose p-value is exactly 1
         cfg = QmcConfig(points_per_shift=points)
-        p = equicoordinate_p_values(P_VALUE_V[name], P_VALUE_T, 0.05, cfg)
-        np.testing.assert_allclose(p, FINE_EXCEED[name], rtol=0.0, atol=cfg.target_abs_error)
+        k = len(P_VALUE_T)
+        t = np.zeros(len(P_VALUE_V[name]))
+        t[:k] = P_VALUE_T
+        p = equicoordinate_p_values(P_VALUE_V[name], t, 0.05, cfg)
+        np.testing.assert_allclose(p[:k], FINE_EXCEED[name], rtol=0.0, atol=cfg.target_abs_error)
+        assert (p[k:] == 1.0).all()
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_statistics_must_be_finite(self, bad, monkeypatch):
@@ -1027,6 +1048,12 @@ class TestAdjustedPValues:
         _no_factor_nor_pass(monkeypatch)
         with pytest.raises(ValueError, match=f"^statistic 1 is {bad}; statistics must be finite$"):
             equicoordinate_p_values(np.eye(3), [2.5, bad, 1.0], 0.05, TINY)
+
+    def test_statistics_must_match_the_dimension(self, monkeypatch):
+        # four p-values for a 3 x 3 V were once returned; V is not factored
+        _no_factor_nor_pass(monkeypatch)
+        with pytest.raises(ValueError, match="^statistics and correlation dimension differ$"):
+            equicoordinate_p_values(np.eye(3), [1.0, 2.0, 3.0, 4.0], 0.05, TINY)
 
     def test_rank_one_p_values_are_exact_without_a_pass(self, monkeypatch):
         # every |Z_i| equals |Z_1|: P(max_i |Z_i| > t) = 2 Phi(-|t|), evaluated
@@ -1039,7 +1066,7 @@ class TestAdjustedPValues:
         monkeypatch.setattr(mod, "_sobol_stack", never)
         calls = _spy_passes(monkeypatch)
         t = np.array([0.3, -1.9, 2.2, 2.8, -3.5])
-        p = equicoordinate_p_values(np.ones((3, 3)), t, 0.05, QmcConfig())
+        p = equicoordinate_p_values(np.ones((len(t), len(t))), t, 0.05, QmcConfig())
         np.testing.assert_allclose(p, 2.0 * ndtr(-np.abs(t)), rtol=0.0, atol=1e-15)
         assert [m for _, m, _ in calls] == [1] * len(t)
 
