@@ -6,10 +6,14 @@ Observations within a cluster may be dependent, observations from different
 clusters are independent.  The dataset stores every row once, as columns:
 the rows of all clusters stacked in cluster order (x is N x p and y has N
 entries, N = sum m_i), the cluster sizes m_i >= 1 and one id per cluster.
-Per-cluster sums are `reduceat` sums over `starts`, the first row of each
-cluster.  The response kind is read off y, so it always agrees with it.
-`validate_dataset` returns one message per problem the constructor leaves
-to the data (too few clusters, non-finite values), as plain strings.
+Ids are optional: a dataset built without them, as `generate` builds one,
+labels its clusters "0".."n-1", and those labels are made on first read
+(`d.ids`, a validation message, a written CSV), so a simulated replicate
+makes no per-cluster Python object.  Per-cluster sums are `reduceat` sums
+over `starts`, the first row of each cluster.  The response kind is read
+off y, so it always agrees with it.  `validate_dataset` returns one
+message per problem the constructor leaves to the data (too few clusters,
+non-finite values), as plain strings.
 A contrast family is a c x p matrix C whose rows define the linear
 hypotheses C_i' beta = 0 tested jointly.
 """
@@ -23,10 +27,26 @@ import numpy as np
 CONTRAST_KINDS = ("many_to_one", "all_pairwise", "custom")
 
 
+class _Ids:
+    """The `ids` field of `ClusteredDataset`: the ids given, kept verbatim as
+    Python strings, or "0".."n-1" made on first read when none were."""
+
+    def __get__(self, d, owner=None):
+        if d is None:
+            return None  # the field's default
+        if d.__dict__["_ids"] is None:
+            d.__dict__["_ids"] = np.arange(d.n).astype(str).astype(object)
+        return d.__dict__["_ids"]
+
+    def __set__(self, d, ids):
+        d.__dict__["_ids"] = None if ids is None else np.asarray(ids, dtype=object)
+
+
 @dataclass(frozen=True)
 class ClusteredDataset:
     """Rows of n clusters stacked in cluster order: covariates x (N, p) and
-    responses y (N,), with the size and the opaque id of each cluster.
+    responses y (N,), with the size and the opaque id of each cluster
+    ("0".."n-1" when `ids` is omitted).
 
     Arrays that do not fit together (x not N x p, a cluster without rows,
     sizes that do not sum to N, not one id per cluster) raise ValueError;
@@ -36,20 +56,20 @@ class ClusteredDataset:
     x: np.ndarray
     y: np.ndarray
     cluster_sizes: np.ndarray
-    ids: np.ndarray
+    ids: np.ndarray | None = _Ids()
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         sizes = np.asarray(self.cluster_sizes, dtype=int)
-        ids = np.asarray(self.ids, dtype=object)  # ids kept verbatim, as Python strings
+        ids = self.__dict__["_ids"]  # as given, or None
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise ValueError(f"need covariates (N, p) and responses (N,), got {x.shape} and {y.shape}")
         if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != len(y):
             raise ValueError(f"cluster sizes must be positive and sum to the {len(y)} rows")
-        if ids.shape != sizes.shape:
+        if ids is not None and ids.shape != sizes.shape:
             raise ValueError(f"need one id per cluster, got {ids.size} ids for {sizes.size} clusters")
-        for name, value in (("x", x), ("y", y), ("cluster_sizes", sizes), ("ids", ids)):
+        for name, value in (("x", x), ("y", y), ("cluster_sizes", sizes)):
             object.__setattr__(self, name, value)
 
     @property

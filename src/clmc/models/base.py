@@ -10,7 +10,7 @@ over `d.starts`, which a dataset keeps valid: every cluster has a row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -82,23 +82,37 @@ def naive_fit(fit: FitResult) -> FitResult:
 class RowModel:
     """Per-row terms of a composite likelihood in eta = u' theta.
 
-    `loglik`, `score` and `weight` map (eta, y) to the row's log-likelihood,
-    its derivative in eta and its Fisher weight -E[d2 loglik / d eta2], so
-    H = U'WU/n.  `step_weight` replaces `weight` in the scoring steps, and
-    `mean` maps eta to a binary response's fitted mean for the separation check.
+    `loglik` maps (eta, y) to the row's log-likelihood.  `terms` maps it to
+    the row's score, the derivative in eta, and its weight in the scoring
+    steps, computed together so they share their intermediates; that weight
+    is the Fisher weight -E[d2 loglik / d eta2] of H = U'WU/n unless
+    `fisher_weight` gives another.  `mean` maps eta to a binary response's
+    fitted mean for the separation check.
     """
 
     loglik: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    score: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    weight: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    step_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    terms: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    fisher_weight: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     mean: Callable[[np.ndarray], np.ndarray] | None = None
 
     def objective(self, u: np.ndarray, y: np.ndarray, theta) -> float:
         return float(np.sum(self.loglik(u @ np.asarray(theta, dtype=float), y)))
 
     def gradient(self, u: np.ndarray, y: np.ndarray, theta) -> np.ndarray:
-        return u.T @ self.score(u @ np.asarray(theta, dtype=float), y)
+        return u.T @ self.terms(u @ np.asarray(theta, dtype=float), y)[0]
+
+
+class Scoring(NamedTuple):
+    """The last iterate of `fisher_scoring` and what was computed at it."""
+
+    theta: np.ndarray
+    eta: np.ndarray  # u @ theta
+    loglik: float  # the objective
+    score: np.ndarray  # the row scores
+    weight: np.ndarray  # the row step weights
+    gradient: np.ndarray  # u' score
+    steps: int
+    converged: bool  # the gradient's sup norm is at most the tolerance
 
 
 def binary_targets(d: ClusteredDataset, model: str) -> np.ndarray:
@@ -116,60 +130,65 @@ def _gram(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def fisher_scoring(
     model: RowModel, u: np.ndarray, y: np.ndarray, theta0: np.ndarray, tol: float
-) -> tuple[np.ndarray, int, bool]:
+) -> Scoring:
     """Maximize a row model's concave objective by step-halving Fisher scoring.
 
-    Returns (theta, iterations, converged) after at most MAX_ITER steps;
-    converged means the score's sup norm fell below `tol`.  A tiny step
-    alone never ends the loop: linearly converging iterations take steps
-    far below 1e-8 while the score is still above its tolerance.
+    Stops after at most MAX_ITER steps; converged means the score's sup norm
+    fell below `tol`.  A tiny step alone never ends the loop: linearly
+    converging iterations take steps far below 1e-8 while the score is still
+    above its tolerance.  Each iterate's eta and row terms are computed once:
+    the eta of the candidate the line search accepts is the next step's.
     Divergence past a fixed bound raises SeparationError, a singular
     information matrix raises FitError.
     """
-    step_weight = model.step_weight or model.weight
     theta = np.array(theta0, dtype=float)
-    ll = model.objective(u, y, theta)
+    eta = u @ theta
+    ll = float(np.sum(model.loglik(eta, y)))
     if not np.isfinite(ll):
         raise FitError("objective not finite at the starting point")
     steps = 0
-    while steps < MAX_ITER:
-        s = model.gradient(u, y, theta)
-        if np.max(np.abs(s)) <= tol:
-            return theta, steps, True
+    while True:
+        score, weight = model.terms(eta, y)
+        s = u.T @ score
+        if np.max(np.abs(s)) <= tol or steps == MAX_ITER:
+            break
         try:
-            step = np.linalg.solve(_gram(u, step_weight(u @ theta, y)), s)
+            step = np.linalg.solve(_gram(u, weight), s)
         except np.linalg.LinAlgError as exc:
             raise FitError("singular information matrix") from exc
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = theta + scale * step
-            ll_new = model.objective(u, y, cand)
+            eta_cand = u @ cand
+            ll_new = float(np.sum(model.loglik(eta_cand, y)))
             if np.isfinite(ll_new) and ll_new >= ll - 1e-12:
                 break
             scale *= 0.5
         else:
             break
         steps += 1
-        theta, ll = cand, ll_new
+        theta, eta, ll = cand, eta_cand, ll_new
         if np.max(np.abs(theta)) > _DIVERGENCE_BOUND:
             raise SeparationError("estimates diverged; responses may be separable")
-    return theta, steps, bool(np.max(np.abs(model.gradient(u, y, theta))) <= tol)
+    return Scoring(theta, eta, ll, score, weight, s, steps, bool(np.max(np.abs(s)) <= tol))
 
 
 def fit_rows(model: RowModel, u: np.ndarray, y: np.ndarray, starts: np.ndarray,
-             theta0: np.ndarray, tol: float) -> FitResult:
+             theta0: np.ndarray, tol: float) -> tuple[FitResult, Scoring]:
     """Fit a row model to design rows u and responses y stacked by cluster,
     `starts` holding each cluster's first row (`d.starts`), scoring until the
     score's sup norm is below `tol`; J is the empirical covariance of the
-    per-cluster score sums.  n_beta counts every entry of theta."""
-    theta, iterations, converged = fisher_scoring(model, u, y, theta0, tol)
-    eta = u @ theta
-    if model.mean is not None and np.max(np.abs(y - model.mean(eta))) < 1e-6:
+    per-cluster score sums.  n_beta counts every entry of theta.  The final
+    scoring iterate comes with the fit, for fitters that read more off it."""
+    sc = fisher_scoring(model, u, y, theta0, tol)
+    if model.mean is not None and np.max(np.abs(y - model.mean(sc.eta))) < 1e-6:
         raise SeparationError("fitted probabilities reproduce every response exactly")
     n = len(starts)
-    h_hat = _gram(u, model.weight(eta, y)) / n
+    weight = sc.weight if model.fisher_weight is None else model.fisher_weight(sc.eta, y)
+    h_hat = _gram(u, weight) / n
     h_hat = 0.5 * (h_hat + h_hat.T)
-    cluster_scores = np.add.reduceat(u * model.score(eta, y)[:, None], starts, axis=0)
+    cluster_scores = np.add.reduceat(u * sc.score[:, None], starts, axis=0)
     j_hat = cluster_scores.T @ cluster_scores / n
-    return FitResult(theta, h_hat, 0.5 * (j_hat + j_hat.T), sandwich(h_hat, j_hat),
-                     float(np.sum(model.loglik(eta, y))), iterations, converged, u.shape[1])
+    fit = FitResult(sc.theta, h_hat, 0.5 * (j_hat + j_hat.T), sandwich(h_hat, j_hat),
+                    sc.loglik, sc.steps, sc.converged, u.shape[1])
+    return fit, sc

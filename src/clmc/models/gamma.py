@@ -46,11 +46,15 @@ def _quasi_loglik(eta, y):
     return np.where(np.isfinite(mu), -y / mu - eta, -np.inf)
 
 
+def _quasi_terms(eta, y):
+    w = y / np.exp(eta)  # the observed weight y/mu
+    return w - 1.0, w
+
+
 _QUASI = RowModel(
     loglik=_quasi_loglik,
-    score=lambda eta, y: y / np.exp(eta) - 1.0,
-    weight=lambda eta, y: np.ones_like(eta),
-    step_weight=lambda eta, y: y / np.exp(eta),
+    terms=_quasi_terms,
+    fisher_weight=lambda eta, y: np.ones_like(eta),
 )
 
 
@@ -87,16 +91,15 @@ def gamma_cl_fit(d: ClusteredDataset) -> FitResult:
         beta0 = np.linalg.solve(x.T @ x, x.T @ np.log(y))
     except np.linalg.LinAlgError as exc:
         raise FitError("singular design matrix") from exc
-    fit = fit_rows(_QUASI, x, y, d.starts, beta0, 0.01 * SCORE_TOL)
-    eta = x @ fit.theta_hat
-    mu = np.exp(eta)
+    fit, sc = fit_rows(_QUASI, x, y, d.starts, beta0, 0.01 * SCORE_TOL)
+    mu = np.exp(sc.eta)
     dev_sum = float(np.sum((y - mu) / mu + np.log(mu / y)))
     dispersion = _dispersion(dev_sum, len(y), d.n, d.p)
     nu = 1.0 / max(dispersion, _MIN_DISPERSION)
     # the convergence contract is on the full score nu * t
-    score = nu * np.max(np.abs(_QUASI.gradient(x, y, fit.theta_hat)))
+    score = nu * np.max(np.abs(sc.gradient))
     converged = bool(fit.converged and (dispersion <= _MIN_DISPERSION or score <= SCORE_TOL))
     return dataclasses.replace(
-        fit, h_hat=nu * fit.h_hat, j_hat=nu * nu * fit.j_hat, loglik=_loglik(eta, y, nu),
+        fit, h_hat=nu * fit.h_hat, j_hat=nu * nu * fit.j_hat, loglik=_loglik(sc.eta, y, nu),
         converged=converged, nuisance={"nu": nu},
     )

@@ -48,7 +48,8 @@ def _full_loglik(resid: np.ndarray, sigma: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0:
         raise FitError("residual covariance is not positive definite")
-    quad = float(np.einsum("im,mk,ik->", resid, np.linalg.inv(sigma), resid, optimize=True))
+    # sum_i r_i' Sigma^-1 r_i = tr(R'R Sigma^-1)
+    quad = float(np.dot((resid.T @ resid).ravel(), np.linalg.inv(sigma).T.ravel()))
     return -0.5 * n * (m * np.log(2.0 * np.pi) + logdet) - 0.5 * quad
 
 
@@ -63,9 +64,10 @@ def mvn_cl_score(d: ClusteredDataset, beta, sigma_diag) -> np.ndarray:
     return np.einsum("imp,im->p", xs, (ys - xs @ np.asarray(beta, dtype=float)) / sigma_diag)
 
 
-def _alternating_fit(d: ClusteredDataset, weight, loglik) -> FitResult:
-    """Alternate beta = (sum X_i' W X_i)^-1 sum X_i' W y_i, W = weight(Sigma),
-    with Sigma = residual covariance until beta moves less than PARAM_TOL."""
+def _alternating_fit(d: ClusteredDataset, weigh, loglik) -> FitResult:
+    """Alternate beta = (sum X_i' W X_i)^-1 sum X_i' W y_i, with the stacked
+    W X_i = weigh(Sigma, X), and Sigma = residual covariance until beta moves
+    less than PARAM_TOL."""
     xs, ys = _gaussian_arrays(d)
     n, m, p = xs.shape
     x_rows = xs.reshape(n * m, p)
@@ -73,7 +75,7 @@ def _alternating_fit(d: ClusteredDataset, weight, loglik) -> FitResult:
     beta = None
     try:
         for iterations in range(1, MAX_ITER + 1):
-            wx_rows = (weight(sigma) @ xs).reshape(n * m, p)
+            wx_rows = weigh(sigma, xs).reshape(n * m, p)
             beta_new = np.linalg.solve(x_rows.T @ wx_rows, wx_rows.T @ ys.reshape(n * m))
             converged = beta is not None and np.max(np.abs(beta_new - beta)) < PARAM_TOL
             beta = beta_new
@@ -81,7 +83,7 @@ def _alternating_fit(d: ClusteredDataset, weight, loglik) -> FitResult:
                 break
             resid = ys - xs @ beta
             sigma = resid.T @ resid / n
-        wx_rows = (weight(sigma) @ xs).reshape(n * m, p)
+        wx_rows = weigh(sigma, xs).reshape(n * m, p)
     except np.linalg.LinAlgError as exc:
         raise FitError("singular design matrix or residual covariance") from exc
     h_hat = x_rows.T @ wx_rows / n
@@ -96,10 +98,11 @@ def _alternating_fit(d: ClusteredDataset, weight, loglik) -> FitResult:
 
 def mvn_cl_fit(d: ClusteredDataset) -> FitResult:
     """Alternating weighted-least-squares / residual-covariance fit."""
-    return _alternating_fit(d, lambda s: np.diag(1.0 / np.diag(s)),
+    # W = diag(Sigma)^-1 scales the rows of each X_i
+    return _alternating_fit(d, lambda s, xs: xs * (1.0 / np.diag(s))[:, None],
                             lambda r, s: _marginal_loglik(r, np.diag(s)))
 
 
 def mvn_mle_fit(d: ClusteredDataset) -> FitResult:
     """Iterated GLS (full Gaussian likelihood); used for efficiency ratios."""
-    return _alternating_fit(d, np.linalg.inv, _full_loglik)
+    return _alternating_fit(d, lambda s, xs: np.linalg.inv(s) @ xs, _full_loglik)

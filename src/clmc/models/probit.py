@@ -4,7 +4,8 @@ Marginally P(y_ij = 1 | x_ij) = Phi(x_ij' beta); the composite likelihood is
 the product of these Bernoulli margins.  The score and the sensitivity matrix
 use the inverse-Mills ratios r1 = phi/Phi and r0 = phi/(1 - Phi), evaluated
 in log space so that extreme linear predictors do not underflow; note
-r1 * r0 = phi^2 / (Phi (1 - Phi)), the Fisher weight.  The variability matrix
+r1 * r0 = phi^2 / (Phi (1 - Phi)), the Fisher weight, so the score and the
+weight of a row share one pair of ratios.  The variability matrix
 plugs the empirical outer product of the cluster residuals into the usual
 middle term, which is exactly the empirical covariance of the per-cluster
 score vectors.  The fit is `fit_rows` on the probit row functions below.
@@ -28,15 +29,14 @@ def _mills(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r1, r0
 
 
-def _score(eta, y):
+def _terms(eta, y):
     r1, r0 = _mills(eta)
-    return y * r1 - (1.0 - y) * r0
+    return y * r1 - (1.0 - y) * r0, r1 * r0
 
 
 _PROBIT = RowModel(
     loglik=lambda eta, y: y * log_ndtr(eta) + (1.0 - y) * log_ndtr(-eta),
-    score=_score,
-    weight=lambda eta, y: np.multiply(*_mills(eta)),
+    terms=_terms,
     mean=ndtr,
 )
 
@@ -51,4 +51,4 @@ def probit_cl_score(d: ClusteredDataset, beta) -> np.ndarray:
 
 def probit_cl_fit(d: ClusteredDataset) -> FitResult:
     y = binary_targets(d, "probit")
-    return fit_rows(_PROBIT, d.x, y, d.starts, np.zeros(d.p), SCORE_TOL)
+    return fit_rows(_PROBIT, d.x, y, d.starts, np.zeros(d.p), SCORE_TOL)[0]

@@ -43,15 +43,14 @@ def _augmented_design(d: ClusteredDataset, cluster_means: bool = False) -> tuple
     return np.column_stack([x, s]), t, starts
 
 
-def _weight(eta, t):
+def _terms(eta, t):
     pi = expit(eta)
-    return pi * (1.0 - pi)
+    return t - pi, pi * (1.0 - pi)
 
 
 _LOGISTIC = RowModel(
     loglik=lambda eta, t: t * eta - np.logaddexp(0.0, eta),
-    score=lambda eta, t: t - expit(eta),
-    weight=_weight,
+    terms=_terms,
     mean=expit,
 )
 
@@ -74,5 +73,5 @@ def quadexp_cl_fit(d: ClusteredDataset, cluster_mean_covariates: bool = False) -
     for designs where the main effect is a single cluster-level quantity.
     """
     u, t, starts = _augmented_design(d, cluster_mean_covariates)
-    fit = fit_rows(_LOGISTIC, u, t, starts, np.zeros(d.p + 1), SCORE_TOL)
+    fit, _ = fit_rows(_LOGISTIC, u, t, starts, np.zeros(d.p + 1), SCORE_TOL)
     return dataclasses.replace(fit, n_beta=d.p, nuisance={"w": float(fit.theta_hat[-1])})

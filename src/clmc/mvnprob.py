@@ -135,6 +135,8 @@ def _prepare_correlation(corr: np.ndarray) -> np.ndarray:
 
     An eigenvalue below -1e-10 is an error.  Smaller negative eigenvalues are
     left alone: `_trapezoidal_cholesky` counts them as dependence (_RANK_TOL).
+    The check is a Cholesky factorization of r + 1e-10 I; the eigenvalues are
+    computed only when it fails, to refuse r or to accept it at the boundary.
     """
     r = np.asarray(corr, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -148,9 +150,12 @@ def _prepare_correlation(corr: np.ndarray) -> np.ndarray:
     if np.max(np.abs(np.diag(r) - 1.0)) > 1e-8:
         raise ValueError("correlation matrix must have unit diagonal")
     r = 0.5 * (r + r.T)
-    w = np.linalg.eigvalsh(r)
-    if w[0] < -1e-10:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+    try:
+        np.linalg.cholesky(r + 1e-10 * np.eye(len(r)))
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(r)
+        if w[0] < -1e-10:
+            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})") from None
     np.fill_diagonal(r, 1.0)
     return r
 
@@ -503,7 +508,10 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
     is estimated by `_estimate` on the cfg stack from its first 1/16 and
     accepted when 3 SEs fit in cfg.target_abs_error, a bound on its true
     error, or, within the target of alpha, at 1 SE on at least the whole
-    stack, as the decisions stop."""
+    stack, as the decisions stop.  Each estimate is then clipped into the
+    closed-form bounds of `_union_bounds` at |t_i|, so no p-value lies
+    above the Kounias bound or below the Dawson-Sankoff bound, whatever
+    its QMC error; the clip costs no QMC pass."""
     r, _, _ = _cutoff_bracket(corr, alpha)
     abs_t = _abs_statistics(t, len(r))
     stack, means_at = _max_abs_law(r, cfg)
@@ -520,7 +528,9 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
 
     probs = [_estimate(functools.partial(means_at, x), stack, n // _PREFIX_SHARE, cfg, done=done)[1]
              for x in abs_t]
-    return 1.0 - np.clip(probs, 0.0, 1.0)
+    bounds = _union_bounds(r)
+    lower, upper = np.array([bounds(x) for x in abs_t]).T
+    return np.clip(1.0 - np.clip(probs, 0.0, 1.0), lower, upper)
 
 
 # a P(|t_i|) starts on _FIRST_PREFIX points per shift; _SIDE_SES SEs settle its side
@@ -550,8 +560,11 @@ def _union_bounds(r: np.ndarray):
 
     def bounds(x: float) -> tuple[float, float]:
         tail = float(ndtr(-x))
+        if tail == 0.0:
+            return 0.0, 0.0
         owen = owens_t(x, slopes)
-        pair = 4.0 * (tail * (1.0 - 0.5 * tied) - owen[: len(a)] - owen[len(a):])
+        # far in the tail rounding can leave a pair term, a probability, below 0
+        pair = np.maximum(4.0 * (tail * (1.0 - 0.5 * tied) - owen[: len(a)] - owen[len(a):]), 0.0)
         s1, s2 = 2.0 * tail * c, float(pair.sum())
         k = 1.0 + np.floor(2.0 * s2 / s1)
         lower = 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0))

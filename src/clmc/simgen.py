@@ -183,15 +183,22 @@ def _check_drawable(spec: ScenarioSpec) -> None:
 
 def _covariates(spec: ScenarioSpec, sizes: np.ndarray, rng) -> np.ndarray:
     """Stacked (N, p) covariates; for x_row_corr > 0 one draw holds each
-    cluster's shared-factor row followed by its m rows."""
+    cluster's shared-factor row (its head) followed by its m own rows.  At
+    x_row_corr 1 the own rows carry no weight: they are drawn, so the stream
+    does not depend on r, and left out."""
     r = spec.x_row_corr
     if r == 0.0:
         return spec.x_scale * rng.standard_normal((sizes.sum(), spec.p))
     draws = rng.standard_normal((len(sizes) + sizes.sum(), spec.p))
-    shared = np.zeros(len(draws), dtype=bool)
-    shared[np.cumsum(sizes + 1) - (sizes + 1)] = True
-    z = np.repeat(draws[shared], sizes, axis=0)
-    return spec.x_scale * (np.sqrt(r) * z + np.sqrt(1.0 - r) * draws[~shared])
+    heads = np.cumsum(sizes + 1) - (sizes + 1)
+    x = np.repeat(draws[heads], sizes, axis=0)
+    if r < 1.0:
+        x *= np.sqrt(r)
+        own = np.delete(draws, heads, axis=0)
+        own *= np.sqrt(1.0 - r)
+        x += own
+    x *= spec.x_scale
+    return x
 
 
 def _size_groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -274,12 +281,16 @@ def _gamma(spec: ScenarioSpec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndar
     rho = spec.correlation.rho if spec.correlation else 0.0
     if rho == 0.0:
         return mu * rng.gamma(nu, size=len(x)) / nu
-    # one draw holds each cluster's shared component followed by its m own ones
-    shared = np.zeros(len(sizes) + len(x), dtype=bool)
-    shared[np.cumsum(sizes + 1) - (sizes + 1)] = True
-    g = rng.gamma(np.where(shared, rho * nu, (1.0 - rho) * nu))
-    total_shape = rho * nu + (1.0 - rho) * nu  # nu, rounded as the sum of the two shapes
-    return mu * (np.repeat(g[shared], sizes) + g[~shared]) / total_shape
+    # one draw holds each cluster's shared component (its head) followed by its m own ones
+    heads = np.cumsum(sizes + 1) - (sizes + 1)
+    shapes = np.full(len(sizes) + len(x), (1.0 - rho) * nu)
+    shapes[heads] = rho * nu
+    g = rng.gamma(shapes)
+    y = np.delete(g, heads)
+    y += np.repeat(g[heads], sizes)
+    y *= mu
+    y /= rho * nu + (1.0 - rho) * nu  # nu, rounded as the sum of the two shapes
+    return y
 
 
 # Each model's response draw (spec, x, sizes, rng) -> y and the
@@ -301,4 +312,4 @@ def generate(spec: ScenarioSpec, seed=None) -> ClusteredDataset:
     sizes = spec.sizes(rng)
     x = _covariates(spec, sizes, rng)
     y = MODELS[spec.model][0](spec, x, sizes, rng)
-    return ClusteredDataset(x, y, sizes, np.arange(len(sizes)).astype(str))
+    return ClusteredDataset(x, y, sizes)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -95,6 +96,20 @@ class TestReadClusteredCsv:
         np.testing.assert_array_equal(back.cluster_sizes, d.cluster_sizes)
         np.testing.assert_array_equal(back.y, d.y)
         np.testing.assert_array_equal(back.x, d.x)
+
+    def test_omitted_ids_write_the_same_bytes_as_given_ones(self, tmp_path):
+        d = generate(ScenarioSpec("probit", 12, (2, 3), 2, np.array([0.1, 0.2]), seed=33))
+        given = dataclasses.replace(d, ids=np.arange(d.n).astype(str))
+        write_clustered_csv(d, str(tmp_path / "omitted.csv"))
+        write_clustered_csv(given, str(tmp_path / "given.csv"))
+        assert (tmp_path / "omitted.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+
+    def test_generated_csv_is_unchanged(self, tmp_path):
+        # recorded when `generate` still built one id string per cluster
+        path = tmp_path / "q.csv"
+        assert main(["generate", "--preset", "quadexp-a1-w05-p10", "--seed", "7", "--output", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "72dfc31d37d854f5d845f6d1ae7f10b90f40f2f6e59d4ff719a300efe09d02c2")
 
     def test_basic_two_clusters(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -145,6 +145,19 @@ class TestValidateDataset:
         d = ClusteredDataset(np.zeros((2, 1)), np.zeros(2), [1, 1], ["a", "a\x00"])
         assert d.ids.tolist() == ["a", "a\x00"]
 
+    def test_omitted_ids_read_back_as_cluster_numbers(self):
+        d = ClusteredDataset(np.zeros((5, 1)), np.zeros(5), [2, 1, 2])
+        assert d.ids.tolist() == ["0", "1", "2"]
+        assert all(type(i) is str for i in d.ids)
+        assert d.ids is d.ids  # made on the first read, then kept
+        given = ClusteredDataset(d.x, d.y, d.cluster_sizes, np.arange(3).astype(str))
+        np.testing.assert_array_equal(given.ids, d.ids)
+        assert dataclasses.replace(d, y=d.y + 1.0).ids.tolist() == ["0", "1", "2"]
+
+    def test_omitted_ids_name_the_clusters_of_messages(self):
+        d = ClusteredDataset(np.zeros((5, 1)), [0.0, 0.0, 0.0, np.nan, 0.0], [2, 1, 2])
+        assert validate_dataset(d) == ["2: non-finite value in y or x"]
+
     def test_single_cluster_flagged(self):
         d = ClusteredDataset(np.ones((2, 1)), np.ones(2), [2], ["0"])
         assert any("2 clusters" in msg for msg in validate_dataset(d))

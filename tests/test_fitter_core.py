@@ -1,11 +1,13 @@
 """Properties shared by every fitter in the registry: the shared Fisher-scoring
 stop rule, invariance under cluster and row order, equivariance under
-covariate scaling, the separation check of the binary models, and the
+covariate scaling, the separation check of the binary models, the
 dataset's refusal of an empty cluster, which the row-model fitters'
-per-cluster sums rely on."""
+per-cluster sums rely on, and the row-model fitters' one evaluation of
+each scoring iterate."""
 
 import dataclasses
 import importlib
+from collections import defaultdict
 from unittest import mock
 
 import numpy as np
@@ -137,6 +139,37 @@ def test_empty_cluster_is_a_constructor_error(name, where):
         ClusteredDataset(d.x, d.y, sizes, ids)
 
 
+_ROW_MODELS = {"gamma": "_QUASI", "probit": "_PROBIT", "quadexp": "_LOGISTIC"}
+
+
+@pytest.mark.parametrize("model", sorted(_ROW_MODELS))
+@pytest.mark.parametrize("seed", [3, 8])
+def test_each_scoring_iterate_is_evaluated_once(model, seed, monkeypatch):
+    # every row-function call is recorded with the eta it was given
+    module = importlib.import_module(FITTERS[model].__module__)
+    row_model = getattr(module, _ROW_MODELS[model])
+    calls = defaultdict(list)
+
+    def counted(name, f):
+        def wrapper(eta, *args):
+            calls[name].append(eta)
+            return f(eta, *args)
+        return wrapper
+
+    monkeypatch.setattr(module, _ROW_MODELS[model], dataclasses.replace(row_model, **{
+        f.name: counted(f.name, getattr(row_model, f.name))
+        for f in dataclasses.fields(row_model) if getattr(row_model, f.name) is not None}))
+    fit = FITTERS[model](generate(_SPECS[model], seed))
+    assert fit.converged and fit.iterations > 1
+    # one objective at the start and one per accepted step (no step of these
+    # fits is halved); one score and step weight per iterate, the last one's
+    # shared by H and J; each iterate's eta is its accepted candidate's
+    assert len(calls["loglik"]) == len(calls["terms"]) == fit.iterations + 1
+    assert all(a is b for a, b in zip(calls["terms"], calls["loglik"], strict=True))
+    assert len(calls["fisher_weight"]) == (model == "gamma")
+    assert len(calls["mean"]) == (model != "gamma")
+
+
 # ---------------------------------------------------------------------------
 # the safeguards of the scoring driver, on least squares: loglik -(eta - y)^2 / 2
 # with a Fisher weight of 1, whose maximum is the least-squares fit
@@ -154,33 +187,32 @@ def _least_squares(step_scale=1.0, calls=None):
             calls.append(None)
         return -0.5 * (eta - y) ** 2
 
-    return RowModel(loglik=loglik, score=lambda eta, y: y - eta,
-                    weight=lambda eta, y: np.ones_like(eta),
-                    step_weight=lambda eta, y: np.full_like(eta, step_scale))
+    return RowModel(loglik=loglik, terms=lambda eta, y: (y - eta, np.full_like(eta, step_scale)),
+                    fisher_weight=lambda eta, y: np.ones_like(eta))
 
 
 def test_scoring_halves_an_overshooting_step():
     # a loose tolerance: near a score of 1e-6 the objective moves by less than
     # the 1e-12 slack of the halving test, and a tenfold step can pass it
     calls = []
-    theta, steps, converged = fisher_scoring(_least_squares(0.1, calls), _U, _Y, np.zeros(2), 1e-4)
-    assert converged
-    np.testing.assert_allclose(theta, np.linalg.lstsq(_U, _Y, rcond=None)[0], atol=1e-4)
+    sc = fisher_scoring(_least_squares(0.1, calls), _U, _Y, np.zeros(2), 1e-4)
+    assert sc.converged
+    np.testing.assert_allclose(sc.theta, np.linalg.lstsq(_U, _Y, rcond=None)[0], atol=1e-4)
     # one objective at the start, one per accepted step, and the halvings
-    assert len(calls) > 1 + steps
+    assert len(calls) > 1 + sc.steps
 
 
 def test_scoring_stops_when_halving_runs_out():
     # a step downhill improves at no scale: scoring gives up where it started
-    theta, steps, converged = fisher_scoring(_least_squares(-1.0), _U, _Y, np.zeros(2), SCORE_TOL)
-    assert (steps, converged) == (0, False)
-    np.testing.assert_array_equal(theta, np.zeros(2))
+    sc = fisher_scoring(_least_squares(-1.0), _U, _Y, np.zeros(2), SCORE_TOL)
+    assert (sc.steps, sc.converged) == (0, False)
+    np.testing.assert_array_equal(sc.theta, np.zeros(2))
 
 
 def test_scoring_reports_max_iter_without_convergence():
     # steps of 1/1000 of the Newton step shrink the score by 0.1% each
-    theta, steps, converged = fisher_scoring(_least_squares(1e3), _U, _Y, np.zeros(2), SCORE_TOL)
-    assert (steps, converged) == (MAX_ITER, False)
+    sc = fisher_scoring(_least_squares(1e3), _U, _Y, np.zeros(2), SCORE_TOL)
+    assert (sc.steps, sc.converged) == (MAX_ITER, False)
 
 
 def test_scoring_divergence_is_a_separation_error():

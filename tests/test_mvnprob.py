@@ -493,6 +493,31 @@ class TestRankDeficient:
         q = equicoordinate_quantile(v, 0.05, FAST)
         assert range_cdf_oracle(q * math.sqrt(2.0), 5) == pytest.approx(0.95, abs=1e-3)
 
+    @staticmethod
+    def _with_null_eigenvalue(value):
+        """The exact all-pairwise V of 5 coefficients (rank 4) with one null
+        eigenvalue moved to `value`, its diagonal left within 1e-8 of 1."""
+        w, u = np.linalg.eigh(family_corr("all_pairwise", 5))
+        w[0] = value
+        v = (u * w) @ u.T
+        return 0.5 * (v + v.T)
+
+    def test_eigenvalue_just_above_the_threshold_is_accepted_without_eigenvalues(self, monkeypatch):
+        v = self._with_null_eigenvalue(-5e-11)
+        assert np.linalg.eigvalsh(v)[0] == pytest.approx(-5e-11, abs=1e-14)
+
+        def never(*args, **kwargs):
+            raise AssertionError("computed eigenvalues of an accepted V")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", never)
+        r = _prepare_correlation(v)
+        assert (np.diag(r) == 1.0).all()
+
+    def test_eigenvalue_below_the_threshold_is_refused_with_its_value(self):
+        v = self._with_null_eigenvalue(-1e-9)
+        with pytest.raises(ValueError, match=r"^matrix is not positive semidefinite \(min eigenvalue -1\.000e-09\)$"):
+            _prepare_correlation(v)
+
     def test_large_all_pairwise_family(self):
         # c = 190 contrasts of rank 19 at the CLI's QMC settings
         q = equicoordinate_quantile(family_corr("all_pairwise", 20), 0.05, QmcConfig())
@@ -1054,6 +1079,23 @@ class TestAdjustedPValues:
         _no_factor_nor_pass(monkeypatch)
         with pytest.raises(ValueError, match="^statistics and correlation dimension differ$"):
             equicoordinate_p_values(np.eye(3), [1.0, 2.0, 3.0, 4.0], 0.05, TINY)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_p_values_lie_within_the_union_bounds(self, seed):
+        # on a 256 x 4 stack the 3-SE stop is absolute, so a p-value below
+        # 5e-4 carries QMC error larger than itself: unclipped, at seed 1 the
+        # three smaller statistics lay above the Kounias bound and the three
+        # larger below the Dawson-Sankoff bound, at seed 5 all six below.  Far
+        # in the tail, where rounding once made the bounds infinite or NaN,
+        # they stay finite, and E(40) underflows to 0
+        v = family_corr("all_pairwise", 10)
+        t = np.zeros(len(v))
+        t[:8] = [4.4, -4.6, 5.0, 5.6, -5.9, 6.4, 15.9, -40.0]
+        p = equicoordinate_p_values(v, t, 0.05, QmcConfig(points_per_shift=256, shifts=4,
+                                                         target_abs_error=3e-3, seed=seed))
+        lower, upper = np.array([_union_bounds(v)(x) for x in np.abs(t)]).T
+        assert ((0.0 <= lower) & (lower <= p) & (p <= upper)).all()
+        assert 0.0 < p[6] < 1e-50 and p[7] == 0.0
 
     def test_rank_one_p_values_are_exact_without_a_pass(self, monkeypatch):
         # every |Z_i| equals |Z_1|: P(max_i |Z_i| > t) = 2 Phi(-|t|), evaluated
