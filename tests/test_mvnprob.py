@@ -464,14 +464,19 @@ class TestTrapezoidalCholesky:
         cov = load @ load.T
         d = np.sqrt(np.diag(cov))
         v = _prepare_correlation(cov / np.outer(d, d))
-        want, want_stage, _ = row_loop_cholesky(v)
-        pivot = np.min(np.abs(want[np.arange(c), want_stage]))
-        # the two forms sum the same terms in another order; a pivot p carries
-        # that rounding as about c eps / p^2, and where this nears _RANK_TOL
-        # the rank itself is decided by rounding
-        noise = c * np.finfo(float).eps / pivot**2
-        assume(noise <= _RANK_TOL / 100)
-        self.assert_matches_row_loop(v, max(1e-12, 16 * noise))
+        _, want_stage, want_order = row_loop_cholesky(v)
+        # the two forms sum the same terms in another order, and each factor
+        # carries that rounding as about c eps / lambda, lambda the least
+        # eigenvalue of the pivot rows' block: a chain of pivots that are each
+        # well away from 0 can still leave lambda far below their squares
+        # (c 9, rank 8, seed 22485: least pivot 0.104, lambda 2.7e-6, both
+        # factors 2-3e-12 off the exact one in opposite directions).  Where
+        # the noise nears _RANK_TOL, or lambda rounds to 0 or below, the rank
+        # itself is decided by rounding
+        pivots = want_order[np.r_[True, np.diff(want_stage) > 0]]
+        lam = np.linalg.eigvalsh(v[np.ix_(pivots, pivots)])[0]
+        assume(lam > 0.0 and c * np.finfo(float).eps / lam <= _RANK_TOL / 100)
+        self.assert_matches_row_loop(v, 1e-12)
 
 
 class TestRankDeficient:
