@@ -508,11 +508,15 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
     is estimated by `_estimate` on the cfg stack from its first 1/16 and
     accepted when 3 SEs fit in cfg.target_abs_error, a bound on its true
     error, or, within the target of alpha, at 1 SE on at least the whole
-    stack, as the decisions stop.  Each estimate is then clipped into the
-    closed-form bounds of `_union_bounds` at |t_i|, so no p-value lies
-    above the Kounias bound or below the Dawson-Sankoff bound, whatever
-    its QMC error; the clip costs no QMC pass."""
-    r, _, _ = _cutoff_bracket(corr, alpha)
+    stack, as the decisions stop.  Where |t_i| is above the two-sided
+    univariate cutoff, so that the p-value can lie below alpha and its
+    absolute QMC error can pass the value itself, the estimate is then
+    clipped into the closed-form bounds of `_union_bounds` at |t_i|: no
+    such p-value lies above the Kounias bound or below the Dawson-Sankoff
+    bound.  The clip costs no QMC pass but c(c - 1) Owen's T values per
+    statistic, so it skips the smaller |t_i|, whose p-values are at least
+    alpha; there a statistic of 0 keeps p = 1 exactly."""
+    r, lo, _ = _cutoff_bracket(corr, alpha)
     abs_t = _abs_statistics(t, len(r))
     stack, means_at = _max_abs_law(r, cfg)
     if stack is None:
@@ -528,9 +532,10 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
 
     probs = [_estimate(functools.partial(means_at, x), stack, n // _PREFIX_SHARE, cfg, done=done)[1]
              for x in abs_t]
-    bounds = _union_bounds(r)
-    lower, upper = np.array([bounds(x) for x in abs_t]).T
-    return np.clip(1.0 - np.clip(probs, 0.0, 1.0), lower, upper)
+    p_values = 1.0 - np.clip(probs, 0.0, 1.0)
+    tail, bounds = abs_t > lo, _union_bounds(r)
+    p_values[tail] = [np.clip(p, *bounds(x)) for p, x in zip(p_values[tail], abs_t[tail])]
+    return p_values
 
 
 # a P(|t_i|) starts on _FIRST_PREFIX points per shift; _SIDE_SES SEs settle its side
