@@ -20,6 +20,7 @@ hypotheses C_i' beta = 0 tested jointly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +146,11 @@ class ContrastFamily:
     @property
     def p(self) -> int:
         return self.matrix.shape[1]
+
+    @functools.cached_property
+    def _rank(self) -> int:
+        # Scheffe's degrees of freedom: one SVD per family, not per test
+        return int(np.linalg.matrix_rank(self.matrix))
 
 
 def build_contrasts(kind: str, p: int, baseline: int | None = None) -> ContrastFamily:

@@ -26,6 +26,7 @@ from .models.base import FitResult
 from .mvnprob import (
     QmcConfig,
     _abs_statistics,
+    _PreparedV,
     equicoordinate_p_values,
     equicoordinate_quantile,
     equicoordinate_rejects,
@@ -129,15 +130,18 @@ def adjust(
     abs_t = _abs_statistics(t, c)
 
     if method == "bonferroni":
-        cut = float(ndtri(1.0 - alpha / (2.0 * c)))
+        cut = float(-ndtri(alpha / (2.0 * c)))
         return MethodDecision(abs_t > cut, cut, adjusted_p=np.minimum(1.0, c * _two_sided_p(t)))
     if method == "sidak":
-        cut = float(ndtri(1.0 - (1.0 - (1.0 - alpha) ** (1.0 / c)) / 2.0))
-        return MethodDecision(abs_t > cut, cut, adjusted_p=1.0 - (1.0 - _two_sided_p(t)) ** c)
+        # 1 - (1 - x)^k as -expm1(k log1p(-x)), which keeps a small x that 1 - x rounds away
+        cut = float(-ndtri(-np.expm1(np.log1p(-alpha) / c) / 2.0))
+        with np.errstate(divide="ignore"):  # a statistic of 0 has p = 1: log1p(-1) = -inf, adjusted p 1
+            adj = -np.expm1(c * np.log1p(-_two_sided_p(t)))
+        return MethodDecision(abs_t > cut, cut, adjusted_p=adj)
     if method == "holm":
         return _holm(t, alpha)
     if method == "scheffe":
-        cut = float(np.sqrt(chdtri(np.linalg.matrix_rank(cf.matrix), alpha)))
+        cut = float(np.sqrt(chdtri(cf._rank, alpha)))
         return MethodDecision(abs_t > cut, cut)
     if method == "tukey":
         if cf.kind != "all_pairwise":
@@ -146,11 +150,13 @@ def adjust(
         return MethodDecision(abs_t > cut, cut)
     if method == "mnq":
         # the simulations' rule decides; the searched cutoff is clipped between the accepted
-        # and the rejected |t_i|, and each p-value onto its decision's side of alpha
-        reject = equicoordinate_rejects(v_hat, abs_t, alpha, cfg)
-        cut = np.clip(equicoordinate_quantile(v_hat, alpha, cfg), abs_t[~reject].max(initial=-np.inf),
+        # and the rejected |t_i|, and each p-value onto its decision's side of alpha.  The
+        # three calls share one prepared V: validated once, factored and bounded at most once
+        v = _PreparedV(v_hat)
+        reject = equicoordinate_rejects(v, abs_t, alpha, cfg)
+        cut = np.clip(equicoordinate_quantile(v, alpha, cfg), abs_t[~reject].max(initial=-np.inf),
                       np.nextafter(abs_t[reject].min(initial=np.inf), 0.0))
-        adj = equicoordinate_p_values(v_hat, abs_t, alpha, cfg)
+        adj = equicoordinate_p_values(v, abs_t, alpha, cfg)
         adj = np.where(reject, np.minimum(adj, alpha), np.maximum(adj, np.nextafter(alpha, 1.0)))
         return MethodDecision(reject, float(cut), adjusted_p=adj)
     raise ValueError(f"unknown method {method!r}")

@@ -43,7 +43,12 @@ decision rule, runs no search: it takes each statistic between the
 univariate and Bonferroni cutoffs, largest first.  Closed-form bounds on
 1 - P from the union's single and pairwise terms (Dawson & Sankoff 1967
 below, Kounias 1968 above; the pairs by Owen's T) settle its side first
-when they clear alpha, exactly and with no factor or QMC point.  Otherwise
+when they clear alpha, exactly and with no factor or QMC point.  A screen
+on a 64-cell grid of the |r_ij| comes before the c(c - 1)/2 exact pair
+terms: each pair term rises with |r_ij|, so rounding every |r_ij| up or
+down brackets both bounds.  An accept the screen proves, the exact lower
+bound proves too, and where it shows that neither exact bound can clear
+alpha the exact sum is skipped, so the screen moves no decision.  Otherwise
 P is taken from a 64-point prefix per shift, doubled until 4 standard
 errors settle the side of 1 - alpha (or 1 SE fits in the target on at
 least the whole stack).  Its contract: where the true P is at least twice
@@ -427,29 +432,161 @@ def _abs_statistics(t, c: int) -> np.ndarray:
     return np.abs(flat)
 
 
-def _cutoff_bracket(corr, alpha: float) -> tuple[np.ndarray, float, float]:
-    """The validated correlation, lo, the two-sided univariate cutoff, and
-    hi, the Bonferroni cutoff, of max_i |Z_i| for Z ~ N(0, corr)."""
+# The union bounds' screen rounds each |r_ij| to the edges k / _SCREEN_CELLS,
+# k = 0..._SCREEN_CELLS, on either side of it; every edge is exact in binary
+# floating point.  A screened pair term carries _SCREEN_SLACK * Phi(-x) on its
+# side, thousands of times the rounding of a pair term (a difference of values
+# at most Phi(-x)), so each screened sum stays on its side of the exact sum
+# as computed too.
+_SCREEN_CELLS = 64
+_SCREEN_EDGES = np.arange(_SCREEN_CELLS + 1) / _SCREEN_CELLS
+_SCREEN_SLACK = 2.0**-40
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_indices(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(c, 1), read-only and built once per c."""
+    i, j = np.triu_indices(c, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _slopes(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Owen's T slopes of pairs with |r_ij| = rho, a = sqrt((1 - rho) / (1 + rho))
+    and then 1/a, and the mask of the tied pairs, rho = 1."""
+    a = np.sqrt((1.0 - rho) / (1.0 + rho))
+    tied = a == 0.0
+    # 1/a is infinite at |r_ij| = 1: such a pair takes T(x, 0) = 0 and adds
+    # T(x, inf) = Phi(-x) / 2 itself, so owens_t never sees an infinite slope
+    return np.concatenate([a, np.divide(1.0, a, out=np.zeros_like(a), where=~tied)]), tied
+
+
+def _pair_terms(x: float, tail: float, slopes: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """P(|Z_i| > x, |Z_j| > x) = 4 [Phi(-x) - T(x, a) - T(x, 1/a)] per pair, tail = Phi(-x)."""
+    owen = owens_t(x, slopes)
+    # far in the tail rounding can leave a pair term, a probability, below 0
+    return np.maximum(4.0 * (tail * (1.0 - 0.5 * tied) - owen[: len(tied)] - owen[len(tied):]), 0.0)
+
+
+def _dawson_sankoff(s1: float, s2: float) -> float:
+    """Dawson & Sankoff's (1967) lower bound on a union's probability, at its best k."""
+    k = 1.0 + np.floor(2.0 * s2 / s1)
+    return 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0))
+
+
+class _UnionBounds:
+    """Closed-form bounds on E(x) = P(max_i |Z_i| > x), Z ~ N(0, r), x > 0,
+    from S1 = sum_i P(|Z_i| > x) and S2 = sum_{i < j} p_ij, the pair terms
+    p_ij = P(|Z_i| > x, |Z_j| > x) = 4 [Phi(-x) - T(x, a) - T(x, 1/a)],
+    a = sqrt((1 - |r_ij|) / (1 + |r_ij|)), T Owen's function (Owen 1956).
+
+    Called at x, it returns the exact bounds: the lower is Dawson & Sankoff's
+    (1967), the upper Kounias's (1968), S1 - max_j sum_{i != j} p_ij.  Both
+    are exact at c = 2 and at rank one.  They cost two Owen's T values for
+    each of the c(c - 1)/2 pairs, set up on the first call.
+
+    `screen(x)` brackets them from a grid of _SCREEN_CELLS cells in |r_ij|,
+    at two Owen's T values per edge used.  p_ij rises with |r_ij| (Sidak
+    1968), the Dawson-Sankoff bound falls as S2 grows and the Kounias bound
+    as any row's sum grows.  So with every |r_ij| rounded up, the
+    Dawson-Sankoff bound is at most the exact one and the Kounias bound at
+    most the exact one; with every |r_ij| rounded down, the Dawson-Sankoff
+    bound is at least the exact one.  An accept the first proves, the exact
+    lower bound proves as well; where the other two show that neither exact
+    bound can clear alpha, the exact terms would settle nothing.  Either way
+    the screen cannot move a decision.  It runs only where it needs fewer
+    pair terms than the exact sum, and elsewhere returns (0, inf, -inf).
+    """
+
+    def __init__(self, r: np.ndarray):
+        self._c = c = len(r)
+        self._i, self._j = _pair_indices(c)
+        self._rho = np.minimum(np.abs(r[self._i, self._j]), 1.0)
+        # rho * _SCREEN_CELLS is exact in binary floating point, so each rho
+        # lies between its edges down / _SCREEN_CELLS and up / _SCREEN_CELLS exactly
+        scaled = self._rho * _SCREEN_CELLS
+        up, down = np.ceil(scaled).astype(np.intp), np.floor(scaled).astype(np.intp)
+        n = len(_SCREEN_EDGES)
+        n_up, n_down = np.bincount(up, minlength=n), np.bincount(down, minlength=n)
+        edges = np.flatnonzero(n_up + n_down)
+        self._grid = None
+        if len(edges) < len(self._rho):
+            # rows_up[k, e]: the pairs of row k whose |r_ij| rounds up to edge e
+            rows_up = np.bincount(np.concatenate([self._i, self._j]) * n + np.concatenate([up, up]),
+                                  minlength=c * n).reshape(c, n)
+            self._grid = (edges, *_slopes(_SCREEN_EDGES[edges]), n_up, n_down, rows_up)
+
+    @functools.cached_property
+    def _exact(self) -> tuple[np.ndarray, np.ndarray]:
+        return _slopes(self._rho)
+
+    def screen(self, x: float) -> tuple[float, float, float]:
+        """From the grid: a Dawson-Sankoff bound at most the exact one, one at
+        least the exact one, and a Kounias bound at most the exact one."""
+        tail = float(ndtr(-x))
+        if self._grid is None or tail == 0.0:
+            return 0.0, np.inf, -np.inf
+        edges, slopes, tied, n_up, n_down, rows_up = self._grid
+        terms = np.zeros(len(_SCREEN_EDGES))
+        terms[edges] = _pair_terms(x, tail, slopes, tied)
+        slack, s1 = _SCREEN_SLACK * tail, 2.0 * tail * self._c
+        return (_dawson_sankoff(s1, float(n_up @ (terms + slack))),
+                _dawson_sankoff(s1, float(n_down @ (terms - slack))),
+                s1 - float((rows_up @ (terms + slack)).max()))
+
+    def __call__(self, x: float) -> tuple[float, float]:
+        tail = float(ndtr(-x))
+        if tail == 0.0:
+            return 0.0, 0.0
+        pair = _pair_terms(x, tail, *self._exact)
+        s1, c = 2.0 * tail * self._c, self._c
+        upper = s1 - float((np.bincount(self._i, pair, c) + np.bincount(self._j, pair, c)).max())
+        return _dawson_sankoff(s1, float(pair.sum())), upper
+
+
+class _PreparedV:
+    """A correlation matrix validated once, with its union bounds and its
+    factor each built on first use.  The mnq functions take one in place of
+    corr, so that `inference.adjust("mnq")` validates V once, and factors and
+    bounds it at most once, for its decisions, cutoff and p-values."""
+
+    def __init__(self, corr):
+        self.r = _prepare_correlation(corr)
+
+    @functools.cached_property
+    def bounds(self) -> _UnionBounds:
+        return _UnionBounds(self.r)
+
+    @functools.cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        # the bounds are the same for every row, so the factor's row order does not matter
+        chol, stage, _ = _trapezoidal_cholesky(self.r)
+        return chol, stage
+
+    def law(self, cfg: QmcConfig):
+        """The cfg Sobol stack, None at rank one, and means_at(q, pts), the
+        per-shift means of P(max_i |Z_i| <= q) for Z ~ N(0, r) on a point stack."""
+        chol, stage = self._factor
+        c = len(self.r)
+
+        def means_at(q: float, pts: np.ndarray) -> np.ndarray:
+            bound = np.full(c, q)
+            return _conditioned_means(-bound, bound, chol, stage, pts)
+
+        dim = chol.shape[1] - 1
+        stack = _sobol_stack(dim, cfg.points_per_shift, cfg.shifts, cfg.seed) if dim else None
+        return stack, means_at
+
+
+def _cutoff_bracket(corr, alpha: float) -> tuple[_PreparedV, float, float]:
+    """corr prepared (a `_PreparedV` as it is), lo, the two-sided univariate
+    cutoff, and hi, the Bonferroni cutoff, of max_i |Z_i| for Z ~ N(0, corr)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    r = _prepare_correlation(corr)
-    return r, float(ndtri(1.0 - alpha / 2.0)), float(ndtri(1.0 - alpha / (2.0 * len(r))))
-
-
-def _max_abs_law(r: np.ndarray, cfg: QmcConfig):
-    """The cfg Sobol stack, None at rank one, and means_at(q, pts), the per-shift
-    means of P(max_i |Z_i| <= q) for Z ~ N(0, r) on a point stack; r validated."""
-    c = len(r)
-    # the bounds are the same for every row, so the factor's row order does not matter
-    chol, stage, _ = _trapezoidal_cholesky(r)
-
-    def means_at(q: float, pts: np.ndarray) -> np.ndarray:
-        bound = np.full(c, q)
-        return _conditioned_means(-bound, bound, chol, stage, pts)
-
-    dim = chol.shape[1] - 1
-    stack = _sobol_stack(dim, cfg.points_per_shift, cfg.shifts, cfg.seed) if dim else None
-    return stack, means_at
+    v = corr if isinstance(corr, _PreparedV) else _PreparedV(corr)
+    # upper-tail cutoffs are -Phi^-1(tail): Phi^-1(1 - tail) loses a small tail to rounding
+    return v, float(-ndtri(alpha / 2.0)), float(-ndtri(alpha / (2.0 * len(v.r))))
 
 
 def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
@@ -461,14 +598,16 @@ def _quantile(corr, alpha: float, cfg: QmcConfig) -> _Quantile:
     stack's prefix to a loose tolerance, then on the full stack from the
     prefix root with the prefix's last slope.  The point count is sized by
     `_estimate` at 1 SE at the prefix root and every later trial q reuses
-    those points.
+    those points.  An alpha so small that 1 - alpha rounds to 1 is refused.
     """
-    r, lo, hi = _cutoff_bracket(corr, alpha)
-    stack, means_at = _max_abs_law(r, cfg)
+    v, lo, hi = _cutoff_bracket(corr, alpha)
+    stack, means_at = v.law(cfg)
     if stack is None:
         # rank one: every |Z_i| equals |Z_1|, so the univariate cutoff is exact
         return _Quantile(lo, 1.0 - alpha, 0.0, 0)
     target, n = 1.0 - alpha, stack.shape[1]
+    if target == 1.0:
+        raise ValueError(f"alpha {alpha:g} is too small for the mnq cutoff search: 1 - alpha rounds to 1")
     prefix = np.ascontiguousarray(stack[:, :n // _PREFIX_SHARE])
 
     def prefix_prob(q: float) -> tuple[float, float]:
@@ -511,14 +650,14 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
     stack, as the decisions stop.  Where |t_i| is above the two-sided
     univariate cutoff, so that the p-value can lie below alpha and its
     absolute QMC error can pass the value itself, the estimate is then
-    clipped into the closed-form bounds of `_union_bounds` at |t_i|: no
+    clipped into the exact closed-form bounds of `_UnionBounds` at |t_i|: no
     such p-value lies above the Kounias bound or below the Dawson-Sankoff
     bound.  The clip costs no QMC pass but c(c - 1) Owen's T values per
     statistic, so it skips the smaller |t_i|, whose p-values are at least
     alpha; there a statistic of 0 keeps p = 1 exactly."""
-    r, lo, _ = _cutoff_bracket(corr, alpha)
-    abs_t = _abs_statistics(t, len(r))
-    stack, means_at = _max_abs_law(r, cfg)
+    v, lo, _ = _cutoff_bracket(corr, alpha)
+    abs_t = _abs_statistics(t, len(v.r))
+    stack, means_at = v.law(cfg)
     if stack is None:
         # rank one: every |Z_i| equals |Z_1|, and P(t) needs no QMC points
         return 1.0 - np.clip([means_at(x, np.empty((1, 1, 0)))[0] for x in abs_t], 0.0, 1.0)
@@ -533,8 +672,8 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
     probs = [_estimate(functools.partial(means_at, x), stack, n // _PREFIX_SHARE, cfg, done=done)[1]
              for x in abs_t]
     p_values = 1.0 - np.clip(probs, 0.0, 1.0)
-    tail, bounds = abs_t > lo, _union_bounds(r)
-    p_values[tail] = [np.clip(p, *bounds(x)) for p, x in zip(p_values[tail], abs_t[tail])]
+    tail = abs_t > lo
+    p_values[tail] = [np.clip(p, *v.bounds(x)) for p, x in zip(p_values[tail], abs_t[tail])]
     return p_values
 
 
@@ -545,40 +684,6 @@ _SIDE_SES = 4
 _BOUND_MARGIN = 1e-9
 
 
-def _union_bounds(r: np.ndarray):
-    """bounds(x): a lower and an upper bound on E(x) = P(max_i |Z_i| > x),
-    Z ~ N(0, r), x > 0, from S1 = sum_i P(|Z_i| > x) and the pair terms
-    p_ij = P(|Z_i| > x, |Z_j| > x) = 4 [Phi(-x) - T(x, a) - T(x, 1/a)],
-    a = sqrt((1 - |r_ij|) / (1 + |r_ij|)), T Owen's function (Owen 1956).
-
-    The lower bound is Dawson & Sankoff's (1967), the upper Kounias's (1968),
-    S1 - max_j sum_{i != j} p_ij.  Both are exact at c = 2 and at rank one.
-    """
-    c = len(r)
-    i, j = np.triu_indices(c, 1)
-    rho = np.minimum(np.abs(r[i, j]), 1.0)
-    a = np.sqrt((1.0 - rho) / (1.0 + rho))
-    tied = a == 0.0
-    # 1/a is infinite at |r_ij| = 1: such a pair takes T(x, 0) = 0 and adds
-    # T(x, inf) = Phi(-x) / 2 itself, so owens_t never sees an infinite slope
-    slopes = np.concatenate([a, np.divide(1.0, a, out=np.zeros_like(a), where=~tied)])
-
-    def bounds(x: float) -> tuple[float, float]:
-        tail = float(ndtr(-x))
-        if tail == 0.0:
-            return 0.0, 0.0
-        owen = owens_t(x, slopes)
-        # far in the tail rounding can leave a pair term, a probability, below 0
-        pair = np.maximum(4.0 * (tail * (1.0 - 0.5 * tied) - owen[: len(a)] - owen[len(a):]), 0.0)
-        s1, s2 = 2.0 * tail * c, float(pair.sum())
-        k = 1.0 + np.floor(2.0 * s2 / s1)
-        lower = 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0))
-        upper = s1 - float((np.bincount(i, pair, c) + np.bincount(j, pair, c)).max())
-        return lower, upper
-
-    return bounds
-
-
 def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) -> np.ndarray:
     """The single-step max-T decisions |t_i| > q, q the 1 - alpha quantile of
     max_j |Z_j| for Z ~ N(0, corr), with no search for q.
@@ -586,36 +691,43 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
     |t_i| > q iff P(|t_i|) = P(max_j |Z_j| <= |t_i|) > 1 - alpha (Hothorn,
     Bretz & Westfall 2008).  A |t_i| at most the univariate cutoff is
     accepted, one above the Bonferroni cutoff rejected.  The others are taken
-    largest first.  Closed-form bounds on 1 - P(|t_i|) (`_union_bounds`)
+    largest first.  Closed-form bounds on 1 - P(|t_i|) (`_UnionBounds`)
     settle a side first when they clear alpha: such a decision is exact, and
-    needs neither the factor of corr nor any QMC point.  Otherwise, at rank
-    one the univariate cutoff is q, and P is estimated on a 64-point prefix
-    per shift of the cfg stack, doubled by `_estimate` until 4 SEs separate
-    it from 1 - alpha, 1 SE fits in cfg.target_abs_error on at least the
-    whole stack, or the cap is reached.  The first statistic found at most
-    1 - alpha accepts that statistic and every smaller one.  Contract,
+    needs neither the factor of corr nor any QMC point.  Their |r_ij| grid
+    screen comes first: an accept it proves, the exact lower bound proves
+    too, and where it shows that neither exact bound can clear alpha, the
+    exact pair terms are not computed.  So the screen moves no decision.
+    Otherwise, at rank one the univariate cutoff is q, and P is estimated on
+    a 64-point prefix per shift of the cfg stack, doubled by `_estimate`
+    until 4 SEs separate it from 1 - alpha, 1 SE fits in
+    cfg.target_abs_error on at least the whole stack, or the cap is reached.
+    The first statistic found at most 1 - alpha accepts that statistic and
+    every smaller one.  Contract,
     checked at QmcConfig() against fine references: where the true P(|t_i|)
     is at least 2 * cfg.target_abs_error from 1 - alpha, no decision is
     wrong.
     """
-    r, lo, hi = _cutoff_bracket(corr, alpha)
-    abs_t = _abs_statistics(t, len(r))
+    v, lo, hi = _cutoff_bracket(corr, alpha)
+    abs_t = _abs_statistics(t, len(v.r))
     between = np.unique(abs_t[(abs_t > lo) & (abs_t <= hi)])[::-1]
-    if not len(between):
-        return abs_t > lo
-    bounds, law = _union_bounds(r), None
 
     def settled(m: int, p: float, se: float) -> bool:
         # `stack` is the law's, built before the first QMC pass
         return abs(p - 1.0 + alpha) > _SIDE_SES * se or (m >= stack.shape[1] and se <= cfg.target_abs_error)
 
+    accept_above, reject_below = alpha * (1.0 + _BOUND_MARGIN), alpha * (1.0 - _BOUND_MARGIN)
     for x in between:
-        lower, upper = bounds(x)
-        if lower > alpha * (1.0 + _BOUND_MARGIN):
+        # the grid proves an accept of the exact lower bound, or that neither exact bound settles x
+        lower_floor, lower_ceiling, upper_floor = v.bounds.screen(x)
+        if lower_floor > accept_above:
             return abs_t > x
-        if upper < alpha * (1.0 - _BOUND_MARGIN):
-            continue
-        stack, means_at = law = law or _max_abs_law(r, cfg)
+        if lower_ceiling > accept_above or upper_floor < reject_below:
+            lower, upper = v.bounds(x)
+            if lower > accept_above:
+                return abs_t > x
+            if upper < reject_below:
+                continue
+        stack, means_at = v.law(cfg)
         if stack is None:
             return abs_t > lo
         _, p, _ = _estimate(functools.partial(means_at, x), stack, min(_FIRST_PREFIX, stack.shape[1]), cfg,
@@ -634,5 +746,5 @@ def studentized_range_quantile(k: int, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if k == 2:
-        return np.sqrt(2.0) * float(ndtri(1.0 - alpha / 2.0))
+        return np.sqrt(2.0) * float(-ndtri(alpha / 2.0))
     return float(studentized_range.ppf(1.0 - alpha, k, np.inf))

@@ -50,6 +50,16 @@ class TestRunExperiment:
             assert ps.reject_rates.shape == (3,)
         assert s.efficiency is not None and 0.0 < s.efficiency <= 1.05
 
+    def test_scheffe_rank_is_computed_once_per_family(self, monkeypatch):
+        # adjust("scheffe") once ran matrix_rank, an SVD of C, on every replicate
+        calls, real = [], np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank",
+                            lambda m, *a, **k: calls.append(m.shape) or real(m, *a, **k))
+        cfg = small_config(replicates=6, compute_efficiency=False)
+        assert run_experiment(cfg).replicates_completed == 6
+        assert calls == [(3, 4)]
+        assert cfg.contrasts._rank == real(cfg.contrasts.matrix) == 3
+
     def test_worker_count_does_not_change_results(self):
         s1 = run_experiment(small_config(workers=1))
         s2 = run_experiment(small_config(workers=2))

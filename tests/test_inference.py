@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +11,14 @@ from clmc.data import ContrastFamily, build_contrasts
 from clmc.inference import METHODS, adjust, correlation_matrix_V, evaluate_tests
 from clmc.inference import test_statistics as t_statistics
 from clmc.models import FitResult
-from clmc.mvnprob import QmcConfig, equicoordinate_rejects, mvn_rectangle_prob
+from clmc.mvnprob import (
+    QmcConfig,
+    equicoordinate_p_values,
+    equicoordinate_quantile,
+    equicoordinate_rejects,
+    mvn_rectangle_prob,
+    studentized_range_quantile,
+)
 
 FAST = QmcConfig(points_per_shift=1024, shifts=8, target_abs_error=1e-3, seed=42)
 
@@ -28,6 +38,18 @@ def make_fit(theta, gamma, h=None, j=None):
         converged=True,
         n_beta=p,
     )
+
+
+def upper_normal_oracle(tail):
+    """-Phi^-1(tail) by bisection on the stdlib's erfc, accurate for a small tail."""
+    lo, hi = 0.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 0.5 * math.erfc(mid / math.sqrt(2.0)) > tail:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def exchangeable(c, rho):
@@ -265,6 +287,81 @@ class TestAdjust:
         rect = [mvn_rectangle_prob(-np.full(45, a), np.full(45, a), v, cfg) for a in t]
         assert max(3 * r.std_error for r in rect) <= cfg.target_abs_error
         assert dec.adjusted_p.tolist() == [1.0 - r.value for r in rect]
+
+    def test_upper_tail_cutoffs_keep_a_small_alpha(self):
+        # Phi^-1(1 - tail) rounded the tail: at alpha = 1e-12 and c = 45
+        # Bonferroni read 7.63717 for 7.63707
+        cf = build_contrasts("all_pairwise", 10)
+        alpha = 1e-12
+        bonf = adjust("bonferroni", np.zeros(45), np.eye(45), alpha, cf, FAST).threshold
+        sidak = adjust("sidak", np.zeros(45), np.eye(45), alpha, cf, FAST).threshold
+        assert bonf == pytest.approx(upper_normal_oracle(alpha / 90), rel=1e-12)
+        assert round(bonf, 5) == 7.63707
+        # Sidak's tail (1 - (1 - alpha)^(1/c)) / 2 is alpha/(2c) (1 + (c - 1) alpha/(2c) + O(alpha^2))
+        assert sidak == pytest.approx(upper_normal_oracle(alpha / 90 * (1 + 44 * alpha / 90)), rel=1e-12)
+        assert studentized_range_quantile(2, alpha) == pytest.approx(
+            np.sqrt(2.0) * upper_normal_oracle(alpha / 2), rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["bonferroni", "sidak"])
+    def test_reject_iff_adjusted_p_at_most_alpha_near_a_small_alpha_cutoff(self, method):
+        cf = build_contrasts("all_pairwise", 10)
+        cut = adjust(method, np.zeros(45), np.eye(45), 1e-12, cf, FAST).threshold
+        t = np.append(cut * (1.0 + np.linspace(-1e-9, 1e-9, 44)), 0.0)
+        dec = adjust(method, t, np.eye(45), 1e-12, cf, FAST)
+        assert dec.reject.sum() == 22
+        np.testing.assert_array_equal(dec.reject, dec.adjusted_p <= 1e-12)
+
+    def test_an_alpha_that_1_minus_alpha_rounds_away(self):
+        # at alpha = 1e-17 every cutoff was inf: Bonferroni and Sidak accepted
+        # |t| = 12, adjusted p 1.6e-31, which Holm rejected, and mnq warned in
+        # its search and printed 1.797e308.  mnq now refuses alpha by name;
+        # its decisions need no search
+        cf = build_contrasts("all_pairwise", 10)
+        v = cf.matrix @ cf.matrix.T / 2.0
+        t = np.zeros(45)
+        t[3] = -12.0
+        for method in ("bonferroni", "sidak", "holm"):
+            dec = adjust(method, t, np.eye(45), 1e-17, cf, FAST)
+            assert dec.reject.tolist() == [i == 3 for i in range(45)]
+            np.testing.assert_array_equal(dec.reject, dec.adjusted_p <= 1e-17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^alpha 1e-17 is too small for the mnq cutoff search: "
+                                                 r"1 - alpha rounds to 1$"):
+                adjust("mnq", t, v, 1e-17, cf, FAST)
+            assert equicoordinate_rejects(v, t, 1e-17, FAST).tolist() == [i == 3 for i in range(45)]
+
+    def test_mnq_prepares_v_once(self, monkeypatch):
+        # adjust("mnq") once validated V three times, factored it twice and
+        # built its union bounds twice; the numbers are the three public calls'
+        import clmc.mvnprob as mod
+
+        counts = collections.Counter()
+
+        def spy(name, real):
+            def wrapped(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapped
+
+        for name in ("_prepare_correlation", "_trapezoidal_cholesky"):
+            monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+        monkeypatch.setattr(mod._UnionBounds, "__init__", spy("bounds", mod._UnionBounds.__init__))
+        cf = build_contrasts("all_pairwise", 5)
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((5, 8))
+        v = correlation_matrix_V(a @ a.T, cf)
+        t = np.array([2.9, -2.2, 0.3, 1.0, 0.0, -0.5, 2.5, 0.1, 1.7, -3.4])
+        dec = adjust("mnq", t, v, 0.05, cf, FAST)
+        assert counts == {"_prepare_correlation": 1, "_trapezoidal_cholesky": 1, "bounds": 1}
+        monkeypatch.undo()
+        reject = equicoordinate_rejects(v, t, 0.05, FAST)
+        p = equicoordinate_p_values(v, t, 0.05, FAST)
+        np.testing.assert_array_equal(dec.reject, reject)
+        np.testing.assert_array_equal(
+            dec.adjusted_p, np.where(reject, np.minimum(p, 0.05), np.maximum(p, np.nextafter(0.05, 1.0))))
+        assert dec.threshold == np.clip(equicoordinate_quantile(v, 0.05, FAST), np.abs(t)[~reject].max(),
+                                        np.nextafter(np.abs(t)[reject].min(initial=np.inf), 0.0))
 
     def test_unknown_method(self):
         cf = build_contrasts("many_to_one", 3, baseline=1)

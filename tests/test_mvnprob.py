@@ -4,12 +4,13 @@ import re
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy import integrate, linalg
+from scipy import integrate, linalg, optimize
 from scipy.special import ndtr, ndtri
 
 from clmc.data import ContrastFamily, build_contrasts
 from clmc.inference import adjust
 from clmc.mvnprob import (
+    _BOUND_MARGIN,
     _LOAD_TOL,
     _MAX_STEPS,
     _RANK_TOL,
@@ -25,7 +26,7 @@ from clmc.mvnprob import (
     _secant,
     _sobol_stack,
     _trapezoidal_cholesky,
-    _union_bounds,
+    _UnionBounds,
     equicoordinate_p_values,
     equicoordinate_quantile,
     equicoordinate_rejects,
@@ -545,7 +546,8 @@ class TestRankDeficient:
 
     def test_rank_one_is_the_univariate_cutoff(self, monkeypatch):
         calls = _spy_passes(monkeypatch)
-        assert equicoordinate_quantile(np.ones((3, 3)), 0.05, FAST) == ndtri(0.975)
+        # the upper-tail cutoff is -ndtri(0.025), one ulp from ndtri(0.975)
+        assert equicoordinate_quantile(np.ones((3, 3)), 0.05, FAST) == -ndtri(0.025)
         assert calls == []
 
     def test_rank_one_rectangle_is_the_interval_intersection(self):
@@ -923,7 +925,7 @@ class TestEquicoordinateRejects:
             v[0, 1] += 1e-3
         t = np.array([0.0, 2.0, -2.7, 0.5, 0.0, 0.0, 0.0, 0.0])
         # both statistics would be settled by the bounds
-        assert _union_bounds(v)(2.7)[1] < 0.05 < _union_bounds(v)(2.0)[0]
+        assert _UnionBounds(v)(2.7)[1] < 0.05 < _UnionBounds(v)(2.0)[0]
         with pytest.raises(ValueError, match="positive semidefinite|symmetric"):
             equicoordinate_rejects(v, t, 0.05, QmcConfig())
 
@@ -959,7 +961,7 @@ class TestEquicoordinateRejects:
     def test_rank_one_cutoff_is_the_univariate_one_without_a_pass(self, monkeypatch):
         # every |Z_i| equals |Z_1|, so P(t) > 1 - alpha exactly when t > lo
         calls = _spy_passes(monkeypatch)
-        lo = ndtri(0.975)
+        lo = -ndtri(0.025)
         t = np.array([lo, -np.nextafter(lo, 3.0), 2.2, -1.0, 2.5, lo - 1e-12])
         got = equicoordinate_rejects(_rank_one(6, np.random.default_rng(3)), t, 0.05, QmcConfig())
         np.testing.assert_array_equal(got, np.abs(t) > lo)
@@ -1007,7 +1009,7 @@ class TestEquicoordinateRejects:
     def test_bounds_are_exact_for_two_statistics(self, rho, x):
         # P(max(|Z1|, |Z2|) > x) = 1 - P(|Z1| <= x, |Z2| <= x)
         exact = 1.0 - bvn_rect_oracle(-x, x, -x, x, rho)
-        lower, upper = _union_bounds(np.array([[1.0, rho], [rho, 1.0]]))(x)
+        lower, upper = _UnionBounds(np.array([[1.0, rho], [rho, 1.0]]))(x)
         assert lower == pytest.approx(exact, abs=1e-10)
         assert upper == pytest.approx(exact, abs=1e-10)
 
@@ -1025,14 +1027,14 @@ class TestEquicoordinateRejects:
         lower = max(2.0 * s1 / (k + 1) - 2.0 * s2 / (k * (k + 1)) for k in range(1, c + 1))
         upper = min(s1 - pair[j].sum() for j in range(c))
         assert np.ptp(pair.sum(axis=1)) > 1e-3  # the choice of j matters
-        assert _union_bounds(v)(x) == pytest.approx((lower, upper), abs=1e-10)
+        assert _UnionBounds(v)(x) == pytest.approx((lower, upper), abs=1e-10)
 
     @pytest.mark.parametrize("c", [2, 3, 7, 24])
     @pytest.mark.parametrize("x", [1.5, 2.6, 3.5])
     def test_bounds_are_exact_at_rank_one(self, c, x):
         # every |Z_i| equals |Z_1|: P(max_i |Z_i| > x) = 2 Phi(-x)
         with np.errstate(all="raise"):
-            lower, upper = _union_bounds(_rank_one(c, np.random.default_rng(c)))(x)
+            lower, upper = _UnionBounds(_rank_one(c, np.random.default_rng(c)))(x)
         assert lower == pytest.approx(2.0 * ndtr(-x), rel=1e-12)
         assert upper == pytest.approx(2.0 * ndtr(-x), rel=1e-12)
 
@@ -1049,7 +1051,7 @@ class TestEquicoordinateRejects:
             v = factor_model_corr(c, rng.integers(0, 4), rng)
             if kind != "factor":
                 v = _with_duplicate_row(v, rng.integers(1, c), -1.0 if kind == "sign-flipped" else 1.0)
-        lower, upper = _union_bounds(v)(x)
+        lower, upper = _UnionBounds(v)(x)
         bound = np.full(len(v), x)
         ref = mvn_rectangle_prob(-bound, bound, v, QmcConfig(points_per_shift=16384, shifts=12,
                                                              target_abs_error=1.0, seed=11))
@@ -1057,6 +1059,114 @@ class TestEquicoordinateRejects:
         assert lower <= upper
         assert lower <= 1.0 - ref.value + slack
         assert 1.0 - ref.value - slack <= upper
+
+
+def _pairwise_v(p, rng):
+    """V of all-pairwise contrasts of p coefficients with a random covariance (singular)."""
+    a = rng.standard_normal((p, p + 5))
+    cf = build_contrasts("all_pairwise", p)
+    d = cf.matrix @ (a @ a.T) @ cf.matrix.T
+    s = 1.0 / np.sqrt(np.diag(d))
+    return d * np.outer(s, s)
+
+
+def _crossing(f, lo, hi):
+    """The x in [lo, hi] at which f, a bound on E(x), falls through alpha (1 + _BOUND_MARGIN)."""
+    return optimize.brentq(lambda x: f(x) - 0.05 * (1.0 + _BOUND_MARGIN), lo, hi, xtol=1e-14)
+
+
+class TestUnionBoundScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["factor", "all-pairwise", "below-edge", "duplicated", "sign-flipped"]),
+           c=st.integers(3, 60), seed=st.integers(0, 2**32 - 1), x=st.floats(1.5, 4.0))
+    @example(kind="below-edge", c=52, seed=0, x=4.0)
+    @example(kind="all-pairwise", c=52, seed=0, x=1.5)
+    @example(kind="sign-flipped", c=60, seed=3, x=2.5)
+    def test_the_screen_brackets_the_exact_bounds(self, kind, c, seed, x):
+        # the all-pairwise V has every |r_ij| on a cell edge (0 or 1/2); the
+        # below-edge V is it with the off-diagonal shrunk by 2^-50 (still a
+        # correlation matrix), so each 1/2 rounds up across its one ulp.  A
+        # duplicated or sign-flipped row gives pairs with |r_ij| = 1
+        rng = np.random.default_rng(seed)
+        if kind in ("all-pairwise", "below-edge"):
+            v = family_corr("all_pairwise", 3 + c % 9)  # c = 3 ... 55
+            if kind == "below-edge":
+                v = v * (1.0 - 2.0**-50) + np.eye(len(v)) * 2.0**-50
+        else:
+            v = factor_model_corr(c, rng.integers(0, 4), rng)
+            if kind != "factor":
+                v = _with_duplicate_row(v, rng.integers(1, c), -1.0 if kind == "sign-flipped" else 1.0)
+        bounds = _UnionBounds(v)
+        lower, upper = bounds(x)
+        lower_floor, lower_ceiling, upper_floor = bounds.screen(x)
+        assert lower_floor <= lower <= lower_ceiling
+        assert upper_floor <= upper
+
+    def test_decisions_are_those_of_the_exact_bounds(self, monkeypatch):
+        # random V and statistics between the cutoffs, at c = 10 and 45 and on
+        # two c = 190 all-pairwise V; statistics planted within 1e-6 of where
+        # the screened and the exact lower bound cross the margin
+        rng = np.random.default_rng(2024)
+        cases = []
+        for c in [10] * 12 + [45] * 12:
+            v = factor_model_corr(c, rng.integers(0, 4), rng) if len(cases) % 2 else _pairwise_v(
+                {10: 5, 45: 10}[c], rng)
+            hi = -ndtri(0.05 / (2 * c))
+            cases.append((v, rng.uniform(0.0, hi, size=c) * rng.choice([-1.0, 1.0], size=c)))
+        for p in (20, 20):
+            v = _pairwise_v(p, rng)
+            c = len(v)
+            lo, hi = -ndtri(0.025), -ndtri(0.05 / (2 * c))
+            bounds = _UnionBounds(v)
+            for f in (lambda x: bounds.screen(x)[0], lambda x: bounds(x)[0]):
+                x = _crossing(f, lo, hi)
+                for d in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6):
+                    t = np.zeros(c)
+                    t[rng.integers(c)] = x + d
+                    cases.append((v, t))
+        import clmc.mvnprob as mod
+
+        accepts, opens, real = [], [], mod._UnionBounds.screen
+        settle = 0.05 * (1.0 + _BOUND_MARGIN), 0.05 * (1.0 - _BOUND_MARGIN)
+
+        def spy(self, x):
+            lower, lower_ceiling, upper_floor = real(self, x)
+            if lower > settle[0]:
+                accepts.append((self, x))
+            elif lower_ceiling <= settle[0] and upper_floor >= settle[1]:
+                opens.append((self, x))
+            return lower, lower_ceiling, upper_floor
+
+        monkeypatch.setattr(mod._UnionBounds, "screen", spy)
+        screened = [equicoordinate_rejects(v, t, 0.05, TINY) for v, t in cases]
+        # the screen settles many and leaves many open, each as the exact bounds do
+        assert len(accepts) >= 10 and len(opens) >= 10
+        assert all(bounds(x)[0] > settle[0] for bounds, x in accepts)
+        assert all(bounds(x)[0] <= settle[0] and bounds(x)[1] >= settle[1] for bounds, x in opens)
+        monkeypatch.setattr(mod._UnionBounds, "screen", lambda self, x: (0.0, np.inf, -np.inf))
+        for (v, t), got in zip(cases, screened):
+            np.testing.assert_array_equal(got, equicoordinate_rejects(v, t, 0.05, TINY))
+
+    def test_a_screened_accept_computes_no_exact_pair_term(self, monkeypatch):
+        # all-pairwise p = 10: c = 45, so the exact bounds take c (c - 1) = 1980
+        # Owen's T values; the grid settles this statistic on at most 2 x 65
+        import clmc.mvnprob as mod
+
+        sizes, real = [], mod.owens_t
+        monkeypatch.setattr(mod, "owens_t", lambda x, a: sizes.append(len(a)) or real(x, a))
+        _no_factor_nor_pass(monkeypatch)
+        v = family_corr("all_pairwise", 10)
+        t = np.zeros(45)
+        t[7] = -2.3
+        got = equicoordinate_rejects(v, t, 0.05, QmcConfig())
+        assert not got.any()
+        assert sizes and max(sizes) <= 2 * 65 < 45 * 44
+
+    def test_small_families_keep_the_exact_sum(self):
+        # the three pairs of this c = 3 V round to at least three grid edges,
+        # so the screen would cost more than the exact sum: it does not run
+        v = factor_model_corr(3, 0, np.random.default_rng(1))
+        assert _UnionBounds(v).screen(2.2) == (0.0, np.inf, -np.inf)
 
 
 class TestAdjustedPValues:
@@ -1090,20 +1200,27 @@ class TestAdjustedPValues:
             equicoordinate_p_values(np.eye(3), [1.0, 2.0, 3.0, 4.0], 0.05, TINY)
 
     @pytest.mark.parametrize("seed", [1, 5])
-    def test_p_values_lie_within_the_union_bounds(self, seed):
+    def test_p_values_lie_within_the_union_bounds(self, seed, monkeypatch):
         # on a 256 x 4 stack the 3-SE stop is absolute, so a p-value below
         # 5e-4 carries QMC error larger than itself: unclipped, at seed 1 the
         # three smaller statistics lay above the Kounias bound and the three
         # larger below the Dawson-Sankoff bound, at seed 5 all six below.  Far
         # in the tail, where rounding once made the bounds infinite or NaN,
         # they stay finite, and E(40) underflows to 0.  A statistic of 0,
-        # below the univariate cutoff, is not clipped and keeps p = 1 exactly
+        # below the univariate cutoff, is not clipped and keeps p = 1 exactly.
+        # The clip takes the exact bounds, never the grid screen's
+        import clmc.mvnprob as mod
+
+        def never(self, x):
+            raise AssertionError("screened a p-value")
+
+        monkeypatch.setattr(mod._UnionBounds, "screen", never)
         v = family_corr("all_pairwise", 10)
         t = np.zeros(len(v))
         t[:8] = [4.4, -4.6, 5.0, 5.6, -5.9, 6.4, 15.9, -40.0]
         p = equicoordinate_p_values(v, t, 0.05, QmcConfig(points_per_shift=256, shifts=4,
                                                          target_abs_error=3e-3, seed=seed))
-        lower, upper = np.array([_union_bounds(v)(x) for x in np.abs(t[:8])]).T
+        lower, upper = np.array([_UnionBounds(v)(x) for x in np.abs(t[:8])]).T
         assert ((0.0 <= lower) & (lower <= p[:8]) & (p[:8] <= upper)).all()
         assert 0.0 < p[6] < 1e-50 and p[7] == 0.0
         assert (p[8:] == 1.0).all()
