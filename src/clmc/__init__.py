@@ -33,6 +33,7 @@ from .models import (
     mvn_mle_fit,
     probit_cl_fit,
     quadexp_cl_fit,
+    quadexp_enumeration_oracle,
     sandwich,
 )
 from .mvnprob import (
@@ -56,7 +57,6 @@ from .simgen import (
     ScenarioSpec,
     Unstructured,
     generate,
-    quadexp_enumeration_oracle,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Shared fitting machinery: the result type, the stop rule every fitter
 shares (`MAX_ITER`, `SCORE_TOL`), the sandwich covariance and its
 correlation-ignoring (naive) variant, the 0/1 targets of a binary dataset,
-and `fit_rows`, the step-halving Fisher-scoring driver for composite
-likelihoods whose terms depend on theta only through eta = u' theta.
-Every fitter takes the dataset alone.  Per-cluster sums are `reduceat` sums
-over `d.starts`, which a dataset keeps valid: every cluster has a row.
+`fit_rows`, the step-halving Fisher-scoring driver for composite
+likelihoods whose terms depend on theta only through eta = u' theta, and
+`size_groups`, which the response draws loop over.  Every fitter takes the
+dataset alone.  Per-cluster sums are `reduceat` sums over `d.starts`, which
+a dataset keeps valid: every cluster has a row.
 """
 
 from __future__ import annotations
@@ -122,6 +123,13 @@ def binary_targets(d: ClusteredDataset, model: str) -> np.ndarray:
     if d.response_kind == "binary_pm1":
         return (d.y + 1.0) / 2.0
     raise FitError(f"{model} fitter needs binary responses in {{0,1}} or {{-1,+1}}")
+
+
+def size_groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(m, row mask, cluster mask) per distinct cluster size m; the masked
+    rows reshape to (clusters of size m, m)."""
+    row_sizes = np.repeat(sizes, sizes)
+    return [(int(m), row_sizes == m, sizes == m) for m in np.unique(sizes)]
 
 
 def _gram(u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -103,3 +103,24 @@ def gamma_cl_fit(d: ClusteredDataset) -> FitResult:
         fit, h_hat=nu * fit.h_hat, j_hat=nu * nu * fit.j_hat, loglik=_loglik(sc.eta, y, nu),
         converged=converged, nuisance={"nu": nu},
     )
+
+
+def draw(spec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
+    """Gamma margins of shape nu and mean exp(x_ij' beta): each row's own
+    Gamma((1 - rho) nu) draw plus, at rho > 0, one Gamma(rho nu) draw its
+    cluster shares, scaled by mu / nu; rho is the within-cluster correlation."""
+    mu = np.exp(x @ spec.beta)
+    nu = spec.nu
+    rho = spec.correlation.rho if spec.correlation else 0.0
+    if rho == 0.0:
+        return mu * rng.gamma(nu, size=len(x)) / nu
+    # one draw holds each cluster's shared component (its head) followed by its m own ones
+    heads = np.cumsum(sizes + 1) - (sizes + 1)
+    shapes = np.full(len(sizes) + len(x), (1.0 - rho) * nu)
+    shapes[heads] = rho * nu
+    g = rng.gamma(shapes)
+    y = np.delete(g, heads)
+    y += np.repeat(g[heads], sizes)
+    y *= mu
+    y /= rho * nu + (1.0 - rho) * nu  # nu, rounded as the sum of the two shapes
+    return y

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import ClusteredDataset
-from .base import MAX_ITER, FitError, FitResult, sandwich
+from .base import MAX_ITER, FitError, FitResult, sandwich, size_groups
 
 __all__ = ["mvn_cl_fit", "mvn_mle_fit", "mvn_cl_loglik", "mvn_cl_score"]
 
@@ -106,3 +106,15 @@ def mvn_cl_fit(d: ClusteredDataset) -> FitResult:
 def mvn_mle_fit(d: ClusteredDataset) -> FitResult:
     """Iterated GLS (full Gaussian likelihood); used for efficiency ratios."""
     return _alternating_fit(d, lambda s, xs: np.linalg.inv(s) @ xs, _full_loglik)
+
+
+def draw(spec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
+    """y_i = X_i beta + L_m z_i with z drawn for every row at once and L_m the
+    Cholesky factor of the size-m covariance, spec.correlation.matrix(m), or
+    of I when spec.correlation is None."""
+    z = rng.standard_normal(len(x))
+    eps = np.empty(len(x))
+    for m, rows, _ in size_groups(sizes):
+        sigma = np.eye(m) if spec.correlation is None else spec.correlation.matrix(m)
+        eps[rows] = (z[rows].reshape(-1, m) @ np.linalg.cholesky(sigma).T).ravel()
+    return x @ spec.beta + eps

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from ..data import ClusteredDataset
+from . import mvn
 from .base import SCORE_TOL, FitResult, RowModel, binary_targets, fit_rows
 
 __all__ = ["probit_cl_fit", "probit_cl_loglik", "probit_cl_score"]
@@ -52,3 +53,8 @@ def probit_cl_score(d: ClusteredDataset, beta) -> np.ndarray:
 def probit_cl_fit(d: ClusteredDataset) -> FitResult:
     y = binary_targets(d, "probit")
     return fit_rows(_PROBIT, d.x, y, d.starts, np.zeros(d.p), SCORE_TOL)[0]
+
+
+def draw(spec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
+    """The gaussian latent dichotomized at zero; its scale is one."""
+    return (mvn.draw(spec, x, sizes, rng) > 0.0).astype(float)

@@ -22,14 +22,17 @@ empirical covariance of the per-cluster scores.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 from scipy.special import expit
 
 from ..data import ClusteredDataset
-from .base import SCORE_TOL, FitResult, RowModel, binary_targets, fit_rows
+from .base import SCORE_TOL, FitResult, RowModel, binary_targets, fit_rows, size_groups
 
-__all__ = ["quadexp_cl_fit", "quadexp_cl_loglik", "quadexp_cl_score"]
+__all__ = ["quadexp_cl_fit", "quadexp_cl_loglik", "quadexp_cl_score", "quadexp_enumeration_oracle"]
+
+MAX_ENUMERATED_M = 20  # largest cluster whose 2^m response vectors are enumerated
 
 
 def _augmented_design(d: ClusteredDataset, cluster_means: bool = False) -> tuple[np.ndarray, ...]:
@@ -75,3 +78,51 @@ def quadexp_cl_fit(d: ClusteredDataset, cluster_mean_covariates: bool = False) -
     u, t, starts = _augmented_design(d, cluster_mean_covariates)
     fit, _ = fit_rows(_LOGISTIC, u, t, starts, np.zeros(d.p + 1), SCORE_TOL)
     return dataclasses.replace(fit, n_beta=d.p, nuisance={"w": float(fit.theta_hat[-1])})
+
+
+@functools.lru_cache(maxsize=32)
+def _configs_pm1(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^m sign configurations and their pairwise-product sums."""
+    grid = np.indices((2,) * m).reshape(m, -1).T
+    configs = (2.0 * grid - 1.0)[:, ::-1]
+    srow = configs.sum(axis=1)
+    inter = 0.5 * (srow * srow - m)
+    configs.setflags(write=False)
+    inter.setflags(write=False)
+    return configs, inter
+
+
+def quadexp_enumeration_oracle(x: np.ndarray, beta, w: float):
+    """Exact probability table of the pairwise-association model.
+
+    Returns (configs, probs): all 2^m response vectors over {-1,+1}^m and
+    their exact probabilities under main effects x @ beta (on the doubled
+    scale) and association w (likewise doubled: the density exponent uses
+    mu* = x beta / 2 and w* = w / 2).
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    m = x.shape[0]
+    if m > MAX_ENUMERATED_M:
+        raise ValueError(f"enumeration limited to m <= {MAX_ENUMERATED_M}, got {m}")
+    configs, inter = _configs_pm1(m)
+    mu_star = x @ np.asarray(beta, dtype=float) / 2.0
+    expo = configs @ mu_star + (w / 2.0) * inter
+    expo -= expo.max()
+    weights = np.exp(expo)
+    return configs, weights / weights.sum()
+
+
+def draw(spec, x: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
+    """Exact sampling by enumerating all configurations per cluster size."""
+    uniforms = rng.random(spec.n)
+    mu_star = x @ spec.beta / 2.0
+    y = np.empty(len(x))
+    for m, rows, clusters in size_groups(sizes):
+        configs, inter = _configs_pm1(m)
+        expo = configs @ mu_star[rows].reshape(-1, m).T + (spec.w / 2.0) * inter[:, None]
+        expo -= expo.max(axis=0, keepdims=True)
+        weights = np.exp(expo)
+        cum = np.cumsum(weights / weights.sum(axis=0, keepdims=True), axis=0)
+        picks = (cum < uniforms[clusters][None, :]).sum(axis=0)
+        y[rows] = configs[picks].ravel()
+    return y

@@ -531,8 +531,10 @@ class _UnionBounds:
         terms = np.zeros(len(_SCREEN_EDGES))
         terms[edges] = _pair_terms(x, tail, slopes, tied)
         slack, s1 = _SCREEN_SLACK * tail, 2.0 * tail * self._c
+        # far in the tail every pair term can fall below the slack: S2 >= 0,
+        # and DS(s1, 0) = s1 is still at least the exact bound
         return (_dawson_sankoff(s1, float(n_up @ (terms + slack))),
-                _dawson_sankoff(s1, float(n_down @ (terms - slack))),
+                _dawson_sankoff(s1, max(float(n_down @ (terms - slack)), 0.0)),
                 s1 - float((rows_up @ (terms + slack)).max()))
 
     def __call__(self, x: float) -> tuple[float, float]:
@@ -654,7 +656,10 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
     such p-value lies above the Kounias bound or below the Dawson-Sankoff
     bound.  The clip costs no QMC pass but c(c - 1) Owen's T values per
     statistic, so it skips the smaller |t_i|, whose p-values are at least
-    alpha; there a statistic of 0 keeps p = 1 exactly."""
+    alpha; there a statistic of 0 keeps p = 1 exactly.  The |r_ij| grid
+    screen comes first: an estimate at least its Dawson-Sankoff ceiling and
+    at most its Kounias floor lies within the exact bounds, and is kept
+    without them."""
     v, lo, _ = _cutoff_bracket(corr, alpha)
     abs_t = _abs_statistics(t, len(v.r))
     stack, means_at = v.law(cfg)
@@ -672,8 +677,13 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
     probs = [_estimate(functools.partial(means_at, x), stack, n // _PREFIX_SHARE, cfg, done=done)[1]
              for x in abs_t]
     p_values = 1.0 - np.clip(probs, 0.0, 1.0)
+
+    def clipped(p: float, x: float) -> float:
+        _, lower_ceiling, upper_floor = v.bounds.screen(x)
+        return p if lower_ceiling <= p <= upper_floor else np.clip(p, *v.bounds(x))
+
     tail = abs_t > lo
-    p_values[tail] = [np.clip(p, *v.bounds(x)) for p, x in zip(p_values[tail], abs_t[tail])]
+    p_values[tail] = [clipped(p, x) for p, x in zip(p_values[tail], abs_t[tail])]
     return p_values
 
 

@@ -30,6 +30,7 @@ from clmc.models import (
     quadexp_cl_fit,
     quadexp_cl_loglik,
     quadexp_cl_score,
+    quadexp_enumeration_oracle,
 )
 from clmc.models.gamma import gamma_cl_loglik
 from clmc.mvnprob import (
@@ -41,7 +42,6 @@ from clmc.simgen import (
     Exchangeable,
     ScenarioSpec,
     generate,
-    quadexp_enumeration_oracle,
 )
 
 WORKERS = 2

@@ -20,6 +20,7 @@ from clmc.data import ClusteredDataset
 from clmc.harness import preset_config
 from clmc.models import (
     FITTERS,
+    MODELS,
     SeparationError,
     probit_cl_fit,
     probit_cl_score,
@@ -58,6 +59,8 @@ def test_one_registry():
     assert clmc.cli.FITTERS is FITTERS
     assert clmc.harness.FITTERS is FITTERS
     assert set(FITTERS) == set(_SPECS)
+    assert set(MODELS) == set(FITTERS)
+    assert all(FITTERS[n] is MODELS[n].fit for n in MODELS)
 
 
 @pytest.mark.parametrize("rep", [11, 17, 30, 35])

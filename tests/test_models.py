@@ -20,13 +20,13 @@ from clmc.models import (
     quadexp_cl_fit,
     quadexp_cl_loglik,
     quadexp_cl_score,
+    quadexp_enumeration_oracle,
     sandwich,
 )
 from clmc.simgen import (
     Exchangeable,
     ScenarioSpec,
     generate,
-    quadexp_enumeration_oracle,
 )
 
 

@@ -1082,11 +1082,13 @@ class TestUnionBoundScreen:
     @example(kind="below-edge", c=52, seed=0, x=4.0)
     @example(kind="all-pairwise", c=52, seed=0, x=1.5)
     @example(kind="sign-flipped", c=60, seed=3, x=2.5)
+    @example(kind="all-pairwise", c=52, seed=0, x=20.0)
     def test_the_screen_brackets_the_exact_bounds(self, kind, c, seed, x):
         # the all-pairwise V has every |r_ij| on a cell edge (0 or 1/2); the
         # below-edge V is it with the off-diagonal shrunk by 2^-50 (still a
         # correlation matrix), so each 1/2 rounds up across its one ulp.  A
-        # duplicated or sign-flipped row gives pairs with |r_ij| = 1
+        # duplicated or sign-flipped row gives pairs with |r_ij| = 1.  At
+        # x = 20 every pair term lies below the screen's slack
         rng = np.random.default_rng(seed)
         if kind in ("all-pairwise", "below-edge"):
             v = family_corr("all_pairwise", 3 + c % 9)  # c = 3 ... 55
@@ -1146,6 +1148,19 @@ class TestUnionBoundScreen:
         monkeypatch.setattr(mod._UnionBounds, "screen", lambda self, x: (0.0, np.inf, -np.inf))
         for (v, t), got in zip(cases, screened):
             np.testing.assert_array_equal(got, equicoordinate_rejects(v, t, 0.05, TINY))
+
+    def test_a_far_tail_screen_divides_by_no_zero(self, monkeypatch):
+        # every |r_ij| = 0.01 rounds down to 0, whose pair term at 7.38 lies
+        # below the screen's slack: the rounded-down S2 once summed below 0,
+        # and its Dawson-Sankoff bound divided by zero
+        import clmc.mvnprob as mod
+
+        v = 0.99 * np.eye(45) + 0.01
+        t = np.zeros(45)
+        t[3] = 7.38
+        got = equicoordinate_rejects(v, t, 1e-12, TINY)
+        monkeypatch.setattr(mod._UnionBounds, "screen", lambda self, x: (0.0, np.inf, -np.inf))
+        np.testing.assert_array_equal(got, equicoordinate_rejects(v, t, 1e-12, TINY))
 
     def test_a_screened_accept_computes_no_exact_pair_term(self, monkeypatch):
         # all-pairwise p = 10: c = 45, so the exact bounds take c (c - 1) = 1980
@@ -1208,22 +1223,21 @@ class TestAdjustedPValues:
         # in the tail, where rounding once made the bounds infinite or NaN,
         # they stay finite, and E(40) underflows to 0.  A statistic of 0,
         # below the univariate cutoff, is not clipped and keeps p = 1 exactly.
-        # The clip takes the exact bounds, never the grid screen's
+        # The grid screen skips only clips that would move nothing: with it
+        # off, every p-value is the same to the bit
         import clmc.mvnprob as mod
 
-        def never(self, x):
-            raise AssertionError("screened a p-value")
-
-        monkeypatch.setattr(mod._UnionBounds, "screen", never)
         v = family_corr("all_pairwise", 10)
         t = np.zeros(len(v))
         t[:8] = [4.4, -4.6, 5.0, 5.6, -5.9, 6.4, 15.9, -40.0]
-        p = equicoordinate_p_values(v, t, 0.05, QmcConfig(points_per_shift=256, shifts=4,
-                                                         target_abs_error=3e-3, seed=seed))
+        cfg = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=3e-3, seed=seed)
+        p = equicoordinate_p_values(v, t, 0.05, cfg)
         lower, upper = np.array([_UnionBounds(v)(x) for x in np.abs(t[:8])]).T
         assert ((0.0 <= lower) & (lower <= p[:8]) & (p[:8] <= upper)).all()
         assert 0.0 < p[6] < 1e-50 and p[7] == 0.0
         assert (p[8:] == 1.0).all()
+        monkeypatch.setattr(mod._UnionBounds, "screen", lambda self, x: (0.0, np.inf, -np.inf))
+        np.testing.assert_array_equal(p, equicoordinate_p_values(v, t, 0.05, cfg))
 
     def test_rank_one_p_values_are_exact_without_a_pass(self, monkeypatch):
         # every |Z_i| equals |Z_1|: P(max_i |Z_i| > t) = 2 Phi(-|t|), evaluated

@@ -9,7 +9,8 @@ import pytest
 import clmc
 import clmc.cli
 import clmc.inference
-from clmc.simgen import MODELS, ScenarioSpec, generate
+from clmc.models import MODELS
+from clmc.simgen import ScenarioSpec, generate
 
 MODULES = ["clmc"] + [m.name for m in pkgutil.walk_packages(clmc.__path__, "clmc.")]
 
