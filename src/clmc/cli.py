@@ -16,6 +16,7 @@ import csv
 from array import array
 import json
 import sys
+import warnings
 
 import numpy as np
 from scipy.special import ndtr
@@ -47,53 +48,39 @@ def _csv_rows(path: str):
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _plain_quoted(field: str):
-    """The text inside `field` when it is exactly one plain pair of quotes round
-    text without a quote, as csv.reader reads it; else None.  The callers split
-    at commas and line ends first, so a quoted comma or line end never gets here."""
-    inner = field[1:-1]
-    return inner if len(field) > 1 and field[0] == field[-1] == '"' and '"' not in inner else None
-
-
 def _read_fast(path: str):
-    """(id ranks, row clusters, y|x table) from numpy's C parser, or None on any
-    error and wherever numpy could read the file differently from `_read_rows`.
-    R's write.csv quoting (every header name and every id) is read here."""
-    rank, cluster, limit = {}, [], csv.field_size_limit()
+    """(id ranks, row clusters, y|x table) from one pass of numpy's C parser, or
+    None on any error and wherever numpy could read the file differently from
+    `_read_rows`.  numpy unquotes fields as csv.reader does, so R's write.csv
+    quoting (every header name and every id) is read here; a converter ranks
+    the ids in column 0 in order of first appearance."""
+    rank = {}
+
+    def cluster(field: str) -> int:
+        cid = field.strip()
+        if not cid:
+            raise ValueError("empty cluster id")
+        return rank.setdefault(cid, len(rank))
+
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            head = next(fh, "")
-            names = [_plain_quoted(h) if '"' in h else h for h in head.rstrip("\r\n").split(",")]
-            if None in names or len(head) > limit:
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            # csv.reader alone refuses a field longer than its limit, and numpy's
+            # float parser alone reads \x1c-\x1f as whitespace
+            if max(map(len, fh), default=0) > csv.field_size_limit():
                 return None
-            header = [h.strip() for h in names]
+            fh.seek(0)
+            if any(sep in chunk for chunk in iter(lambda: fh.read(1 << 20), "") for sep in "\x1c\x1d\x1e\x1f"):
+                return None
+            fh.seek(0)
+            header = [h.strip() for h in next(csv.reader(fh), [])]
             if len(header) < 3 or header[:2] != ["cluster_id", "y"]:
                 return None
-            for line in fh:
-                if line in ("\n", "\r\n"):
-                    continue
-                cid = line.partition(",")[0]
-                if '"' in line:
-                    # numpy skips column 0 unparsed, so a quoted id is the only quoting it can take
-                    cid = _plain_quoted(cid) if line.count('"') == 2 else None
-                    if cid is None:
-                        return None
-                cid = cid.strip()
-                # numpy fails at a whitespace-only line, so stop at the first; csv.reader
-                # alone handles lone \r line ends and its field size limit, and
-                # \x1c-\x1f are whitespace to numpy but not to float()
-                if (not cid or line.count(",") != len(header) - 1 or len(line) > limit
-                        or line.endswith("\r") or "\x1c" in line or "\x1d" in line
-                        or "\x1e" in line or "\x1f" in line):
-                    return None
-                cluster.append(rank.setdefault(cid, len(rank)))
-        if not cluster:
-            return None
-        table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(1, len(header)),
-                           comments=None, ndmin=2, encoding="utf-8-sig")
-        return (rank, cluster, table) if len(table) == len(cluster) else None
+            warnings.simplefilter("error")  # numpy warns on a file without data rows
+            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                               converters={0: cluster})
     except Exception:
         return None
+    return (rank, table[:, 0].astype(int), table[:, 1:]) if table.shape[1] == len(header) else None
 
 
 def _read_rows(path: str):
@@ -133,8 +120,9 @@ def read_clustered_csv(path: str) -> ClusteredDataset:
     """Parse a long-format clustered CSV; malformed rows fail with their
     line number so problems can be fixed in place.  Clusters are ordered by
     the first appearance of their id and keep their rows in file order, so
-    the rows of one cluster need not be contiguous.  numpy reads plain files;
-    the csv module reads the rest and words every error."""
+    the rows of one cluster need not be contiguous.  numpy reads the file in
+    one pass wherever it reads it as the csv module does; the csv module
+    reads the rest and words every error."""
     rank, cluster, table = _read_fast(path) or _read_rows(path)
     cluster = np.array(cluster)
     table = table[np.argsort(cluster, kind="stable")]

@@ -17,6 +17,7 @@ distinct size.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +93,8 @@ class ScenarioSpec:
     """Description of one simulated clustered-data design.
 
     `m` is either a fixed cluster size or a tuple of sizes sampled uniformly
-    per cluster.  `correlation` drives the within-cluster dependence for the
+    per cluster, stored as an int or a tuple of ints whatever integer type
+    it is given in.  `correlation` drives the within-cluster dependence for the
     gaussian/probit/gamma models; `w` is the association parameter of the
     binary pairwise-interaction model; `nu` the gamma shape.
     `clmc.models.MODELS` says which of these three fields each model reads;
@@ -132,9 +134,11 @@ class ScenarioSpec:
         for name in ("beta", "w", "nu", "x_scale"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not isinstance(self.m, int):
-            object.__setattr__(self, "m", tuple(int(v) for v in self.m))
-        if not self.m or min(np.atleast_1d(self.m)) < 1:
+        sizes = np.atleast_1d(self.m).tolist()
+        if not all(isinstance(v, numbers.Integral) for v in sizes):
+            raise ValueError(f"m must be an integer cluster size or a list of them, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m) if isinstance(self.m, numbers.Integral) else tuple(sizes))
+        if not sizes or min(sizes) < 1:
             raise ValueError(f"m must be a positive cluster size or a nonempty list of them, got {self.m}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")

@@ -261,6 +261,16 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="^m must be a positive cluster size"):
             ScenarioSpec("quadexp", 10, m, 2, np.zeros(2))
 
+    def test_cluster_sizes_of_any_integer_type_are_stored_as_int(self):
+        assert type(ScenarioSpec("mvn", 10, np.int64(4), 2, np.zeros(2)).m) is int
+        spec = ScenarioSpec("quadexp", 10, np.array([3, 4]), 2, np.zeros(2))
+        assert spec.m == (3, 4) and all(type(v) is int for v in spec.m)
+
+    @pytest.mark.parametrize("m", [4.0, (4, 2.5), "4"], ids=["float", "float-entry", "text"])
+    def test_non_integral_cluster_sizes_are_refused_by_name(self, m):
+        with pytest.raises(ValueError, match="^m must be an integer cluster size"):
+            ScenarioSpec("quadexp", 10, m, 2, np.zeros(2))
+
     def test_negative_seed_is_refused_by_name(self):
         # numpy's SeedSequence refuses it only when the first replicate is drawn
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1"):
