@@ -15,6 +15,7 @@ import contextlib
 import csv
 from array import array
 import json
+import re
 import sys
 import warnings
 
@@ -48,6 +49,46 @@ def _csv_rows(path: str):
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+# A quote starts a quoted field where it starts a field: after a comma, a line
+# end or nothing.  csv.reader reads the field up to its closing quote, a
+# doubled quote being one quote of the field, and then what follows up to the
+# next comma or line end; any other quote is a character of its field.
+# At a quote, _QUOTED_FIELD matches the quoted field it opens, or the quote
+# alone; _PLAIN_RUN matches the text up to the first quote that does not open
+# a quoted field closed on its own line.
+_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")*"?[^,\r\n]*|"')
+_PLAIN_RUN = re.compile(r'(?:"(?<![^,\r\n]")[^"\r\n]*(?:""[^"\r\n]*)*"(?!")|[^"]+)*')
+
+
+def _chunks_read_alike(fh, limit: int) -> bool:
+    """Whether numpy reads the text of `fh` as csv.reader does, as far as the
+    longest line cannot tell: it holds none of \x1c-\x1f, which numpy's float
+    parser alone reads as whitespace, and no quoted field longer than `limit`,
+    which csv.reader alone refuses (with no line longer, such a field holds a
+    line end).  One pass in 1 MiB chunks, each read up to its last line end; a
+    quoted field still open there is read again with the next chunk."""
+    text, pos = "", 0
+    while True:
+        chunk = fh.read(1 << 20)
+        if any(sep in chunk for sep in "\x1c\x1d\x1e\x1f"):
+            return False
+        text += chunk
+        end = max(text.rfind("\n"), text.rfind("\r")) + 1 if chunk else len(text)
+        if text.find('"', pos, end) < 0:
+            pos = end
+        while (pos := _PLAIN_RUN.match(text, pos, end).end()) < end:
+            m = _QUOTED_FIELD.match(text, pos, end)
+            if len(m[0]) > limit:
+                return False
+            if m.end() == end and chunk:
+                break  # a quoted field open at the cut: read it again with the next chunk
+            pos = m.end()
+        if not chunk:
+            return True
+        # `pos` follows a line end or is a field's opening quote: a quote there starts a field
+        text, pos = text[pos:], 0
+
+
 def _read_fast(path: str):
     """(id ranks, row clusters, y|x table) from one pass of numpy's C parser, or
     None on any error and wherever numpy could read the file differently from
@@ -64,12 +105,11 @@ def _read_fast(path: str):
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
-            # csv.reader alone refuses a field longer than its limit, and numpy's
-            # float parser alone reads \x1c-\x1f as whitespace
+            # csv.reader alone refuses a field longer than its limit
             if max(map(len, fh), default=0) > csv.field_size_limit():
                 return None
             fh.seek(0)
-            if any(sep in chunk for chunk in iter(lambda: fh.read(1 << 20), "") for sep in "\x1c\x1d\x1e\x1f"):
+            if not _chunks_read_alike(fh, csv.field_size_limit()):
                 return None
             fh.seek(0)
             header = [h.strip() for h in next(csv.reader(fh), [])]

@@ -34,7 +34,9 @@ Sobol sequence is itself a randomized net) to target_abs_error / 20, then
 on the full stack from that root; the point count is sized there at 1
 standard error.  The max-T adjusted p-values P(max_j |Z_j| > |t_i|) need no
 q: `equicoordinate_p_values` starts each on the same prefix and follows the
-3-SE rule, but one within the target of alpha stops as the decisions do.
+3-SE rule, but one within the target of alpha stops as the decisions do, and
+one whose union bounds (below) lie within the target of each other is their
+midpoint, with no QMC pass.
 All estimates are deterministic functions of the configured seed.
 
 A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
@@ -55,7 +57,9 @@ least the whole stack).  Its contract: where the true P is at least twice
 the target from 1 - alpha, no decision is wrong.
 
 Tukey's cutoff is scipy.stats.studentized_range at infinite degrees of
-freedom; the normal and chi-square cutoffs are scipy.special's, at the caller.
+freedom, imported on first use like the Sobol engine, so that a process
+that neither integrates nor needs Tukey's cutoff never loads scipy.stats;
+the normal and chi-square cutoffs are scipy.special's, at the caller.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
-from scipy.stats import qmc, studentized_range
 
 __all__ = [
     "QmcConfig",
@@ -235,6 +238,8 @@ def _reorder(lower, upper, r):
 @functools.lru_cache(maxsize=32)
 def _sobol_stack(dim: int, n: int, shifts: int, seed: int) -> np.ndarray:
     """(shifts, n, dim) stack of independently scrambled Sobol points."""
+    from scipy.stats import qmc  # slow to import: only a process that integrates loads it
+
     out = np.empty((shifts, n, dim))
     for s in range(shifts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(dim, n, s)))
@@ -649,17 +654,22 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
     is estimated by `_estimate` on the cfg stack from its first 1/16 and
     accepted when 3 SEs fit in cfg.target_abs_error, a bound on its true
     error, or, within the target of alpha, at 1 SE on at least the whole
-    stack, as the decisions stop.  Where |t_i| is above the two-sided
-    univariate cutoff, so that the p-value can lie below alpha and its
-    absolute QMC error can pass the value itself, the estimate is then
-    clipped into the exact closed-form bounds of `_UnionBounds` at |t_i|: no
+    stack, as the decisions stop.
+
+    Where |t_i| is above the two-sided univariate cutoff, the exact
+    closed-form bounds of `_UnionBounds` at |t_i| bracket the p-value: no
     such p-value lies above the Kounias bound or below the Dawson-Sankoff
-    bound.  The clip costs no QMC pass but c(c - 1) Owen's T values per
-    statistic, so it skips the smaller |t_i|, whose p-values are at least
-    alpha; there a statistic of 0 keeps p = 1 exactly.  The |r_ij| grid
-    screen comes first: an estimate at least its Dawson-Sankoff ceiling and
-    at most its Kounias floor lies within the exact bounds, and is kept
-    without them."""
+    bound.  Where they are at most cfg.target_abs_error apart, the p-value is
+    their midpoint, off by at most half their gap, and no QMC pass runs.
+    Otherwise the estimate is clipped into them, since far in the tail its
+    absolute QMC error can pass the value itself.  The bounds cost no QMC
+    pass but c(c - 1) Owen's T values per statistic, so they skip the smaller
+    |t_i|, whose p-values are at least alpha; there a statistic of 0 keeps
+    p = 1 exactly.  The |r_ij| grid screen comes first: its upper floor less
+    its lower ceiling is at most the exact gap, so a wider screen sends the
+    statistic to QMC without the exact bounds, and an estimate at least its
+    Dawson-Sankoff ceiling and at most its Kounias floor lies within the
+    exact bounds and is kept without them."""
     v, lo, _ = _cutoff_bracket(corr, alpha)
     abs_t = _abs_statistics(t, len(v.r))
     stack, means_at = v.law(cfg)
@@ -674,17 +684,23 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
             return m >= n and se <= cfg.target_abs_error
         return 3 * se <= cfg.target_abs_error
 
-    probs = [_estimate(functools.partial(means_at, x), stack, n // _PREFIX_SHARE, cfg, done=done)[1]
-             for x in abs_t]
-    p_values = 1.0 - np.clip(probs, 0.0, 1.0)
+    def estimate(x: float) -> float:
+        prob = _estimate(functools.partial(means_at, x), stack, n // _PREFIX_SHARE, cfg, done=done)[1]
+        return 1.0 - min(max(prob, 0.0), 1.0)
 
-    def clipped(p: float, x: float) -> float:
+    def p_value(x: float) -> float:
+        if x <= lo:
+            return estimate(x)
         _, lower_ceiling, upper_floor = v.bounds.screen(x)
-        return p if lower_ceiling <= p <= upper_floor else np.clip(p, *v.bounds(x))
+        bounds = v.bounds(x) if upper_floor - lower_ceiling <= cfg.target_abs_error else None
+        if bounds and bounds[1] - bounds[0] <= cfg.target_abs_error:
+            return 0.5 * (bounds[0] + bounds[1])
+        p = estimate(x)
+        if lower_ceiling <= p <= upper_floor:
+            return p
+        return float(np.clip(p, *(bounds or v.bounds(x))))
 
-    tail = abs_t > lo
-    p_values[tail] = [clipped(p, x) for p, x in zip(p_values[tail], abs_t[tail])]
-    return p_values
+    return np.array([p_value(x) for x in abs_t])
 
 
 # a P(|t_i|) starts on _FIRST_PREFIX points per shift; _SIDE_SES SEs settle its side
@@ -757,4 +773,6 @@ def studentized_range_quantile(k: int, alpha: float) -> float:
         raise ValueError("alpha must be in (0, 1)")
     if k == 2:
         return np.sqrt(2.0) * float(-ndtri(alpha / 2.0))
+    from scipy.stats import studentized_range  # imported on first use, as in _sobol_stack
+
     return float(studentized_range.ppf(1.0 - alpha, k, np.inf))

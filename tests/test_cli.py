@@ -187,6 +187,40 @@ class TestReadClusteredCsv:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:3:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("before", [0, 90_000], ids=["first-chunk", "across-chunks"])
+    @pytest.mark.parametrize("row", [
+        '"' + "a\n" * 70_000 + '",1.0,0.5',
+        'a,"' + "\n" * 140_000 + '1.0",0.5',
+    ], ids=["quoted-id", "quoted-number"])
+    def test_a_long_quoted_field_of_short_lines_is_refused(self, tmp_path, row, before):
+        # every line is short, so only the field's length across its line ends
+        # shows that csv.reader refuses it, and numpy alone would read it.  After
+        # 90 000 short rows (0.99 MB) the field starts in one 1 MiB read and ends in the next
+        path = tmp_path / "long-field.csv"
+        path.write_text("cluster_id,y,x1\n" + "b,1.0,0.25\n" * (before + 1) + row + "\n", newline="")
+        assert cli._read_fast(str(path)) is None
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:\\d+: field larger than field limit"):
+            read_clustered_csv(str(path))
+
+    def test_a_doubled_quote_split_by_a_read_keeps_its_field_whole(self, tmp_path):
+        # the first 1 MiB read ends between the two quotes of a doubled quote;
+        # the field's first line and its rest are each shorter than the limit
+        path = tmp_path / "split-quote.csv"
+        head = "cluster_id,y,x1\n" + "b,1.0,0.25\n" * 86_000
+        field = '"' + "a" * (2**20 - len(head) - 2) + '""' + "\n" * 40_000 + '"'
+        path.write_text(head + field + ",1.0,0.5\n", newline="")
+        assert cli._read_fast(str(path)) is None
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:\\d+: field larger than field limit"):
+            read_clustered_csv(str(path))
+
+    def test_short_quoted_line_ends_across_chunks_stay_on_numpy(self, tmp_path):
+        # R's write.csv quoting, ids holding line ends and doubled quotes, about 2 MB
+        rows = [f'"{i % 7}\n{i % 5}""",{i}.5,{i}\n' for i in range(90_000)]
+        path = tmp_path / "quoted.csv"
+        path.write_text('"cluster_id","y","x1"\n' + "".join(rows), newline="")
+        assert cli._read_fast(str(path)) is not None
+        assert_read_alike(str(path))
+
     def test_non_utf8_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"cluster_id,y,x1\na,1.0,0.5\n\xe9,1.0,0.5\n")

@@ -13,6 +13,7 @@ from clmc.inference import test_statistics as t_statistics
 from clmc.models import FitResult
 from clmc.mvnprob import (
     QmcConfig,
+    _UnionBounds,
     equicoordinate_p_values,
     equicoordinate_quantile,
     equicoordinate_rejects,
@@ -261,16 +262,19 @@ class TestAdjust:
             if offsets[0] != 0.0:
                 assert dec.threshold == cut
 
-    def test_mnq_adjusted_p_is_the_rectangle_estimate(self):
+    def test_mnq_adjusted_p_is_the_rectangle_estimate_or_the_bounds_midpoint(self):
         # with a target no SE misses, neither the quantile nor the rectangle
-        # probability doubles its points, so both integrate on the same stack
+        # probability doubles its points, so both integrate on the same stack.
+        # Above the univariate cutoff (2.9 and 2.2) the union bounds lie within
+        # that target of each other, so those p-values are their midpoints
         cfg = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=1.0, seed=3)
         cf = build_contrasts("many_to_one", 5, baseline=1)
         v = exchangeable(4, 0.5)
         t = np.array([2.9, -0.3, 1.7, -2.2])
         dec = adjust("mnq", t, v, 0.05, cf, cfg)
-        rect = [1.0 - mvn_rectangle_prob(-np.full(4, a), np.full(4, a), v, cfg).value for a in np.abs(t)]
-        assert dec.adjusted_p.tolist() == rect
+        rect = [1.0 - mvn_rectangle_prob(-np.full(4, a), np.full(4, a), v, cfg).value for a in (0.3, 1.7)]
+        assert dec.adjusted_p[1:3].tolist() == rect
+        assert dec.adjusted_p[[0, 3]].tolist() == [0.5 * sum(_UnionBounds(v)(a)) for a in (2.9, 2.2)]
 
     def test_mnq_adjusted_p_meets_the_target_off_the_cutoff(self):
         # the quantile's 256 points meet the target near P = 0.95 but not at

@@ -1219,12 +1219,13 @@ class TestAdjustedPValues:
         # on a 256 x 4 stack the 3-SE stop is absolute, so a p-value below
         # 5e-4 carries QMC error larger than itself: unclipped, at seed 1 the
         # three smaller statistics lay above the Kounias bound and the three
-        # larger below the Dawson-Sankoff bound, at seed 5 all six below.  Far
-        # in the tail, where rounding once made the bounds infinite or NaN,
-        # they stay finite, and E(40) underflows to 0.  A statistic of 0,
-        # below the univariate cutoff, is not clipped and keeps p = 1 exactly.
-        # The grid screen skips only clips that would move nothing: with it
-        # off, every p-value is the same to the bit
+        # larger below the Dawson-Sankoff bound, at seed 5 all six below.  Now
+        # the bounds of each lie within the 3e-3 target, so each p-value is
+        # their midpoint.  Far in the tail, where rounding once made the
+        # bounds infinite or NaN, they stay finite, and E(40) underflows to 0.
+        # A statistic of 0, below the univariate cutoff, keeps p = 1 exactly.
+        # The grid screen moves no p-value: with it off, every p-value is the
+        # same to the bit
         import clmc.mvnprob as mod
 
         v = family_corr("all_pairwise", 10)
@@ -1238,6 +1239,39 @@ class TestAdjustedPValues:
         assert (p[8:] == 1.0).all()
         monkeypatch.setattr(mod._UnionBounds, "screen", lambda self, x: (0.0, np.inf, -np.inf))
         np.testing.assert_array_equal(p, equicoordinate_p_values(v, t, 0.05, cfg))
+
+    def test_bounds_within_the_target_give_their_midpoint_without_a_pass(self, monkeypatch):
+        # c = 45: from about 4.5 on the union bounds lie within 5e-4 of each
+        # other, and each p-value is their midpoint, off the truth by at most
+        # half their gap; no statistic is integrated
+        v = family_corr("all_pairwise", 10)
+        t = np.linspace(4.5, 6.0, len(v)) * np.resize([1.0, -1.0], len(v))
+        calls = _spy_passes(monkeypatch)
+        p = equicoordinate_p_values(v, t, 0.05, QmcConfig())
+        assert calls == []
+        bounds = np.array([_UnionBounds(v)(x) for x in np.abs(t)])
+        assert (bounds[:, 1] - bounds[:, 0] <= 5e-4).all()
+        np.testing.assert_array_equal(p, 0.5 * (bounds[:, 0] + bounds[:, 1]))
+        fine = QmcConfig(points_per_shift=2**14, shifts=8, seed=11, target_abs_error=1.0)
+        for k in (0, 44):
+            x = abs(t[k])
+            ref = mvn_rectangle_prob(-np.full(45, x), np.full(45, x), v, fine)
+            assert abs(p[k] - (1.0 - ref.value)) <= 0.5 * (bounds[k, 1] - bounds[k, 0]) + 4 * ref.std_error
+
+    def test_an_estimate_outside_wide_bounds_is_clipped_into_them(self, monkeypatch):
+        # at 2.8 and c = 45 the bounds are about 0.06 apart, so the p-value is
+        # estimated; an estimate of P = 1 (p = 0) would lie below the
+        # Dawson-Sankoff bound, and is raised onto it
+        import clmc.mvnprob as mod
+
+        v = family_corr("all_pairwise", 10)
+        monkeypatch.setattr(mod, "_estimate", lambda *args, **kwargs: (None, 1.0, 0.0))
+        t = np.zeros(len(v))
+        t[0] = 2.8
+        lower, upper = _UnionBounds(v)(2.8)
+        assert upper - lower > 0.05
+        p = equicoordinate_p_values(v, t, 0.05, QmcConfig())
+        assert p[0] == lower and (p[1:] == 0.0).all()
 
     def test_rank_one_p_values_are_exact_without_a_pass(self, monkeypatch):
         # every |Z_i| equals |Z_1|: P(max_i |Z_i| > t) = 2 Phi(-|t|), evaluated

@@ -1,6 +1,10 @@
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +63,43 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     rows = [line.split() for line in out.splitlines() if " T=" in line]
     assert [(r[0], r[-1] in ("reject", "accept")) for r in rows] == [
         (label, True) for label in clmc.build_contrasts("all_pairwise", 3).labels]
+
+
+# A fresh process runs the commands below, then `then`, and reports after
+# each step whether scipy.stats is loaded.  Importing it takes about as long
+# as the rest of `import clmc`, so only the QMC integrator (its Sobol engine)
+# and Tukey's cutoff load it, each on first use.
+STATS_PROBE = """
+import json, sys
+import numpy as np
+import clmc, clmc.cli
+
+loaded = {"import clmc": "scipy.stats" in sys.modules}
+for argv in %r:
+    assert clmc.cli.main(argv) == 0, argv
+    loaded[argv[0]] = "scipy.stats" in sys.modules
+%s
+loaded["then"] = "scipy.stats" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize("then", [
+    "clmc.equicoordinate_quantile(0.5 * np.eye(3) + 0.5, 0.05)",
+    "clmc.studentized_range_quantile(4, 0.05)",
+], ids=["quantile", "tukey"])
+def test_scipy_stats_is_imported_on_first_use(tmp_path, then):
+    csv = str(tmp_path / "probit.csv")
+    commands = [
+        ["generate", "--preset", "probit-null-rho05-m4-p10", "--seed", "3", "--output", csv],
+        ["fit", "--model", "probit", "--data", csv],
+        ["test", "--model", "probit", "--data", csv, "--contrasts", "many-to-one:1",
+         "--methods", "bonferroni,holm,sidak,scheffe"],
+    ]
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", STATS_PROBE % (commands, then)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == {"import clmc": False, "generate": False, "fit": False, "test": False, "then": True}
