@@ -3,6 +3,8 @@
 Data files are long-format CSV with header ``cluster_id,y,x1,...,xp``: one row
 per observation, rows of one cluster grouped by the shared cluster_id (in
 order of first appearance; file order within a cluster is preserved).
+numpy's C parser reads a file wherever csv.reader would read it alike
+(`_numpy_reads_alike`); csv.reader reads the rest and words every error.
 Reports are emitted as aligned text, CSV, or JSON, and are byte-stable for a
 fixed seed.  The subcommands raise on every failure, and `main` alone reports
 it: one `error: ` line per problem on stderr, exit status 1.
@@ -15,7 +17,6 @@ import contextlib
 import csv
 from array import array
 import json
-import re
 import sys
 import warnings
 
@@ -49,52 +50,36 @@ def _csv_rows(path: str):
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-# A quote starts a quoted field where it starts a field: after a comma, a line
-# end or nothing.  csv.reader reads the field up to its closing quote, a
-# doubled quote being one quote of the field, and then what follows up to the
-# next comma or line end; any other quote is a character of its field.
-# At a quote, _QUOTED_FIELD matches the quoted field it opens, or the quote
-# alone; _PLAIN_RUN matches the text up to the first quote that does not open
-# a quoted field closed on its own line.
-_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")*"?[^,\r\n]*|"')
-_PLAIN_RUN = re.compile(r'(?:"(?<![^,\r\n]")[^"\r\n]*(?:""[^"\r\n]*)*"(?!")|[^"]+)*')
-
-
-def _chunks_read_alike(fh, limit: int) -> bool:
-    """Whether numpy reads the text of `fh` as csv.reader does, as far as the
-    longest line cannot tell: it holds none of \x1c-\x1f, which numpy's float
-    parser alone reads as whitespace, and no quoted field longer than `limit`,
-    which csv.reader alone refuses (with no line longer, such a field holds a
-    line end).  One pass in 1 MiB chunks, each read up to its last line end; a
-    quoted field still open there is read again with the next chunk."""
-    text, pos = "", 0
-    while True:
-        chunk = fh.read(1 << 20)
+def _numpy_reads_alike(fh) -> bool:
+    """Whether numpy reads the text of `fh` as csv.reader does: it holds none
+    of \x1c-\x1f, which numpy's float parser alone reads as whitespace, and no
+    field longer than csv.field_size_limit(), which csv.reader alone refuses.
+    One pass in 1 MiB chunks finds the separators and any quote.  With no
+    quote no field spans a line end, so no line may be longer than the limit;
+    with a quote, csv.reader reads the whole text and raises csv.Error at a
+    field over the limit, its one error on a file opened with newline=""."""
+    limit, longest, tail, quoted = csv.field_size_limit(), 0, "", False
+    while chunk := fh.read(1 << 20):
         if any(sep in chunk for sep in "\x1c\x1d\x1e\x1f"):
             return False
-        text += chunk
-        end = max(text.rfind("\n"), text.rfind("\r")) + 1 if chunk else len(text)
-        if text.find('"', pos, end) < 0:
-            pos = end
-        while (pos := _PLAIN_RUN.match(text, pos, end).end()) < end:
-            m = _QUOTED_FIELD.match(text, pos, end)
-            if len(m[0]) > limit:
-                return False
-            if m.end() == end and chunk:
-                break  # a quoted field open at the cut: read it again with the next chunk
-            pos = m.end()
-        if not chunk:
-            return True
-        # `pos` follows a line end or is a field's opening quote: a quote there starts a field
-        text, pos = text[pos:], 0
+        quoted = quoted or '"' in chunk
+        if not quoted and longest <= limit:
+            lines = (tail + chunk).replace("\r", "\n").split("\n")
+            longest, tail = max(longest, *map(len, lines)), lines[-1]
+    if not quoted:
+        return longest <= limit
+    fh.seek(0)
+    for _ in csv.reader(fh):
+        pass
+    return True
 
 
 def _read_fast(path: str):
     """(id ranks, row clusters, y|x table) from one pass of numpy's C parser, or
-    None on any error and wherever numpy could read the file differently from
-    `_read_rows`.  numpy unquotes fields as csv.reader does, so R's write.csv
-    quoting (every header name and every id) is read here; a converter ranks
-    the ids in column 0 in order of first appearance."""
+    None on any error and wherever `_numpy_reads_alike` cannot show that numpy
+    reads the file as `_read_rows` does.  numpy unquotes fields as csv.reader
+    does, so R's write.csv quoting (every header name and every id) is read
+    here; a converter ranks the ids in column 0 in order of first appearance."""
     rank = {}
 
     def cluster(field: str) -> int:
@@ -105,11 +90,7 @@ def _read_fast(path: str):
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
-            # csv.reader alone refuses a field longer than its limit
-            if max(map(len, fh), default=0) > csv.field_size_limit():
-                return None
-            fh.seek(0)
-            if not _chunks_read_alike(fh, csv.field_size_limit()):
+            if not _numpy_reads_alike(fh):
                 return None
             fh.seek(0)
             header = [h.strip() for h in next(csv.reader(fh), [])]
@@ -308,6 +289,10 @@ def cmd_test(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     qmc = QmcConfig(points_per_shift=args.qmc_points, shifts=args.qmc_shifts, seed=args.seed)
+    for flag, given, size in (("--qmc-points", args.qmc_points, qmc.points_per_shift),
+                              ("--qmc-shifts", args.qmc_shifts, qmc.shifts)):
+        if size > np.iinfo(np.intp).max:
+            raise ValueError(f"{flag} {given} is larger than any array dimension")
     data = _read_valid(args.data)
     cf = _parse_contrasts(args.contrasts, data.p)
     fit = _fit(args, data)

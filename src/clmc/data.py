@@ -15,7 +15,8 @@ off y, so it always agrees with it.  `validate_dataset` returns one
 message per problem the constructor leaves to the data (too few clusters,
 non-finite values), as plain strings.
 A contrast family is a c x p matrix C whose rows define the linear
-hypotheses C_i' beta = 0 tested jointly.
+hypotheses C_i' beta = 0 tested jointly, each row stored at a power-of-two
+scale that leaves its hypothesis as it is.
 """
 
 from __future__ import annotations
@@ -118,7 +119,13 @@ def validate_dataset(d: ClusteredDataset) -> list[str]:
 
 @dataclass(frozen=True)
 class ContrastFamily:
-    """c x p contrast matrix with one label per row (hypothesis C_i' beta = 0)."""
+    """c x p contrast matrix with one label per row (hypothesis C_i' beta = 0).
+
+    Each row is stored scaled by the power of two that brings its largest
+    |weight| into [1, 2); the hypotheses, the statistics and V are those of
+    the rows as given.  The rows of `build_contrasts` are stored as built.
+    Scheffe's rank is that of the scaled rows, so rows that differ in scale
+    by more than about 1/eps still count as independent."""
 
     matrix: np.ndarray
     labels: tuple[str, ...]
@@ -138,6 +145,12 @@ class ContrastFamily:
             raise ValueError("contrast weights must be finite")
         if np.any(np.all(m == 0.0, axis=1)):
             raise ValueError("all-zero contrast row")
+        # T_i and V do not depend on a row's scale: bring each row's largest
+        # |weight| into [1, 2) by a power of two, which rounds no weight that
+        # does not underflow, so C Gamma C' neither overflows nor underflows
+        # with the weights
+        _, exponent = np.frexp(np.abs(m).max(axis=1))
+        object.__setattr__(self, "matrix", np.ldexp(m, 1 - exponent[:, None]))
 
     @property
     def c(self) -> int:

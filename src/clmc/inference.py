@@ -64,6 +64,8 @@ def test_statistics(fit: FitResult, cf: ContrastFamily, n: int) -> np.ndarray:
     c = cf.matrix
     num = c @ theta
     var = np.einsum("ij,jk,ik->i", c, gamma, c) / n
+    if not np.isfinite(var).all():
+        raise ValueError("contrast variance C Gamma C' is not finite")
     if np.any(var <= 0):
         raise ValueError("nonpositive contrast variance; sandwich estimate is degenerate")
     return num / np.sqrt(var)
@@ -72,7 +74,10 @@ def test_statistics(fit: FitResult, cf: ContrastFamily, n: int) -> np.ndarray:
 def correlation_matrix_V(gamma_hat: np.ndarray, cf: ContrastFamily) -> np.ndarray:
     """Correlation matrix of the T vector: standardize D = C Gamma C'."""
     gamma = _beta_block(gamma_hat, cf, "gamma")
-    d = cf.matrix @ gamma @ cf.matrix.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = cf.matrix @ gamma @ cf.matrix.T
+    if not np.isfinite(d).all():
+        raise ValueError("C Gamma C' is not finite; cannot standardize")
     diag = np.diag(d)
     if np.any(diag <= 0):
         raise ValueError("zero contrast variance in D; cannot standardize")

@@ -375,10 +375,12 @@ _MAX_STEPS = 40
 
 def _independence_slope(q: float, p: float) -> float:
     """d Phi^-1(P)/dq at q for P(q) = (2 Phi(q) - 1)^k, the law of k
-    independent coordinates, with k fitted so that P(q) = p."""
+    independent coordinates, with k fitted so that P(q) = p; not positive,
+    which `_secant` takes as no slope, where p or the width rounds to 1."""
     width = 2.0 * ndtr(q) - 1.0
     z = ndtri(p)
-    return float(np.log(p) / np.log(width) * p * 2.0 * np.exp(0.5 * (z * z - q * q)) / width)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.log(p) / np.log(width) * p * 2.0 * np.exp(0.5 * (z * z - q * q)) / width)
 
 
 def _secant(prob_at, q: float, p: float, se: float, slope: float,
@@ -664,12 +666,13 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
     Otherwise the estimate is clipped into them, since far in the tail its
     absolute QMC error can pass the value itself.  The bounds cost no QMC
     pass but c(c - 1) Owen's T values per statistic, so they skip the smaller
-    |t_i|, whose p-values are at least alpha; there a statistic of 0 keeps
-    p = 1 exactly.  The |r_ij| grid screen comes first: its upper floor less
-    its lower ceiling is at most the exact gap, so a wider screen sends the
-    statistic to QMC without the exact bounds, and an estimate at least its
-    Dawson-Sankoff ceiling and at most its Kounias floor lies within the
-    exact bounds and is kept without them."""
+    |t_i|, whose p-values are at least alpha.  Each distinct |t_i| is
+    evaluated once, so statistics of 0, which keep p = 1 exactly, cost one
+    pass however many there are.  The |r_ij| grid screen comes first: its
+    upper floor less its lower ceiling is at most the exact gap, so a wider
+    screen sends the statistic to QMC without the exact bounds, and an
+    estimate at least its Dawson-Sankoff ceiling and at most its Kounias
+    floor lies within the exact bounds and is kept without them."""
     v, lo, _ = _cutoff_bracket(corr, alpha)
     abs_t = _abs_statistics(t, len(v.r))
     stack, means_at = v.law(cfg)
@@ -700,7 +703,8 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
             return p
         return float(np.clip(p, *(bounds or v.bounds(x))))
 
-    return np.array([p_value(x) for x in abs_t])
+    distinct, inverse = np.unique(abs_t, return_inverse=True)
+    return np.array([p_value(x) for x in distinct])[inverse]
 
 
 # a P(|t_i|) starts on _FIRST_PREFIX points per shift; _SIDE_SES SEs settle its side

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -417,6 +419,23 @@ class TestTestCommand:
             "first_vs_second", "first_vs_third",
         ]
 
+    def test_contrast_rows_of_any_scale_print_the_same_line(self, tmp_path, capsys):
+        # at 1e160 C Gamma C' once overflowed to t = 0, p = 1; at 1e-160 it
+        # underflowed to a "nonpositive contrast variance"
+        data = tmp_path / "mvn.csv"
+        assert main(["generate", "--preset", "mvn-null-rho0-m4-p10", "--seed", "3",
+                     "--output", str(data)]) == 0
+        lines = []
+        for s in ("1", "1e150", "1e160", "1e-160", "1e-170"):
+            cpath = tmp_path / "row.csv"
+            cpath.write_text(f"a,{s},-{s},0,0,0,0,0,0,0,0\n")
+            assert main(["test", "--model", "mvn", "--data", str(data),
+                         "--contrasts", f"file:{cpath}", "--methods", "mnq,bonferroni"]) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            lines.append(out.out.splitlines()[1])
+        assert lines == [lines[0]] * 5 and lines[0].split()[1] == "0.654267"
+
     def test_contrast_file_skips_whitespace_only_lines(self, mvn_csv, tmp_path, capsys):
         cpath = tmp_path / "contrasts.csv"
         cpath.write_text("first_vs_second,1,-1,0\n  \n\t\nfirst_vs_third,1,0,-1\n  ")
@@ -626,6 +645,16 @@ class TestErrorPath:
         out = capsys.readouterr()
         assert rc == 1
         assert out.err.startswith("error: Unable to allocate") and out.err.count("\n") == 1
+
+    # no array has such a dimension; 2^62 + 1 points round up to 2^63
+    @pytest.mark.parametrize("flag, value", [("--qmc-points", str(10**20)), ("--qmc-shifts", str(10**20)),
+                                             ("--qmc-points", str(2**62 + 1))])
+    def test_qmc_size_without_an_array_shape_names_the_flag(self, mvn_csv, capsys, flag, value):
+        rc = main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", "many-to-one:1",
+                   flag, value])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        assert out.err == f"error: {flag} {value} is larger than any array dimension\n"
 
     def test_impossible_scenario_allocation_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -892,6 +921,80 @@ class TestGenerateCommand:
             err = capsys.readouterr().err
             assert rc == 1
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# every fit and test run ends in finite numbers or in one error line
+
+TINY_SPECS = {
+    "mvn": ScenarioSpec("mvn", 30, 3, 3, np.array([0.5, -0.2, 0.0]), Exchangeable(0.8, 0.3), seed=41),
+    "probit": ScenarioSpec("probit", 60, 3, 3, np.array([0.3, -0.2, 0.0]), Exchangeable(1.0, 0.3),
+                           seed=42),
+    "quadexp": ScenarioSpec("quadexp", 60, (3, 4), 3, np.array([0.4, 0.1, -0.2]), w=0.3, seed=43,
+                            x_row_corr=0.3),
+    "gamma": ScenarioSpec("gamma", 40, 3, 3, np.array([0.3, -0.2, 0.1]), nu=2.0, seed=44),
+}
+EXTREME_WEIGHTS = [0.0, 1.0, 1e-320, -1e-320, 1e-170, -1e-170, 1e160, -1e160, 1e308, -1e308]
+
+
+@pytest.fixture(scope="module")
+def tiny_csvs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    paths = {model: str(root / f"{model}.csv") for model in TINY_SPECS}
+    for model, spec in TINY_SPECS.items():
+        write_clustered_csv(generate(spec), paths[model])
+    return paths, root / "contrasts.csv"
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, contrast file text) of one `clmc fit` or `clmc test` run."""
+    model = draw(st.sampled_from(sorted(TINY_SPECS)))
+    argv = [draw(st.sampled_from(["fit", "test"])), "--model", model, "--format", "json"]
+    argv += ["--naive"] * draw(st.booleans())
+    if argv[0] == "fit":
+        return argv, ""
+    p = TINY_SPECS[model].p
+    weights = st.lists(st.sampled_from(EXTREME_WEIGHTS), min_size=p, max_size=p)
+    rows = draw(st.lists(weights, min_size=1, max_size=4))
+    rows += draw(st.sampled_from([[], rows[:1], [[0.0] * p]]))  # a duplicate or all-zero row
+    text = "".join(f"h{i}," + ",".join(map(repr, r)) + "\n" for i, r in enumerate(rows))
+    contrasts = draw(st.one_of(
+        st.just("all-pairwise"),
+        st.sampled_from(["0", "1", "3", "4", "-1", "x", ""]).map("many-to-one:{}".format),
+        st.just("file:{}")))
+    methods = draw(st.sampled_from(["mnq,bonferroni,sidak,holm,scheffe", "tukey,mnq"]))
+    argv += ["--contrasts", contrasts, "--methods", methods,
+             "--alpha", repr(draw(st.one_of(st.floats(1e-4, 0.5), st.floats(0.0, 1.0)))),
+             "--qmc-points", str(draw(st.sampled_from([16, 64, 100, 1]))),
+             "--qmc-shifts", str(draw(st.sampled_from([3, 5, 2])))]
+    return argv, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=cli_runs())
+@example(run=(["test", "--model", "mvn", "--format", "json", "--contrasts", "file:{}",
+               "--methods", "mnq,bonferroni", "--alpha", "0.05", "--qmc-points", "64",
+               "--qmc-shifts", "3"], "h0,1e160,-1e160,0.0\n"))
+def test_every_run_ends_in_finite_numbers_or_one_error_line(tiny_csvs, run):
+    # numpy warnings are errors in this suite, so a run that warns fails here too
+    paths, cpath = tiny_csvs
+    argv, text = run
+    cpath.write_text(text)
+    argv = [a.format(cpath) for a in argv] + ["--data", paths[argv[2]]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 1:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().startswith("error: ")
+        return
+    assert rc == 0 and err.getvalue() == ""
+    report = json.loads(out.getvalue())
+    rows = report if argv[0] == "fit" else report["hypotheses"] + report["methods"]
+    numbers = [v for row in rows for k, v in row.items()
+               if k in ("estimate", "se", "p_value", "t", "threshold") or k.endswith("_adj_p")]
+    assert all(np.isfinite(float(v)) for v in numbers if v not in ("", "step-down")), rows
 
 
 def test_each_subcommand_keeps_its_option_strings():

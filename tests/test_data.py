@@ -122,6 +122,15 @@ class TestContrastFamily:
         with pytest.raises(ValueError, match=f"^{message}"):
             ContrastFamily(np.array(matrix), labels, kind)
 
+    def test_rows_are_stored_at_a_power_of_two_scale(self):
+        given = np.array([[1e160, -1e160, 0.0], [1e-320, 0.0, -3e-320], [3.0, 1.5, -0.25]])
+        m = ContrastFamily(given, ("a", "b", "c")).matrix
+        assert ((np.abs(m).max(axis=1) >= 1.0) & (np.abs(m).max(axis=1) < 2.0)).all()
+        # each row is the given one times a power of two, read off its first weight
+        shift = np.frexp(m[:, 0])[1] - np.frexp(given[:, 0])[1]
+        np.testing.assert_array_equal(np.ldexp(given, shift[:, None]), m)
+        np.testing.assert_array_equal(m[2], [1.5, 0.75, -0.125])
+
 
 class TestValidateDataset:
     def test_valid_dataset_empty_report(self):

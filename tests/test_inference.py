@@ -101,6 +101,24 @@ class TestTestStatistics:
         with pytest.raises(ValueError):
             t_statistics(make_fit([1.0, 0.0], gamma), cf, 10)
 
+    def test_row_scale_leaves_the_statistic_as_it_is(self):
+        fit = make_fit([0.3, -0.1, 0.2], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 3.0]])
+        base = ContrastFamily(np.array([[1.0, -1.0, 0.0]]), ("h",))
+        t = t_statistics(fit, base, 40)
+        v = correlation_matrix_V(fit.gamma_hat, base)
+        for s in (1e150, 1e160, 1e300, 1e-160, 1e-170, 1e-300):
+            cf = ContrastFamily(np.array([[s, -s, 0.0]]), ("h",))
+            assert t_statistics(fit, cf, 40) == pytest.approx(t, rel=1e-14)
+            np.testing.assert_array_equal(correlation_matrix_V(fit.gamma_hat, cf), v)
+
+    def test_non_finite_contrast_variance_is_refused_by_name(self):
+        cf = ContrastFamily(np.array([[1.0, 1.0]]), ("h",))
+        fit = make_fit([1.0, 0.0], np.full((2, 2), 1e308))
+        with pytest.raises(ValueError, match="^contrast variance C Gamma C' is not finite"):
+            t_statistics(fit, cf, 10)
+        with pytest.raises(ValueError, match="^C Gamma C' is not finite"):
+            correlation_matrix_V(fit.gamma_hat, cf)
+
     def test_fit_narrower_than_the_contrasts_is_refused(self):
         cf = build_contrasts("many_to_one", 3, baseline=1)
         with pytest.raises(ValueError, match="^theta: contrasts address 3 parameters, fit has 2"):

@@ -747,6 +747,17 @@ class TestQuantileRoot:
         assert res.q == pytest.approx(ndtri(0.975), abs=0.05)
 
 
+def test_a_cutoff_where_p_rounds_to_1_is_searched_without_a_slope():
+    # at alpha = 2^-52, 1 - alpha is below 1, but P and 2 Phi(q) - 1 both
+    # round to 1 at the Bonferroni cutoff: the first slope was 0 / 0, and
+    # numpy warned before the search fell back to bisection
+    v = np.full((3, 3), 0.3)
+    np.fill_diagonal(v, 1.0)
+    alpha = 2.0**-52
+    q = equicoordinate_quantile(v, alpha, QmcConfig(points_per_shift=16, shifts=3))
+    assert float(-ndtri(alpha / 2.0)) <= q <= float(-ndtri(alpha / 6.0))
+
+
 class TestSecantSafeguards:
     """`_secant` on synthetic laws P(q): the steps that leave the bracket."""
 
@@ -1287,6 +1298,28 @@ class TestAdjustedPValues:
         p = equicoordinate_p_values(np.ones((len(t), len(t))), t, 0.05, QmcConfig())
         np.testing.assert_allclose(p, 2.0 * ndtr(-np.abs(t)), rtol=0.0, atol=1e-15)
         assert [m for _, m, _ in calls] == [1] * len(t)
+
+    def test_each_distinct_statistic_is_estimated_once(self, monkeypatch):
+        # 190 statistics of 0 once took 190 passes; a |t| shared by several
+        # statistics is estimated once and its p-value given to each
+        import clmc.mvnprob as mod
+
+        v = family_corr("all_pairwise", 10)
+        t = np.zeros(len(v))
+        t[:6] = [1.2, -1.2, 0.7, 1.2, -0.7, 1.5]
+        cfg = QmcConfig(points_per_shift=256, shifts=4, seed=3)
+        want = np.array([equicoordinate_p_values(v, [x] + [0.0] * (len(v) - 1), 0.05, cfg)[0]
+                         for x in t])
+        xs, real = [], mod._estimate
+
+        def spy(per_shift_means, *args, **kwargs):
+            xs.append(per_shift_means.args[0])  # the |t| of functools.partial(means_at, |t|)
+            return real(per_shift_means, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "_estimate", spy)
+        p = equicoordinate_p_values(v, t, 0.05, cfg)
+        assert xs == [0.0, 0.7, 1.2, 1.5]
+        np.testing.assert_array_equal(p, want)
 
 
 def test_estimate_doubling_integrates_only_the_new_points():
