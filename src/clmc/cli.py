@@ -295,6 +295,10 @@ def cmd_test(args) -> int:
             raise ValueError(f"{flag} {given} is larger than any array dimension")
     data = _read_valid(args.data)
     cf = _parse_contrasts(args.contrasts, data.p)
+    # the Sobol stack holds shifts x points x (c - 1) coordinates, 8 bytes each
+    if qmc.shifts * qmc.points_per_shift * max(cf.c - 1, 1) * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"--qmc-shifts {args.qmc_shifts} and --qmc-points {args.qmc_points} "
+                         "ask for a Sobol stack larger than any array")
     fit = _fit(args, data)
     if not fit.converged:
         raise RuntimeError("fit did not converge")

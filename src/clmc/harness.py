@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -67,6 +68,9 @@ class ExperimentConfig:
     compute_efficiency: bool = False
 
     def __post_init__(self):
+        for name in ("replicates", "workers"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.workers < 1:

@@ -34,9 +34,9 @@ Sobol sequence is itself a randomized net) to target_abs_error / 20, then
 on the full stack from that root; the point count is sized there at 1
 standard error.  The max-T adjusted p-values P(max_j |Z_j| > |t_i|) need no
 q: `equicoordinate_p_values` starts each on the same prefix and follows the
-3-SE rule, but one within the target of alpha stops as the decisions do, and
-one whose union bounds (below) lie within the target of each other is their
-midpoint, with no QMC pass.
+3-SE rule, but one within the target of alpha stops as the decisions do, one
+whose union bounds (below) lie within the target of each other is their
+midpoint, with no QMC pass, and a statistic of 0 has p = 1 exactly.
 All estimates are deterministic functions of the configured seed.
 
 A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
@@ -45,15 +45,12 @@ decision rule, runs no search: it takes each statistic between the
 univariate and Bonferroni cutoffs, largest first.  Closed-form bounds on
 1 - P from the union's single and pairwise terms (Dawson & Sankoff 1967
 below, Kounias 1968 above; the pairs by Owen's T) settle its side first
-when they clear alpha, exactly and with no factor or QMC point.  A screen
-on a 64-cell grid of the |r_ij| comes before the c(c - 1)/2 exact pair
-terms: each pair term rises with |r_ij|, so rounding every |r_ij| up or
-down brackets both bounds.  An accept the screen proves, the exact lower
-bound proves too, and where it shows that neither exact bound can clear
-alpha the exact sum is skipped, so the screen moves no decision.  Otherwise
-P is taken from a 64-point prefix per shift, doubled until 4 standard
-errors settle the side of 1 - alpha (or 1 SE fits in the target on at
-least the whole stack).  Its contract: where the true P is at least twice
+when they clear alpha, exactly and with no factor or QMC point;
+`_UnionBounds` states how a grid screen and the exact pair sums are
+tiered, for the decisions and the p-values alike.  Otherwise P is taken
+from a 64-point prefix per shift, doubled until 4 standard errors settle
+the side of 1 - alpha (or 1 SE fits in the target on at least the whole
+stack).  Its contract: where the true P is at least twice
 the target from 1 - alpha, no decision is wrong.
 
 Tukey's cutoff is scipy.stats.studentized_range at infinite degrees of
@@ -487,78 +484,93 @@ class _UnionBounds:
     from S1 = sum_i P(|Z_i| > x) and S2 = sum_{i < j} p_ij, the pair terms
     p_ij = P(|Z_i| > x, |Z_j| > x) = 4 [Phi(-x) - T(x, a) - T(x, 1/a)],
     a = sqrt((1 - |r_ij|) / (1 + |r_ij|)), T Owen's function (Owen 1956).
+    This is the one account of how the mnq decisions and p-values read them.
 
-    Called at x, it returns the exact bounds: the lower is Dawson & Sankoff's
-    (1967), the upper Kounias's (1968), S1 - max_j sum_{i != j} p_ij.  Both
+    The exact bounds, returned by a call at x: Dawson & Sankoff's (1967)
+    below and Kounias's (1968) above, S1 - max_j sum_{i != j} p_ij.  Both
     are exact at c = 2 and at rank one.  They cost two Owen's T values for
-    each of the c(c - 1)/2 pairs, set up on the first call.
+    each of the c(c - 1)/2 pairs, and are computed at most once per x, so
+    the decisions and the p-values of one V share them.
 
-    `screen(x)` brackets them from a grid of _SCREEN_CELLS cells in |r_ij|,
-    at two Owen's T values per edge used.  p_ij rises with |r_ij| (Sidak
-    1968), the Dawson-Sankoff bound falls as S2 grows and the Kounias bound
-    as any row's sum grows.  So with every |r_ij| rounded up, the
-    Dawson-Sankoff bound is at most the exact one and the Kounias bound at
-    most the exact one; with every |r_ij| rounded down, the Dawson-Sankoff
-    bound is at least the exact one.  An accept the first proves, the exact
-    lower bound proves as well; where the other two show that neither exact
-    bound can clear alpha, the exact terms would settle nothing.  Either way
-    the screen cannot move a decision.  It runs only where it needs fewer
-    pair terms than the exact sum, and elsewhere returns (0, inf, -inf).
+    The screen, `screen(x)`, brackets them from a grid of _SCREEN_CELLS
+    cells in |r_ij|, at two Owen's T values per edge used (at most 130).
+    p_ij rises with |r_ij| (Sidak 1968), the Dawson-Sankoff bound falls as S2
+    grows and the Kounias bound as any row's sum grows.  So with every
+    |r_ij| rounded up, the Dawson-Sankoff bound is at most the exact one (the
+    lower floor) and the Kounias bound at most the exact one (the upper
+    floor); with every |r_ij| rounded down, the Dawson-Sankoff bound is at
+    least the exact one (the lower ceiling).
+
+    The tiers.  Every statistic the bounds see is screened first; the exact
+    sum runs only where the screen cannot tell what it would show.
+    - A decision (`equicoordinate_rejects`) accepts where the lower floor
+      clears alpha, since the exact lower bound then clears it too.  Where
+      the lower ceiling clears alpha it asks whether the exact lower bound
+      does, and where the upper floor lies below alpha whether the exact
+      upper bound does; elsewhere neither exact bound could settle it.
+    - A p-value (`equicoordinate_p_values`) is the midpoint of the exact
+      bounds where they lie within the target of each other.  It asks for
+      them only where the upper floor less the lower ceiling, at most their
+      gap, is within the target.  Otherwise it is estimated: an estimate
+      between the lower ceiling and the upper floor lies within the exact
+      bounds and is kept, and one outside is clipped into them.
+    So the screen moves no decision and no p-value.
     """
 
     def __init__(self, r: np.ndarray):
         self._c = c = len(r)
         self._i, self._j = _pair_indices(c)
         self._rho = np.minimum(np.abs(r[self._i, self._j]), 1.0)
+        self._known: dict[float, tuple[float, float]] = {}
         # rho * _SCREEN_CELLS is exact in binary floating point, so each rho
         # lies between its edges down / _SCREEN_CELLS and up / _SCREEN_CELLS exactly
         scaled = self._rho * _SCREEN_CELLS
         up, down = np.ceil(scaled).astype(np.intp), np.floor(scaled).astype(np.intp)
         n = len(_SCREEN_EDGES)
-        n_up, n_down = np.bincount(up, minlength=n), np.bincount(down, minlength=n)
-        edges = np.flatnonzero(n_up + n_down)
-        self._grid = None
-        if len(edges) < len(self._rho):
-            # rows_up[k, e]: the pairs of row k whose |r_ij| rounds up to edge e
-            rows_up = np.bincount(np.concatenate([self._i, self._j]) * n + np.concatenate([up, up]),
-                                  minlength=c * n).reshape(c, n)
-            self._grid = (edges, *_slopes(_SCREEN_EDGES[edges]), n_up, n_down, rows_up)
+        self._n_up, self._n_down = np.bincount(up, minlength=n), np.bincount(down, minlength=n)
+        self._edges = np.flatnonzero(self._n_up + self._n_down)
+        self._edge_slopes = _slopes(_SCREEN_EDGES[self._edges])
+        # rows_up[k, e]: the pairs of row k whose |r_ij| rounds up to edge e
+        self._rows_up = np.bincount(np.concatenate([self._i, self._j]) * n + np.concatenate([up, up]),
+                                    minlength=c * n).reshape(c, n)
 
     @functools.cached_property
-    def _exact(self) -> tuple[np.ndarray, np.ndarray]:
+    def _pair_slopes(self) -> tuple[np.ndarray, np.ndarray]:
         return _slopes(self._rho)
 
     def screen(self, x: float) -> tuple[float, float, float]:
-        """From the grid: a Dawson-Sankoff bound at most the exact one, one at
-        least the exact one, and a Kounias bound at most the exact one."""
+        """The lower floor, the lower ceiling and the upper floor at x."""
         tail = float(ndtr(-x))
-        if self._grid is None or tail == 0.0:
-            return 0.0, np.inf, -np.inf
-        edges, slopes, tied, n_up, n_down, rows_up = self._grid
+        if tail == 0.0:
+            return 0.0, 0.0, 0.0  # E(x) rounds to 0, and so does every bound
         terms = np.zeros(len(_SCREEN_EDGES))
-        terms[edges] = _pair_terms(x, tail, slopes, tied)
+        terms[self._edges] = _pair_terms(x, tail, *self._edge_slopes)
         slack, s1 = _SCREEN_SLACK * tail, 2.0 * tail * self._c
         # far in the tail every pair term can fall below the slack: S2 >= 0,
         # and DS(s1, 0) = s1 is still at least the exact bound
-        return (_dawson_sankoff(s1, float(n_up @ (terms + slack))),
-                _dawson_sankoff(s1, max(float(n_down @ (terms - slack)), 0.0)),
-                s1 - float((rows_up @ (terms + slack)).max()))
+        return (_dawson_sankoff(s1, float(self._n_up @ (terms + slack))),
+                _dawson_sankoff(s1, max(float(self._n_down @ (terms - slack)), 0.0)),
+                s1 - float((self._rows_up @ (terms + slack)).max()))
 
     def __call__(self, x: float) -> tuple[float, float]:
+        """The exact lower and upper bounds at x, summed on the first call at x."""
         tail = float(ndtr(-x))
         if tail == 0.0:
             return 0.0, 0.0
-        pair = _pair_terms(x, tail, *self._exact)
-        s1, c = 2.0 * tail * self._c, self._c
-        upper = s1 - float((np.bincount(self._i, pair, c) + np.bincount(self._j, pair, c)).max())
-        return _dawson_sankoff(s1, float(pair.sum())), upper
+        if x not in self._known:
+            pair = _pair_terms(x, tail, *self._pair_slopes)
+            s1, c = 2.0 * tail * self._c, self._c
+            upper = s1 - float((np.bincount(self._i, pair, c) + np.bincount(self._j, pair, c)).max())
+            self._known[x] = _dawson_sankoff(s1, float(pair.sum())), upper
+        return self._known[x]
 
 
 class _PreparedV:
     """A correlation matrix validated once, with its union bounds and its
     factor each built on first use.  The mnq functions take one in place of
     corr, so that `inference.adjust("mnq")` validates V once, and factors and
-    bounds it at most once, for its decisions, cutoff and p-values."""
+    bounds it at most once, for its decisions, cutoff and p-values, which
+    share the exact bounds at each statistic."""
 
     def __init__(self, corr):
         self.r = _prepare_correlation(corr)
@@ -658,21 +670,15 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
     error, or, within the target of alpha, at 1 SE on at least the whole
     stack, as the decisions stop.
 
-    Where |t_i| is above the two-sided univariate cutoff, the exact
-    closed-form bounds of `_UnionBounds` at |t_i| bracket the p-value: no
-    such p-value lies above the Kounias bound or below the Dawson-Sankoff
-    bound.  Where they are at most cfg.target_abs_error apart, the p-value is
-    their midpoint, off by at most half their gap, and no QMC pass runs.
-    Otherwise the estimate is clipped into them, since far in the tail its
-    absolute QMC error can pass the value itself.  The bounds cost no QMC
-    pass but c(c - 1) Owen's T values per statistic, so they skip the smaller
-    |t_i|, whose p-values are at least alpha.  Each distinct |t_i| is
-    evaluated once, so statistics of 0, which keep p = 1 exactly, cost one
-    pass however many there are.  The |r_ij| grid screen comes first: its
-    upper floor less its lower ceiling is at most the exact gap, so a wider
-    screen sends the statistic to QMC without the exact bounds, and an
-    estimate at least its Dawson-Sankoff ceiling and at most its Kounias
-    floor lies within the exact bounds and is kept without them."""
+    Where |t_i| is above the two-sided univariate cutoff, the union bounds
+    of `_UnionBounds` at |t_i| bracket the p-value.  Where they are at most
+    cfg.target_abs_error apart, the p-value is their midpoint, off by at
+    most half their gap, and no QMC pass runs; otherwise the estimate is
+    clipped into them, since far in the tail its absolute QMC error can pass
+    the value itself (`_UnionBounds` says when the exact pair sums run).
+    The smaller |t_i|, whose p-values are at least alpha, skip the bounds.
+    Each distinct |t_i| is evaluated once, and a statistic of 0 has p = 1
+    exactly, with no QMC pass."""
     v, lo, _ = _cutoff_bracket(corr, alpha)
     abs_t = _abs_statistics(t, len(v.r))
     stack, means_at = v.law(cfg)
@@ -692,16 +698,16 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
         return 1.0 - min(max(prob, 0.0), 1.0)
 
     def p_value(x: float) -> float:
+        if x == 0.0:
+            return 1.0  # P(max_j |Z_j| <= 0) = 0
         if x <= lo:
             return estimate(x)
         _, lower_ceiling, upper_floor = v.bounds.screen(x)
-        bounds = v.bounds(x) if upper_floor - lower_ceiling <= cfg.target_abs_error else None
-        if bounds and bounds[1] - bounds[0] <= cfg.target_abs_error:
-            return 0.5 * (bounds[0] + bounds[1])
+        lower, upper = v.bounds(x) if upper_floor - lower_ceiling <= cfg.target_abs_error else (0.0, np.inf)
+        if upper - lower <= cfg.target_abs_error:
+            return 0.5 * (lower + upper)
         p = estimate(x)
-        if lower_ceiling <= p <= upper_floor:
-            return p
-        return float(np.clip(p, *(bounds or v.bounds(x))))
+        return p if lower_ceiling <= p <= upper_floor else float(np.clip(p, *v.bounds(x)))
 
     distinct, inverse = np.unique(abs_t, return_inverse=True)
     return np.array([p_value(x) for x in distinct])[inverse]
@@ -721,12 +727,10 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
     |t_i| > q iff P(|t_i|) = P(max_j |Z_j| <= |t_i|) > 1 - alpha (Hothorn,
     Bretz & Westfall 2008).  A |t_i| at most the univariate cutoff is
     accepted, one above the Bonferroni cutoff rejected.  The others are taken
-    largest first.  Closed-form bounds on 1 - P(|t_i|) (`_UnionBounds`)
+    largest first.  Closed-form bounds on 1 - P(|t_i|) (`_UnionBounds`, which
+    says when its grid screen suffices and when the exact pair sums run)
     settle a side first when they clear alpha: such a decision is exact, and
-    needs neither the factor of corr nor any QMC point.  Their |r_ij| grid
-    screen comes first: an accept it proves, the exact lower bound proves
-    too, and where it shows that neither exact bound can clear alpha, the
-    exact pair terms are not computed.  So the screen moves no decision.
+    needs neither the factor of corr nor any QMC point.
     Otherwise, at rank one the univariate cutoff is q, and P is estimated on
     a 64-point prefix per shift of the cfg stack, doubled by `_estimate`
     until 4 SEs separate it from 1 - alpha, 1 SE fits in
@@ -747,16 +751,11 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
 
     accept_above, reject_below = alpha * (1.0 + _BOUND_MARGIN), alpha * (1.0 - _BOUND_MARGIN)
     for x in between:
-        # the grid proves an accept of the exact lower bound, or that neither exact bound settles x
         lower_floor, lower_ceiling, upper_floor = v.bounds.screen(x)
-        if lower_floor > accept_above:
+        if lower_floor > accept_above or (lower_ceiling > accept_above and v.bounds(x)[0] > accept_above):
             return abs_t > x
-        if lower_ceiling > accept_above or upper_floor < reject_below:
-            lower, upper = v.bounds(x)
-            if lower > accept_above:
-                return abs_t > x
-            if upper < reject_below:
-                continue
+        if upper_floor < reject_below and v.bounds(x)[1] < reject_below:
+            continue
         stack, means_at = v.law(cfg)
         if stack is None:
             return abs_t > lo

@@ -6,8 +6,9 @@ datasets.  It draws the cluster sizes, then the covariates, then the
 responses of spec.model by that model's draw in `clmc.models.MODELS`, the
 one table of the models, which also names the model-specific `ScenarioSpec`
 fields each draw reads.  A `ScenarioSpec` refuses on construction every
-scenario its model cannot draw, whose fields it would not read, or with a
-non-finite value, so generation never fails on a configuration.
+scenario its model cannot draw, whose fields it would not read, with a
+count that is not an integer or with a non-finite value, so generation never
+fails on a configuration.
 Covariates are freshly sampled standard normals for every cluster.  Rows
 are built stacked: each random quantity is one batched draw in the order
 of a loop over clusters, and the within-cluster algebra runs once per
@@ -105,8 +106,9 @@ class ScenarioSpec:
     one cluster correlate at r while every entry stays marginally N(0, 1).
     At 0 the rows are independent, at 1 every subject in a cluster shares one
     covariate vector (a cluster-level design).  `x_scale` multiplies the
-    covariates, setting their marginal standard deviation.  A non-finite
-    value, or a scenario its model could not draw, raises ValueError
+    covariates, setting their marginal standard deviation.  An `n`, `p` or
+    `seed` that is not an integer (numpy integers are), a non-finite value,
+    or a scenario its model could not draw, raises ValueError
     (`_check_drawable`).
     """
 
@@ -125,6 +127,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        for name in ("n", "p", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.n < 2:
             raise ValueError("need at least 2 clusters")
         beta = np.asarray(self.beta, dtype=float)

@@ -656,6 +656,16 @@ class TestErrorPath:
         assert rc == 1 and out.out == ""
         assert out.err == f"error: {flag} {value} is larger than any array dimension\n"
 
+    # each flag is an array dimension, but their Sobol stack (c - 1 = 1 coordinate) has no array
+    @pytest.mark.parametrize("shifts, points", [(2**62, 2**40), (3, 2**62)])
+    def test_qmc_stack_without_an_array_names_both_flags(self, mvn_csv, capsys, shifts, points):
+        rc = main(["test", "--model", "mvn", "--data", mvn_csv, "--contrasts", "many-to-one:1",
+                   "--qmc-shifts", str(shifts), "--qmc-points", str(points)])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        assert out.err == (f"error: --qmc-shifts {shifts} and --qmc-points {points} "
+                           "ask for a Sobol stack larger than any array\n")
+
     def test_impossible_scenario_allocation_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"model": "mvn", "n": 10**17, "m": 4, "p": 2,

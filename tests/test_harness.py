@@ -50,6 +50,16 @@ class TestRunExperiment:
             assert ps.reject_rates.shape == (3,)
         assert s.efficiency is not None and 0.0 < s.efficiency <= 1.05
 
+    @pytest.mark.parametrize("field, value", [("replicates", 2.5), ("workers", 1.5), ("replicates", 40.0)])
+    def test_non_integral_counts_are_refused_by_name(self, field, value):
+        # each once built a config whose run_experiment died with a TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            small_config(**{field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        s = run_experiment(small_config(replicates=np.int64(3), workers=np.int32(1), compute_efficiency=False))
+        assert s.replicates_completed + s.failures == 3
+
     def test_scheffe_rank_is_computed_once_per_family(self, monkeypatch):
         # adjust("scheffe") once ran matrix_rank, an SVD of C, on every replicate
         calls, real = [], np.linalg.matrix_rank

@@ -1188,12 +1188,6 @@ class TestUnionBoundScreen:
         assert not got.any()
         assert sizes and max(sizes) <= 2 * 65 < 45 * 44
 
-    def test_small_families_keep_the_exact_sum(self):
-        # the three pairs of this c = 3 V round to at least three grid edges,
-        # so the screen would cost more than the exact sum: it does not run
-        v = factor_model_corr(3, 0, np.random.default_rng(1))
-        assert _UnionBounds(v).screen(2.2) == (0.0, np.inf, -np.inf)
-
 
 class TestAdjustedPValues:
     @pytest.mark.parametrize("name, points", [
@@ -1272,7 +1266,8 @@ class TestAdjustedPValues:
     def test_an_estimate_outside_wide_bounds_is_clipped_into_them(self, monkeypatch):
         # at 2.8 and c = 45 the bounds are about 0.06 apart, so the p-value is
         # estimated; an estimate of P = 1 (p = 0) would lie below the
-        # Dawson-Sankoff bound, and is raised onto it
+        # Dawson-Sankoff bound, and is raised onto it.  The statistics of 0
+        # are not estimated: their p-value is 1
         import clmc.mvnprob as mod
 
         v = family_corr("all_pairwise", 10)
@@ -1282,7 +1277,7 @@ class TestAdjustedPValues:
         lower, upper = _UnionBounds(v)(2.8)
         assert upper - lower > 0.05
         p = equicoordinate_p_values(v, t, 0.05, QmcConfig())
-        assert p[0] == lower and (p[1:] == 0.0).all()
+        assert p[0] == lower and (p[1:] == 1.0).all()
 
     def test_rank_one_p_values_are_exact_without_a_pass(self, monkeypatch):
         # every |Z_i| equals |Z_1|: P(max_i |Z_i| > t) = 2 Phi(-|t|), evaluated
@@ -1300,8 +1295,9 @@ class TestAdjustedPValues:
         assert [m for _, m, _ in calls] == [1] * len(t)
 
     def test_each_distinct_statistic_is_estimated_once(self, monkeypatch):
-        # 190 statistics of 0 once took 190 passes; a |t| shared by several
-        # statistics is estimated once and its p-value given to each
+        # 190 statistics of 0 once took 190 passes, and now take none; a |t|
+        # shared by several statistics is estimated once and its p-value
+        # given to each
         import clmc.mvnprob as mod
 
         v = family_corr("all_pairwise", 10)
@@ -1318,8 +1314,39 @@ class TestAdjustedPValues:
 
         monkeypatch.setattr(mod, "_estimate", spy)
         p = equicoordinate_p_values(v, t, 0.05, cfg)
-        assert xs == [0.0, 0.7, 1.2, 1.5]
+        assert xs == [0.7, 1.2, 1.5]
         np.testing.assert_array_equal(p, want)
+
+    def test_statistics_of_0_take_no_pass(self, monkeypatch):
+        # P(max_j |Z_j| <= 0) = 0, so p = 1 exactly with no QMC estimate
+        import clmc.mvnprob as mod
+
+        calls = []
+        monkeypatch.setattr(mod, "_estimate", lambda *args, **kwargs: calls.append(None) or (None, 0.5, 0.0))
+        p = equicoordinate_p_values(family_corr("all_pairwise", 10), np.zeros(45), 0.05, QmcConfig())
+        assert calls == [] and (p == 1.0).all()
+
+    def test_decisions_and_p_values_share_the_exact_bounds(self, monkeypatch):
+        # all-pairwise p = 4, c = 6: the exact bounds take c (c - 1) = 30 Owen's
+        # T values, the grid 4.  Just below the Bonferroni cutoff (2.638) the
+        # decision needs the exact upper bound to reject 2.63, and with a 0.01
+        # target the p-values of 2.63 and 3.1 are the midpoints of their exact
+        # bounds.  adjust("mnq") sums the pairs once per statistic
+        import clmc.mvnprob as mod
+
+        xs, real = [], mod.owens_t
+
+        def spy(x, a):
+            if len(a) == 30:
+                xs.append(float(x))
+            return real(x, a)
+
+        monkeypatch.setattr(mod, "owens_t", spy)
+        t = np.array([0.0, 2.63, 0.0, -3.1, 0.0, 0.0])
+        d = adjust("mnq", t, family_corr("all_pairwise", 4), 0.05, build_contrasts("all_pairwise", 4),
+                   QmcConfig(target_abs_error=0.01))
+        assert d.reject.tolist() == [False, True, False, True, False, False]
+        assert sorted(xs) == [2.63, 3.1]
 
 
 def test_estimate_doubling_integrates_only_the_new_points():

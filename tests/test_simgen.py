@@ -271,6 +271,17 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="^m must be an integer cluster size"):
             ScenarioSpec("quadexp", 10, m, 2, np.zeros(2))
 
+    @pytest.mark.parametrize("field, value", [("n", 200.5), ("p", 3.0), ("seed", 1.5), ("n", "200")])
+    def test_non_integral_counts_are_refused_by_name(self, field, value):
+        # each once built a spec whose generate() died with a TypeError
+        spec = dict(model="mvn", n=200, m=4, p=3, beta=np.zeros(3), seed=1)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            ScenarioSpec(**{**spec, field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        spec = ScenarioSpec("mvn", np.int64(20), 4, np.int32(2), np.zeros(2), seed=np.uint64(3))
+        assert datasets_equal(generate(spec), generate(ScenarioSpec("mvn", 20, 4, 2, np.zeros(2), seed=3)))
+
     def test_negative_seed_is_refused_by_name(self):
         # numpy's SeedSequence refuses it only when the first replicate is drawn
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1"):
