@@ -75,6 +75,9 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a real number, got {self.alpha}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.compute_efficiency and self.scenario.model != "mvn":

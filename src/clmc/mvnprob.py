@@ -53,20 +53,23 @@ the side of 1 - alpha (or 1 SE fits in the target on at least the whole
 stack).  Its contract: where the true P is at least twice
 the target from 1 - alpha, no decision is wrong.
 
-Tukey's cutoff is scipy.stats.studentized_range at infinite degrees of
-freedom, imported on first use like the Sobol engine, so that a process
-that neither integrates nor needs Tukey's cutoff never loads scipy.stats;
-the normal and chi-square cutoffs are scipy.special's, at the caller.
+The scrambled Sobol points are scipy.stats.qmc.Sobol's, bit for bit, built
+in numpy (`_sobol_stack`), so a process that integrates never loads
+scipy.stats.  Tukey's cutoff, scipy.stats.studentized_range at infinite
+degrees of freedom, is the only user of scipy.stats and imports it on first
+use; the normal and chi-square cutoffs are scipy.special's, at the caller.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.special import ndtr, ndtri, owens_t
 
 __all__ = [
@@ -116,6 +119,9 @@ class QmcConfig:
             raise ValueError("points_per_shift must be at least 16")
         if self.shifts < 3:
             raise ValueError("need at least 3 shifts for an error estimate")
+        if not isinstance(self.target_abs_error, numbers.Real):
+            raise ValueError(f"target_abs_error must be a real number, got {self.target_abs_error}")
+        object.__setattr__(self, "target_abs_error", float(self.target_abs_error))
         if not 0.0 < self.target_abs_error < np.inf:
             raise ValueError(f"target_abs_error must be positive and finite, got {self.target_abs_error}")
         if self.seed < 0:
@@ -232,16 +238,66 @@ def _reorder(lower, upper, r):
     return lower[order], upper[order], r[np.ix_(order, order)]
 
 
+@functools.cache
+def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
+    """Joe & Kuo's (2008) primitive polynomials and initial direction numbers,
+    from the table scipy ships, read without importing scipy.stats (which
+    takes about as long as the rest of `import clmc`)."""
+    with np.load(os.path.join(scipy.__path__[0], "stats", "_sobol_direction_numbers.npz")) as table:
+        return table["poly"], table["vinit"]
+
+
 @functools.lru_cache(maxsize=32)
 def _sobol_stack(dim: int, n: int, shifts: int, seed: int) -> np.ndarray:
-    """(shifts, n, dim) stack of independently scrambled Sobol points."""
-    from scipy.stats import qmc  # slow to import: only a process that integrates loads it
+    """(shifts, n, dim) stack of independently scrambled Sobol points.
+
+    Shift s is bit for bit scipy.stats.qmc.Sobol(dim, scramble=True) seeded
+    with default_rng(SeedSequence(seed, spawn_key=(dim, n, s))), built here in
+    numpy so that no integrating process imports scipy.stats: the Joe & Kuo
+    (2008) direction numbers that scipy ships, extended to 30 bits by the
+    Bratley & Fox (1988) recurrence; the linear matrix scramble plus digital
+    shift (LMS + shift) drawn, as scipy does, from the child generator it
+    spawns; and the points in Gray-code order, filled by block doubling.
+    """
+    bits = 30  # scipy's default
+    poly, vinit = _sobol_table()
+    if dim > len(poly):
+        raise ValueError(f"Maximum supported dimensionality is {len(poly)}")
+    poly, vinit = poly[:dim], vinit[:dim]
+    # direction numbers: column j of row d from its primitive polynomial of
+    # degree deg, v_j = v_{j-deg} ^ XOR_k a_k 2^k v_{j-k}, a_k its bit deg-k
+    deg = np.frexp(poly)[1] - 1
+    k = np.arange(1, vinit.shape[1] + 1)
+    coef = (poly[:, None] >> np.maximum(deg[:, None] - k, 0)) & (k <= deg[:, None])
+    v = np.zeros((dim, bits), np.int64)
+    v[:, :vinit.shape[1]] = vinit
+    v[:1] = 1
+    rows = np.arange(dim)
+    for j in range(1, bits):
+        kj = k[:j]
+        new = v[rows, j - deg] ^ np.bitwise_xor.reduce((v[:, j - kj] << kj) * coef[:, :j], axis=1)
+        v[:, j] = np.where(j >= deg, new, v[:, j])
+    order = np.arange(bits)
+    msb = bits - 1 - order
+    digits = (v << msb)[:, :, None] >> msb & 1  # digit i of v_j, most significant first
 
     out = np.empty((shifts, n, dim))
+    pts = np.empty((n, dim), np.uint32)
     for s in range(shifts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(dim, n, s)))
-        eng = qmc.Sobol(d=dim, scramble=True, seed=rng)
-        out[s] = eng.random(n)
+        # scipy draws from the first child of the generator it is passed
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(dim, n, s, 0))))
+        pts[0] = rng.integers(0, 2, (dim, bits), np.uint32) @ (1 << order)
+        ltm = np.tril(rng.integers(0, 2, (dim, bits, bits), np.uint32))
+        ltm[:, order, order] = 1
+        # scrambled v_j = L v_j over GF(2): the XOR of the columns of L at v_j's digits
+        cols = (ltm << msb[:, None]).sum(axis=1)
+        sv = np.bitwise_xor.reduce(digits * cols[:, None, :], axis=2).astype(np.uint32)
+        # Gray-code order: point 2^i + j is point 2^i - 1 - j with direction i flipped
+        for i in range((n - 1).bit_length()):
+            h = 1 << i
+            m = min(h, n - h)
+            np.bitwise_xor(pts[h - 1::-1][:m], sv[:, i], out=pts[h:h + m])
+        np.multiply(pts, 2.0 ** -bits, out=out[s])
     out.setflags(write=False)
     return out
 
@@ -776,6 +832,6 @@ def studentized_range_quantile(k: int, alpha: float) -> float:
         raise ValueError("alpha must be in (0, 1)")
     if k == 2:
         return np.sqrt(2.0) * float(-ndtri(alpha / 2.0))
-    from scipy.stats import studentized_range  # imported on first use, as in _sobol_stack
+    from scipy.stats import studentized_range  # slow to import: only Tukey's cutoff loads it
 
     return float(studentized_range.ppf(1.0 - alpha, k, np.inf))

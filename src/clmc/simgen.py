@@ -136,6 +136,10 @@ class ScenarioSpec:
         object.__setattr__(self, "beta", beta)
         if len(beta) != self.p:
             raise ValueError(f"beta has length {len(beta)}, expected p={self.p}")
+        for name in ("w", "nu", "x_row_corr", "x_scale"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)}")
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("beta", "w", "nu", "x_scale"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

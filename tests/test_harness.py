@@ -56,6 +56,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
             small_config(**{field: value})
 
+    def test_non_real_alpha_is_refused_by_name(self):
+        # it once raised a TypeError that named no field
+        with pytest.raises(ValueError, match="^alpha must be a real number, got 0.05$"):
+            small_config(alpha="0.05")
+
     def test_numpy_integer_counts_are_accepted(self):
         s = run_experiment(small_config(replicates=np.int64(3), workers=np.int32(1), compute_efficiency=False))
         assert s.replicates_completed + s.failures == 3

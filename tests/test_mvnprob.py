@@ -25,6 +25,7 @@ from clmc.mvnprob import (
     _quantile,
     _secant,
     _sobol_stack,
+    _sobol_table,
     _trapezoidal_cholesky,
     _UnionBounds,
     equicoordinate_p_values,
@@ -374,6 +375,8 @@ class TestStudentizedRange:
     ("points_per_shift", 4096.0, "points_per_shift must be an integer, got 4096.0"),
     ("shifts", 12.5, "shifts must be an integer, got 12.5"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
+    # a string once raised a TypeError that named no field
+    ("target_abs_error", "5e-4", "target_abs_error must be a real number, got 5e-4"),
 ])
 def test_qmc_config_validation(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -1370,3 +1373,45 @@ def test_estimate_doubling_integrates_only_the_new_points():
     pts, _, _ = _estimate(means, stack, 16, cfg, done=lambda n, p, se: n == 128)
     assert [b.shape[1] for b in blocks] == [16, 16, 32, 128]
     assert pts is blocks[-1] and pts.shape[1] == 128
+
+
+# ---------------------------------------------------------------------------
+# the numpy Sobol engine against the scipy.stats.qmc construction it replaced
+
+
+def scipy_sobol_stack(dim, n, shifts, seed):
+    """The stack as `_sobol_stack` built it from scipy.stats.qmc.Sobol."""
+    from scipy.stats import qmc
+
+    return np.stack([
+        qmc.Sobol(d=dim, scramble=True,
+                  seed=np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(dim, n, s)))).random(n)
+        for s in range(shifts)])
+
+
+# every dim, n and shift count below meets every seed; the largest dims and
+# point counts are not crossed, to keep each stack under 30 MB
+SOBOL_CASES = [(1, 16, 3), (2, 65536, 12), (9, 64, 12), (18, 4096, 12), (18, 65536, 3),
+               (44, 64, 3), (189, 16, 12), (189, 4096, 3)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240801])
+@pytest.mark.parametrize("dim, n, shifts", SOBOL_CASES)
+def test_sobol_stack_is_scipys_bit_for_bit(dim, n, shifts, seed):
+    # __wrapped__ keeps these stacks out of the cache the other tests share
+    np.testing.assert_array_equal(_sobol_stack.__wrapped__(dim, n, shifts, seed),
+                                  scipy_sobol_stack(dim, n, shifts, seed), strict=True)
+
+
+def test_sobol_stack_is_read_only():
+    stack = _sobol_stack(3, 16, 3, 0)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 0.5
+
+
+def test_sobol_stack_refuses_a_dim_beyond_the_direction_table():
+    # refused before any point is built
+    assert len(_sobol_table()[0]) == 21201
+    with pytest.raises(ValueError, match="Maximum supported dimensionality is 21201"):
+        _sobol_stack.__wrapped__(21202, 16, 3, 0)

@@ -66,40 +66,53 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
 
 
 # A fresh process runs the commands below, then `then`, and reports after
-# each step whether scipy.stats is loaded.  Importing it takes about as long
-# as the rest of `import clmc`, so only the QMC integrator (its Sobol engine)
-# and Tukey's cutoff load it, each on first use.
+# each step whether scipy.stats is loaded and how many times it has asked
+# for a Sobol stack.  Importing scipy.stats takes about as long as the rest
+# of `import clmc`, so only Tukey's cutoff loads it, on first use; the QMC
+# integrator builds its Sobol points in numpy and never does.
 STATS_PROBE = """
 import json, sys
 import numpy as np
 import clmc, clmc.cli
+from clmc.mvnprob import _sobol_stack
 
-loaded = {"import clmc": "scipy.stats" in sys.modules}
-for argv in %r:
+def step():
+    info = _sobol_stack.cache_info()
+    return ["scipy.stats" in sys.modules, info.hits + info.misses]
+
+steps = {"import clmc": step()}
+for name, argv in %r:
     assert clmc.cli.main(argv) == 0, argv
-    loaded[argv[0]] = "scipy.stats" in sys.modules
+    steps[name] = step()
 %s
-loaded["then"] = "scipy.stats" in sys.modules
-print(json.dumps(loaded))
+steps["then"] = step()
+print(json.dumps(steps))
 """
 
 
-@pytest.mark.parametrize("then", [
-    "clmc.equicoordinate_quantile(0.5 * np.eye(3) + 0.5, 0.05)",
-    "clmc.studentized_range_quantile(4, 0.05)",
+@pytest.mark.parametrize("then, then_loads", [
+    ("clmc.equicoordinate_quantile(0.5 * np.eye(3) + 0.5, 0.05)", False),
+    ("clmc.studentized_range_quantile(4, 0.05)", True),
 ], ids=["quantile", "tukey"])
-def test_scipy_stats_is_imported_on_first_use(tmp_path, then):
+def test_scipy_stats_is_imported_on_first_use(tmp_path, then, then_loads):
     csv = str(tmp_path / "probit.csv")
     commands = [
-        ["generate", "--preset", "probit-null-rho05-m4-p10", "--seed", "3", "--output", csv],
-        ["fit", "--model", "probit", "--data", csv],
-        ["test", "--model", "probit", "--data", csv, "--contrasts", "many-to-one:1",
-         "--methods", "bonferroni,holm,sidak,scheffe"],
+        ("generate", ["generate", "--preset", "probit-null-rho05-m4-p10", "--seed", "3", "--output", csv]),
+        ("fit", ["fit", "--model", "probit", "--data", csv]),
+        ("test", ["test", "--model", "probit", "--data", csv, "--contrasts", "many-to-one:1",
+                  "--methods", "bonferroni,holm,sidak,scheffe"]),
+        ("test mnq", ["test", "--model", "probit", "--data", csv, "--contrasts", "many-to-one:1"]),
+        ("simulate", ["simulate", "--preset", "gamma-null-correlated", "--replicates", "40", "--seed", "1"]),
     ]
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", STATS_PROBE % (commands, then)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    loaded = json.loads(run.stdout.splitlines()[-1])
-    assert loaded == {"import clmc": False, "generate": False, "fit": False, "test": False, "then": True}
+    steps = json.loads(run.stdout.splitlines()[-1])
+    # the default methods (mnq among them) integrate, in `test` and in the
+    # simulation's replicates, and still load no scipy.stats
+    assert steps["test"][1] == 0 < steps["test mnq"][1] < steps["simulate"][1]
+    loaded = {name: stats for name, (stats, _) in steps.items()}
+    assert loaded == {"import clmc": False, "generate": False, "fit": False, "test": False,
+                      "test mnq": False, "simulate": False, "then": then_loads}

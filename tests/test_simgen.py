@@ -278,6 +278,21 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
             ScenarioSpec(**{**spec, field: value})
 
+    @pytest.mark.parametrize("field, model", [("x_row_corr", "mvn"), ("x_scale", "mvn"),
+                                              ("w", "quadexp"), ("nu", "gamma")])
+    def test_non_real_parameters_are_refused_by_name(self, field, model):
+        # each once raised a TypeError that named no field
+        spec = dict(model=model, n=200, m=4, p=3, beta=np.zeros(3), seed=1)
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got 0.5$"):
+            ScenarioSpec(**{**spec, field: "0.5"})
+
+    def test_numpy_float_parameters_are_accepted(self):
+        spec = ScenarioSpec("quadexp", 20, 3, 2, np.zeros(2), w=np.float64(0.3), seed=3,
+                            x_row_corr=np.float32(0.5), x_scale=np.float64(2.0))
+        assert datasets_equal(generate(spec), generate(ScenarioSpec("quadexp", 20, 3, 2, np.zeros(2), w=0.3,
+                                                                    seed=3, x_row_corr=0.5, x_scale=2.0)))
+        assert ScenarioSpec("gamma", 20, 3, 2, np.zeros(2), nu=np.float64(2.0)).nu == 2.0
+
     def test_numpy_integer_counts_are_accepted(self):
         spec = ScenarioSpec("mvn", np.int64(20), 4, np.int32(2), np.zeros(2), seed=np.uint64(3))
         assert datasets_equal(generate(spec), generate(ScenarioSpec("mvn", 20, 4, 2, np.zeros(2), seed=3)))
