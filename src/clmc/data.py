@@ -22,6 +22,7 @@ scale that leaves its hypothesis as it is.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,11 +175,15 @@ def build_contrasts(kind: str, p: int, baseline: int | None = None) -> ContrastF
     index ascending; all-pairwise rows enumerate index pairs (i, j), i < j,
     in lexicographic order with +1 on i and -1 on j.
     """
+    if not isinstance(p, numbers.Integral):
+        raise ValueError(f"p must be an integer, got {p}")
     if p < 2:
         raise ValueError(f"need p >= 2 parameters to compare, got {p}")
     if kind == "many_to_one":
         if baseline is None:
             raise ValueError("many_to_one requires a baseline index")
+        if not isinstance(baseline, numbers.Integral):
+            raise ValueError(f"baseline must be an integer, got {baseline}")
         if not 1 <= baseline <= p:
             raise ValueError(f"baseline must be in 1..{p}, got {baseline}")
         pairs = [(baseline - 1, j) for j in range(p) if j != baseline - 1]

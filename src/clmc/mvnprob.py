@@ -43,11 +43,10 @@ A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
 (Hothorn, Bretz & Westfall 2008), so `equicoordinate_rejects`, the one mnq
 decision rule, runs no search: it takes each statistic between the
 univariate and Bonferroni cutoffs, largest first.  Closed-form bounds on
-1 - P from the union's single and pairwise terms (Dawson & Sankoff 1967
-below, Kounias 1968 above; the pairs by Owen's T) settle its side first
-when they clear alpha, exactly and with no factor or QMC point;
-`_UnionBounds` states how a grid screen and the exact pair sums are
-tiered, for the decisions and the p-values alike.  Otherwise P is taken
+1 - P from the union's single and pairwise terms (`_UnionBounds`: Dawson &
+Sankoff 1967 below, Hunter 1976 above; the pairs by Owen's T) settle its
+side first when they clear alpha, exactly and with no factor or QMC point.
+Otherwise P is taken
 from a 64-point prefix per shift, doubled until 4 standard errors settle
 the side of 1 - alpha (or 1 SE fits in the target on at least the whole
 stack).  Its contract: where the true P is at least twice
@@ -492,24 +491,10 @@ def _abs_statistics(t, c: int) -> np.ndarray:
     return np.abs(flat)
 
 
-# The union bounds' screen rounds each |r_ij| to the edges k / _SCREEN_CELLS,
-# k = 0..._SCREEN_CELLS, on either side of it; every edge is exact in binary
-# floating point.  A screened pair term carries _SCREEN_SLACK * Phi(-x) on its
-# side, thousands of times the rounding of a pair term (a difference of values
-# at most Phi(-x)), so each screened sum stays on its side of the exact sum
-# as computed too.
-_SCREEN_CELLS = 64
-_SCREEN_EDGES = np.arange(_SCREEN_CELLS + 1) / _SCREEN_CELLS
-_SCREEN_SLACK = 2.0**-40
-
-
-@functools.lru_cache(maxsize=16)
-def _pair_indices(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(c, 1), read-only and built once per c."""
-    i, j = np.triu_indices(c, 1)
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
+# The union bounds' lower bound rounds each |r_ij| up to the edges
+# k / _GRID_CELLS, k = 0..._GRID_CELLS; every edge is exact in binary floating point.
+_GRID_CELLS = 64
+_GRID_EDGES = np.arange(_GRID_CELLS + 1) / _GRID_CELLS
 
 
 def _slopes(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -535,98 +520,84 @@ def _dawson_sankoff(s1: float, s2: float) -> float:
     return 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0))
 
 
+def _spanning_tree(w: np.ndarray) -> np.ndarray:
+    """The weights of the edges of a maximum spanning tree of the complete
+    graph with weights w (symmetric), by Prim's algorithm from vertex 0."""
+    w = w.copy()
+    w[:, 0] = -np.inf  # a column is -inf once its vertex is in the tree
+    best = w[0].copy()  # the heaviest edge from each vertex outside the tree into it
+    edges = np.empty(len(w) - 1)
+    for n in range(len(edges)):
+        k = best.argmax()
+        edges[n], best[k] = best[k], -np.inf
+        w[:, k] = -np.inf
+        np.maximum(best, w[k], out=best)
+    return edges
+
+
 class _UnionBounds:
     """Closed-form bounds on E(x) = P(max_i |Z_i| > x), Z ~ N(0, r), x > 0,
-    from S1 = sum_i P(|Z_i| > x) and S2 = sum_{i < j} p_ij, the pair terms
+    from S1 = sum_i P(|Z_i| > x) and the pair terms
     p_ij = P(|Z_i| > x, |Z_j| > x) = 4 [Phi(-x) - T(x, a) - T(x, 1/a)],
     a = sqrt((1 - |r_ij|) / (1 + |r_ij|)), T Owen's function (Owen 1956).
-    This is the one account of how the mnq decisions and p-values read them.
+    p_ij rises with |r_ij| at every x (Sidak 1968).  A call at x returns
+    (lower, upper), both exact at c = 2 and at rank one; the mnq decisions
+    and p-values read nothing else.
 
-    The exact bounds, returned by a call at x: Dawson & Sankoff's (1967)
-    below and Kounias's (1968) above, S1 - max_j sum_{i != j} p_ij.  Both
-    are exact at c = 2 and at rank one.  They cost two Owen's T values for
-    each of the c(c - 1)/2 pairs, and are computed at most once per x, so
-    the decisions and the p-values of one V share them.
+    `lower(x)` is the larger of two bounds.  One is Dawson & Sankoff's
+    (1967) on S2 = sum_{i < j} p_ij with every |r_ij| rounded up to the
+    grid k / _GRID_CELLS: the bound falls as S2 grows, so it holds, and it
+    costs two Owen's T values per grid edge used (at most 130).  The other
+    is the union of the least correlated pair, 4 Phi(-x) - p_ij, at two more.
 
-    The screen, `screen(x)`, brackets them from a grid of _SCREEN_CELLS
-    cells in |r_ij|, at two Owen's T values per edge used (at most 130).
-    p_ij rises with |r_ij| (Sidak 1968), the Dawson-Sankoff bound falls as S2
-    grows and the Kounias bound as any row's sum grows.  So with every
-    |r_ij| rounded up, the Dawson-Sankoff bound is at most the exact one (the
-    lower floor) and the Kounias bound at most the exact one (the upper
-    floor); with every |r_ij| rounded down, the Dawson-Sankoff bound is at
-    least the exact one (the lower ceiling).
-
-    The tiers.  Every statistic the bounds see is screened first; the exact
-    sum runs only where the screen cannot tell what it would show.
-    - A decision (`equicoordinate_rejects`) accepts where the lower floor
-      clears alpha, since the exact lower bound then clears it too.  Where
-      the lower ceiling clears alpha it asks whether the exact lower bound
-      does, and where the upper floor lies below alpha whether the exact
-      upper bound does; elsewhere neither exact bound could settle it.
-    - A p-value (`equicoordinate_p_values`) is the midpoint of the exact
-      bounds where they lie within the target of each other.  It asks for
-      them only where the upper floor less the lower ceiling, at most their
-      gap, is within the target.  Otherwise it is estimated: an estimate
-      between the lower ceiling and the upper floor lies within the exact
-      bounds and is kept, and one outside is clipped into them.
-    So the screen moves no decision and no p-value.
+    `upper(x)` is Hunter's (1976), S1 - sum p_ij over the edges of a
+    spanning tree of the pairs, here a maximum spanning tree by |r_ij|.
+    Since p_ij rises with |r_ij|, that tree is the best at every x, and the
+    bound is never looser than Kounias's (1968), the best star.  It costs
+    two Owen's T values per tree edge, c - 1 of them; the tree is built on
+    the first call.
     """
 
     def __init__(self, r: np.ndarray):
-        self._c = c = len(r)
-        self._i, self._j = _pair_indices(c)
-        self._rho = np.minimum(np.abs(r[self._i, self._j]), 1.0)
-        self._known: dict[float, tuple[float, float]] = {}
-        # rho * _SCREEN_CELLS is exact in binary floating point, so each rho
-        # lies between its edges down / _SCREEN_CELLS and up / _SCREEN_CELLS exactly
-        scaled = self._rho * _SCREEN_CELLS
-        up, down = np.ceil(scaled).astype(np.intp), np.floor(scaled).astype(np.intp)
-        n = len(_SCREEN_EDGES)
-        self._n_up, self._n_down = np.bincount(up, minlength=n), np.bincount(down, minlength=n)
-        self._edges = np.flatnonzero(self._n_up + self._n_down)
-        self._edge_slopes = _slopes(_SCREEN_EDGES[self._edges])
-        # rows_up[k, e]: the pairs of row k whose |r_ij| rounds up to edge e
-        self._rows_up = np.bincount(np.concatenate([self._i, self._j]) * n + np.concatenate([up, up]),
-                                    minlength=c * n).reshape(c, n)
+        self._rho = rho = np.minimum(np.abs(r), 1.0)
+        # rho * _GRID_CELLS is exact in binary floating point, so each rho is
+        # at most its edge up / _GRID_CELLS.  The unit diagonal is taken out
+        # of the last edge, and each pair's two entries count one half each
+        up = np.bincount(np.ceil(rho * _GRID_CELLS).astype(np.intp).ravel(), minlength=len(_GRID_EDGES))
+        up[-1] -= len(r)
+        edges = np.flatnonzero(up)
+        self._n_up = 0.5 * up[edges]
+        # the last slopes are the least correlated pair's (the unit diagonal at c = 1)
+        self._grid_slopes = _slopes(np.append(_GRID_EDGES[edges], rho.min()))
 
     @functools.cached_property
-    def _pair_slopes(self) -> tuple[np.ndarray, np.ndarray]:
-        return _slopes(self._rho)
+    def _tree_slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _slopes(_spanning_tree(self._rho))
 
-    def screen(self, x: float) -> tuple[float, float, float]:
-        """The lower floor, the lower ceiling and the upper floor at x."""
+    def lower(self, x: float) -> float:
         tail = float(ndtr(-x))
         if tail == 0.0:
-            return 0.0, 0.0, 0.0  # E(x) rounds to 0, and so does every bound
-        terms = np.zeros(len(_SCREEN_EDGES))
-        terms[self._edges] = _pair_terms(x, tail, *self._edge_slopes)
-        slack, s1 = _SCREEN_SLACK * tail, 2.0 * tail * self._c
-        # far in the tail every pair term can fall below the slack: S2 >= 0,
-        # and DS(s1, 0) = s1 is still at least the exact bound
-        return (_dawson_sankoff(s1, float(self._n_up @ (terms + slack))),
-                _dawson_sankoff(s1, max(float(self._n_down @ (terms - slack)), 0.0)),
-                s1 - float((self._rows_up @ (terms + slack)).max()))
+            return 0.0  # E(x) rounds to 0, and so does every bound
+        terms = _pair_terms(x, tail, *self._grid_slopes)
+        return max(_dawson_sankoff(2.0 * tail * len(self._rho), float(self._n_up @ terms[:-1])),
+                   4.0 * tail - terms[-1])
+
+    def upper(self, x: float) -> float:
+        tail = float(ndtr(-x))
+        return 2.0 * tail * len(self._rho) - float(_pair_terms(x, tail, *self._tree_slopes).sum())
 
     def __call__(self, x: float) -> tuple[float, float]:
-        """The exact lower and upper bounds at x, summed on the first call at x."""
-        tail = float(ndtr(-x))
-        if tail == 0.0:
-            return 0.0, 0.0
-        if x not in self._known:
-            pair = _pair_terms(x, tail, *self._pair_slopes)
-            s1, c = 2.0 * tail * self._c, self._c
-            upper = s1 - float((np.bincount(self._i, pair, c) + np.bincount(self._j, pair, c)).max())
-            self._known[x] = _dawson_sankoff(s1, float(pair.sum())), upper
-        return self._known[x]
+        lower = self.lower(x)
+        # where the two bounds are equal, as with two distinct statistics or
+        # far in the tail, rounding can leave the upper one an ulp below
+        return lower, max(self.upper(x), lower)
 
 
 class _PreparedV:
     """A correlation matrix validated once, with its union bounds and its
     factor each built on first use.  The mnq functions take one in place of
     corr, so that `inference.adjust("mnq")` validates V once, and factors and
-    bounds it at most once, for its decisions, cutoff and p-values, which
-    share the exact bounds at each statistic."""
+    bounds it at most once, for its decisions, cutoff and p-values."""
 
     def __init__(self, corr):
         self.r = _prepare_correlation(corr)
@@ -731,8 +702,8 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
     cfg.target_abs_error apart, the p-value is their midpoint, off by at
     most half their gap, and no QMC pass runs; otherwise the estimate is
     clipped into them, since far in the tail its absolute QMC error can pass
-    the value itself (`_UnionBounds` says when the exact pair sums run).
-    The smaller |t_i|, whose p-values are at least alpha, skip the bounds.
+    the value itself.  The smaller |t_i|, whose p-values are at least
+    alpha, skip the bounds.
     Each distinct |t_i| is evaluated once, and a statistic of 0 has p = 1
     exactly, with no QMC pass."""
     v, lo, _ = _cutoff_bracket(corr, alpha)
@@ -758,12 +729,10 @@ def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig())
             return 1.0  # P(max_j |Z_j| <= 0) = 0
         if x <= lo:
             return estimate(x)
-        _, lower_ceiling, upper_floor = v.bounds.screen(x)
-        lower, upper = v.bounds(x) if upper_floor - lower_ceiling <= cfg.target_abs_error else (0.0, np.inf)
+        lower, upper = v.bounds(x)
         if upper - lower <= cfg.target_abs_error:
             return 0.5 * (lower + upper)
-        p = estimate(x)
-        return p if lower_ceiling <= p <= upper_floor else float(np.clip(p, *v.bounds(x)))
+        return float(np.clip(estimate(x), lower, upper))
 
     distinct, inverse = np.unique(abs_t, return_inverse=True)
     return np.array([p_value(x) for x in distinct])[inverse]
@@ -783,10 +752,10 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
     |t_i| > q iff P(|t_i|) = P(max_j |Z_j| <= |t_i|) > 1 - alpha (Hothorn,
     Bretz & Westfall 2008).  A |t_i| at most the univariate cutoff is
     accepted, one above the Bonferroni cutoff rejected.  The others are taken
-    largest first.  Closed-form bounds on 1 - P(|t_i|) (`_UnionBounds`, which
-    says when its grid screen suffices and when the exact pair sums run)
-    settle a side first when they clear alpha: such a decision is exact, and
-    needs neither the factor of corr nor any QMC point.
+    largest first.  The closed-form bounds on 1 - P(|t_i|) of `_UnionBounds`
+    settle a side first: a lower bound above alpha accepts, an upper bound
+    below alpha rejects.  Such a decision is exact, and needs neither the
+    factor of corr nor any QMC point.
     Otherwise, at rank one the univariate cutoff is q, and P is estimated on
     a 64-point prefix per shift of the cfg stack, doubled by `_estimate`
     until 4 SEs separate it from 1 - alpha, 1 SE fits in
@@ -807,10 +776,9 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
 
     accept_above, reject_below = alpha * (1.0 + _BOUND_MARGIN), alpha * (1.0 - _BOUND_MARGIN)
     for x in between:
-        lower_floor, lower_ceiling, upper_floor = v.bounds.screen(x)
-        if lower_floor > accept_above or (lower_ceiling > accept_above and v.bounds(x)[0] > accept_above):
+        if v.bounds.lower(x) > accept_above:
             return abs_t > x
-        if upper_floor < reject_below and v.bounds(x)[1] < reject_below:
+        if v.bounds.upper(x) < reject_below:
             continue
         stack, means_at = v.law(cfg)
         if stack is None:
@@ -826,6 +794,8 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
 def studentized_range_quantile(k: int, alpha: float) -> float:
     """Infinite-degrees-of-freedom studentized range quantile q_{k;alpha}:
     scipy.stats.studentized_range, exact sqrt(2) z_{alpha/2} at k = 2."""
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k}")
     if k < 2:
         raise ValueError("need k >= 2 groups")
     if not 0.0 < alpha < 1.0:

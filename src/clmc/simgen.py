@@ -60,6 +60,10 @@ class Exchangeable:
     rho: float = 0.0
 
     def __post_init__(self):
+        for name in ("sigma2", "rho"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)}")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.sigma2 < np.inf:
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if not -1.0 < self.rho < 1.0:

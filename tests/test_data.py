@@ -101,6 +101,21 @@ class TestBuildContrasts:
         with pytest.raises(ValueError, match="^all_pairwise takes no baseline"):
             build_contrasts("all_pairwise", 3, baseline=1)
 
+    @pytest.mark.parametrize("kind, p, baseline, message", [
+        ("all_pairwise", 3.0, None, "p must be an integer, got 3.0"),
+        ("many_to_one", 3, 1.5, "baseline must be an integer, got 1.5"),
+    ], ids=["p-float", "baseline-float"])
+    def test_non_integer_arguments_are_refused_by_name(self, kind, p, baseline, message):
+        # the first once raised a bare TypeError, the second an IndexError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_contrasts(kind, p, baseline=baseline)
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        got = build_contrasts("many_to_one", np.int64(4), baseline=np.int32(2))
+        want = build_contrasts("many_to_one", 4, baseline=2)
+        np.testing.assert_array_equal(got.matrix, want.matrix)
+        assert got.labels == want.labels
+
 
 class TestContrastFamily:
     def test_rejects_zero_row(self):

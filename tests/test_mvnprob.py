@@ -1,16 +1,16 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy import integrate, linalg, optimize
+from scipy import integrate, linalg
 from scipy.special import ndtr, ndtri
 
 from clmc.data import ContrastFamily, build_contrasts
 from clmc.inference import adjust
 from clmc.mvnprob import (
-    _BOUND_MARGIN,
     _LOAD_TOL,
     _MAX_STEPS,
     _RANK_TOL,
@@ -346,6 +346,12 @@ class TestStudentizedRange:
             studentized_range_quantile(1, 0.05)
         with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\)"):
             studentized_range_quantile(3, 1.0)
+
+    def test_non_integer_k_is_refused_by_name(self):
+        # 2.5 groups once gave 3.088
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+            studentized_range_quantile(2.5, 0.05)
+        assert studentized_range_quantile(np.int64(2), 0.05) == studentized_range_quantile(2, 0.05)
 
     @pytest.mark.parametrize("k", [20, 30, 40])
     def test_matches_range_law(self, k):
@@ -930,6 +936,22 @@ class TestEquicoordinateRejects:
         got = equicoordinate_rejects(_exchangeable(8, 0.9), t, 0.05, QmcConfig())
         np.testing.assert_array_equal(got, np.abs(t) > 2.5)
 
+    def test_an_accept_by_the_lower_bound_builds_no_tree(self, monkeypatch):
+        # all-pairwise p = 10: c = 45, every |r_ij| is 0 or 1/2.  The lower
+        # bound accepts on one Owen's T call of 6 values, two per grid edge
+        # used and two for the least correlated pair; the spanning tree's
+        # 2 x 44 values are never computed
+        import clmc.mvnprob as mod
+
+        sizes, real = [], mod.owens_t
+        monkeypatch.setattr(mod, "owens_t", lambda x, a: sizes.append(len(a)) or real(x, a))
+        monkeypatch.setattr(mod, "_spanning_tree", lambda w: pytest.fail("built the tree"))
+        _no_factor_nor_pass(monkeypatch)
+        t = np.zeros(45)
+        t[7] = -2.3
+        assert not equicoordinate_rejects(family_corr("all_pairwise", 10), t, 0.05, QmcConfig()).any()
+        assert sizes == [6]
+
     @pytest.mark.parametrize("kind", ["not psd", "asymmetric"])
     def test_refused_v_raises_where_the_bounds_would_settle(self, kind):
         v = _exchangeable(8, 0.9)
@@ -1028,20 +1050,51 @@ class TestEquicoordinateRejects:
         assert upper == pytest.approx(exact, abs=1e-10)
 
     def test_bounds_match_their_definitions(self):
-        # by plain loops: each pair from the bivariate oracle, the
-        # Dawson-Sankoff bound at its best k, the Kounias bound at its best j
+        # by plain loops, each pair term from the bivariate oracle.  Below:
+        # the Dawson-Sankoff bound at its best k on the pairs with |r_ij|
+        # rounded up to the 1/64 grid, or the union of the best pair if
+        # larger.  Above: Hunter's bound at its best spanning tree, of all
+        # c^(c-2) = 125 trees, each decoded from its Pruefer sequence
         c, x = 5, 2.3
         v = factor_model_corr(c, 1, np.random.default_rng(8))
         tail = 2.0 * ndtr(-x)
-        pair = np.zeros((c, c))
-        for i in range(c):
-            for j in range(i + 1, c):
-                pair[i, j] = pair[j, i] = 2.0 * tail - 1.0 + bvn_rect_oracle(-x, x, -x, x, v[i, j])
-        s1, s2 = c * tail, pair.sum() / 2.0
-        lower = max(2.0 * s1 / (k + 1) - 2.0 * s2 / (k * (k + 1)) for k in range(1, c + 1))
-        upper = min(s1 - pair[j].sum() for j in range(c))
-        assert np.ptp(pair.sum(axis=1)) > 1e-3  # the choice of j matters
-        assert _UnionBounds(v)(x) == pytest.approx((lower, upper), abs=1e-10)
+
+        def pair_term(rho):
+            return 2.0 * tail - 1.0 + bvn_rect_oracle(-x, x, -x, x, rho)
+
+        pairs = [(i, j) for i in range(c) for j in range(i + 1, c)]
+        pair = {(i, j): pair_term(v[i, j]) for i, j in pairs}
+        s1 = c * tail
+        s2_up = sum(pair_term(math.ceil(abs(v[i, j]) * 64) / 64) for i, j in pairs)
+        lower = max(max(2.0 * s1 / (k + 1) - 2.0 * s2_up / (k * (k + 1)) for k in range(1, c + 1)),
+                    max(2.0 * tail - pair[ij] for ij in pairs))
+        trees = {frozenset(_pruefer_tree(seq, c)) for seq in itertools.product(range(c), repeat=c - 2)}
+        assert len(trees) == 125
+        sums = [sum(pair[ij] for ij in tree) for tree in trees]
+        assert np.ptp(sums) > 1e-3  # the choice of tree matters
+        assert _UnionBounds(v)(x) == pytest.approx((lower, s1 - max(sums)), abs=1e-10)
+
+    @pytest.mark.parametrize("c", [2, 9, 45, 190])
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+    def test_bounds_contain_the_equicorrelated_law(self, c, rho):
+        # exact by one-dimensional quadrature, at x from the normal to the
+        # Bonferroni cutoff
+        v = _exchangeable(c, rho)
+        for x in np.linspace(-ndtri(0.025), -ndtri(0.05 / (2 * c)), 5):
+            exact = 1.0 - dunnett_coverage(x, c, rho)
+            lower, upper = _UnionBounds(v)(x)
+            assert lower - 1e-9 <= exact <= upper + 1e-9
+
+    @pytest.mark.parametrize("p", [3, 10, 20])
+    def test_bounds_contain_the_studentized_range_law(self, p):
+        # all-pairwise contrasts of p iid coefficients, c = p(p - 1)/2 up to
+        # 190 statistics of rank p - 1: max_ij |Z_ij| <= x exactly when the
+        # range of the p coefficients is at most x sqrt(2)
+        v = family_corr("all_pairwise", p)
+        for x in np.linspace(-ndtri(0.025), -ndtri(0.05 / (2 * len(v))), 5):
+            exact = 1.0 - range_cdf_oracle(x * math.sqrt(2.0), p)
+            lower, upper = _UnionBounds(v)(x)
+            assert lower - 1e-9 <= exact <= upper + 1e-9
 
     @pytest.mark.parametrize("c", [2, 3, 7, 24])
     @pytest.mark.parametrize("x", [1.5, 2.6, 3.5])
@@ -1051,6 +1104,21 @@ class TestEquicoordinateRejects:
             lower, upper = _UnionBounds(_rank_one(c, np.random.default_rng(c)))(x)
         assert lower == pytest.approx(2.0 * ndtr(-x), rel=1e-12)
         assert upper == pytest.approx(2.0 * ndtr(-x), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["duplicated", "rank-one"])
+    def test_equal_bounds_do_not_cross(self, kind):
+        # each V's bounds are equal in exact arithmetic: c = 3 with a
+        # duplicated row has two distinct statistics, and a rank-one V one.
+        # Computed apart, the upper bound once fell 2.8e-17 and 3.1e-15
+        # below the lower one
+        rng = np.random.default_rng(0)
+        if kind == "duplicated":
+            v, x = _with_duplicate_row(factor_model_corr(3, rng.integers(0, 4), rng), 2, 1.0), 1.5
+        else:
+            v, x = _rank_one(190, rng), 1.5
+        lower, upper = _UnionBounds(v)(x)
+        assert lower <= upper
+        assert upper == pytest.approx(lower, rel=1e-12)
 
     @settings(max_examples=8, deadline=None)
     @given(kind=st.sampled_from(["factor", "all-pairwise", "duplicated", "sign-flipped"]),
@@ -1075,121 +1143,17 @@ class TestEquicoordinateRejects:
         assert 1.0 - ref.value - slack <= upper
 
 
-def _pairwise_v(p, rng):
-    """V of all-pairwise contrasts of p coefficients with a random covariance (singular)."""
-    a = rng.standard_normal((p, p + 5))
-    cf = build_contrasts("all_pairwise", p)
-    d = cf.matrix @ (a @ a.T) @ cf.matrix.T
-    s = 1.0 / np.sqrt(np.diag(d))
-    return d * np.outer(s, s)
-
-
-def _crossing(f, lo, hi):
-    """The x in [lo, hi] at which f, a bound on E(x), falls through alpha (1 + _BOUND_MARGIN)."""
-    return optimize.brentq(lambda x: f(x) - 0.05 * (1.0 + _BOUND_MARGIN), lo, hi, xtol=1e-14)
-
-
-class TestUnionBoundScreen:
-    @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(["factor", "all-pairwise", "below-edge", "duplicated", "sign-flipped"]),
-           c=st.integers(3, 60), seed=st.integers(0, 2**32 - 1), x=st.floats(1.5, 4.0))
-    @example(kind="below-edge", c=52, seed=0, x=4.0)
-    @example(kind="all-pairwise", c=52, seed=0, x=1.5)
-    @example(kind="sign-flipped", c=60, seed=3, x=2.5)
-    @example(kind="all-pairwise", c=52, seed=0, x=20.0)
-    def test_the_screen_brackets_the_exact_bounds(self, kind, c, seed, x):
-        # the all-pairwise V has every |r_ij| on a cell edge (0 or 1/2); the
-        # below-edge V is it with the off-diagonal shrunk by 2^-50 (still a
-        # correlation matrix), so each 1/2 rounds up across its one ulp.  A
-        # duplicated or sign-flipped row gives pairs with |r_ij| = 1.  At
-        # x = 20 every pair term lies below the screen's slack
-        rng = np.random.default_rng(seed)
-        if kind in ("all-pairwise", "below-edge"):
-            v = family_corr("all_pairwise", 3 + c % 9)  # c = 3 ... 55
-            if kind == "below-edge":
-                v = v * (1.0 - 2.0**-50) + np.eye(len(v)) * 2.0**-50
-        else:
-            v = factor_model_corr(c, rng.integers(0, 4), rng)
-            if kind != "factor":
-                v = _with_duplicate_row(v, rng.integers(1, c), -1.0 if kind == "sign-flipped" else 1.0)
-        bounds = _UnionBounds(v)
-        lower, upper = bounds(x)
-        lower_floor, lower_ceiling, upper_floor = bounds.screen(x)
-        assert lower_floor <= lower <= lower_ceiling
-        assert upper_floor <= upper
-
-    def test_decisions_are_those_of_the_exact_bounds(self, monkeypatch):
-        # random V and statistics between the cutoffs, at c = 10 and 45 and on
-        # two c = 190 all-pairwise V; statistics planted within 1e-6 of where
-        # the screened and the exact lower bound cross the margin
-        rng = np.random.default_rng(2024)
-        cases = []
-        for c in [10] * 12 + [45] * 12:
-            v = factor_model_corr(c, rng.integers(0, 4), rng) if len(cases) % 2 else _pairwise_v(
-                {10: 5, 45: 10}[c], rng)
-            hi = -ndtri(0.05 / (2 * c))
-            cases.append((v, rng.uniform(0.0, hi, size=c) * rng.choice([-1.0, 1.0], size=c)))
-        for p in (20, 20):
-            v = _pairwise_v(p, rng)
-            c = len(v)
-            lo, hi = -ndtri(0.025), -ndtri(0.05 / (2 * c))
-            bounds = _UnionBounds(v)
-            for f in (lambda x: bounds.screen(x)[0], lambda x: bounds(x)[0]):
-                x = _crossing(f, lo, hi)
-                for d in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6):
-                    t = np.zeros(c)
-                    t[rng.integers(c)] = x + d
-                    cases.append((v, t))
-        import clmc.mvnprob as mod
-
-        accepts, opens, real = [], [], mod._UnionBounds.screen
-        settle = 0.05 * (1.0 + _BOUND_MARGIN), 0.05 * (1.0 - _BOUND_MARGIN)
-
-        def spy(self, x):
-            lower, lower_ceiling, upper_floor = real(self, x)
-            if lower > settle[0]:
-                accepts.append((self, x))
-            elif lower_ceiling <= settle[0] and upper_floor >= settle[1]:
-                opens.append((self, x))
-            return lower, lower_ceiling, upper_floor
-
-        monkeypatch.setattr(mod._UnionBounds, "screen", spy)
-        screened = [equicoordinate_rejects(v, t, 0.05, TINY) for v, t in cases]
-        # the screen settles many and leaves many open, each as the exact bounds do
-        assert len(accepts) >= 10 and len(opens) >= 10
-        assert all(bounds(x)[0] > settle[0] for bounds, x in accepts)
-        assert all(bounds(x)[0] <= settle[0] and bounds(x)[1] >= settle[1] for bounds, x in opens)
-        monkeypatch.setattr(mod._UnionBounds, "screen", lambda self, x: (0.0, np.inf, -np.inf))
-        for (v, t), got in zip(cases, screened):
-            np.testing.assert_array_equal(got, equicoordinate_rejects(v, t, 0.05, TINY))
-
-    def test_a_far_tail_screen_divides_by_no_zero(self, monkeypatch):
-        # every |r_ij| = 0.01 rounds down to 0, whose pair term at 7.38 lies
-        # below the screen's slack: the rounded-down S2 once summed below 0,
-        # and its Dawson-Sankoff bound divided by zero
-        import clmc.mvnprob as mod
-
-        v = 0.99 * np.eye(45) + 0.01
-        t = np.zeros(45)
-        t[3] = 7.38
-        got = equicoordinate_rejects(v, t, 1e-12, TINY)
-        monkeypatch.setattr(mod._UnionBounds, "screen", lambda self, x: (0.0, np.inf, -np.inf))
-        np.testing.assert_array_equal(got, equicoordinate_rejects(v, t, 1e-12, TINY))
-
-    def test_a_screened_accept_computes_no_exact_pair_term(self, monkeypatch):
-        # all-pairwise p = 10: c = 45, so the exact bounds take c (c - 1) = 1980
-        # Owen's T values; the grid settles this statistic on at most 2 x 65
-        import clmc.mvnprob as mod
-
-        sizes, real = [], mod.owens_t
-        monkeypatch.setattr(mod, "owens_t", lambda x, a: sizes.append(len(a)) or real(x, a))
-        _no_factor_nor_pass(monkeypatch)
-        v = family_corr("all_pairwise", 10)
-        t = np.zeros(45)
-        t[7] = -2.3
-        got = equicoordinate_rejects(v, t, 0.05, QmcConfig())
-        assert not got.any()
-        assert sizes and max(sizes) <= 2 * 65 < 45 * 44
+def _pruefer_tree(seq, c):
+    """The edges (i, j), i < j, of the labelled tree on c vertices with Pruefer sequence seq."""
+    degree = [1 + seq.count(k) for k in range(c)]
+    edges = []
+    for k in seq:
+        leaf = min(i for i in range(c) if degree[i] == 1)
+        edges.append((min(leaf, k), max(leaf, k)))
+        degree[leaf] -= 1
+        degree[k] -= 1
+    edges.append(tuple(i for i in range(c) if degree[i] == 1))
+    return edges
 
 
 class TestAdjustedPValues:
@@ -1223,7 +1187,7 @@ class TestAdjustedPValues:
             equicoordinate_p_values(np.eye(3), [1.0, 2.0, 3.0, 4.0], 0.05, TINY)
 
     @pytest.mark.parametrize("seed", [1, 5])
-    def test_p_values_lie_within_the_union_bounds(self, seed, monkeypatch):
+    def test_p_values_lie_within_the_union_bounds(self, seed):
         # on a 256 x 4 stack the 3-SE stop is absolute, so a p-value below
         # 5e-4 carries QMC error larger than itself: unclipped, at seed 1 the
         # three smaller statistics lay above the Kounias bound and the three
@@ -1231,11 +1195,7 @@ class TestAdjustedPValues:
         # the bounds of each lie within the 3e-3 target, so each p-value is
         # their midpoint.  Far in the tail, where rounding once made the
         # bounds infinite or NaN, they stay finite, and E(40) underflows to 0.
-        # A statistic of 0, below the univariate cutoff, keeps p = 1 exactly.
-        # The grid screen moves no p-value: with it off, every p-value is the
-        # same to the bit
-        import clmc.mvnprob as mod
-
+        # A statistic of 0, below the univariate cutoff, keeps p = 1 exactly
         v = family_corr("all_pairwise", 10)
         t = np.zeros(len(v))
         t[:8] = [4.4, -4.6, 5.0, 5.6, -5.9, 6.4, 15.9, -40.0]
@@ -1243,10 +1203,10 @@ class TestAdjustedPValues:
         p = equicoordinate_p_values(v, t, 0.05, cfg)
         lower, upper = np.array([_UnionBounds(v)(x) for x in np.abs(t[:8])]).T
         assert ((0.0 <= lower) & (lower <= p[:8]) & (p[:8] <= upper)).all()
+        assert (upper - lower <= cfg.target_abs_error).all()
+        np.testing.assert_array_equal(p[:8], 0.5 * (lower + upper))
         assert 0.0 < p[6] < 1e-50 and p[7] == 0.0
         assert (p[8:] == 1.0).all()
-        monkeypatch.setattr(mod._UnionBounds, "screen", lambda self, x: (0.0, np.inf, -np.inf))
-        np.testing.assert_array_equal(p, equicoordinate_p_values(v, t, 0.05, cfg))
 
     def test_bounds_within_the_target_give_their_midpoint_without_a_pass(self, monkeypatch):
         # c = 45: from about 4.5 on the union bounds lie within 5e-4 of each
@@ -1328,28 +1288,6 @@ class TestAdjustedPValues:
         monkeypatch.setattr(mod, "_estimate", lambda *args, **kwargs: calls.append(None) or (None, 0.5, 0.0))
         p = equicoordinate_p_values(family_corr("all_pairwise", 10), np.zeros(45), 0.05, QmcConfig())
         assert calls == [] and (p == 1.0).all()
-
-    def test_decisions_and_p_values_share_the_exact_bounds(self, monkeypatch):
-        # all-pairwise p = 4, c = 6: the exact bounds take c (c - 1) = 30 Owen's
-        # T values, the grid 4.  Just below the Bonferroni cutoff (2.638) the
-        # decision needs the exact upper bound to reject 2.63, and with a 0.01
-        # target the p-values of 2.63 and 3.1 are the midpoints of their exact
-        # bounds.  adjust("mnq") sums the pairs once per statistic
-        import clmc.mvnprob as mod
-
-        xs, real = [], mod.owens_t
-
-        def spy(x, a):
-            if len(a) == 30:
-                xs.append(float(x))
-            return real(x, a)
-
-        monkeypatch.setattr(mod, "owens_t", spy)
-        t = np.array([0.0, 2.63, 0.0, -3.1, 0.0, 0.0])
-        d = adjust("mnq", t, family_corr("all_pairwise", 4), 0.05, build_contrasts("all_pairwise", 4),
-                   QmcConfig(target_abs_error=0.01))
-        assert d.reject.tolist() == [False, True, False, True, False, False]
-        assert sorted(xs) == [2.63, 3.1]
 
 
 def test_estimate_doubling_integrates_only_the_new_points():

@@ -66,10 +66,12 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
 
 
 # A fresh process runs the commands below, then `then`, and reports after
-# each step whether scipy.stats is loaded and how many times it has asked
-# for a Sobol stack.  Importing scipy.stats takes about as long as the rest
-# of `import clmc`, so only Tukey's cutoff loads it, on first use; the QMC
-# integrator builds its Sobol points in numpy and never does.
+# each step whether scipy.stats and scipy.sparse are loaded and how many
+# times it has asked for a Sobol stack.  Importing scipy.stats takes about
+# as long as the rest of `import clmc`, so only Tukey's cutoff loads it, on
+# first use; the QMC integrator builds its Sobol points in numpy and never
+# does.  The union bounds' spanning tree is built in numpy too, so no step
+# but Tukey's cutoff (through scipy.stats) loads scipy.sparse.
 STATS_PROBE = """
 import json, sys
 import numpy as np
@@ -78,7 +80,7 @@ from clmc.mvnprob import _sobol_stack
 
 def step():
     info = _sobol_stack.cache_info()
-    return ["scipy.stats" in sys.modules, info.hits + info.misses]
+    return ["scipy.stats" in sys.modules, "scipy.sparse" in sys.modules, info.hits + info.misses]
 
 steps = {"import clmc": step()}
 for name, argv in %r:
@@ -111,8 +113,9 @@ def test_scipy_stats_is_imported_on_first_use(tmp_path, then, then_loads):
     assert run.returncode == 0, run.stderr
     steps = json.loads(run.stdout.splitlines()[-1])
     # the default methods (mnq among them) integrate, in `test` and in the
-    # simulation's replicates, and still load no scipy.stats
-    assert steps["test"][1] == 0 < steps["test mnq"][1] < steps["simulate"][1]
-    loaded = {name: stats for name, (stats, _) in steps.items()}
-    assert loaded == {"import clmc": False, "generate": False, "fit": False, "test": False,
-                      "test mnq": False, "simulate": False, "then": then_loads}
+    # simulation's replicates, and still load neither scipy.stats nor scipy.sparse
+    assert steps["test"][2] == 0 < steps["test mnq"][2] < steps["simulate"][2]
+    for module in (0, 1):
+        loaded = {name: step[module] for name, step in steps.items()}
+        assert loaded == {"import clmc": False, "generate": False, "fit": False, "test": False,
+                          "test mnq": False, "simulate": False, "then": then_loads}

@@ -293,6 +293,25 @@ class TestScenarioSpec:
                                                                     seed=3, x_row_corr=0.5, x_scale=2.0)))
         assert ScenarioSpec("gamma", 20, 3, 2, np.zeros(2), nu=np.float64(2.0)).nu == 2.0
 
+    @pytest.mark.parametrize("field", ["sigma2", "rho"])
+    def test_non_real_exchangeable_parameters_are_refused_by_name(self, field):
+        # each once raised a bare TypeError: '<' not supported
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got 0.5$"):
+            Exchangeable(**{field: "0.5"})
+
+    def test_numpy_float32_exchangeable_parameters_are_stored_as_floats(self):
+        # a float32 rho once built a float32 covariance, and the gamma draw
+        # differed from that of the same value as a Python float
+        corr = Exchangeable(sigma2=np.float32(1.5), rho=np.float32(0.2))
+        assert type(corr.sigma2) is float and type(corr.rho) is float
+        assert corr.matrix(3).dtype == np.float64
+
+        def draw(rho):
+            return generate(ScenarioSpec("gamma", 50, 3, 2, np.zeros(2), correlation=Exchangeable(rho=rho),
+                                         nu=2, seed=1))
+
+        assert datasets_equal(draw(np.float32(0.2)), draw(float(np.float32(0.2))))
+
     def test_numpy_integer_counts_are_accepted(self):
         spec = ScenarioSpec("mvn", np.int64(20), 4, np.int32(2), np.zeros(2), seed=np.uint64(3))
         assert datasets_equal(generate(spec), generate(ScenarioSpec("mvn", 20, 4, 2, np.zeros(2), seed=3)))
