@@ -420,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed of the QMC scrambles; mnq output is a function of it")
     p_test.add_argument("--qmc-points", type=int, default=qmc.points_per_shift,
                         help="starting Sobol points per shift, rounded up to a power of two; "
-                             f"an mnq p-value grows them until 3 SEs fit in {target}, the cutoff "
-                             "until 1 SE does; the mnq decisions are the simulations' rule, "
+                             f"an mnq p-value whose union bounds lie over {target} apart grows its first 1/16 "
+                             "until 3 SEs fit, the cutoff until 1 SE does; the decisions, the simulations' rule, "
                              f"from 64 points until 4 SEs settle each (default {qmc.points_per_shift})")
     p_test.add_argument("--qmc-shifts", type=int, default=qmc.shifts,
                         help="independent scrambles; their spread is each estimate's SE "

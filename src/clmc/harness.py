@@ -40,7 +40,7 @@ import numpy as np
 from .data import ContrastFamily, build_contrasts
 from .inference import METHODS, evaluate_tests
 from .models import FITTERS, FitError, mvn_mle_fit, naive_fit
-from .mvnprob import QmcConfig, equicoordinate_rejects
+from .mvnprob import QmcConfig, _refuse_inexact_tukey, equicoordinate_rejects
 from .simgen import Exchangeable, ScenarioSpec, Unstructured, UNSTRUCTURED_SIGMA_M4, generate
 
 __all__ = [
@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least one procedure, each named once, got {list(self.procedures)}")
         if "tukey" in self.procedures and self.contrasts.kind != "all_pairwise":
             raise ValueError("tukey applies to all-pairwise families only")
+        if "tukey" in self.procedures:
+            _refuse_inexact_tukey(self.contrasts.p, self.alpha)
         if self.contrasts.p > self.scenario.p:
             raise ValueError(f"contrasts address {self.contrasts.p} coefficients, "
                              f"the scenario has {self.scenario.p}")

@@ -161,7 +161,7 @@ def adjust(
         reject = equicoordinate_rejects(v, abs_t, alpha, cfg)
         cut = np.clip(equicoordinate_quantile(v, alpha, cfg), abs_t[~reject].max(initial=-np.inf),
                       np.nextafter(abs_t[reject].min(initial=np.inf), 0.0))
-        adj = equicoordinate_p_values(v, abs_t, alpha, cfg)
+        adj = equicoordinate_p_values(v, abs_t, cfg)
         adj = np.where(reject, np.minimum(adj, alpha), np.maximum(adj, np.nextafter(alpha, 1.0)))
         return MethodDecision(reject, float(cut), adjusted_p=adj)
     raise ValueError(f"unknown method {method!r}")

@@ -32,11 +32,12 @@ target_abs_error / 200 of 1 - alpha.  It runs in two stages: first on the
 stack's first 1/16 points per shift (a power-of-two prefix of a scrambled
 Sobol sequence is itself a randomized net) to target_abs_error / 20, then
 on the full stack from that root; the point count is sized there at 1
-standard error.  The max-T adjusted p-values P(max_j |Z_j| > |t_i|) need no
-q: `equicoordinate_p_values` starts each on the same prefix and follows the
-3-SE rule, but one within the target of alpha stops as the decisions do, one
-whose union bounds (below) lie within the target of each other is their
-midpoint, with no QMC pass, and a statistic of 0 has p = 1 exactly.
+standard error.  The max-T adjusted p-values P(max_j |Z_j| > |t_i|) depend
+on R and |t_i| alone, not on alpha: `equicoordinate_p_values` gives a
+statistic of 0 p = 1 exactly, and takes every other one's union bounds
+(below) first.  Where they lie within the target of each other the p-value
+is their midpoint, with no QMC pass; otherwise it is estimated from the same
+prefix under the 3-SE rule and clipped into them.
 All estimates are deterministic functions of the configured seed.
 
 A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
@@ -100,8 +101,8 @@ class QmcConfig:
     1/16.  A rectangle probability or a p-value is accepted when 3 standard
     errors fit in `target_abs_error`, the quantile's points at 1 SE, and an
     mnq decision (from 64 points) once 4 SEs settle its side; near the
-    level, decisions and p-values alike stop at 1 SE on at least the whole
-    stack.  A miss doubles the stack, up to 64 times.  The simulations and
+    level, a decision stops at 1 SE on at least the whole stack.  A miss
+    doubles the stack, up to 64 times.  The simulations and
     `clmc test` run at the defaults.
     """
 
@@ -541,8 +542,8 @@ class _UnionBounds:
     p_ij = P(|Z_i| > x, |Z_j| > x) = 4 [Phi(-x) - T(x, a) - T(x, 1/a)],
     a = sqrt((1 - |r_ij|) / (1 + |r_ij|)), T Owen's function (Owen 1956).
     p_ij rises with |r_ij| at every x (Sidak 1968).  A call at x returns
-    (lower, upper), both exact at c = 2 and at rank one; the mnq decisions
-    and p-values read nothing else.
+    (lower, upper), the upper one capped at 1, both exact at c = 2 and at
+    rank one; the mnq decisions and p-values read nothing else.
 
     `lower(x)` is the larger of two bounds.  One is Dawson & Sankoff's
     (1967) on S2 = sum_{i < j} p_ij with every |r_ij| rounded up to the
@@ -589,8 +590,9 @@ class _UnionBounds:
     def __call__(self, x: float) -> tuple[float, float]:
         lower = self.lower(x)
         # where the two bounds are equal, as with two distinct statistics or
-        # far in the tail, rounding can leave the upper one an ulp below
-        return lower, max(self.upper(x), lower)
+        # far in the tail, rounding can leave the upper one an ulp below; at
+        # a small x Hunter's bound can pass 1, which E(x) never does
+        return lower, max(min(self.upper(x), 1.0), lower)
 
 
 class _PreparedV:
@@ -689,50 +691,35 @@ def equicoordinate_quantile(corr, alpha: float, cfg: QmcConfig = QmcConfig()) ->
     return _quantile(corr, alpha, cfg).q
 
 
-def equicoordinate_p_values(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) -> np.ndarray:
+def equicoordinate_p_values(corr, t, cfg: QmcConfig = QmcConfig()) -> np.ndarray:
     """Single-step max-T adjusted p-values P(max_j |Z_j| > |t_i|) for
-    Z ~ N(0, corr), read off no cutoff.  Exact at rank one; otherwise each
-    is estimated by `_estimate` on the cfg stack from its first 1/16 and
-    accepted when 3 SEs fit in cfg.target_abs_error, a bound on its true
-    error, or, within the target of alpha, at 1 SE on at least the whole
-    stack, as the decisions stop.
+    Z ~ N(0, corr), functions of corr and |t_i| alone.
 
-    Where |t_i| is above the two-sided univariate cutoff, the union bounds
-    of `_UnionBounds` at |t_i| bracket the p-value.  Where they are at most
-    cfg.target_abs_error apart, the p-value is their midpoint, off by at
-    most half their gap, and no QMC pass runs; otherwise the estimate is
-    clipped into them, since far in the tail its absolute QMC error can pass
-    the value itself.  The smaller |t_i|, whose p-values are at least
-    alpha, skip the bounds.
-    Each distinct |t_i| is evaluated once, and a statistic of 0 has p = 1
-    exactly, with no QMC pass."""
-    v, lo, _ = _cutoff_bracket(corr, alpha)
+    A statistic of 0 has p = 1 exactly.  Otherwise the union bounds of
+    `_UnionBounds` at |t_i| bracket the p-value.  Where they are at most
+    cfg.target_abs_error apart, as at c = 2 and at rank one, where both are
+    exact, the p-value is their midpoint, off by at most half their gap,
+    with neither a factor of corr nor a QMC point.  Otherwise it is
+    estimated by `_estimate` from the first 1/16 of the cfg stack, accepted
+    when 3 SEs fit in cfg.target_abs_error, a bound on its true error, and
+    clipped into the bounds, since far in the tail its absolute QMC error
+    can pass the value itself.  Each distinct |t_i| is evaluated once."""
+    v = corr if isinstance(corr, _PreparedV) else _PreparedV(corr)
     abs_t = _abs_statistics(t, len(v.r))
-    stack, means_at = v.law(cfg)
-    if stack is None:
-        # rank one: every |Z_i| equals |Z_1|, and P(t) needs no QMC points
-        return 1.0 - np.clip([means_at(x, np.empty((1, 1, 0)))[0] for x in abs_t], 0.0, 1.0)
-    target, n = 1.0 - alpha, stack.shape[1]
-
-    def done(m: int, p: float, se: float) -> bool:
-        # 3 SEs in the target; near 1 - alpha, the decisions' stop: 1 SE on at least the whole stack
-        if abs(p - target) <= cfg.target_abs_error:
-            return m >= n and se <= cfg.target_abs_error
-        return 3 * se <= cfg.target_abs_error
-
-    def estimate(x: float) -> float:
-        prob = _estimate(functools.partial(means_at, x), stack, n // _PREFIX_SHARE, cfg, done=done)[1]
-        return 1.0 - min(max(prob, 0.0), 1.0)
 
     def p_value(x: float) -> float:
         if x == 0.0:
             return 1.0  # P(max_j |Z_j| <= 0) = 0
-        if x <= lo:
-            return estimate(x)
         lower, upper = v.bounds(x)
         if upper - lower <= cfg.target_abs_error:
             return 0.5 * (lower + upper)
-        return float(np.clip(estimate(x), lower, upper))
+        stack, means_at = v.law(cfg)
+        if stack is None:
+            # rank one, with bounds that rounding left apart: exact on an empty point set
+            prob = means_at(x, np.empty((1, 1, 0)))[0]
+        else:
+            prob = _estimate(functools.partial(means_at, x), stack, stack.shape[1] // _PREFIX_SHARE, cfg)[1]
+        return float(np.clip(1.0 - prob, lower, upper))
 
     distinct, inverse = np.unique(abs_t, return_inverse=True)
     return np.array([p_value(x) for x in distinct])[inverse]
@@ -790,6 +777,15 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
     return abs_t > lo
 
 
+def _refuse_inexact_tukey(k: int, alpha: float) -> None:
+    """Refuse an alpha below 1e-10 at k >= 3, where scipy's studentized range
+    quantile is inexact: at 1e-12 and k = 10 it passes the Bonferroni cutoff,
+    and it is infinite where 1 - alpha rounds to 1."""
+    if k > 2 and alpha < 1e-10:
+        raise ValueError(f"alpha {alpha:g} is too small for Tukey's cutoff: "
+                         "the studentized range quantile is inexact below 1e-10")
+
+
 @functools.lru_cache(maxsize=64)
 def studentized_range_quantile(k: int, alpha: float) -> float:
     """Infinite-degrees-of-freedom studentized range quantile q_{k;alpha}:
@@ -800,6 +796,7 @@ def studentized_range_quantile(k: int, alpha: float) -> float:
         raise ValueError("need k >= 2 groups")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    _refuse_inexact_tukey(k, alpha)
     if k == 2:
         return np.sqrt(2.0) * float(-ndtri(alpha / 2.0))
     from scipy.stats import studentized_range  # slow to import: only Tukey's cutoff loads it

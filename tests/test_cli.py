@@ -973,7 +973,7 @@ def cli_runs(draw):
         st.just("all-pairwise"),
         st.sampled_from(["0", "1", "3", "4", "-1", "x", ""]).map("many-to-one:{}".format),
         st.just("file:{}")))
-    methods = draw(st.sampled_from(["mnq,bonferroni,sidak,holm,scheffe", "tukey,mnq"]))
+    methods = draw(st.sampled_from(["mnq,bonferroni,sidak,holm,scheffe", "tukey,mnq", "tukey,bonferroni"]))
     argv += ["--contrasts", contrasts, "--methods", methods,
              "--alpha", repr(draw(st.one_of(st.floats(1e-4, 0.5), st.floats(0.0, 1.0)))),
              "--qmc-points", str(draw(st.sampled_from([16, 64, 100, 1]))),
@@ -986,6 +986,9 @@ def cli_runs(draw):
 @example(run=(["test", "--model", "mvn", "--format", "json", "--contrasts", "file:{}",
                "--methods", "mnq,bonferroni", "--alpha", "0.05", "--qmc-points", "64",
                "--qmc-shifts", "3"], "h0,1e160,-1e160,0.0\n"))
+@example(run=(["test", "--model", "mvn", "--format", "json", "--contrasts", "all-pairwise",
+               "--methods", "tukey,bonferroni", "--alpha", "1e-25", "--qmc-points", "64",
+               "--qmc-shifts", "3"], ""))
 def test_every_run_ends_in_finite_numbers_or_one_error_line(tiny_csvs, run):
     # numpy warnings are errors in this suite, so a run that warns fails here too
     paths, cpath = tiny_csvs

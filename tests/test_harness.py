@@ -237,6 +237,14 @@ class TestRunExperiment:
             scenario = ScenarioSpec("probit", 20, 2, 4, np.zeros(4), seed=1)
             small_config(scenario=scenario)  # efficiency only for mvn
 
+    def test_tukey_refuses_an_alpha_its_cutoff_cannot_reach(self):
+        # Tukey's cutoff refuses alpha < 1e-10, so every replicate would be dropped
+        pairwise = dict(contrasts=build_contrasts("all_pairwise", 4), procedures=("mnq", "tukey"))
+        with pytest.raises(ValueError, match="^alpha 1e-12 is too small for Tukey's cutoff: "):
+            small_config(alpha=1e-12, **pairwise)
+        small_config(alpha=1e-12, contrasts=pairwise["contrasts"])
+        small_config(alpha=1e-10, **pairwise)
+
     @pytest.mark.parametrize("procedures", [(), ("mnq", "holm", "mnq")], ids=["empty", "repeated"])
     def test_empty_or_repeated_procedures_are_refused(self, procedures):
         with pytest.raises(ValueError, match="^need at least one procedure, each named once"):

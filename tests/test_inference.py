@@ -281,18 +281,16 @@ class TestAdjust:
                 assert dec.threshold == cut
 
     def test_mnq_adjusted_p_is_the_rectangle_estimate_or_the_bounds_midpoint(self):
-        # with a target no SE misses, neither the quantile nor the rectangle
-        # probability doubles its points, so both integrate on the same stack.
-        # Above the univariate cutoff (2.9 and 2.2) the union bounds lie within
-        # that target of each other, so those p-values are their midpoints
+        # the union bounds, the upper one capped at 1, lie within a target of
+        # 1 of each other at every |t|, so every p-value is their midpoint
+        # with no QMC pass; those at or below the univariate cutoff (0.3 and
+        # 1.7) were once the rectangle estimate on the same stack
         cfg = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=1.0, seed=3)
         cf = build_contrasts("many_to_one", 5, baseline=1)
         v = exchangeable(4, 0.5)
         t = np.array([2.9, -0.3, 1.7, -2.2])
         dec = adjust("mnq", t, v, 0.05, cf, cfg)
-        rect = [1.0 - mvn_rectangle_prob(-np.full(4, a), np.full(4, a), v, cfg).value for a in (0.3, 1.7)]
-        assert dec.adjusted_p[1:3].tolist() == rect
-        assert dec.adjusted_p[[0, 3]].tolist() == [0.5 * sum(_UnionBounds(v)(a)) for a in (2.9, 2.2)]
+        assert dec.adjusted_p.tolist() == [0.5 * sum(_UnionBounds(v)(a)) for a in np.abs(t)]
 
     def test_mnq_adjusted_p_meets_the_target_off_the_cutoff(self):
         # the quantile's 256 points meet the target near P = 0.95 but not at
@@ -378,7 +376,7 @@ class TestAdjust:
         assert counts == {"_prepare_correlation": 1, "_trapezoidal_cholesky": 1, "bounds": 1}
         monkeypatch.undo()
         reject = equicoordinate_rejects(v, t, 0.05, FAST)
-        p = equicoordinate_p_values(v, t, 0.05, FAST)
+        p = equicoordinate_p_values(v, t, FAST)
         np.testing.assert_array_equal(dec.reject, reject)
         np.testing.assert_array_equal(
             dec.adjusted_p, np.where(reject, np.minimum(p, 0.05), np.maximum(p, np.nextafter(0.05, 1.0))))

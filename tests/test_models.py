@@ -23,6 +23,8 @@ from clmc.models import (
     quadexp_enumeration_oracle,
     sandwich,
 )
+from clmc.models.gamma import _dispersion
+from clmc.models.mvn import _full_loglik
 from clmc.simgen import (
     Exchangeable,
     ScenarioSpec,
@@ -92,6 +94,11 @@ class TestMvnFit:
         d = ClusteredDataset(np.ones((6, 1)), np.tile(y, 3), [2, 2, 2], ["a", "b", "c"])
         with pytest.raises(FitError, match="^gaussian fitters need continuous responses"):
             fitter(d)
+
+    def test_full_loglik_refuses_an_indefinite_sigma(self):
+        # the MLE's likelihood needs log det Sigma; this Sigma has eigenvalues 3 and -1
+        with pytest.raises(FitError, match="^residual covariance is not positive definite$"):
+            _full_loglik(np.zeros((3, 2)), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_pooled_ols_when_weights_constant(self):
         # m = 1 clusters: the residual covariance is a scalar, so the
@@ -342,6 +349,11 @@ class TestGammaFit:
         n = d.n
         inv_nu = dev * (6.0 * (n - 1) + n * dev) / (6.0 * (n - 1) + 2.0 * n * dev)
         assert 1.0 / fit.nuisance["nu"] == pytest.approx(inv_nu, rel=1e-12)
+
+    def test_dispersion_is_0_where_its_estimate_is_not_positive(self):
+        # with fewer clusters than coefficients the moment estimate of 1/nu,
+        # here 10 (6 (3 - 10) + 30) / (6 (3 - 10) + 60) = -20/3, is negative
+        assert _dispersion(150.0, 40, 3, 10) == 0.0
 
     def test_rejects_nonpositive(self):
         d = ClusteredDataset(np.ones((4, 1)), [1.0, -2.0, 1.0, 2.0], [2, 2], ["0", "1"])

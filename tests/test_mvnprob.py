@@ -235,7 +235,7 @@ class TestRectangleProb:
         lambda v: mvn_rectangle_prob([], [], v, FAST),
         lambda v: equicoordinate_quantile(v, 0.05, FAST),
         lambda v: equicoordinate_rejects(v, [], 0.05, FAST),
-        lambda v: equicoordinate_p_values(v, [], 0.05, FAST),
+        lambda v: equicoordinate_p_values(v, [], FAST),
     ], ids=["rectangle", "quantile", "rejects", "p-values"])
     def test_empty_matrix_is_refused_by_name(self, call):
         # a 0 x 0 matrix once failed inside numpy's maximum of an empty array
@@ -346,6 +346,22 @@ class TestStudentizedRange:
             studentized_range_quantile(1, 0.05)
         with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\)"):
             studentized_range_quantile(3, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-4, 1e-8, 1e-10])
+    @pytest.mark.parametrize("k", [2, 3, 10, 20, 50])
+    def test_at_most_the_bonferroni_cutoff(self, k, alpha):
+        # q/sqrt(2) cuts max |Z_i - Z_j| / sqrt(2) over the k(k-1)/2 pairs, each
+        # pair N(0, 1), so the union bound puts it at or below Bonferroni's
+        # cutoff; at alpha = 1e-12 and k = 10 scipy's quantile once passed it
+        c = k * (k - 1) // 2
+        assert studentized_range_quantile(k, alpha) / math.sqrt(2.0) <= -ndtri(alpha / (2 * c))
+
+    def test_an_alpha_below_1e_10_is_refused_by_name(self):
+        # at 1e-25 the quantile was infinite; k = 2 keeps its exact closed form
+        for alpha in (1e-12, 1e-25):
+            with pytest.raises(ValueError, match=f"^alpha {alpha:g} is too small for Tukey's cutoff: "):
+                studentized_range_quantile(3, alpha)
+        assert studentized_range_quantile(2, 1e-25) == math.sqrt(2.0) * -ndtri(0.5e-25)
 
     def test_non_integer_k_is_refused_by_name(self):
         # 2.5 groups once gave 3.088
@@ -1169,7 +1185,7 @@ class TestAdjustedPValues:
         k = len(P_VALUE_T)
         t = np.zeros(len(P_VALUE_V[name]))
         t[:k] = P_VALUE_T
-        p = equicoordinate_p_values(P_VALUE_V[name], t, 0.05, cfg)
+        p = equicoordinate_p_values(P_VALUE_V[name], t, cfg)
         np.testing.assert_allclose(p[:k], FINE_EXCEED[name], rtol=0.0, atol=cfg.target_abs_error)
         assert (p[k:] == 1.0).all()
 
@@ -1178,13 +1194,13 @@ class TestAdjustedPValues:
         # a NaN p-value once doubled its points to the cap; V is not factored
         _no_factor_nor_pass(monkeypatch)
         with pytest.raises(ValueError, match=f"^statistic 1 is {bad}; statistics must be finite$"):
-            equicoordinate_p_values(np.eye(3), [2.5, bad, 1.0], 0.05, TINY)
+            equicoordinate_p_values(np.eye(3), [2.5, bad, 1.0], TINY)
 
     def test_statistics_must_match_the_dimension(self, monkeypatch):
         # four p-values for a 3 x 3 V were once returned; V is not factored
         _no_factor_nor_pass(monkeypatch)
         with pytest.raises(ValueError, match="^statistics and correlation dimension differ$"):
-            equicoordinate_p_values(np.eye(3), [1.0, 2.0, 3.0, 4.0], 0.05, TINY)
+            equicoordinate_p_values(np.eye(3), [1.0, 2.0, 3.0, 4.0], TINY)
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_p_values_lie_within_the_union_bounds(self, seed):
@@ -1200,7 +1216,7 @@ class TestAdjustedPValues:
         t = np.zeros(len(v))
         t[:8] = [4.4, -4.6, 5.0, 5.6, -5.9, 6.4, 15.9, -40.0]
         cfg = QmcConfig(points_per_shift=256, shifts=4, target_abs_error=3e-3, seed=seed)
-        p = equicoordinate_p_values(v, t, 0.05, cfg)
+        p = equicoordinate_p_values(v, t, cfg)
         lower, upper = np.array([_UnionBounds(v)(x) for x in np.abs(t[:8])]).T
         assert ((0.0 <= lower) & (lower <= p[:8]) & (p[:8] <= upper)).all()
         assert (upper - lower <= cfg.target_abs_error).all()
@@ -1215,7 +1231,7 @@ class TestAdjustedPValues:
         v = family_corr("all_pairwise", 10)
         t = np.linspace(4.5, 6.0, len(v)) * np.resize([1.0, -1.0], len(v))
         calls = _spy_passes(monkeypatch)
-        p = equicoordinate_p_values(v, t, 0.05, QmcConfig())
+        p = equicoordinate_p_values(v, t, QmcConfig())
         assert calls == []
         bounds = np.array([_UnionBounds(v)(x) for x in np.abs(t)])
         assert (bounds[:, 1] - bounds[:, 0] <= 5e-4).all()
@@ -1239,12 +1255,14 @@ class TestAdjustedPValues:
         t[0] = 2.8
         lower, upper = _UnionBounds(v)(2.8)
         assert upper - lower > 0.05
-        p = equicoordinate_p_values(v, t, 0.05, QmcConfig())
+        p = equicoordinate_p_values(v, t, QmcConfig())
         assert p[0] == lower and (p[1:] == 1.0).all()
 
     def test_rank_one_p_values_are_exact_without_a_pass(self, monkeypatch):
-        # every |Z_i| equals |Z_1|: P(max_i |Z_i| > t) = 2 Phi(-|t|), evaluated
-        # once per statistic on an empty point set, with no Sobol point drawn
+        # every |Z_i| equals |Z_1|: P(max_i |Z_i| > t) = 2 Phi(-|t|), which
+        # both union bounds equal, so each p-value is their midpoint, with no
+        # integrand call (each was once evaluated on an empty point set) and
+        # no Sobol point drawn
         import clmc.mvnprob as mod
 
         def never(*args):
@@ -1253,9 +1271,51 @@ class TestAdjustedPValues:
         monkeypatch.setattr(mod, "_sobol_stack", never)
         calls = _spy_passes(monkeypatch)
         t = np.array([0.3, -1.9, 2.2, 2.8, -3.5])
-        p = equicoordinate_p_values(np.ones((len(t), len(t))), t, 0.05, QmcConfig())
+        p = equicoordinate_p_values(np.ones((len(t), len(t))), t, QmcConfig())
         np.testing.assert_allclose(p, 2.0 * ndtr(-np.abs(t)), rtol=0.0, atol=1e-15)
-        assert [m for _, m, _ in calls] == [1] * len(t)
+        assert calls == []
+
+    def test_rank_one_bounds_wider_than_the_target_take_the_empty_point_value(self, monkeypatch):
+        # |r_ij| = 1 - 4e-11 factors at rank one, but the union bounds lie
+        # 3e-8 to 3e-6 apart, wider than a 1e-8 target: each p-value is the
+        # exact rank-one value 2 Phi(-|t|) clipped into them, with no Sobol point
+        import clmc.mvnprob as mod
+
+        def never(*args):
+            raise AssertionError("drew Sobol points")
+
+        monkeypatch.setattr(mod, "_sobol_stack", never)
+        v = np.full((3, 3), 1.0 - 4e-11)
+        np.fill_diagonal(v, 1.0)
+        t = np.array([0.5, -1.0, 3.0])
+        p = equicoordinate_p_values(v, t, QmcConfig(target_abs_error=1e-8))
+        lower, upper = np.array([_UnionBounds(v)(x) for x in np.abs(t)]).T
+        assert (upper - lower > 1e-8).all()
+        np.testing.assert_array_equal(p, np.clip(2.0 * ndtr(-np.abs(t)), lower, upper))
+
+    def test_rank_one_far_tail_p_value_does_not_underflow(self):
+        # 1 - P(max_i |Z_i| <= 16.2) rounds to 0, which the p-value once was
+        # (`clmc test` printed it beside Bonferroni's 1e-58); both union
+        # bounds equal 2 Phi(-16.2) = 5.04e-59
+        p = equicoordinate_p_values(np.ones((3, 3)), [16.2] * 3)
+        np.testing.assert_allclose(p, math.erfc(16.2 / math.sqrt(2.0)), rtol=1e-12)
+
+    @pytest.mark.parametrize("rho", [-0.8, 0.0, 0.5, 0.95])
+    def test_two_statistics_take_the_exact_law_without_a_pass(self, rho, monkeypatch):
+        # at c = 2 both union bounds are exact, so every p-value is their
+        # midpoint, with no factor, Sobol stack or estimate; one at or below
+        # the normal cutoff was once a QMC estimate
+        import clmc.mvnprob as mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("factored, drew Sobol points or estimated")
+
+        for name in ("_trapezoidal_cholesky", "_sobol_stack", "_estimate"):
+            monkeypatch.setattr(mod, name, never)
+        for t in ([0.4, -1.5], [2.2, 3.0]):
+            p = equicoordinate_p_values([[1.0, rho], [rho, 1.0]], t)
+            exact = [1.0 - bvn_rect_oracle(-x, x, -x, x, rho) for x in np.abs(t)]
+            np.testing.assert_allclose(p, exact, rtol=0.0, atol=1e-10)
 
     def test_each_distinct_statistic_is_estimated_once(self, monkeypatch):
         # 190 statistics of 0 once took 190 passes, and now take none; a |t|
@@ -1267,7 +1327,7 @@ class TestAdjustedPValues:
         t = np.zeros(len(v))
         t[:6] = [1.2, -1.2, 0.7, 1.2, -0.7, 1.5]
         cfg = QmcConfig(points_per_shift=256, shifts=4, seed=3)
-        want = np.array([equicoordinate_p_values(v, [x] + [0.0] * (len(v) - 1), 0.05, cfg)[0]
+        want = np.array([equicoordinate_p_values(v, [x] + [0.0] * (len(v) - 1), cfg)[0]
                          for x in t])
         xs, real = [], mod._estimate
 
@@ -1276,7 +1336,7 @@ class TestAdjustedPValues:
             return real(per_shift_means, *args, **kwargs)
 
         monkeypatch.setattr(mod, "_estimate", spy)
-        p = equicoordinate_p_values(v, t, 0.05, cfg)
+        p = equicoordinate_p_values(v, t, cfg)
         assert xs == [0.7, 1.2, 1.5]
         np.testing.assert_array_equal(p, want)
 
@@ -1286,7 +1346,7 @@ class TestAdjustedPValues:
 
         calls = []
         monkeypatch.setattr(mod, "_estimate", lambda *args, **kwargs: calls.append(None) or (None, 0.5, 0.0))
-        p = equicoordinate_p_values(family_corr("all_pairwise", 10), np.zeros(45), 0.05, QmcConfig())
+        p = equicoordinate_p_values(family_corr("all_pairwise", 10), np.zeros(45), QmcConfig())
         assert calls == [] and (p == 1.0).all()
 
 
