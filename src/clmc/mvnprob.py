@@ -37,7 +37,8 @@ on R and |t_i| alone, not on alpha: `equicoordinate_p_values` gives a
 statistic of 0 p = 1 exactly, and takes every other one's union bounds
 (below) first.  Where they lie within the target of each other the p-value
 is their midpoint, with no QMC pass; otherwise it is estimated from the same
-prefix under the 3-SE rule and clipped into them.
+prefix under the 3-SE rule and clipped into them.  A running maximum from
+the largest |t_i| down then makes them fall as |t_i| rises, as the truth does.
 All estimates are deterministic functions of the configured seed.
 
 A single-step max-T test rejects |t_i| exactly when P(|t_i|) > 1 - alpha
@@ -54,10 +55,12 @@ stack).  Its contract: where the true P is at least twice
 the target from 1 - alpha, no decision is wrong.
 
 The scrambled Sobol points are scipy.stats.qmc.Sobol's, bit for bit, built
-in numpy (`_sobol_stack`), so a process that integrates never loads
-scipy.stats.  Tukey's cutoff, scipy.stats.studentized_range at infinite
-degrees of freedom, is the only user of scipy.stats and imports it on first
-use; the normal and chi-square cutoffs are scipy.special's, at the caller.
+in numpy (`_sobol_stack`), and Tukey's cutoff, the studentized range at
+infinite degrees of freedom, is solved from the range law of k iid normals,
+a one-dimensional integral on a fixed grid, checked against
+scipy.stats.studentized_range and a fine-grid oracle down to alpha = 1e-10,
+below which it is refused; so no clmc process loads scipy.stats.  The normal
+and chi-square cutoffs are scipy.special's, at the caller.
 """
 
 from __future__ import annotations
@@ -703,7 +706,15 @@ def equicoordinate_p_values(corr, t, cfg: QmcConfig = QmcConfig()) -> np.ndarray
     estimated by `_estimate` from the first 1/16 of the cfg stack, accepted
     when 3 SEs fit in cfg.target_abs_error, a bound on its true error, and
     clipped into the bounds, since far in the tail its absolute QMC error
-    can pass the value itself.  Each distinct |t_i| is evaluated once."""
+    can pass the value itself.  Each distinct |t_i| is evaluated once.
+
+    Last, each p-value becomes the largest at its |t_i| or above (the running
+    maximum from the largest |t_i| down), so none rises with |t_i|; the true
+    p-value falls as |t_i| rises, so each stays within the target of it
+    wherever the unadjusted ones are.  A raised value keeps its own lower
+    bound, and its own upper bound wherever that bound falls with x.
+    Hunter's bound need not (a tree term P(|Z_i| > x, |Z_j| <= x) can rise
+    with x), but it rose at no |t_i| of 34 simulated V (c = 19 to 190)."""
     v = corr if isinstance(corr, _PreparedV) else _PreparedV(corr)
     abs_t = _abs_statistics(t, len(v.r))
 
@@ -722,7 +733,9 @@ def equicoordinate_p_values(corr, t, cfg: QmcConfig = QmcConfig()) -> np.ndarray
         return float(np.clip(1.0 - prob, lower, upper))
 
     distinct, inverse = np.unique(abs_t, return_inverse=True)
-    return np.array([p_value(x) for x in distinct])[inverse]
+    p = np.array([p_value(x) for x in distinct])
+    # the running maximum from the largest |t_i| down, as in Holm's adjusted p
+    return np.maximum.accumulate(p[::-1])[::-1][inverse]
 
 
 # a P(|t_i|) starts on _FIRST_PREFIX points per shift; _SIDE_SES SEs settle its side
@@ -777,19 +790,55 @@ def equicoordinate_rejects(corr, t, alpha: float, cfg: QmcConfig = QmcConfig()) 
     return abs_t > lo
 
 
+# The range law's integrals run over the largest draw z on this grid, by the
+# trapezoidal rule (the integrands are negligible at both ends, so no end
+# needs a half weight).  What lies below -8 is at most k Phi(-8)^k, and what
+# lies above 12 at most k(k-1) Phi(-12) < k^2 2e-33: for k below 10^4 both
+# are below 1e-13 of any alpha >= 1e-10.
+_RANGE_Z = np.linspace(-8.0, 12.0, 401)
+
+
+def _range_tail(w: float, k: int) -> tuple[float, float]:
+    """P(R > w) and its density at w, for R the range of k iid N(0, 1) draws:
+    k int phi(z) [Phi(z)^(k-1) - (Phi(z) - Phi(z - w))^(k-1)] dz and
+    k(k-1) int phi(z) phi(z - w) (Phi(z) - Phi(z - w))^(k-2) dz, z the largest
+    draw.  The bracket is formed as -Phi(z)^(k-1) expm1((k-1) log1p(-Phi(z - w)
+    / Phi(z))), so that a small P(R > w) keeps its digits."""
+    z = _RANGE_Z
+    weight = (z[1] - z[0]) / np.sqrt(2.0 * np.pi)  # the grid step times phi's constant
+    cdf, below = ndtr(z), ndtr(z - w)
+    with np.errstate(divide="ignore"):  # where Phi(z - w) rounds to Phi(z) = 1 the bracket is 1
+        bracket = -cdf ** (k - 1) * np.expm1((k - 1) * np.log1p(-below / cdf))
+    pdf = np.exp(-0.5 * z * z)
+    tail = k * weight * float(pdf @ bracket)
+    pair = pdf * np.exp(-0.5 * (z - w) ** 2) / np.sqrt(2.0 * np.pi)
+    density = k * (k - 1) * weight * float(pair @ (cdf - below) ** (k - 2))
+    return tail, density
+
+
 def _refuse_inexact_tukey(k: int, alpha: float) -> None:
-    """Refuse an alpha below 1e-10 at k >= 3, where scipy's studentized range
-    quantile is inexact: at 1e-12 and k = 10 it passes the Bonferroni cutoff,
-    and it is infinite where 1 - alpha rounds to 1."""
+    """Refuse an alpha below 1e-10 at k >= 3: Tukey's cutoff is checked
+    against a fine-grid integration of the range law (to 1e-11 in 1 - alpha)
+    down to 1e-10, and that check is its limit."""
     if k > 2 and alpha < 1e-10:
         raise ValueError(f"alpha {alpha:g} is too small for Tukey's cutoff: "
-                         "the studentized range quantile is inexact below 1e-10")
+                         "the studentized range quantile is checked only down to 1e-10")
 
 
 @functools.lru_cache(maxsize=64)
 def studentized_range_quantile(k: int, alpha: float) -> float:
-    """Infinite-degrees-of-freedom studentized range quantile q_{k;alpha}:
-    scipy.stats.studentized_range, exact sqrt(2) z_{alpha/2} at k = 2."""
+    """Infinite-degrees-of-freedom studentized range quantile q_{k;alpha}: the
+    w with P(R > w) = alpha, R the range of k iid N(0, 1) draws; exact
+    sqrt(2) z_{alpha/2} at k = 2.
+
+    At k >= 3 a safeguarded Newton search on log P(R > w) - log alpha, with
+    P and its slope from `_range_tail`, runs inside [sqrt(2) z_{alpha/2},
+    sqrt(2) z_{alpha/(k(k-1))}], the normal and Bonferroni cutoffs of the
+    k(k-1)/2 pairwise differences.  It starts at the Bonferroni end, bisects
+    where a step would leave the bracket, and stops once a step is below
+    1e-12 w.  Checked against scipy.stats.studentized_range to 1e-12
+    relative (alpha >= 1e-4), and against a fine-grid integration of the law
+    to 1e-11 in 1 - alpha down to alpha = 1e-10."""
     if not isinstance(k, numbers.Integral):
         raise ValueError(f"k must be an integer, got {k}")
     if k < 2:
@@ -797,8 +846,20 @@ def studentized_range_quantile(k: int, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     _refuse_inexact_tukey(k, alpha)
+    lo = np.sqrt(2.0) * float(-ndtri(alpha / 2.0))
     if k == 2:
-        return np.sqrt(2.0) * float(-ndtri(alpha / 2.0))
-    from scipy.stats import studentized_range  # slow to import: only Tukey's cutoff loads it
-
-    return float(studentized_range.ppf(1.0 - alpha, k, np.inf))
+        return lo
+    hi = np.sqrt(2.0) * float(-ndtri(alpha / (k * (k - 1))))
+    w = hi
+    for _ in range(_MAX_STEPS):
+        tail, density = _range_tail(w, k)
+        excess = np.log(tail / alpha)  # falls as w rises
+        if excess > 0.0:
+            lo = w
+        else:
+            hi = w
+        step = excess * tail / density
+        if abs(step) <= 1e-12 * w:
+            return float(w + step)
+        w = w + step if lo < w + step < hi else 0.5 * (lo + hi)
+    raise QuantileConvergenceError(f"Tukey's cutoff search stalled at k = {k}, alpha = {alpha:g}")

@@ -8,9 +8,10 @@ import pytest
 from scipy.special import chdtri, ndtr
 
 from clmc.data import ContrastFamily, build_contrasts
+from clmc.harness import preset_config
 from clmc.inference import METHODS, adjust, correlation_matrix_V, evaluate_tests
 from clmc.inference import test_statistics as t_statistics
-from clmc.models import FitResult
+from clmc.models import FITTERS, FitResult
 from clmc.mvnprob import (
     QmcConfig,
     _UnionBounds,
@@ -20,6 +21,7 @@ from clmc.mvnprob import (
     mvn_rectangle_prob,
     studentized_range_quantile,
 )
+from clmc.simgen import generate
 
 FAST = QmcConfig(points_per_shift=1024, shifts=8, target_abs_error=1e-3, seed=42)
 
@@ -279,6 +281,25 @@ class TestAdjust:
             np.testing.assert_array_equal(dec.reject, dec.adjusted_p <= 0.05)
             if offsets[0] != 0.0:
                 assert dec.threshold == cut
+
+    def test_mnq_adjusted_p_never_rises_with_abs_t(self):
+        # replicate 7 of the preset: the bounds midpoint at its smallest |t|,
+        # 0.021, was 0.99984, below the p-values of the next 7 |t| (up to
+        # 0.72), so 7 of its 19 p-values rose above that of a smaller |t|
+        cfg = preset_config("mvn-a2-rho05-m10-p20", replicates=8)
+        data = generate(cfg.scenario, np.random.SeedSequence(cfg.scenario.seed, spawn_key=(7,)))
+        fit = FITTERS["mvn"](data)
+        t = t_statistics(fit, cfg.contrasts, data.n)
+        v = correlation_matrix_V(fit.gamma_hat, cfg.contrasts)
+        order = np.argsort(np.abs(t))
+        p = equicoordinate_p_values(v, t)
+        assert np.all(np.diff(p[order]) <= 0.0)
+        # each value stays within its own union bounds
+        bounds = _UnionBounds(v)
+        assert all(bounds(x)[0] <= pi <= bounds(x)[1] for x, pi in zip(np.abs(t), p))
+        # adjust's clip onto the decision's side of alpha keeps them in order
+        adjusted = adjust("mnq", t, v, 0.05, cfg.contrasts).adjusted_p
+        assert np.all(np.diff(adjusted[order]) <= 0.0)
 
     def test_mnq_adjusted_p_is_the_rectangle_estimate_or_the_bounds_midpoint(self):
         # the union bounds, the upper one capped at 1, lie within a target of

@@ -375,6 +375,31 @@ class TestStudentizedRange:
         q = studentized_range_quantile(k, 0.05)
         assert abs(range_cdf_oracle(q, k) - 0.95) <= 1e-10
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.01, 1e-4])
+    @pytest.mark.parametrize("k", [3, 4, 10, 20, 45, 50])
+    def test_matches_scipy_studentized_range(self, k, alpha):
+        # the largest relative difference seen is 1.4e-13
+        from scipy.stats import studentized_range
+
+        want = studentized_range.ppf(1.0 - alpha, k, np.inf)
+        assert studentized_range_quantile(k, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-4, 1e-8, 1e-10])
+    @pytest.mark.parametrize("k", [3, 10, 20, 50])
+    def test_meets_the_range_law_down_to_1e_10(self, k, alpha):
+        # the largest error seen is 1.3e-12; 1e-10 is the smallest alpha accepted
+        assert abs(range_cdf_oracle(studentized_range_quantile(k, alpha), k) - (1.0 - alpha)) <= 1e-11
+
+    def test_a_search_that_cannot_settle_is_an_error(self, monkeypatch):
+        # with no usable slope every Newton step leaves the bracket, so the
+        # search only bisects and never takes a step below 1e-12 w
+        import clmc.mvnprob as mod
+
+        real = mod._range_tail
+        monkeypatch.setattr(mod, "_range_tail", lambda w, k: (real(w, k)[0], 1e-300))
+        with pytest.raises(QuantileConvergenceError, match="^Tukey's cutoff search stalled at k = 5"):
+            studentized_range_quantile.__wrapped__(5, 0.05)
+
     @pytest.mark.parametrize("k", [3, 10])
     def test_cached_value_is_the_range_quantile(self, k):
         fresh = studentized_range_quantile.__wrapped__(k, 0.05)

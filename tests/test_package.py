@@ -68,10 +68,10 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
 # A fresh process runs the commands below, then `then`, and reports after
 # each step whether scipy.stats and scipy.sparse are loaded and how many
 # times it has asked for a Sobol stack.  Importing scipy.stats takes about
-# as long as the rest of `import clmc`, so only Tukey's cutoff loads it, on
-# first use; the QMC integrator builds its Sobol points in numpy and never
-# does.  The union bounds' spanning tree is built in numpy too, so no step
-# but Tukey's cutoff (through scipy.stats) loads scipy.sparse.
+# as long as the rest of `import clmc`, and no step loads it: the QMC
+# integrator builds its Sobol points in numpy, and Tukey's cutoff is solved
+# from the range law in numpy.  The union bounds' spanning tree is built in
+# numpy too, so no step loads scipy.sparse either.
 STATS_PROBE = """
 import json, sys
 import numpy as np
@@ -92,17 +92,19 @@ print(json.dumps(steps))
 """
 
 
-@pytest.mark.parametrize("then, then_loads", [
-    ("clmc.equicoordinate_quantile(0.5 * np.eye(3) + 0.5, 0.05)", False),
-    ("clmc.studentized_range_quantile(4, 0.05)", True),
+@pytest.mark.parametrize("then", [
+    "clmc.equicoordinate_quantile(0.5 * np.eye(3) + 0.5, 0.05)",
+    "clmc.studentized_range_quantile(4, 0.05)",
 ], ids=["quantile", "tukey"])
-def test_scipy_stats_is_imported_on_first_use(tmp_path, then, then_loads):
+def test_no_step_loads_scipy_stats(tmp_path, then):
     csv = str(tmp_path / "probit.csv")
     commands = [
         ("generate", ["generate", "--preset", "probit-null-rho05-m4-p10", "--seed", "3", "--output", csv]),
         ("fit", ["fit", "--model", "probit", "--data", csv]),
         ("test", ["test", "--model", "probit", "--data", csv, "--contrasts", "many-to-one:1",
                   "--methods", "bonferroni,holm,sidak,scheffe"]),
+        ("test tukey", ["test", "--model", "probit", "--data", csv, "--contrasts", "all-pairwise",
+                        "--methods", "tukey"]),
         ("test mnq", ["test", "--model", "probit", "--data", csv, "--contrasts", "many-to-one:1"]),
         ("simulate", ["simulate", "--preset", "gamma-null-correlated", "--replicates", "40", "--seed", "1"]),
     ]
@@ -113,9 +115,10 @@ def test_scipy_stats_is_imported_on_first_use(tmp_path, then, then_loads):
     assert run.returncode == 0, run.stderr
     steps = json.loads(run.stdout.splitlines()[-1])
     # the default methods (mnq among them) integrate, in `test` and in the
-    # simulation's replicates, and still load neither scipy.stats nor scipy.sparse
-    assert steps["test"][2] == 0 < steps["test mnq"][2] < steps["simulate"][2]
+    # simulation's replicates, and still load neither scipy.stats nor scipy.sparse;
+    # Tukey's cutoff integrates the range law on its own grid, with no Sobol stack
+    assert steps["test"][2] == steps["test tukey"][2] == 0 < steps["test mnq"][2] < steps["simulate"][2]
     for module in (0, 1):
         loaded = {name: step[module] for name, step in steps.items()}
-        assert loaded == {"import clmc": False, "generate": False, "fit": False, "test": False,
-                          "test mnq": False, "simulate": False, "then": then_loads}
+        assert loaded == dict.fromkeys(["import clmc", "generate", "fit", "test", "test tukey", "test mnq",
+                                        "simulate", "then"], False)
